@@ -41,17 +41,12 @@ from .experiments import (
 )
 from .magnetics import (
     MU0,
-    FieldVector,
     GridSpec,
     HelmholtzPair,
-    Point,
-    Segment,
-    SquareLoop,
     field_map,
     onaxis_field,
     pair_field,
     segment_field,
-    square_loop_field,
     uniformity,
 )
 from .plant import (

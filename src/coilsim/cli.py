@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -114,12 +115,11 @@ def cmd_optimize(args) -> int:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["pos_over_d", "uniformity_pct"])
-            step = 1e-3
-            r = 0.0
-            while r <= 0.8 * spacing_m:
-                h = magnetics.uniformity(pair, magnetics.Point(r, 0.0, 0.0))
-                writer.writerow([repr(r / spacing_m), repr(h)])
-                r += step
+            positions = coilopt.scan_positions(0.0, 1e-3, 0.8 * spacing_m)
+            pts = np.zeros((len(positions), 3))
+            pts[:, 0] = positions
+            h = magnetics.uniformity(pair, pts).tolist()
+            writer.writerows([repr(r / spacing_m), repr(v)] for r, v in zip(positions, h))
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -131,11 +131,11 @@ def cmd_field_map(args) -> int:
         return EXIT_OK
     pair = cfg.pair()
     grid = cfg.grid()
-    samples = magnetics.field_map(pair, grid)
+    points, field, uniformity_pct = magnetics.field_map(pair, grid)
     out = _outdir(args) / "field_map.csv"
-    magnetics.write_field_map_csv(out, samples)
+    magnetics.write_field_map_csv(out, points, field, uniformity_pct)
     center = magnetics.onaxis_field(pair, 0.0)
-    print(f"{len(samples)} grid points; center bz = {center * 1e6:.2f} uT")
+    print(f"{len(points)} grid points; center bz = {center * 1e6:.2f} uT")
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -160,11 +160,7 @@ def cmd_sysid(args) -> int:
     rows = []
     curves = {}
     for m in methods:
-        params = cfg.method_params(m)
-        if m == "convex":
-            report = experiments.run_sysid(scn, m, params)
-        else:
-            report = experiments.run_sysid(scn, m, params)
+        report = experiments.run_sysid(scn, m, cfg.method_params(m))
         rows.append((m, report))
         curves[m] = report.mse_curve
         print(f"{m:7s} iters_to_converge={report.iters_to_converge:5d} "
@@ -202,7 +198,8 @@ def cmd_step(args) -> int:
         if diag is not None:
             diag.write_csv(out / args.diag_csv)
         reach = report.reach_target_time_s
-        print(f"{m:7s} reach={reach:.3f}s mean={report.mean_steady_nt:.1f}nT "
+        reach_txt = "never" if math.isnan(reach) else f"{reach:.3f}s"
+        print(f"{m:7s} reach={reach_txt} mean={report.mean_steady_nt:.1f}nT "
               f"rmse={report.rmse_steady_nt:.1f}nT "
               f"fluct=[{report.fluct_min_nt:.0f}, {report.fluct_max_nt:.0f}]nT")
     experiments.write_metrics_csv(out / "metrics.csv", rows)

@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .magnetics import MU0, HelmholtzPair, Point, onaxis_field, uniformity
+import numpy as np
+
+from .magnetics import MU0, HelmholtzPair, onaxis_field, uniformity
 
 
 class NoBracket(ValueError):
@@ -139,17 +141,24 @@ def uniform_region(
         raise ValueError("resolution must be > 0")
 
     d = pair.spacing
-    limit = 1.5 * max(d, pair.side)
+    positions = scan_positions(resolution, resolution, 1.5 * max(d, pair.side))
 
-    def scan(axis: str) -> float:
-        extent = 0.0
-        r = resolution
-        while r <= limit:
-            q = Point(r, 0.0, 0.0) if axis == "x" else Point(0.0, r, 0.0)
-            if abs(uniformity(pair, q)) > threshold:
-                break
-            extent = r
-            r += resolution
-        return extent / d
+    def scan(axis: int) -> float:
+        pts = np.zeros((len(positions), 3))
+        pts[:, axis] = positions
+        over = np.flatnonzero(np.abs(uniformity(pair, pts)) > threshold)
+        k = over[0] if over.size else len(positions)
+        return (positions[k - 1] if k else 0.0) / d
 
-    return UniformRegion(threshold, scan("x"), scan("y"))
+    return UniformRegion(threshold, scan(0), scan(1))
+
+
+def scan_positions(first: float, step: float, last: float) -> list[float]:
+    """first, first + step, ... while <= last, by repeated addition, so the
+    n-th position carries the rounding of n additions rather than n * step."""
+    positions = []
+    r = first
+    while r <= last:
+        positions.append(r)
+        r += step
+    return positions

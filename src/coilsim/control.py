@@ -308,24 +308,6 @@ class ConditionReport:
     fixed_ok: bool
     passed: bool
     n_samples: int
-    power_iterations: int
-
-
-def _power_iteration(r: np.ndarray, tol: float = 1e-10, max_iter: int = 100000) -> tuple[float, int]:
-    m = r.shape[0]
-    v = np.ones(m) / math.sqrt(m)
-    lam = float(v @ r @ v)
-    for it in range(1, max_iter + 1):
-        w = r @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0, it
-        v = w / norm
-        lam_new = float(v @ r @ v)
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new, it
-        lam = lam_new
-    return lam, max_iter
 
 
 def check_convergence_condition(
@@ -346,7 +328,7 @@ def check_convergence_condition(
         raise InsufficientSamples(f"need >= {order} samples, got {n}")
 
     rxx = (x.T @ x) / n
-    lam, iters = _power_iteration(rxx)
+    lam = float(np.linalg.eigvalsh(rxx)[-1])
     bound = math.inf if lam <= 0.0 else 2.0 / lam
 
     min_xtx = float(np.min(np.einsum("ij,ij->i", x, x)))
@@ -363,7 +345,6 @@ def check_convergence_condition(
         fixed_ok=fixed_ok,
         passed=nlms_ok and fixed_ok,
         n_samples=n,
-        power_iterations=iters,
     )
 
 

@@ -199,9 +199,9 @@ def _convergence_from_curve(
     return iters, tail
 
 
-def _run_batch(method: str, params, w0: Sequence[float], x: np.ndarray, d: np.ndarray, **kw) -> dict:
+def _run_batch(method: str, params, w0: Sequence[float], x: np.ndarray, d: np.ndarray) -> dict:
     if method == "lms":
-        return run_lms_batch(w0, params["mu"], x, d, **kw)
+        return run_lms_batch(w0, params["mu"], x, d)
     if method == "svs":
         return run_svs_batch(w0, params["alpha"], params["beta"], x, d)
     if method == "atlms":
@@ -211,7 +211,7 @@ def _run_batch(method: str, params, w0: Sequence[float], x: np.ndarray, d: np.nd
     if method == "convex":
         if not isinstance(params, ConvexParams):
             params = ConvexParams(**params)
-        return run_convex_batch(w0, params, x, d, **kw)
+        return run_convex_batch(w0, params, x, d)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -549,7 +549,7 @@ def _fmt(v) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))  # np.float64 is a float whose repr is np.float64(...)
     return str(v)
 
 

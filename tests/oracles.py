@@ -2,10 +2,13 @@
 
 The field oracle integrates the line-integral law dB = N*mu0*I (dl x r)/(4pi |r|^3)
 directly by the midpoint rule; it shares no code with the package's closed
-forms.
+forms.  `segment_field_scalar` is the one exception, a per-point reference
+for the bit-for-bit behaviour of the array kernel.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -47,3 +50,34 @@ def pair_field_numeric(side, spacing, turns, current, q, subdivisions=1_000_000)
     return square_loop_field_numeric(
         side, +h, current, turns, q, subdivisions
     ) + square_loop_field_numeric(side, -h, current, turns, q, subdivisions)
+
+
+def segment_field_scalar(start, end, current, turns, q):
+    """Per-point evaluation of the package's segment closed form, in plain
+    Python floats and the same operation order.
+
+    Not an independent oracle: it is the reference that the array kernel
+    must match bit-for-bit at every point.
+    """
+    sign = 1.0
+    if tuple(end) < tuple(start):
+        start, end = end, start
+        sign = -1.0
+    (sx, sy, sz), (ex, ey, ez), (qx, qy, qz) = start, end, q
+    dx, dy, dz = ex - sx, ey - sy, ez - sz
+    length = math.sqrt(dx * dx + dy * dy + dz * dz)
+    lx, ly, lz = dx / length, dy / length, dz / length
+    r1x, r1y, r1z = qx - sx, qy - sy, qz - sz
+    t1 = r1x * lx + r1y * ly + r1z * lz
+    ax, ay, az = r1x - t1 * lx, r1y - t1 * ly, r1z - t1 * lz
+    a = math.sqrt(ax * ax + ay * ay + az * az)
+    d1 = math.sqrt(r1x * r1x + r1y * r1y + r1z * r1z)
+    r2x, r2y, r2z = qx - ex, qy - ey, qz - ez
+    d2 = math.sqrt(r2x * r2x + r2y * r2y + r2z * r2z)
+    scale = sign * turns * MU0 * current / (4.0 * math.pi * a) * (t1 / d1 + (length - t1) / d2)
+    inv_a = 1.0 / a
+    return (
+        scale * ((ly * az - lz * ay) * inv_a),
+        scale * ((lz * ax - lx * az) * inv_a),
+        scale * ((lx * ay - ly * ax) * inv_a),
+    )

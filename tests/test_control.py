@@ -240,6 +240,20 @@ class TestConvergenceCondition:
         lam_ref = float(np.linalg.eigvalsh(rxx)[-1])
         assert rep.lambda_max == pytest.approx(lam_ref, rel=1e-8)
 
+    def test_top_eigenvector_orthogonal_to_ones(self):
+        # the sample correlation is [[1, -.5], [-.5, 1]] with equal diagonal
+        # entries, so its top eigenvector (1, -1) is orthogonal to an
+        # all-ones start vector
+        x = np.array([[math.sqrt(1.5), -math.sqrt(1.5)], [math.sqrt(0.5), math.sqrt(0.5)]])
+        rxx = x.T @ x / 2
+        assert rxx[0, 0] == rxx[1, 1]
+        assert rxx.ravel() == pytest.approx([1.0, -0.5, -0.5, 1.0], rel=1e-15)
+        rep = check_convergence_condition(SimpleNamespace(beta=0.01, phi=1.0, c=2.0), x)
+        assert rep.lambda_max == pytest.approx(1.5, rel=1e-15)
+        assert rep.mu_max_bound == pytest.approx(4.0 / 3.0, rel=1e-15)
+        assert not rep.fixed_ok  # c = 2 exceeds 2/1.5
+        assert not rep.passed
+
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamples):
             check_convergence_condition(PARAMS, np.ones((1, 2)))
