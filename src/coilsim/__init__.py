@@ -56,10 +56,11 @@ from .plant import (
     PlantModel,
     SensorSpec,
     TargetProfile,
-    disturbance_at,
+    disturbance_series,
     drive,
     inverse_drive,
     sense,
+    sensor_noise,
     snr_to_sigma,
 )
 

@@ -83,7 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the configured seed")
     p.add_argument("--diag-csv", type=Path,
                    help="write per-step convex diagnostics (convex runs only)")
-    p.add_argument("--sensor-log", type=Path, help="write t/true/disturbance/measured CSV")
+    p.add_argument("--sensor-log", type=Path,
+                   help="write t/true/disturbance/measured CSV "
+                        "(one per method, <stem>_<method><suffix>, when several run)")
 
     p = sub.add_parser("check", help="check the step-size convergence condition")
     _add_config_args(p)
@@ -115,7 +117,7 @@ def cmd_optimize(args) -> int:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["pos_over_d", "uniformity_pct"])
-            positions = coilopt.scan_positions(0.0, 1e-3, 0.8 * spacing_m)
+            positions = list(coilopt.scan_positions(0.0, 1e-3, 0.8 * spacing_m))
             pts = np.zeros((len(positions), 3))
             pts[:, 0] = positions
             h = magnetics.uniformity(pair, pts).tolist()
@@ -191,10 +193,11 @@ def cmd_step(args) -> int:
             diagnostics=diag,
         )
         rows.append((m, report))
-        trace_name = "trace.csv" if len(methods) == 1 else f"trace_{m}.csv"
-        experiments.write_trace_csv(out / trace_name, trace)
-        if args.sensor_log and len(methods) == 1:
-            write_sensor_log_csv(out / args.sensor_log, sensor_rows)
+        single = len(methods) == 1
+        experiments.write_trace_csv(out / ("trace.csv" if single else f"trace_{m}.csv"), trace)
+        if args.sensor_log:
+            log = args.sensor_log if single else args.sensor_log.with_stem(f"{args.sensor_log.stem}_{m}")
+            write_sensor_log_csv(out / log, sensor_rows)
         if diag is not None:
             diag.write_csv(out / args.diag_csv)
         reach = report.reach_target_time_s

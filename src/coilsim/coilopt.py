@@ -11,10 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
 from .magnetics import MU0, HelmholtzPair, onaxis_field, uniformity
+
+
+# Positions per uniformity call in uniform_region: bounds its memory, and the
+# scan stops at the first block holding an exceedance.
+SCAN_BLOCK = 4096
 
 
 class NoBracket(ValueError):
@@ -141,24 +148,28 @@ def uniform_region(
         raise ValueError("resolution must be > 0")
 
     d = pair.spacing
-    positions = scan_positions(resolution, resolution, 1.5 * max(d, pair.side))
+    last = 1.5 * max(d, pair.side)
 
     def scan(axis: int) -> float:
-        pts = np.zeros((len(positions), 3))
-        pts[:, axis] = positions
-        over = np.flatnonzero(np.abs(uniformity(pair, pts)) > threshold)
-        k = over[0] if over.size else len(positions)
-        return (positions[k - 1] if k else 0.0) / d
+        positions = scan_positions(resolution, resolution, last)
+        reached = 0.0
+        while block := list(islice(positions, SCAN_BLOCK)):
+            pts = np.zeros((len(block), 3))
+            pts[:, axis] = block
+            over = np.flatnonzero(np.abs(uniformity(pair, pts)) > threshold)
+            if over.size:
+                k = over[0]
+                return (block[k - 1] if k else reached) / d
+            reached = block[-1]
+        return reached / d
 
     return UniformRegion(threshold, scan(0), scan(1))
 
 
-def scan_positions(first: float, step: float, last: float) -> list[float]:
+def scan_positions(first: float, step: float, last: float) -> Iterator[float]:
     """first, first + step, ... while <= last, by repeated addition, so the
     n-th position carries the rounding of n additions rather than n * step."""
-    positions = []
     r = first
     while r <= last:
-        positions.append(r)
+        yield r
         r += step
-    return positions

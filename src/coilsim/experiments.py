@@ -36,10 +36,11 @@ from .plant import (
     PlantModel,
     SensorSpec,
     TargetProfile,
-    disturbance_at,
+    disturbance_series,
     drive,
     inverse_drive,
     sense,
+    sensor_noise,
     snr_to_sigma,
 )
 
@@ -409,7 +410,7 @@ class StepScenario:
     v_max_v: float = 3.0
     init_weights: tuple[float, float] = (0.8, 0.5)
     ctrl_unit_nt: float = 1000.0
-    x_scale_nt: float = 200.0
+    x_scale_nt: float = 1e6
 
     def __post_init__(self):
         if self.duration_s <= self.settle_time_s:
@@ -461,6 +462,10 @@ def run_step_response(
     """Run the closed loop at the sensor sample rate and compute step
     metrics on the post-switch measured field.
 
+    The disturbance series and the sensor noise are drawn for the whole run
+    before the loop starts, from the seed's two independent streams (see
+    coilsim.plant); the loop itself draws nothing.
+
     Optional sinks collect (t, target, measured, volts) trace rows,
     (t, true, disturbance, measured) sensor-log rows, and convex
     per-step diagnostics.  Warns ActuatorSaturationWarning when more than
@@ -472,16 +477,16 @@ def run_step_response(
     switch = scn.profile.switch_time_s
     n_total = int(round((switch + scn.duration_s) * fs))
     step, state = _make_stepper(scn.method, scn.params, scn.init_weights)
-    rng_sensor = np.random.default_rng((scn.seed, 1))
+    times = [n * dt for n in range(n_total)]
+    disturbance = disturbance_series(scn.disturbance, times).tolist()
+    noise = sensor_noise(scn.sensor, np.random.default_rng((scn.seed, 1)), n_total).tolist()
 
     unit = scn.ctrl_unit_nt
     ambient_est_nt = 0.0
     saturated = 0
-    times: list[float] = []
     measured: list[float] = []
 
-    for n in range(n_total):
-        t = n * dt
+    for n, t in enumerate(times):
         target_nt = scn.profile.target_at(t)
         x = (1.0, ambient_est_nt / scn.x_scale_nt)
         d_ctrl = (target_nt - ambient_est_nt) / unit
@@ -495,12 +500,11 @@ def run_step_response(
             saturated += 1
         v = inverse_drive(plant, y_cmd_nt)
         coil_nt = drive(plant, v)
-        dist_nt = disturbance_at(scn.disturbance, t)
+        dist_nt = disturbance[n]
         true_nt = coil_nt + dist_nt
-        meas_nt = sense(scn.sensor, true_nt, rng_sensor)
+        meas_nt = sense(scn.sensor, true_nt, noise[n])
         ambient_est_nt = meas_nt - coil_nt
 
-        times.append(t)
         measured.append(meas_nt)
         if trace is not None:
             trace.append((t, target_nt, meas_nt, v))

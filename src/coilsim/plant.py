@@ -3,14 +3,21 @@ disturbance, and magnetometer models.
 
 Fields at this boundary are in nanotesla; the voltage/field fit constants are
 in microtesla per volt and microtesla (the testbed's fitted curve units).
+
+Random quantities are drawn a run at a time, not a sample at a time: a run
+with seed s takes its sensor noise from the stream default_rng((s, 1)) and
+its Gaussian disturbance from default_rng((s, 2)).  Each stream is
+prefix-stable (sample i always gets draw i, whatever the run length), and
+the two are independent of each other.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -91,20 +98,34 @@ HMC5883L = SensorSpec(noise_sigma_nt=200.0, quantization_step_nt=435.0, sample_r
 IDEAL_SENSOR = SensorSpec(noise_sigma_nt=0.0, quantization_step_nt=0.0, sample_rate_hz=200.0)
 
 
-def sense(spec: SensorSpec, true_field_nt: float, rng: np.random.Generator) -> float:
+def sensor_noise(spec: SensorSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+    """The additive noise of n consecutive magnetometer readings, nT.
+
+    Draws one block of n standard normals from rng, so the i-th reading gets
+    the i-th draw of the stream and a longer run extends a shorter one.  A
+    noiseless sensor draws nothing and returns -0.0, the exact additive
+    identity (x + -0.0 == x bitwise, -0.0 included).
+    """
+    if spec.noise_sigma_nt > 0.0:
+        return spec.noise_sigma_nt * rng.standard_normal(n)
+    return np.full(n, -0.0)
+
+
+def sense(spec: SensorSpec, true_field_nt: float, noise_nt: float) -> float:
     """One magnetometer reading of a true field, nT.
 
-    Adds Gaussian noise then rounds half-to-even to the quantization step;
-    a zero step means no quantization.  Zero noise and zero step make this
-    the identity.
+    Adds the reading's noise (one element of sensor_noise) then rounds
+    half-to-even to the quantization step; a zero step means no
+    quantization.
     """
-    v = true_field_nt
-    if spec.noise_sigma_nt > 0.0:
-        v += spec.noise_sigma_nt * rng.standard_normal()
+    v = true_field_nt + noise_nt
     q = spec.quantization_step_nt
     if q > 0.0:
-        # round-half-even, like the sensor's fixed LSB
-        v = q * float(np.round(v / q))
+        r = v / q
+        # round-half-even, like the sensor's fixed LSB.  round() returns an
+        # int, so copysign restores the -0.0 of a negative value below q/2;
+        # it rejects a non-finite r, which stays q * r.
+        v = math.copysign(q * round(r), v) if math.isfinite(r) else q * r
     return v
 
 
@@ -128,20 +149,22 @@ class DisturbanceSpec:
             raise ValueError("gaussian_sigma_nt must be >= 0")
 
 
-def disturbance_at(spec: DisturbanceSpec, t: float) -> float:
-    """Disturbance field at time t, nT.
+def disturbance_series(spec: DisturbanceSpec, times) -> np.ndarray:
+    """Disturbance field at each of the sample times, nT.
 
-    The Gaussian term is keyed on (seed, bit pattern of t), so identical
-    (spec, t) always reproduce the same value and distinct sample instants
-    draw independent values.
+    The Gaussian term of the i-th sample is the i-th draw of one stream per
+    seed, keyed (seed, 2): the same spec reproduces the same series, a
+    longer series extends a shorter one, and the stream is independent of
+    the sensor's (seed, 1) noise stream.  It depends on the sample index,
+    not on the time value.
     """
-    v = spec.dc_offset_nt
+    t = np.asarray(times, dtype=float)
+    v = np.full(t.shape, spec.dc_offset_nt, dtype=float)
     for amp, freq, phase in spec.ac_components:
-        v += amp * math.sin(2.0 * math.pi * freq * t + phase)
+        v += amp * np.sin(2.0 * math.pi * freq * t + phase)
     if spec.gaussian_sigma_nt > 0.0:
-        t_bits = struct.unpack("<Q", struct.pack("<d", float(t)))[0]
-        rng = np.random.default_rng((spec.seed, t_bits))
-        v += spec.gaussian_sigma_nt * rng.standard_normal()
+        rng = np.random.default_rng((spec.seed, 2))
+        v += spec.gaussian_sigma_nt * rng.standard_normal(t.shape)
     return v
 
 
@@ -177,8 +200,11 @@ class TargetProfile:
                 raise ValueError("profile levels must be finite")
         if self.kind in ("step_up", "step_down") and len(self.levels) != 2:
             raise ValueError("step profiles need exactly 2 levels")
-        if self.kind == "from_file" and not self.samples:
-            raise ValueError("from_file profile needs samples")
+        if self.kind == "from_file":
+            if not self.samples:
+                raise ValueError("from_file profile needs samples")
+            if not all(a[0] <= b[0] for a, b in zip(self.samples, self.samples[1:])):
+                raise ValueError("from_file samples must be in time order")
 
     @classmethod
     def constant(cls, level_nt: float) -> "TargetProfile":
@@ -218,14 +244,9 @@ class TargetProfile:
             if t <= 0.0:
                 return self.levels[0]
             return self.levels[1] * (t / self.switch_time_s)
-        # from_file: zero-order hold
-        value = self.samples[0][1]
-        for ts, v in self.samples:
-            if ts <= t:
-                value = v
-            else:
-                break
-        return value
+        # from_file: zero-order hold on the last sample at or before t
+        i = bisect.bisect_right(self.samples, t, key=itemgetter(0))
+        return self.samples[max(i - 1, 0)][1]
 
     def step_magnitude(self) -> float:
         """Magnitude of the commanded change, used for reach-time bands."""

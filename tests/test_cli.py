@@ -1,5 +1,7 @@
 import csv
 import hashlib
+import re
+from importlib import resources
 
 import pytest
 
@@ -69,3 +71,111 @@ def test_step_metrics_cells_are_plain_floats(tmp_path, capsys):
             if cell:
                 float(cell)
     assert "nans" not in capsys.readouterr().out
+
+
+METHODS = ("lms", "svs", "atlms", "convex")
+
+
+def noiseless_ambient_config(tmp_path, preset):
+    """The preset with its Gaussian disturbance switched off: the loop then
+    draws only from the sensor stream, which the run-level draws kept."""
+    text = resources.files("coilsim").joinpath("presets", f"{preset}.cfg").read_text()
+    text, n = re.subn(r"(?m)^gaussian_sigma_nt = \d+$", "gaussian_sigma_nt = 0", text)
+    assert n == 1
+    cfg = tmp_path / f"{preset}-sigma0.cfg"
+    cfg.write_text(text)
+    return cfg
+
+
+class TestStepGoldens:
+    # `step --method all --seed 5` with gaussian_sigma_nt = 0, captured from
+    # the loop that drew its sensor noise one reading at a time; drawing it
+    # once per run must reproduce them byte for byte
+    SIGMA0 = {
+        "table7-up": {
+            "metrics.csv": "b9744e65be32e3fe0704153418747c52b1cc5fe5b852ba84fd6ea21df59a1880",
+            "trace_lms.csv": "cbd86fd8a83507b6bce3a8be5ef526c74794c4553b30e0236da3cfc294a3715e",
+            "trace_svs.csv": "2ffab8396a0331c3c9e3330933f87d7bd295de0b7496bfa1900f61e76dc50a33",
+            "trace_atlms.csv": "735438f8e2496567b3fe2277f82c46a984f44adcd66812410538469d783019c5",
+            "trace_convex.csv": "106ca9448ac26fe0cdfa48f81c572be079a6423322842356db3b156f6f2ed162",
+        },
+        "table7-down": {
+            "metrics.csv": "043f54f6138e3d78054250a23d0b3d52e40d0fdac729663a64650ab3603e28cb",
+            "trace_lms.csv": "60c01007f86aa520c35c7214a815b0b9c139ceac08de4d44d974a249f03cc864",
+            "trace_svs.csv": "f4de4d0d842ad88b6419aab08e3243a226864d4914a34e3d48a78e2eedae6b6f",
+            "trace_atlms.csv": "85ae943224b96e5f8617ada409f7da99f83379dafa22188dc871386a59526cea",
+            "trace_convex.csv": "808cc686caed6229bee629709011dbcc373a36ecf8b4d5402a2fdd898f557c6e",
+        },
+        "location-field": {
+            "metrics.csv": "74b6504b80e104b5abe94264a0e2d4406905de99903b36111946e8ca0947fa06",
+            "trace_lms.csv": "3d35c797d35c4019b84c42058c26eac4dd8c463d38132b447fe51cf342c3ef87",
+            "trace_svs.csv": "fadc1222ca06ef5d81138365e7490ab66c76c248d6d6ebd92d76c46b17551126",
+            "trace_atlms.csv": "af65326d421b5a337ef4a25965896900861e4d9953f8347477bf411ad7a2dc7b",
+            "trace_convex.csv": "e50f80a02996444ae4fcc31ae5f0222d6a77c179f953997f63f88f2861a16b03",
+        },
+    }
+
+    # the shipped presets at their shipped seed, Gaussian disturbance on
+    PRESETS = {
+        "table7-up": {
+            "metrics.csv": "90085c18034903c92b968de792a3735b34bcfb69c861ede5025180ff83fa88f4",
+            "trace_lms.csv": "0283290548c50eb39d8ad1423feac5d0c904b5abfb64ddd6dcf47ab4eadf1775",
+            "trace_svs.csv": "5f8a02b24edc97586999b7deef045bd9399ad5f16e087afaeba816416444db63",
+            "trace_atlms.csv": "be03c15d144b53dd25b8d69fbd01a19984276fe0e056e58e5888b99894b92a34",
+            "trace_convex.csv": "d96ba3d13d31c09e2e27b4031187de6f699caaaeff5b7e0ab833034da8dacfda",
+        },
+        "table7-down": {
+            "metrics.csv": "800deb670719cbf5a525422c4b8997ad8bf33ebd60abe9ddcd2cd8c05e36ffbd",
+            "trace_lms.csv": "b534448058ce694b1de794ebcba457504dd185db0a64b484c36861da325596b1",
+            "trace_svs.csv": "aee57cf48a2200d253b76d0b2ee5e80471f0ad64df45626c82eb420ffbf290dd",
+            "trace_atlms.csv": "cf6f7bc5cb153fc86787b6c5e3259cdcb7c7280926bc1cda2dd925ecd5f16abb",
+            "trace_convex.csv": "c0d4aea3103190ef836c8c831d634e536fcc43bf8d21eb9c78664979e21bd351",
+        },
+        "location-field": {
+            "metrics.csv": "5555d326b908bf85a2fc07bb7e36b68a0844a1d385afd8ef6ed9197aa7ebdaf0",
+            "trace_lms.csv": "0acb8534f72ea2d013e1564b7d97ec62fd954f4bcf3c34a1da2da3276f255118",
+            "trace_svs.csv": "50d24aa2c3761f828b1c5cb5459af2c3b48f156192d40afda8b7166fef7e6707",
+            "trace_atlms.csv": "6ff3505461b57387b2fb8943580ef8210477661913a4f3c2c82432a6518bf01c",
+            "trace_convex.csv": "3e14eb2785f0ec9183ef21745d13b7eb75f4416f770a38c33094724517121d46",
+        },
+    }
+
+    # per-method `--sensor-log` files of the table7-up sigma-0 run, captured
+    # from single-method runs of the per-reading loop
+    SIGMA0_SENSOR_LOG = {
+        "lms": "0e6c29975df19eb522e7282d2aa5ac78f2f07d69b58807e33b2bcdbe615e3a09",
+        "svs": "6ee0d2c7757ac7cc4e580df1db3ab3ba51357e6002870c7a6b1868d3ee249118",
+        "atlms": "30d61289c3e7d4fa8f29d048167132e556f912ba810258e12ca328f82c5e9b52",
+        "convex": "71ca4eff87c24b46e5e64c6e7c353e2fcf9cb3336b667d4e4be00b4ba4bc7490",
+    }
+
+    @pytest.mark.parametrize("preset", list(SIGMA0))
+    def test_sigma0_outputs_match_per_reading_loop(self, tmp_path, preset):
+        cfg = noiseless_ambient_config(tmp_path, preset)
+        out = tmp_path / "out"
+        argv = ["step", "--config", str(cfg), "--method", "all", "--seed", "5", "--out-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        assert {p.name: sha256(p) for p in out.iterdir()} == self.SIGMA0[preset]
+
+    @pytest.mark.parametrize("preset", list(PRESETS))
+    def test_preset_outputs(self, tmp_path, preset):
+        argv = ["step", "--preset", preset, "--method", "all", "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        assert {p.name: sha256(p) for p in tmp_path.iterdir()} == self.PRESETS[preset]
+
+    def test_sensor_log_one_file_per_method(self, tmp_path):
+        cfg = noiseless_ambient_config(tmp_path, "table7-up")
+        out = tmp_path / "out"
+        argv = ["step", "--config", str(cfg), "--method", "all", "--seed", "5",
+                "--sensor-log", "sensor.csv", "--out-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        assert not (out / "sensor.csv").exists()
+        logs = {m: sha256(out / f"sensor_{m}.csv") for m in METHODS}
+        assert logs == self.SIGMA0_SENSOR_LOG
+
+    def test_sensor_log_single_method_keeps_its_name(self, tmp_path):
+        cfg = noiseless_ambient_config(tmp_path, "table7-up")
+        argv = ["step", "--config", str(cfg), "--method", "convex", "--seed", "5",
+                "--sensor-log", "sensor.csv", "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        assert sha256(tmp_path / "sensor.csv") == self.SIGMA0_SENSOR_LOG["convex"]

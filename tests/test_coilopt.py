@@ -1,6 +1,10 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+
+from coilsim import coilopt
 
 from coilsim.coilopt import (
     NoBracket,
@@ -9,11 +13,12 @@ from coilsim.coilopt import (
     optimal_spacing,
     optimality_polynomial,
     second_derivative_center,
+    scan_positions,
     second_derivative_center_fd,
     solve_optimal_ratio,
     uniform_region,
 )
-from coilsim.magnetics import HelmholtzPair
+from coilsim.magnetics import HelmholtzPair, uniformity
 
 TABLE2 = HelmholtzPair(side=0.8404, spacing=0.4576, turns=24, current=2.94)
 
@@ -124,3 +129,33 @@ class TestUniformRegion:
             uniform_region(TABLE2, 0.0)
         with pytest.raises(ValueError):
             uniform_region(TABLE2, 5.0, resolution=0.0)
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    @pytest.mark.parametrize("threshold", [0.01, 0.5, 5.0, 1e6])
+    def test_matches_whole_scan_for_any_block(self, monkeypatch, block, threshold):
+        # one uniformity call over every position, then the first exceedance
+        def whole_scan(axis):
+            positions = list(scan_positions(4e-3, 4e-3, 1.5 * max(TABLE2.spacing, TABLE2.side)))
+            pts = np.zeros((len(positions), 3))
+            pts[:, axis] = positions
+            over = np.flatnonzero(np.abs(uniformity(TABLE2, pts)) > threshold)
+            k = over[0] if over.size else len(positions)
+            return (positions[k - 1] if k else 0.0) / TABLE2.spacing
+
+        monkeypatch.setattr(coilopt, "SCAN_BLOCK", block)
+        region = uniform_region(TABLE2, threshold, resolution=4e-3)
+        assert (region.extent_x_over_d, region.extent_y_over_d) == (whole_scan(0), whole_scan(1))
+
+    def test_memory_bounded_at_fine_resolution(self):
+        # 1.8 million positions at 1 um; a whole-scan list of them alone
+        # would take ~58 MB, and its point array 43 MB more
+        side = 1.2
+        pair = HelmholtzPair(side=side, spacing=optimal_spacing(side), turns=1, current=1.0)
+        tracemalloc.start()
+        try:
+            region = uniform_region(pair, 0.01, resolution=1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < region.extent_x_over_d < 1.5
+        assert peak < 8e6

@@ -1,7 +1,11 @@
 import math
+import struct
+from operator import itemgetter
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from coilsim.plant import (
     ASCENDING_FIT,
@@ -14,10 +18,11 @@ from coilsim.plant import (
     PlantModel,
     SensorSpec,
     TargetProfile,
-    disturbance_at,
+    disturbance_series,
     drive,
     inverse_drive,
     sense,
+    sensor_noise,
     snr_to_sigma,
     write_sensor_log_csv,
 )
@@ -69,30 +74,75 @@ class TestInverseDrive:
             inverse_drive(p, 1000.0)
 
 
+def bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+def quantize_reference(q: float, v: float) -> float:
+    """The quantizer as numpy's round-half-even, which keeps the sign of a
+    zero result."""
+    return q * float(np.round(v / q))
+
+
 class TestSensor:
     def test_identity_without_noise_or_quantization(self):
         rng = np.random.default_rng(0)
-        assert sense(IDEAL_SENSOR, 12345.678, rng) == 12345.678
+        (noise,) = sensor_noise(IDEAL_SENSOR, rng, 1).tolist()
+        assert sense(IDEAL_SENSOR, 12345.678, noise) == 12345.678
 
     def test_quantization_multiples(self):
-        rng = np.random.default_rng(1)
         spec = SensorSpec(noise_sigma_nt=0.0, quantization_step_nt=435.0)
         for f in (0.0, 120_000.0, 33_333.3, -7_777.7):
-            v = sense(spec, f, rng)
+            v = sense(spec, f, 0.0)
             assert v == pytest.approx(435.0 * round(v / 435.0), abs=1e-9)
 
     def test_round_half_even(self):
-        rng = np.random.default_rng(2)
         spec = SensorSpec(quantization_step_nt=2.0)
-        assert sense(spec, 3.0, rng) == 4.0  # 1.5 LSB -> 2 LSB
-        assert sense(spec, 5.0, rng) == 4.0  # 2.5 LSB -> 2 LSB
+        assert sense(spec, 3.0, 0.0) == 4.0  # 1.5 LSB -> 2 LSB
+        assert sense(spec, 5.0, 0.0) == 4.0  # 2.5 LSB -> 2 LSB
 
     def test_noise_sigma_estimate(self):
         rng = np.random.default_rng(3)
-        vals = np.array([sense(RM3100, 1000.0, rng) for _ in range(10_000)])
+        vals = np.array([sense(RM3100, 1000.0, e) for e in sensor_noise(RM3100, rng, 10_000).tolist()])
         # quantization at 13 nT adds ~uniform(step^2/12) on top of 15 nT noise
         expected = math.sqrt(15.0**2 + 13.0**2 / 12.0)
         assert np.std(vals) == pytest.approx(expected, rel=0.05)
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**31 - 1])
+    def test_block_equals_per_reading_draws(self, seed):
+        block = sensor_noise(HMC5883L, np.random.default_rng((seed, 1)), 2000)
+        rng = np.random.default_rng((seed, 1))
+        per_reading = [HMC5883L.noise_sigma_nt * rng.standard_normal() for _ in range(2000)]
+        assert [bits(v) for v in block.tolist()] == [bits(v) for v in per_reading]
+
+    def test_noiseless_sensor_draws_nothing(self):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        noise = sensor_noise(SensorSpec(quantization_step_nt=13.0), rng, 100)
+        assert rng.bit_generator.state == before
+        assert all(bits(v) == bits(-0.0) for v in noise.tolist())
+        assert bits(sense(IDEAL_SENSOR, -0.0, noise.tolist()[0])) == bits(-0.0)
+
+    @given(
+        q=st.sampled_from([13.0, 435.0, 2.0, 0.1, 3e-7]),
+        k=st.integers(-(10**9), 10**9),
+        v=st.floats(allow_nan=False),
+        half=st.booleans(),
+    )
+    @example(q=435.0, k=0, v=-0.0, half=False)
+    @example(q=435.0, k=0, v=0.0, half=False)
+    @example(q=435.0, k=0, v=-0.3, half=False)
+    @example(q=435.0, k=0, v=1e300, half=False)
+    @example(q=435.0, k=0, v=-1e300, half=False)
+    @example(q=2.0, k=-1, v=0.0, half=True)
+    @example(q=0.1, k=0, v=1.7976931348623157e308, half=False)  # v / q overflows
+    def test_noiseless_quantizer_matches_numpy_round_bitwise(self, q, k, v, half):
+        # half-LSB points (k + 1/2) * q exercise the ties-to-even rule
+        if half:
+            v = (k + 0.5) * q
+        spec = SensorSpec(quantization_step_nt=q)
+        (noise,) = sensor_noise(spec, np.random.default_rng(0), 1).tolist()
+        assert bits(sense(spec, v, noise)) == bits(quantize_reference(q, v))
 
     def test_table_sensor_models(self):
         assert HMC5883L.quantization_step_nt == 435.0
@@ -104,29 +154,50 @@ class TestSensor:
 class TestDisturbance:
     def test_all_zero_spec(self):
         spec = DisturbanceSpec()
-        assert all(disturbance_at(spec, t) == 0.0 for t in (0.0, 0.1, 2.7))
+        assert disturbance_series(spec, [0.0, 0.1, 2.7]).tolist() == [0.0, 0.0, 0.0]
 
     def test_dc_only(self):
         spec = DisturbanceSpec(dc_offset_nt=512.0)
-        assert all(disturbance_at(spec, t) == 512.0 for t in (0.0, 1.0, 9.9))
+        assert disturbance_series(spec, [0.0, 1.0, 9.9]).tolist() == [512.0] * 3
 
     def test_ac_component(self):
         spec = DisturbanceSpec(ac_components=((100.0, 2.0, 0.0),))
-        assert disturbance_at(spec, 0.0) == pytest.approx(0.0, abs=1e-12)
-        assert disturbance_at(spec, 0.125) == pytest.approx(100.0, rel=1e-12)
+        v = disturbance_series(spec, [0.0, 0.125])
+        assert v[0] == pytest.approx(0.0, abs=1e-12)
+        assert v[1] == pytest.approx(100.0, rel=1e-12)
 
     def test_gaussian_sigma_estimate(self):
         spec = DisturbanceSpec(gaussian_sigma_nt=50.0, seed=7)
-        ts = np.arange(100_000) * 1e-3
-        vals = np.array([disturbance_at(spec, t) for t in ts])
+        vals = disturbance_series(spec, np.arange(100_000) * 1e-3)
         assert np.std(vals) == pytest.approx(50.0, rel=0.02)
 
     def test_deterministic_per_time(self):
         spec = DisturbanceSpec(gaussian_sigma_nt=50.0, seed=7)
-        assert disturbance_at(spec, 0.123) == disturbance_at(spec, 0.123)
-        assert disturbance_at(spec, 0.123) != disturbance_at(spec, 0.124)
+        ts = np.arange(50) / 200.0
+        a = disturbance_series(spec, ts)
+        assert a.tolist() == disturbance_series(spec, ts).tolist()
+        assert np.all(np.diff(a) != 0.0)
         other = DisturbanceSpec(gaussian_sigma_nt=50.0, seed=8)
-        assert disturbance_at(spec, 0.123) != disturbance_at(other, 0.123)
+        assert np.all(a != disturbance_series(other, ts))
+
+    def test_gaussian_term_is_the_seed_stream(self):
+        spec = DisturbanceSpec(dc_offset_nt=10.0, gaussian_sigma_nt=50.0, seed=7)
+        rng = np.random.default_rng((7, 2))
+        expected = [10.0 + 50.0 * rng.standard_normal() for _ in range(500)]
+        assert disturbance_series(spec, np.arange(500) * 0.01).tolist() == expected
+
+    def test_prefix_stable(self):
+        spec = DisturbanceSpec(ac_components=((30.0, 1.5, 0.2),), gaussian_sigma_nt=50.0, seed=3)
+        ts = np.arange(3000) / 75.0
+        full = disturbance_series(spec, ts)
+        assert disturbance_series(spec, ts[:1725]).tolist() == full[:1725].tolist()
+
+    def test_independent_of_sensor_stream(self):
+        n = 20_000
+        dist = disturbance_series(DisturbanceSpec(gaussian_sigma_nt=1.0, seed=42), np.zeros(n))
+        noise = sensor_noise(SensorSpec(noise_sigma_nt=1.0), np.random.default_rng((42, 1)), n)
+        assert not np.any(dist == noise)
+        assert abs(np.corrcoef(dist, noise)[0, 1]) < 4.0 / math.sqrt(n)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -176,6 +247,50 @@ class TestTargetProfile:
             TargetProfile("wiggle")
         with pytest.raises(ValueError):
             TargetProfile("step_up", (0.0,))
+        with pytest.raises(ValueError, match="time order"):
+            TargetProfile("from_file", samples=((1.0, 5.0), (0.0, 2.0)))
+
+
+def target_at_linear(samples, t):
+    """Zero-order hold by a linear scan over time-ordered samples."""
+    value = samples[0][1]
+    for ts, v in samples:
+        if ts <= t:
+            value = v
+        else:
+            break
+    return value
+
+
+class TestFromFileTarget:
+    SAMPLES = ((0.5, 1.0), (1.0, 2.0), (1.0, 3.0), (2.0, 4.0), (2.0, 5.0), (2.0, 6.0), (7.25, -1.0))
+
+    def test_matches_linear_scan_at_and_around_samples(self):
+        p = TargetProfile("from_file", samples=self.SAMPLES)
+        times = sorted({ts for ts, _ in self.SAMPLES})
+        probes = [times[0] - 10.0, times[0] - 1e-9, times[-1] + 1e-9, times[-1] + 10.0]
+        probes += times  # exactly on each sample time, duplicates included
+        probes += [0.5 * (a + b) for a, b in zip(times, times[1:])]  # between samples
+        probes += [np.nextafter(ts, -np.inf) for ts in times] + [np.nextafter(ts, np.inf) for ts in times]
+        for t in probes:
+            assert p.target_at(t) == target_at_linear(self.SAMPLES, t), t
+
+    def test_duplicate_times_hold_the_last_row(self):
+        p = TargetProfile("from_file", samples=self.SAMPLES)
+        assert p.target_at(1.0) == 3.0
+        assert p.target_at(2.0) == 6.0
+        assert p.target_at(0.0) == 1.0  # before the first sample: its value
+
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(-20, 20), st.floats(-1e6, 1e6)), min_size=1, max_size=30
+        ),
+        t=st.integers(-50, 50),
+    )
+    def test_matches_linear_scan_property(self, rows, t):
+        samples = tuple(sorted(((a / 4.0, v) for a, v in rows), key=itemgetter(0)))
+        p = TargetProfile("from_file", samples=samples)
+        assert p.target_at(t / 8.0) == target_at_linear(samples, t / 8.0)
 
 
 class TestSensorLog:
