@@ -8,7 +8,6 @@ given (config, seed), so reruns produce byte-identical CSV bodies.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from pathlib import Path
@@ -16,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import coilopt, experiments, magnetics
+from ._table import write_repr_csv
 from .config import ConfigError, ScenarioConfig, load_config, load_preset, preset_names
 from .control import DiagnosticsRecorder, check_convergence_condition
 from .experiments import METHODS
@@ -114,14 +114,12 @@ def cmd_optimize(args) -> int:
     if args.csv is not None:
         args.out_dir.mkdir(parents=True, exist_ok=True)
         path = args.csv if args.csv.is_absolute() else args.out_dir / args.csv
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["pos_over_d", "uniformity_pct"])
-            positions = list(coilopt.scan_positions(0.0, 1e-3, 0.8 * spacing_m))
-            pts = np.zeros((len(positions), 3))
-            pts[:, 0] = positions
-            h = magnetics.uniformity(pair, pts).tolist()
-            writer.writerows([repr(r / spacing_m), repr(v)] for r, v in zip(positions, h))
+        positions = list(coilopt.scan_positions(0.0, 1e-3, 0.8 * spacing_m))
+        pts = np.zeros((len(positions), 3))
+        pts[:, 0] = positions
+        h = magnetics.uniformity(pair, pts).tolist()
+        write_repr_csv(path, ("pos_over_d", "uniformity_pct"),
+                       ((r / spacing_m, v) for r, v in zip(positions, h)))
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -159,17 +157,14 @@ def cmd_sysid(args) -> int:
         return EXIT_OK
     methods = _method_list(args.methods)
     scn = cfg.sysid_scenario(snr_override=args.snr_db)
-    rows = []
-    curves = {}
-    for m in methods:
-        report = experiments.run_sysid(scn, m, cfg.method_params(m))
-        rows.append((m, report))
-        curves[m] = report.mse_curve
+    reports = experiments.run_sysid(scn, {m: cfg.method_params(m) for m in methods})
+    for m, report in reports.items():
         print(f"{m:7s} iters_to_converge={report.iters_to_converge:5d} "
               f"final_mse={report.final_mse:.4e}")
     out = _outdir(args)
-    experiments.write_metrics_csv(out / "metrics.csv", rows)
-    experiments.write_mse_curves_csv(out / "mse_curve.csv", curves)
+    experiments.write_metrics_csv(out / "metrics.csv", list(reports.items()))
+    experiments.write_mse_curves_csv(out / "mse_curve.csv",
+                                     {m: r.mse_curve for m, r in reports.items()})
     print(f"wrote {out / 'metrics.csv'} and {out / 'mse_curve.csv'}")
     return EXIT_OK
 

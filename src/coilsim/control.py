@@ -17,17 +17,24 @@ from one thread at a time.
 
 Batch runners (`run_*_batch`) execute many independent trials of the same
 update equations vectorized across trials; they exist for experiment-harness
-speed and are pinned to the scalar steps by equivalence tests.
+speed and are pinned to the scalar steps by equivalence tests.  They take
+trial-major arrays, x (trials, n_iters, order) and d (trials, n_iters), and
+step through them time-major, (n_iters, order, trials): one step reads one
+contiguous block, and the transposed views that the sysid harness passes
+cost no copy.  LMS, SVS and ATLMS share one loop that differs only in its
+step-size law; the convex runner stacks w1 and w2 so one multiply serves
+both branches.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+
+from ._table import write_repr_csv
 
 
 class DimensionMismatch(ValueError):
@@ -353,8 +360,46 @@ def check_convergence_condition(
 # ---------------------------------------------------------------------------
 
 
-def _bias_col(x_n: np.ndarray, fit_k: float, fit_b: float) -> np.ndarray:
-    return fit_k * x_n[:, 0] + fit_b
+def _tap_sum(p) -> np.ndarray:
+    """Sum over the leading (tap) axis in np.einsum's order for a contiguous
+    row, to which the sysid outputs are pinned: even and odd taps in two
+    lanes (eights from their last pair back), then the lanes; plain tap
+    order for one or two taps."""
+    n = len(p)
+    if n < 3:
+        return p[0] if n == 1 else p[0] + p[1]
+    lanes: list = [None, None]
+    blocks = [j + k for j in range(0, n - n % 8, 8) for k in (6, 7, 4, 5, 2, 3, 0, 1)]
+    for j in blocks + list(range(n - n % 8, n)):
+        lanes[j % 2] = p[j] if lanes[j % 2] is None else p[j] + lanes[j % 2]
+    return lanes[0] + lanes[1]
+
+
+def _clamp(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    # the bits of np.clip, NaN included, at less per-call overhead
+    return np.minimum(np.maximum(v, lo), hi)
+
+
+def _run_filter(w0, x, d, fit_k, fit_b, rate, record_w_at=()) -> dict:
+    """Single-filter trials, e = d - (w.x + fit_k * x[0] + fit_b) and then
+    w += rate(e) * e * x, stepped time-major across all trials at once
+    (no copy for the transposed views experiments._sysid_signals returns)."""
+    x, d = np.ascontiguousarray(x.transpose(1, 2, 0)), np.ascontiguousarray(d.T)
+    n_iters, order, trials = x.shape
+    w = np.repeat(np.asarray(w0, dtype=float)[:, None], trials, axis=1)
+    bias = fit_k * x[:, 0] + fit_b
+    e_out = np.empty((trials, n_iters))
+    snaps: dict[int, np.ndarray] = {}
+    record = frozenset(int(i) for i in record_w_at)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_iters):
+            if n in record:
+                snaps[n] = w.T.copy()
+            x_n = x[n]
+            e = d[n] - (_tap_sum(w * x_n) + bias[n])
+            e_out[:, n] = e
+            w += rate(e) * e * x_n
+    return {"e": e_out, "w": w.T.copy(), "w_snapshots": snaps}
 
 
 def run_lms_batch(
@@ -369,21 +414,7 @@ def run_lms_batch(
     """Run independent LMS trials: x has shape (trials, n_iters, order),
     d shape (trials, n_iters).  Returns per-trial error traces and final
     weights; `record_w_at` captures weight snapshots before those steps."""
-    trials, n_iters, order = x.shape
-    w = np.tile(np.asarray(w0, dtype=float), (trials, 1))
-    e_out = np.empty((trials, n_iters))
-    snaps: dict[int, np.ndarray] = {}
-    record = frozenset(int(i) for i in record_w_at)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_iters):
-            if n in record:
-                snaps[n] = w.copy()
-            x_n = x[:, n, :]
-            y = np.einsum("ij,ij->i", w, x_n) + _bias_col(x_n, fit_k, fit_b)
-            e = d[:, n] - y
-            e_out[:, n] = e
-            w += (mu * e)[:, None] * x_n
-    return {"e": e_out, "w": w, "w_snapshots": snaps}
+    return _run_filter(w0, x, d, fit_k, fit_b, lambda e: mu, record_w_at)
 
 
 def run_svs_batch(
@@ -395,18 +426,8 @@ def run_svs_batch(
     fit_k: float = 0.0,
     fit_b: float = 0.0,
 ) -> dict:
-    trials, n_iters, order = x.shape
-    w = np.tile(np.asarray(w0, dtype=float), (trials, 1))
-    e_out = np.empty((trials, n_iters))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_iters):
-            x_n = x[:, n, :]
-            y = np.einsum("ij,ij->i", w, x_n) + _bias_col(x_n, fit_k, fit_b)
-            e = d[:, n] - y
-            e_out[:, n] = e
-            mu = beta * (1.0 / (1.0 + np.exp(np.clip(-alpha * np.abs(e), -700, 700))) - 0.5)
-            w += (mu * e)[:, None] * x_n
-    return {"e": e_out, "w": w}
+    return _run_filter(w0, x, d, fit_k, fit_b, lambda e: beta * (
+        1.0 / (1.0 + np.exp(_clamp(-alpha * np.abs(e), -700.0, 700.0))) - 0.5))
 
 
 def run_atlms_batch(
@@ -420,19 +441,8 @@ def run_atlms_batch(
     fit_k: float = 0.0,
     fit_b: float = 0.0,
 ) -> dict:
-    trials, n_iters, order = x.shape
-    w = np.tile(np.asarray(w0, dtype=float), (trials, 1))
-    e_out = np.empty((trials, n_iters))
     gain = beta * (2.0 / math.pi) * m / (m + n_scale)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_iters):
-            x_n = x[:, n, :]
-            y = np.einsum("ij,ij->i", w, x_n) + _bias_col(x_n, fit_k, fit_b)
-            e = d[:, n] - y
-            e_out[:, n] = e
-            mu = gain * np.arctan(alpha * e * e)
-            w += (mu * e)[:, None] * x_n
-    return {"e": e_out, "w": w}
+    return _run_filter(w0, x, d, fit_k, fit_b, lambda e: gain * np.arctan(alpha * e * e))
 
 
 def run_convex_batch(
@@ -445,63 +455,62 @@ def run_convex_batch(
 ) -> dict:
     """Vectorized convex combination trials; same update order as
     convex_step."""
-    trials, n_iters, order = x.shape
-    w1 = np.tile(np.asarray(w0, dtype=float), (trials, 1))
-    w2 = w1.copy()
+    x, d = np.ascontiguousarray(x.transpose(1, 2, 0)), np.ascontiguousarray(d.T)
+    n_iters, order, trials = x.shape
+    # w[:, 0] is w1 and w[:, 1] is w2: one multiply serves both branches
+    w = np.tile(np.asarray(w0, dtype=float)[:, None, None], (1, 2, trials))
+    w1, w2 = w[:, 0], w[:, 1]
+    xb = x[:, :, None]  # each step's taps, broadcast over the two branches
     b = np.full(trials, float(b0))
-    gamma = 1.0 / (1.0 + np.exp(-np.clip(b, -700, 700)))
-    prev_e1 = np.zeros(trials)
-    e_out = np.empty((trials, n_iters))
-    e1_out = np.empty((trials, n_iters))
-    e2_out = np.empty((trials, n_iters))
+    gamma = 1.0 / (1.0 + np.exp(-_clamp(b, -700.0, 700.0)))
+    prev_abs_e1 = np.zeros(trials)
+    u = np.empty((2, trials))  # exponents of the slow rate's logistic and of gamma's
+    k = np.empty((2, trials))
+    e_out, e1_out, e2_out = (np.empty((trials, n_iters)) for _ in range(3))
     snaps: dict[int, np.ndarray] = {}
     record = frozenset(int(i) for i in record_w_at)
-    half_beta = 0.5 * params.beta
+    block = 256
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_iters):
+            if n % block == 0:  # bias and phi + x.x a block at a time: bounded memory
+                xs = x[n : n + block]
+                bias = params.fit_k * xs[:, 0] + params.fit_b
+                den = _tap_sum([xs[:, j] * xs[:, j] for j in range(order)])
+                den += params.phi
             if n in record:
-                snaps[n] = w1.copy()
-            x_n = x[:, n, :]
-            bias = _bias_col(x_n, params.fit_k, params.fit_b)
-            a1 = np.einsum("ij,ij->i", w1, x_n)
-            a2 = np.einsum("ij,ij->i", w2, x_n)
-            xx = np.einsum("ij,ij->i", x_n, x_n)
-            y1 = a1 + bias
-            y2 = a2 + bias
-            y = gamma * a1 + (1.0 - gamma) * a2 + bias
-            d_n = d[:, n]
-            e1 = d_n - y1
-            e2 = d_n - y2
+                snaps[n] = w1.T.copy()
+            x_n = xb[n]
+            a = _tap_sum(w * x_n)
+            g1 = 1.0 - gamma
+            bias_n = bias[n % block]
+            y12 = a + bias_n
+            y = gamma * a[0] + g1 * a[1] + bias_n
+            d_n = d[n]
+            e12 = d_n - y12
+            e1 = e12[0]
             e = d_n - y
             e_out[:, n] = e
             e1_out[:, n] = e1
-            e2_out[:, n] = e2
+            e2_out[:, n] = e12[1]
 
-            arg = -params.alpha * np.abs(e1 * prev_e1) + params.sigma * np.abs(e1)
-            mu1 = params.beta * (1.0 / (1.0 + np.exp(np.clip(arg, -700, 700))) - 0.5)
-            mu1 = np.clip(mu1, 0.0, half_beta)
+            # b first (the weight updates leave its inputs alone): one logistic pass
+            abs_e1 = np.abs(e1)  # |e1 * prev_e1| == |e1| * |prev_e1| exactly
+            np.add(-params.alpha * (abs_e1 * prev_abs_e1), params.sigma * abs_e1, out=u[0])
+            b += params.mu_b * np.sign(e) * (y12[0] - y12[1]) * gamma * g1
+            np.negative(b, out=u[1])  # clamp(-b) == -clamp(b) exactly
+            s = 1.0 / (1.0 + np.exp(_clamp(u, -700.0, 700.0)))
+            mu1 = _clamp(params.beta * (s[0] - 0.5), 0.0, 0.5 * params.beta)
 
-            w1 += (2.0 * mu1 * e1 / (params.phi + xx))[:, None] * x_n
-            w2 += (params.c * e2)[:, None] * x_n
+            np.divide(2.0 * mu1 * e1, den[n % block], out=k[0])
+            np.multiply(params.c, e12[1], out=k[1])
+            w += k * x_n
 
             if n % params.t_o == 0:
-                transfer = gamma > params.gamma_o
-                if transfer.any():
-                    w2[transfer] = w1[transfer]
-
-            b += params.mu_b * np.sign(e) * (y1 - y2) * gamma * (1.0 - gamma)
-            gamma = 1.0 / (1.0 + np.exp(-np.clip(b, -700, 700)))
-            prev_e1 = e1
-    return {
-        "e": e_out,
-        "e1": e1_out,
-        "e2": e2_out,
-        "w1": w1,
-        "w2": w2,
-        "b": b,
-        "gamma": gamma,
-        "w_snapshots": snaps,
-    }
+                np.copyto(w2, w1, where=gamma > params.gamma_o)
+            gamma = s[1]
+            prev_abs_e1 = abs_e1
+    return {"e": e_out, "e1": e1_out, "e2": e2_out, "w1": w1.T.copy(), "w2": w2.T.copy(),
+            "b": b, "gamma": gamma, "w_snapshots": snaps}
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +532,4 @@ class DiagnosticsRecorder:
         )
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(DIAGNOSTICS_HEADER)
-            for row in self.rows:
-                writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        write_repr_csv(path, DIAGNOSTICS_HEADER, self.rows)

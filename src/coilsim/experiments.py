@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._table import write_repr_csv
 from .control import (
     ConvexParams,
     ConvexState,
@@ -162,24 +163,30 @@ class SysIdScenario:
 
 def _sysid_signals(scn: SysIdScenario, reinject: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial tap matrix X (trials, n_iters, order), targets D, and the
-    noise eps actually applied.  Trial t draws from seed XOR t."""
-    sigma = snr_to_sigma(scn.signal_power, scn.snr_db)
+    noise eps actually applied.  Trial t draws from seed XOR t.
+
+    All three are transposed views of time-major arrays, (n_iters, order,
+    trials) and (n_iters, trials), the layout the batch runners step
+    through.  Each trial's clean targets are one matrix-vector product over
+    its own row-major tap block."""
     wo = np.asarray(scn.true_weights, dtype=float)
-    x = np.empty((scn.trials, scn.n_iters, scn.order))
-    eps = np.empty((scn.trials, scn.n_iters))
+    x = np.empty((scn.n_iters, scn.order, scn.trials))
+    d = np.empty((scn.n_iters, scn.trials))
+    eps = np.empty((scn.n_iters, scn.trials))
     for t in range(scn.trials):
         rng = np.random.default_rng(scn.seed ^ t)
         u = rng.standard_normal(scn.n_iters + scn.order - 1)
         # tap-delay rows, most recent sample first
-        win = np.lib.stride_tricks.sliding_window_view(u, scn.order)[:, ::-1]
-        x[t] = win
-        eps[t] = sigma * rng.standard_normal(scn.n_iters)
+        taps = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(u, scn.order)[:, ::-1])
+        x[:, :, t] = taps
+        d[:, t] = taps @ wo
+        eps[:, t] = rng.standard_normal(scn.n_iters)
+    eps *= snr_to_sigma(scn.signal_power, scn.snr_db)
     if reinject and scn.reinjection_scale != 1.0 and scn.reinjection_len > 0:
         lo = scn.noise_reinjection_at
-        hi = min(lo + scn.reinjection_len, scn.n_iters)
-        eps[:, lo:hi] *= scn.reinjection_scale
-    d = x @ wo + eps
-    return x, d, eps
+        eps[lo : lo + scn.reinjection_len] *= scn.reinjection_scale
+    d += eps
+    return x.transpose(2, 0, 1), d.T, eps.T
 
 
 def _smooth_causal(raw: np.ndarray, window: int) -> np.ndarray:
@@ -188,16 +195,6 @@ def _smooth_causal(raw: np.ndarray, window: int) -> np.ndarray:
     out[:window] = c[:window] / np.arange(1, window + 1)
     out[window:] = (c[window:] - c[:-window]) / window
     return out
-
-
-def _convergence_from_curve(
-    curve: np.ndarray, tail_fraction: float, threshold_factor: float
-) -> tuple[int, float]:
-    n_tail = max(1, int(len(curve) * tail_fraction))
-    tail = float(np.mean(curve[-n_tail:]))
-    below = np.nonzero(curve <= threshold_factor * tail)[0]
-    iters = int(below[0]) if below.size else len(curve)
-    return iters, tail
 
 
 def _run_batch(method: str, params, w0: Sequence[float], x: np.ndarray, d: np.ndarray) -> dict:
@@ -216,20 +213,26 @@ def _run_batch(method: str, params, w0: Sequence[float], x: np.ndarray, d: np.nd
     raise ValueError(f"unknown method {method!r}")
 
 
-def run_sysid(scn: SysIdScenario, method: str, params) -> MetricsReport:
-    """Trial-averaged identification run for one method.
+def run_sysid(scn: SysIdScenario, methods: Mapping[str, object]) -> dict[str, MetricsReport]:
+    """Trial-averaged identification runs, one report per method of
+    `methods` (method name -> its parameters), all on one draw of the trial
+    signals.
 
-    The MSE curve is the trial average of e^2 smoothed over a causal
+    Each MSE curve is the trial average of e^2 smoothed over a causal
     20-sample window; iters_to_converge is the first iteration at which the
     smoothed curve falls to within threshold_factor of its tail mean, and
     final_mse is that tail mean.
     """
-    x, d, _eps = _sysid_signals(scn)
+    x, d = _sysid_signals(scn)[:2]
     w0 = scn.init_weights if scn.init_weights is not None else (0.0,) * scn.order
-    res = _run_batch(method, params, w0, x, d)
-    raw = np.mean(res["e"] ** 2, axis=0)
-    curve = _smooth_causal(raw, scn.smoothing_window)
-    iters, tail = _convergence_from_curve(curve, scn.tail_fraction, scn.threshold_factor)
+    return {m: _mse_report(scn, _run_batch(m, p, w0, x, d)["e"]) for m, p in methods.items()}
+
+
+def _mse_report(scn: SysIdScenario, e: np.ndarray) -> MetricsReport:
+    curve = _smooth_causal(np.mean(e**2, axis=0), scn.smoothing_window)
+    tail = float(np.mean(curve[-max(1, int(len(curve) * scn.tail_fraction)):]))
+    below = np.nonzero(curve <= scn.threshold_factor * tail)[0]
+    iters = int(below[0]) if below.size else len(curve)
     return MetricsReport(mse_curve=curve, iters_to_converge=iters, final_mse=tail)
 
 
@@ -264,7 +267,7 @@ def run_divergence_probe(
     """
     if scn.n_iters <= late_iter:
         raise ValueError("scenario too short for the probe iterations")
-    x, d, _eps = _sysid_signals(scn, reinject=False)
+    x, d = _sysid_signals(scn, reinject=False)[:2]
     w0 = scn.init_weights if scn.init_weights is not None else (0.0,) * scn.order
     res = run_convex_batch(w0, params, x, d)
     worst_ratio = 0.0
@@ -272,8 +275,9 @@ def run_divergence_probe(
     mse_early_combined = mse_late_combined = math.nan
     for key in ("e", "e1", "e2"):
         err = res[key]
-        early = float(np.mean(err[:, early_iter] ** 2))
-        late = float(np.mean(err[:, late_iter] ** 2))
+        with np.errstate(over="ignore"):  # a diverged branch may square to inf
+            early = float(np.mean(err[:, early_iter] ** 2))
+            late = float(np.mean(err[:, late_iter] ** 2))
         if key == "e":
             mse_early_combined, mse_late_combined = early, late
         if not math.isfinite(late):
@@ -339,8 +343,8 @@ def run_stability_stat(
 
     dw_now = res["w_snapshots"][n_star] - wo
     dw_prev = res["w_snapshots"][n_star - 1] - wo
-    x_now = x[:, n_star, :]
-    x_prev = x[:, n_star - 1, :]
+    x_now = np.ascontiguousarray(x[:, n_star, :])  # einsum's sum order depends on layout
+    x_prev = np.ascontiguousarray(x[:, n_star - 1, :])
     e_now = res["e"][:, n_star]
     e_prev = res["e"][:, n_star - 1]
     eps_now = eps[:, n_star]
@@ -578,23 +582,13 @@ def write_metrics_csv(path, rows: Sequence[tuple[str, MetricsReport]]) -> None:
 
 
 def write_mse_curves_csv(path, curves: Mapping[str, np.ndarray]) -> None:
-    """Columns: iter, then one MSE column per method."""
-    names = list(curves)
-    length = max(len(c) for c in curves.values())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter"] + [f"mse_{n}" for n in names])
-        for i in range(length):
-            row = [i]
-            for n in names:
-                c = curves[n]
-                row.append(repr(float(c[i])) if i < len(c) else "")
-            writer.writerow(row)
+    """Columns: iter, then one MSE column per method; the curves must have
+    equal lengths."""
+    cols = [np.asarray(c, dtype=float).tolist() for c in curves.values()]
+    if len(set(map(len, cols))) != 1:
+        raise ValueError("need at least one MSE curve, all of one length")
+    write_repr_csv(path, ["iter"] + [f"mse_{n}" for n in curves], zip(range(len(cols[0])), *cols))
 
 
 def write_trace_csv(path, rows: Sequence[tuple[float, float, float, float]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for r in rows:
-            writer.writerow([repr(float(v)) for v in r])
+    write_repr_csv(path, TRACE_HEADER, rows)

@@ -20,11 +20,12 @@ segment by segment from zero before the two loops are added.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._table import write_repr_csv
 
 MU0 = 4.0e-7 * math.pi  # vacuum permeability, T*m/A (exact in SI-2019 sense)
 
@@ -254,8 +255,4 @@ FIELD_MAP_HEADER = ("x_m", "y_m", "z_m", "bx_T", "by_T", "bz_T", "uniformity_pct
 def write_field_map_csv(path, points, field, uniformity_pct) -> None:
     """Write a field map as CSV with round-trip decimal formatting."""
     table = np.column_stack((points, field, uniformity_pct))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FIELD_MAP_HEADER)
-        for row in table:
-            writer.writerow([repr(v) for v in row.tolist()])
+    write_repr_csv(path, FIELD_MAP_HEADER, table.tolist())

@@ -22,6 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ._table import write_repr_csv
+
 
 class DegenerateFit(ValueError):
     """Raised when the voltage/field fit slope is ~zero and cannot be
@@ -195,6 +197,9 @@ class TargetProfile:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
+        # plain floats, so targets print as floats in trace CSVs
+        object.__setattr__(self, "levels", tuple(map(float, self.levels)))
+        object.__setattr__(self, "samples", tuple((float(t), float(v)) for t, v in self.samples))
         for v in self.levels:
             if not math.isfinite(v):
                 raise ValueError("profile levels must be finite")
@@ -263,8 +268,4 @@ SENSOR_LOG_HEADER = ("t_s", "true_nT", "disturbance_nT", "measured_nT")
 
 def write_sensor_log_csv(path, rows: Sequence[tuple[float, float, float, float]]) -> None:
     """Write a (t, true, disturbance, measured) trace as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SENSOR_LOG_HEADER)
-        for r in rows:
-            writer.writerow([repr(float(v)) for v in r])
+    write_repr_csv(path, SENSOR_LOG_HEADER, rows)

@@ -179,3 +179,39 @@ class TestStepGoldens:
                 "--sensor-log", "sensor.csv", "--out-dir", str(tmp_path)]
         assert main(argv) == EXIT_OK
         assert sha256(tmp_path / "sensor.csv") == self.SIGMA0_SENSOR_LOG["convex"]
+
+
+class TestSysidGoldens:
+    # captured from the runs that drew the trial signals once per method and
+    # stepped the trial-major einsum runners; one draw per command and the
+    # time-major runners must reproduce them byte for byte
+    GOLDENS = {
+        "table4-30db": {
+            "metrics.csv": "aef5165fd5903d9b0a586cea1c425732af958cc4d11e707a118c0ab6d35bd62b",
+            "mse_curve.csv": "e1782302411c0994524f7b8534563983bea1c1245a33607bf8f96f6afa5e52df",
+        },
+        "table4-10db": {
+            "metrics.csv": "dca06bc39e4615f21dec85f3ae36446f1881e5b1bb677fce24dc7b914c3dccef",
+            "mse_curve.csv": "51196c94b03f6e5c71dff0b54c18e56a028c648e35ca07ff5b974f9c53f90365",
+        },
+        "table4-10db --methods lms,convex": {
+            "metrics.csv": "3e5c66f903edd538c10561be605ea88adb463e70847f540e5930d8c033006db5",
+            "mse_curve.csv": "21d1159d95faf334dc9b3d532796779fadb59735685e4ee814b8e39e21c04862",
+        },
+    }
+
+    @pytest.mark.parametrize("args", list(GOLDENS))
+    def test_outputs(self, tmp_path, args):
+        argv = ["sysid", "--preset", *args.split(), "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        assert {p.name: sha256(p) for p in tmp_path.iterdir()} == self.GOLDENS[args]
+
+
+def test_convex_diagnostics_csv(tmp_path):
+    # captured from the csv.writer-based writer the shared row writer replaced
+    argv = ["step", "--preset", "table7-up", "--method", "convex", "--diag-csv", "diag.csv",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    assert sha256(tmp_path / "diag.csv") == (
+        "10becef6626055b292f8ec01c9ad05a6c546ebc5d3ceafeb7e65c935698eefce"
+    )

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import oracles
 from coilsim.control import (
     ConditionReport,
     ConvexParams,
@@ -358,3 +360,101 @@ class TestDiagnostics:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "n,y,y1,y2,e,e1,e2,gamma,b,mu1"
         assert len(lines) == 6
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def assert_bitwise_equal(got: dict, ref: dict):
+    for key, want in ref.items():
+        if key == "w_snapshots":
+            assert got[key].keys() == want.keys()
+            for n in want:
+                np.testing.assert_array_equal(bits(got[key][n]), bits(want[n]), err_msg=f"{key}[{n}]")
+        else:
+            assert got[key].shape == want.shape, key
+            np.testing.assert_array_equal(bits(got[key]), bits(want), err_msg=key)
+
+
+class TestBatchRunnersBitwise:
+    """The time-major runners reproduce the trial-major einsum runners kept
+    in tests/oracles.py bit for bit.  The references always get C-ordered
+    input, the layout the sysid harness used to pass; the runners get either
+    that or a time-major view of the same values, and must not care."""
+
+    TRIALS, N_ITERS = 13, 240
+    RECORD = (0, 7, 239)
+
+    @pytest.fixture(params=[1, 2, 3, 9], ids=lambda o: f"order{o}")
+    def order(self, request):
+        return request.param
+
+    @pytest.fixture(params=["c-order", "time-major"])
+    def signals(self, request, order):
+        rng = np.random.default_rng(order)
+        x = rng.standard_normal((self.TRIALS, self.N_ITERS, order))
+        d = rng.standard_normal((self.TRIALS, self.N_ITERS))
+        if request.param == "c-order":
+            return x, d, x, d
+        xt = np.ascontiguousarray(x.transpose(1, 2, 0))
+        dt = np.ascontiguousarray(d.T)
+        return x, d, xt.transpose(2, 0, 1), dt.T
+
+    @pytest.fixture(params=[(0.0, 0.0), (0.3, -0.2)], ids=["no-bias", "bias"])
+    def fit(self, request):
+        return request.param
+
+    def test_lms(self, signals, order, fit):
+        x, d, xr, dr = signals
+        w0 = np.linspace(-0.3, 0.4, order)
+        ref = oracles.run_lms_batch_ref(w0, 0.05, x, d, *fit, record_w_at=self.RECORD)
+        assert_bitwise_equal(run_lms_batch(w0, 0.05, xr, dr, *fit, record_w_at=self.RECORD), ref)
+
+    @pytest.mark.parametrize("alpha", [4.0, 1e4])
+    def test_svs(self, signals, order, fit, alpha):
+        x, d, xr, dr = signals
+        w0 = np.linspace(-0.3, 0.4, order)
+        ref = oracles.run_svs_batch_ref(w0, alpha, 0.15, x, d, *fit)
+        if alpha > 1e3:  # -alpha * |e| crosses the -700 clamp
+            assert np.any(alpha * np.abs(ref["e"]) > 700.0)
+        assert_bitwise_equal(run_svs_batch(w0, alpha, 0.15, xr, dr, *fit), ref)
+
+    def test_atlms(self, signals, order, fit):
+        x, d, xr, dr = signals
+        w0 = np.linspace(-0.3, 0.4, order)
+        ref = oracles.run_atlms_batch_ref(w0, 500.0, 0.01, 900.0, 500.0, x, d, *fit)
+        assert_bitwise_equal(run_atlms_batch(w0, 500.0, 0.01, 900.0, 500.0, xr, dr, *fit), ref)
+
+    @pytest.mark.parametrize("t_o", [1, 2, 3])
+    def test_convex(self, signals, order, fit, t_o):
+        x, d, xr, dr = signals
+        w0 = np.linspace(-0.3, 0.4, order)
+        # alpha large enough that the rate's exponent hits the -700 clamp,
+        # gamma_o low enough that transfers fire
+        p = ConvexParams(alpha=1e5, beta=0.3, sigma=11.0, phi=0.1, c=0.1, mu_b=2.0,
+                         gamma_o=0.55, t_o=t_o, fit_k=fit[0], fit_b=fit[1])
+        ref = oracles.run_convex_batch_ref(w0, p, x, d, 0.3, self.RECORD)
+        e1 = ref["e1"]
+        assert np.any(-p.alpha * np.abs(e1[:, 1:] * e1[:, :-1]) + p.sigma * np.abs(e1[:, 1:]) < -700.0)
+        no_late_transfer = replace(p, t_o=self.N_ITERS)
+        assert not np.array_equal(ref["e2"], oracles.run_convex_batch_ref(w0, no_late_transfer, x, d, 0.3)["e2"])
+        assert_bitwise_equal(run_convex_batch(w0, p, xr, dr, 0.3, self.RECORD), ref)
+
+    def test_convex_gamma_clamp(self):
+        # mu_b large enough that b ends below -700 in some trials, where the
+        # clamp, not exp's overflow, sets gamma
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((self.TRIALS, self.N_ITERS, 2))
+        d = rng.standard_normal((self.TRIALS, self.N_ITERS))
+        p = ConvexParams(alpha=1e5, beta=0.3, sigma=11.0, phi=0.1, c=0.1, mu_b=1e4, gamma_o=0.55, t_o=2)
+        ref = oracles.run_convex_batch_ref([0.1, -0.2], p, x, d, 0.3)
+        assert np.any(ref["gamma"] == 1.0 / (1.0 + np.exp(700.0)))
+        xt, dt = np.ascontiguousarray(x.transpose(1, 2, 0)), np.ascontiguousarray(d.T)
+        for xr, dr in ((x, d), (xt.transpose(2, 0, 1), dt.T)):
+            assert_bitwise_equal(run_convex_batch([0.1, -0.2], p, xr, dr, 0.3), ref)
+
+    def test_convex_default_rates(self, signals, order):
+        x, d, xr, dr = signals
+        ref = oracles.run_convex_batch_ref([0.0] * order, PARAMS, x, d)
+        assert_bitwise_equal(run_convex_batch([0.0] * order, PARAMS, xr, dr), ref)

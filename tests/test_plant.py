@@ -214,6 +214,14 @@ class TestSnr:
 
 
 class TestTargetProfile:
+    def test_targets_are_plain_floats(self):
+        # a trace CSV prints targets with repr: 5000 or np.float64(5000.0)
+        # would not read as the float 5000.0 does
+        p = TargetProfile.step_up(5000, switch_time_s=1)
+        assert [type(p.target_at(t)) for t in (0.0, 2.0)] == [float, float]
+        f = TargetProfile("from_file", (1,), samples=((0, np.float64(1.5)), (2, 3)))
+        assert {type(v) for row in f.samples for v in row} == {float}
+
     def test_constant(self):
         p = TargetProfile.constant(29_950.1)
         assert p.target_at(0.0) == p.target_at(100.0) == 29_950.1
