@@ -23,11 +23,12 @@ from .control import (
     FilterState,
     StepInput,
     StepOutput,
-    atlms_step,
+    atlms_rate,
     check_convergence_condition,
     convex_step,
-    lms_step,
-    svs_step,
+    filter_step,
+    lms_rate,
+    svs_rate,
 )
 from .experiments import (
     MetricsReport,

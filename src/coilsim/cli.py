@@ -174,7 +174,7 @@ def cmd_step(args) -> int:
     if args.validate_only:
         print("config OK")
         return EXIT_OK
-    methods = _method_list(args.method) if args.method != "all" else list(METHODS)
+    methods = _method_list(args.method)
     out = _outdir(args)
     rows = []
     for m in methods:

@@ -69,7 +69,6 @@ SCHEMA: dict[str, dict[str, Callable]] = {
         "gaussian_sigma_nt": float,
         "ac_components": _ac_components,
     },
-    "location": {"bx_nt": float, "by_nt": float, "bz_nt": float},
     "sysid": {
         "snr_db": float,
         "order": int,
@@ -107,8 +106,6 @@ SCHEMA: dict[str, dict[str, Callable]] = {
 }
 
 _SENSOR_MODELS = {"rm3100": RM3100, "hmc5883l": HMC5883L, "ideal": IDEAL_SENSOR}
-
-METHOD_NAMES = ("lms", "svs", "atlms", "convex")
 
 
 @dataclass
@@ -190,9 +187,14 @@ class ScenarioConfig:
         raise ConfigError(f"{self.source}: [step] profile {kind!r} not recognized")
 
     def method_params(self, method: str):
+        """The [method.<method>] parameters: a dict for the baselines, which
+        need every key of their section, and a ConvexParams for convex,
+        which needs alpha and beta."""
         section = f"method.{method}"
         if not self.has_section(section):
             raise ConfigError(f"{self.source}: missing [{section}] parameters")
+        for key in ("alpha", "beta") if method == "convex" else SCHEMA[section]:
+            self.require(section, key)
         params = dict(self.data[section])
         if method == "convex":
             params.pop("init_weights", None)

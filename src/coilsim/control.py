@@ -8,12 +8,14 @@ adapted by a signed gradient rule, and the slow branch's weights are
 periodically transferred to the fast branch once gamma exceeds a threshold.
 
 LMS, sigmoid-variable-step (SVS), and arctangent-step (ATLMS) single-filter
-baselines share the same step/state conventions.
+baselines differ only in their step-size law mu(e).  A FilterState carries
+its weights and its law, built once per run by `lms_rate`, `svs_rate` or
+`atlms_rate`, and `filter_step` is the one scalar step for all three.
 
 Each step function mutates its state in place and returns it along with a
-StepOutput of per-step diagnostics.  States are plain values; independent
-controller instances may run in parallel, but a single state must be stepped
-from one thread at a time.
+StepOutput of per-step diagnostics.  Independent controller instances may
+run in parallel, but a single state must be stepped from one thread at a
+time.
 
 Batch runners (`run_*_batch`) execute many independent trials of the same
 update equations vectorized across trials; they exist for experiment-harness
@@ -21,16 +23,16 @@ speed and are pinned to the scalar steps by equivalence tests.  They take
 trial-major arrays, x (trials, n_iters, order) and d (trials, n_iters), and
 step through them time-major, (n_iters, order, trials): one step reads one
 contiguous block, and the transposed views that the sysid harness passes
-cost no copy.  LMS, SVS and ATLMS share one loop that differs only in its
-step-size law; the convex runner stacks w1 and w2 so one multiply serves
-both branches.
+cost no copy.  Mirroring the scalar side, LMS, SVS and ATLMS share one loop,
+`_run_filter`, that differs only in its step-size law; the convex runner
+stacks w1 and w2 so one multiply serves both branches.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -73,7 +75,8 @@ def _sign(v: float) -> float:
 
 @dataclass(frozen=True)
 class ConvexParams:
-    """Parameters of the convex combination controller.
+    """Parameters of the convex combination controller, whose output is
+    y = gamma * w1.x + (1 - gamma) * w2.x.
 
     alpha    sensitivity of the slow branch's rate to error variation
     beta     intensity of the slow branch's rate (mu1 is clamped to [0, beta/2])
@@ -83,8 +86,6 @@ class ConvexParams:
     mu_b     learning rate of the update factor b
     gamma_o  weight-transfer threshold on gamma, in (0, 1)
     t_o      weight-transfer period in steps
-    fit_k, fit_b  bias-term fit coefficients; the bias added to every output
-                  is fit_k * x[0] + fit_b (x[0] = most recent sample)
     """
 
     alpha: float
@@ -95,8 +96,6 @@ class ConvexParams:
     mu_b: float = 0.1
     gamma_o: float = 0.55
     t_o: int = 2
-    fit_k: float = 0.0
-    fit_b: float = 0.0
 
     def __post_init__(self):
         if self.beta <= 0.0:
@@ -136,16 +135,16 @@ class ConvexState:
 
 @dataclass(slots=True)
 class FilterState:
-    """State of a single-filter baseline controller."""
+    """State of a single-filter baseline controller: its weights and its
+    step-size law, which maps the step's error e to the rate mu(e)."""
 
     w: list[float]
-    fit_k: float = 0.0
-    fit_b: float = 0.0
+    rate: Callable[[float], float]
     step_index: int = 0
 
     @classmethod
-    def initial(cls, w: Sequence[float], fit_k: float = 0.0, fit_b: float = 0.0) -> "FilterState":
-        return cls(w=[float(v) for v in w], fit_k=fit_k, fit_b=fit_b)
+    def initial(cls, w: Sequence[float], rate: Callable[[float], float]) -> "FilterState":
+        return cls(w=[float(v) for v in w], rate=rate)
 
 
 @dataclass(frozen=True)
@@ -194,18 +193,15 @@ def convex_step(
     _check_input(x, inp.d, len(w1))
     g = state.gamma
 
-    bias = params.fit_k * x[0] + params.fit_b
-    a1 = 0.0
-    a2 = 0.0
+    y1 = 0.0
+    y2 = 0.0
     xx = 0.0
     for i in range(len(x)):
         xi = x[i]
-        a1 += w1[i] * xi
-        a2 += w2[i] * xi
+        y1 += w1[i] * xi
+        y2 += w2[i] * xi
         xx += xi * xi
-    y1 = a1 + bias
-    y2 = a2 + bias
-    y = g * a1 + (1.0 - g) * a2 + bias
+    y = g * y1 + (1.0 - g) * y2
 
     e1 = inp.d - y1
     e2 = inp.d - y2
@@ -236,60 +232,32 @@ def convex_step(
     return StepOutput(y, y1, y2, e, e1, e2, mu1), state
 
 
-def lms_step(state: FilterState, mu: float, inp: StepInput) -> tuple[StepOutput, FilterState]:
-    """Fixed-step LMS baseline: w <- w + mu * e * x."""
-    w, x = state.w, inp.x
-    _check_input(x, inp.d, len(w))
-    bias = state.fit_k * x[0] + state.fit_b
-    y = bias
-    for i in range(len(x)):
-        y += w[i] * x[i]
-    e = inp.d - y
-    k = mu * e
-    for i in range(len(x)):
-        w[i] += k * x[i]
-    state.step_index += 1
-    return StepOutput(y, y, y, e, e, e, mu), state
+def lms_rate(mu: float) -> Callable[[float], float]:
+    """Fixed-step LMS: mu(e) = mu."""
+    return lambda e: mu
 
 
-def svs_step(
-    state: FilterState, alpha: float, beta: float, inp: StepInput
-) -> tuple[StepOutput, FilterState]:
-    """Sigmoid variable-step LMS: mu(n) grows with |e(n)| and saturates at
-    beta/2."""
-    w, x = state.w, inp.x
-    _check_input(x, inp.d, len(w))
-    bias = state.fit_k * x[0] + state.fit_b
-    y = bias
-    for i in range(len(x)):
-        y += w[i] * x[i]
-    e = inp.d - y
-    mu = beta * (_inv1pexp(-alpha * abs(e)) - 0.5)
-    k = mu * e
-    for i in range(len(x)):
-        w[i] += k * x[i]
-    state.step_index += 1
-    return StepOutput(y, y, y, e, e, e, mu), state
+def svs_rate(alpha: float, beta: float) -> Callable[[float], float]:
+    """Sigmoid variable step: mu(e) grows with |e| and saturates at beta/2."""
+    return lambda e: beta * (_inv1pexp(-alpha * abs(e)) - 0.5)
 
 
-def atlms_step(
-    state: FilterState,
-    alpha: float,
-    beta: float,
-    m: float,
-    n_scale: float,
-    inp: StepInput,
-) -> tuple[StepOutput, FilterState]:
-    """Arctangent-step LMS: mu(n) = beta * (2/pi) * atan(alpha * e^2) * m/(m+n),
+def atlms_rate(alpha: float, beta: float, m: float, n_scale: float) -> Callable[[float], float]:
+    """Arctangent step: mu(e) = beta * (2/pi) * atan(alpha * e^2) * m/(m+n),
     bounded by beta * m / (m + n)."""
+    return lambda e: beta * (2.0 / math.pi) * math.atan(alpha * e * e) * m / (m + n_scale)
+
+
+def filter_step(state: FilterState, inp: StepInput) -> tuple[StepOutput, FilterState]:
+    """Advance a single-filter baseline by one sample: e = d - w.x, then
+    w <- w + mu(e) * e * x with the state's step-size law mu."""
     w, x = state.w, inp.x
     _check_input(x, inp.d, len(w))
-    bias = state.fit_k * x[0] + state.fit_b
-    y = bias
+    y = 0.0
     for i in range(len(x)):
         y += w[i] * x[i]
     e = inp.d - y
-    mu = beta * (2.0 / math.pi) * math.atan(alpha * e * e) * m / (m + n_scale)
+    mu = state.rate(e)
     k = mu * e
     for i in range(len(x)):
         w[i] += k * x[i]
@@ -380,14 +348,13 @@ def _clamp(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.minimum(np.maximum(v, lo), hi)
 
 
-def _run_filter(w0, x, d, fit_k, fit_b, rate, record_w_at=()) -> dict:
-    """Single-filter trials, e = d - (w.x + fit_k * x[0] + fit_b) and then
-    w += rate(e) * e * x, stepped time-major across all trials at once
-    (no copy for the transposed views experiments._sysid_signals returns)."""
+def _run_filter(w0, x, d, rate, record_w_at=()) -> dict:
+    """Single-filter trials, e = d - w.x and then w += rate(e) * e * x,
+    stepped time-major across all trials at once (no copy for the
+    transposed views experiments._sysid_signals returns)."""
     x, d = np.ascontiguousarray(x.transpose(1, 2, 0)), np.ascontiguousarray(d.T)
     n_iters, order, trials = x.shape
     w = np.repeat(np.asarray(w0, dtype=float)[:, None], trials, axis=1)
-    bias = fit_k * x[:, 0] + fit_b
     e_out = np.empty((trials, n_iters))
     snaps: dict[int, np.ndarray] = {}
     record = frozenset(int(i) for i in record_w_at)
@@ -396,7 +363,7 @@ def _run_filter(w0, x, d, fit_k, fit_b, rate, record_w_at=()) -> dict:
             if n in record:
                 snaps[n] = w.T.copy()
             x_n = x[n]
-            e = d[n] - (_tap_sum(w * x_n) + bias[n])
+            e = d[n] - _tap_sum(w * x_n)
             e_out[:, n] = e
             w += rate(e) * e * x_n
     return {"e": e_out, "w": w.T.copy(), "w_snapshots": snaps}
@@ -407,14 +374,12 @@ def run_lms_batch(
     mu: float,
     x: np.ndarray,
     d: np.ndarray,
-    fit_k: float = 0.0,
-    fit_b: float = 0.0,
     record_w_at: Sequence[int] = (),
 ) -> dict:
     """Run independent LMS trials: x has shape (trials, n_iters, order),
     d shape (trials, n_iters).  Returns per-trial error traces and final
     weights; `record_w_at` captures weight snapshots before those steps."""
-    return _run_filter(w0, x, d, fit_k, fit_b, lambda e: mu, record_w_at)
+    return _run_filter(w0, x, d, lambda e: mu, record_w_at)
 
 
 def run_svs_batch(
@@ -423,10 +388,8 @@ def run_svs_batch(
     beta: float,
     x: np.ndarray,
     d: np.ndarray,
-    fit_k: float = 0.0,
-    fit_b: float = 0.0,
 ) -> dict:
-    return _run_filter(w0, x, d, fit_k, fit_b, lambda e: beta * (
+    return _run_filter(w0, x, d, lambda e: beta * (
         1.0 / (1.0 + np.exp(_clamp(-alpha * np.abs(e), -700.0, 700.0))) - 0.5))
 
 
@@ -438,11 +401,9 @@ def run_atlms_batch(
     n_scale: float,
     x: np.ndarray,
     d: np.ndarray,
-    fit_k: float = 0.0,
-    fit_b: float = 0.0,
 ) -> dict:
     gain = beta * (2.0 / math.pi) * m / (m + n_scale)
-    return _run_filter(w0, x, d, fit_k, fit_b, lambda e: gain * np.arctan(alpha * e * e))
+    return _run_filter(w0, x, d, lambda e: gain * np.arctan(alpha * e * e))
 
 
 def run_convex_batch(
@@ -472,19 +433,16 @@ def run_convex_batch(
     block = 256
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_iters):
-            if n % block == 0:  # bias and phi + x.x a block at a time: bounded memory
+            if n % block == 0:  # phi + x.x a block at a time: bounded memory
                 xs = x[n : n + block]
-                bias = params.fit_k * xs[:, 0] + params.fit_b
                 den = _tap_sum([xs[:, j] * xs[:, j] for j in range(order)])
                 den += params.phi
             if n in record:
                 snaps[n] = w1.T.copy()
             x_n = xb[n]
-            a = _tap_sum(w * x_n)
+            y12 = _tap_sum(w * x_n)
             g1 = 1.0 - gamma
-            bias_n = bias[n % block]
-            y12 = a + bias_n
-            y = gamma * a[0] + g1 * a[1] + bias_n
+            y = gamma * y12[0] + g1 * y12[1]
             d_n = d[n]
             e12 = d_n - y12
             e1 = e12[0]

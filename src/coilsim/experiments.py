@@ -8,8 +8,9 @@ stream from seed XOR t, and aggregation is order-independent.
 
 from __future__ import annotations
 
-import math
 import csv
+import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -23,14 +24,15 @@ from .control import (
     DiagnosticsRecorder,
     FilterState,
     StepInput,
-    atlms_step,
+    atlms_rate,
     convex_step,
-    lms_step,
+    filter_step,
+    lms_rate,
     run_atlms_batch,
     run_convex_batch,
     run_lms_batch,
     run_svs_batch,
-    svs_step,
+    svs_rate,
 )
 from .plant import (
     DisturbanceSpec,
@@ -46,6 +48,22 @@ from .plant import (
 )
 
 METHODS = ("lms", "svs", "atlms", "convex")
+
+# method -> step-size law factory of the scalar single-filter step
+_RATES = {"lms": lms_rate, "svs": svs_rate, "atlms": atlms_rate}
+# method -> batch runner
+_RUNNERS = {"lms": run_lms_batch, "svs": run_svs_batch, "atlms": run_atlms_batch,
+            "convex": run_convex_batch}
+
+
+def _keywords(method: str, params) -> dict:
+    """A method's parameters as keywords of its law factory and its batch
+    runner; convex takes them as one ConvexParams, built here from a dict."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if method == "convex":
+        return {"params": params if isinstance(params, ConvexParams) else ConvexParams(**params)}
+    return dict(params)
 
 
 class ActuatorSaturationWarning(UserWarning):
@@ -130,6 +148,15 @@ def compute_metrics(
 # ---------------------------------------------------------------------------
 
 
+# the noise burst: REINJECTION_LEN samples at REINJECTION_SCALE times the noise
+REINJECTION_SCALE = 50.0
+REINJECTION_LEN = 10
+# MSE curve smoothing window, and the convergence test against the curve's tail
+SMOOTHING_WINDOW = 20
+TAIL_FRACTION = 0.1
+THRESHOLD_FACTOR = 1.05
+
+
 @dataclass(frozen=True)
 class SysIdScenario:
     """White-input identification of an unknown tap vector, with measurement
@@ -143,12 +170,6 @@ class SysIdScenario:
     trials: int = 200
     seed: int = 0
     init_weights: tuple[float, ...] | None = None  # None -> zeros
-    reinjection_scale: float = 50.0
-    reinjection_len: int = 10
-    smoothing_window: int = 20
-    tail_fraction: float = 0.1
-    threshold_factor: float = 1.05
-    signal_power: float = 1.0
 
     def __post_init__(self):
         if self.order < 1:
@@ -181,10 +202,10 @@ def _sysid_signals(scn: SysIdScenario, reinject: bool = True) -> tuple[np.ndarra
         x[:, :, t] = taps
         d[:, t] = taps @ wo
         eps[:, t] = rng.standard_normal(scn.n_iters)
-    eps *= snr_to_sigma(scn.signal_power, scn.snr_db)
-    if reinject and scn.reinjection_scale != 1.0 and scn.reinjection_len > 0:
+    eps *= snr_to_sigma(1.0, scn.snr_db)  # the inputs are unit-variance
+    if reinject:
         lo = scn.noise_reinjection_at
-        eps[lo : lo + scn.reinjection_len] *= scn.reinjection_scale
+        eps[lo : lo + REINJECTION_LEN] *= REINJECTION_SCALE
     d += eps
     return x.transpose(2, 0, 1), d.T, eps.T
 
@@ -198,19 +219,7 @@ def _smooth_causal(raw: np.ndarray, window: int) -> np.ndarray:
 
 
 def _run_batch(method: str, params, w0: Sequence[float], x: np.ndarray, d: np.ndarray) -> dict:
-    if method == "lms":
-        return run_lms_batch(w0, params["mu"], x, d)
-    if method == "svs":
-        return run_svs_batch(w0, params["alpha"], params["beta"], x, d)
-    if method == "atlms":
-        return run_atlms_batch(
-            w0, params["alpha"], params["beta"], params["m"], params["n_scale"], x, d
-        )
-    if method == "convex":
-        if not isinstance(params, ConvexParams):
-            params = ConvexParams(**params)
-        return run_convex_batch(w0, params, x, d)
-    raise ValueError(f"unknown method {method!r}")
+    return _RUNNERS[method](w0, x=x, d=d, **_keywords(method, params))
 
 
 def run_sysid(scn: SysIdScenario, methods: Mapping[str, object]) -> dict[str, MetricsReport]:
@@ -219,9 +228,9 @@ def run_sysid(scn: SysIdScenario, methods: Mapping[str, object]) -> dict[str, Me
     signals.
 
     Each MSE curve is the trial average of e^2 smoothed over a causal
-    20-sample window; iters_to_converge is the first iteration at which the
-    smoothed curve falls to within threshold_factor of its tail mean, and
-    final_mse is that tail mean.
+    SMOOTHING_WINDOW-sample window; iters_to_converge is the first iteration
+    at which the smoothed curve falls to within THRESHOLD_FACTOR of its tail
+    mean, and final_mse is that tail mean.
     """
     x, d = _sysid_signals(scn)[:2]
     w0 = scn.init_weights if scn.init_weights is not None else (0.0,) * scn.order
@@ -229,9 +238,9 @@ def run_sysid(scn: SysIdScenario, methods: Mapping[str, object]) -> dict[str, Me
 
 
 def _mse_report(scn: SysIdScenario, e: np.ndarray) -> MetricsReport:
-    curve = _smooth_causal(np.mean(e**2, axis=0), scn.smoothing_window)
-    tail = float(np.mean(curve[-max(1, int(len(curve) * scn.tail_fraction)):]))
-    below = np.nonzero(curve <= scn.threshold_factor * tail)[0]
+    curve = _smooth_causal(np.mean(e**2, axis=0), SMOOTHING_WINDOW)
+    tail = float(np.mean(curve[-max(1, int(len(curve) * TAIL_FRACTION)):]))
+    below = np.nonzero(curve <= THRESHOLD_FACTOR * tail)[0]
     iters = int(below[0]) if below.size else len(curve)
     return MetricsReport(mse_curve=curve, iters_to_converge=iters, final_mse=tail)
 
@@ -436,25 +445,14 @@ class StepScenario:
 
 
 def _make_stepper(method: str, params, init_w: Sequence[float]):
+    """The run's one-argument step function and its state; the law and the
+    partial are built here once, not once per step."""
+    kw = _keywords(method, params)
     if method == "convex":
-        cp = params if isinstance(params, ConvexParams) else ConvexParams(**params)
         state = ConvexState.initial(init_w)
-
-        def step(inp: StepInput):
-            return convex_step(state, cp, inp)
-
-        return step, state
-    state = FilterState.initial(init_w)
-    if method == "lms":
-        mu = params["mu"]
-        return (lambda inp: lms_step(state, mu, inp)), state
-    if method == "svs":
-        a, b = params["alpha"], params["beta"]
-        return (lambda inp: svs_step(state, a, b, inp)), state
-    if method == "atlms":
-        a, b, m, ns = params["alpha"], params["beta"], params["m"], params["n_scale"]
-        return (lambda inp: atlms_step(state, a, b, m, ns, inp)), state
-    raise ValueError(f"unknown method {method!r}")
+        return functools.partial(convex_step, state, kw["params"]), state
+    state = FilterState.initial(init_w, _RATES[method](**kw))
+    return functools.partial(filter_step, state), state
 
 
 def run_step_response(

@@ -200,7 +200,7 @@ def run_convex_batch_ref(
             if n in record:
                 snaps[n] = w1.copy()
             x_n = x[:, n, :]
-            bias = _bias_col(x_n, params.fit_k, params.fit_b)
+            bias = _bias_col(x_n, 0.0, 0.0)
             a1 = np.einsum("ij,ij->i", w1, x_n)
             a2 = np.einsum("ij,ij->i", w2, x_n)
             xx = np.einsum("ij,ij->i", x_n, x_n)

@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from coilsim.cli import EXIT_OK, EXIT_RUNTIME, main
+from coilsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 
 def sha256(path) -> str:
@@ -215,3 +215,82 @@ def test_convex_diagnostics_csv(tmp_path):
     assert sha256(tmp_path / "diag.csv") == (
         "10becef6626055b292f8ec01c9ad05a6c546ebc5d3ceafeb7e65c935698eefce"
     )
+
+
+def preset_without(preset, section, key):
+    """A writer of the preset's config with `key` deleted from [section]."""
+    def write(tmp_path):
+        lines = resources.files("coilsim").joinpath("presets", f"{preset}.cfg").read_text().splitlines(True)
+        start = lines.index(f"[{section}]\n")
+        del lines[next(i for i in range(start, len(lines)) if lines[i].startswith(f"{key} = "))]
+        cfg = tmp_path / f"{preset}-no-{key}.cfg"
+        cfg.write_text("".join(lines))
+        return cfg
+    return write
+
+
+def config_text(text, preset=None):
+    """A writer of `text`, after the preset's config when one is named."""
+    def write(tmp_path):
+        base = resources.files("coilsim").joinpath("presets", f"{preset}.cfg").read_text() if preset else ""
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(base + text)
+        return cfg
+    return write
+
+
+META = "[meta]\nschema_version = 1\n"
+
+# (argv with {cfg} and {out} placeholders, config writer or None, exit code)
+EXIT_CODES = {
+    "presets": (["presets"], None, EXIT_OK),
+    "check-passes": (["check", "--preset", "table4-30db", "--strict"], None, EXIT_OK),
+    "unknown-preset": (["field-map", "--preset", "no-such-preset", "--out-dir", "{out}"], None, EXIT_USAGE),
+    # [location] was parsed but never read, and is no longer a section
+    "unknown-section": (["step", "--config", "{cfg}", "--validate-only"],
+                        config_text("[location]\nby_nt = 21290.2\n", "table7-up"), EXIT_USAGE),
+    "unknown-key": (["field-map", "--config", "{cfg}", "--out-dir", "{out}"],
+                    config_text(META + "[coil]\nradius_mm = 400\n"), EXIT_USAGE),
+    "bad-value": (["field-map", "--config", "{cfg}", "--out-dir", "{out}"],
+                  config_text(META + "[coil]\nside_mm = wide\n"), EXIT_USAGE),
+    "missing-schema-version": (["field-map", "--config", "{cfg}", "--out-dir", "{out}"],
+                               config_text("[coil]\nside_mm = 840.4\n"), EXIT_USAGE),
+    "wrong-schema-version": (["field-map", "--config", "{cfg}", "--out-dir", "{out}"],
+                             config_text("[meta]\nschema_version = 2\n"), EXIT_USAGE),
+    "missing-method-section": (["step", "--config", "{cfg}", "--method", "lms", "--out-dir", "{out}"],
+                               config_text(META + "[step]\nprofile = step_up\nlevel_nt = 120000\n"),
+                               EXIT_USAGE),
+    "missing-method-key": (["step", "--config", "{cfg}", "--method", "lms", "--out-dir", "{out}"],
+                           preset_without("table7-up", "method.lms", "mu"), EXIT_USAGE),
+    "unknown-method": (["sysid", "--preset", "table4-30db", "--methods", "bogus", "--out-dir", "{out}"],
+                       None, EXIT_USAGE),
+    "zero-side": (["optimize", "--side-mm", "0", "--out-dir", "{out}"], None, EXIT_USAGE),
+    "no-config-source": (["sysid", "--out-dir", "{out}"], None, EXIT_USAGE),
+    "check-violation": (["check", "--preset", "table4-30db", "--strict", "--c-scale", "100"],
+                        None, EXIT_RUNTIME),
+}
+
+
+@pytest.mark.parametrize("case", list(EXIT_CODES))
+def test_exit_code_contract(tmp_path, case):
+    argv, write_cfg, code = EXIT_CODES[case]
+    cfg = write_cfg(tmp_path) if write_cfg else None
+    out = tmp_path / "out"
+    assert main([a.format(cfg=cfg, out=out) for a in argv]) == code
+    if code != EXIT_OK:
+        assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, preset, section, key",
+    [
+        (["step", "--method", "lms"], "table7-up", "method.lms", "mu"),
+        (["sysid", "--methods", "svs"], "table4-30db", "method.svs", "beta"),
+        (["sysid", "--methods", "convex"], "table4-30db", "method.convex", "beta"),
+    ],
+    ids=["step-lms-mu", "sysid-svs-beta", "sysid-convex-beta"],
+)
+def test_missing_method_key_exits_1_and_names_it(tmp_path, capsys, argv, preset, section, key):
+    cfg = preset_without(preset, section, key)(tmp_path)
+    assert main([*argv, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
+    assert f"missing required [{section}] {key}" in capsys.readouterr().err

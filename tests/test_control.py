@@ -17,16 +17,17 @@ from coilsim.control import (
     NonFiniteInput,
     StepInput,
     StepOutput,
-    atlms_step,
+    atlms_rate,
     check_convergence_condition,
     convex_step,
-    lms_step,
+    filter_step,
+    lms_rate,
     logistic,
     run_atlms_batch,
     run_convex_batch,
     run_lms_batch,
     run_svs_batch,
-    svs_step,
+    svs_rate,
 )
 
 PARAMS = ConvexParams(alpha=500.0, beta=0.01, sigma=0.0, phi=1.0, c=0.1,
@@ -162,45 +163,36 @@ class TestConvexStep:
 
 class TestBaselines:
     def test_lms_hand_computed_step(self):
-        st = FilterState.initial([0.0, 0.0])
-        out, st = lms_step(st, 0.5, StepInput((1.0, 0.0), 1.0))
+        st = FilterState.initial([0.0, 0.0], lms_rate(0.5))
+        out, st = filter_step(st, StepInput((1.0, 0.0), 1.0))
         assert out.e == 1.0
         assert st.w == [0.5, 0.0]
-        out2, _ = lms_step(st, 0.5, StepInput((1.0, 0.0), 1.0))
+        out2, _ = filter_step(st, StepInput((1.0, 0.0), 1.0))
         assert out2.e == 0.5
 
     def test_lms_zero_error_keeps_weights(self):
-        st = FilterState.initial([0.25, -0.5])
-        out, st = lms_step(st, 0.1, StepInput((1.0, 1.0), -0.25))
+        st = FilterState.initial([0.25, -0.5], lms_rate(0.1))
+        out, st = filter_step(st, StepInput((1.0, 1.0), -0.25))
         assert out.e == 0.0
         assert st.w == [0.25, -0.5]
 
     def test_svs_step_size_limits(self):
-        st = FilterState.initial([0.0, 0.0])
-        out, _ = svs_step(st, 4.0, 0.15, StepInput((0.0, 0.0), 0.0))
+        st = FilterState.initial([0.0, 0.0], svs_rate(4.0, 0.15))
+        out, _ = filter_step(st, StepInput((0.0, 0.0), 0.0))
         assert out.mu1 == 0.0
-        st = FilterState.initial([0.0, 0.0])
-        out, _ = svs_step(st, 4.0, 0.15, StepInput((0.0, 0.0), 1e9))
+        st = FilterState.initial([0.0, 0.0], svs_rate(4.0, 0.15))
+        out, _ = filter_step(st, StepInput((0.0, 0.0), 1e9))
         assert out.mu1 == pytest.approx(0.15 / 2.0, rel=1e-12)
 
     def test_atlms_step_size_limits(self):
-        st = FilterState.initial([0.0, 0.0])
-        out, _ = atlms_step(st, 500.0, 0.01, 900.0, 500.0, StepInput((0.0, 0.0), 0.0))
+        st = FilterState.initial([0.0, 0.0], atlms_rate(500.0, 0.01, 900.0, 500.0))
+        out, _ = filter_step(st, StepInput((0.0, 0.0), 0.0))
         assert out.mu1 == 0.0
-        st = FilterState.initial([0.0, 0.0])
-        out, _ = atlms_step(st, 500.0, 0.01, 900.0, 500.0, StepInput((0.0, 0.0), 1e12))
+        st = FilterState.initial([0.0, 0.0], atlms_rate(500.0, 0.01, 900.0, 500.0))
+        out, _ = filter_step(st, StepInput((0.0, 0.0), 1e12))
         bound = 0.01 * 900.0 / (900.0 + 500.0)
         assert out.mu1 <= bound
         assert out.mu1 == pytest.approx(bound, rel=1e-6)
-
-    def test_bias_convention_matches_convex(self):
-        x = (0.7, -0.2)
-        st_f = FilterState.initial([0.0, 0.0], fit_k=2.0, fit_b=-1.0)
-        out_f, _ = lms_step(st_f, 0.0 + 1e-12, StepInput(x, 0.0))
-        p = ConvexParams(alpha=1.0, beta=0.01, fit_k=2.0, fit_b=-1.0)
-        st_c = ConvexState.initial([0.0, 0.0])
-        out_c, _ = convex_step(st_c, p, StepInput(x, 0.0))
-        assert out_f.y == out_c.y1 == 2.0 * 0.7 - 1.0
 
 
 class TestConvergenceCondition:
@@ -306,34 +298,26 @@ class TestBatchEquivalence:
             d[t] = taps @ np.array([0.8, 0.5]) + 0.1 * rng.standard_normal(n_iters)
         return x, d
 
+    def _assert_filter_matches(self, res, rate, x, d):
+        for t in range(x.shape[0]):
+            st = FilterState.initial([0.0, 0.0], rate)
+            for n in range(x.shape[1]):
+                out, st = filter_step(st, StepInput(tuple(x[t, n]), d[t, n]))
+                assert out.e == pytest.approx(res["e"][t, n], rel=1e-10, abs=1e-14)
+
     def test_lms_batch_matches_scalar(self):
         x, d = self._signals()
-        res = run_lms_batch([0.0, 0.0], 0.05, x, d)
-        for t in range(x.shape[0]):
-            st = FilterState.initial([0.0, 0.0])
-            for n in range(x.shape[1]):
-                out, st = lms_step(st, 0.05, StepInput(tuple(x[t, n]), d[t, n]))
-                assert out.e == pytest.approx(res["e"][t, n], rel=1e-10, abs=1e-14)
+        self._assert_filter_matches(run_lms_batch([0.0, 0.0], 0.05, x, d), lms_rate(0.05), x, d)
 
     def test_svs_batch_matches_scalar(self):
         x, d = self._signals(seed=5)
-        res = run_svs_batch([0.0, 0.0], 4.0, 0.15, x, d)
-        for t in range(x.shape[0]):
-            st = FilterState.initial([0.0, 0.0])
-            for n in range(x.shape[1]):
-                out, st = svs_step(st, 4.0, 0.15, StepInput(tuple(x[t, n]), d[t, n]))
-                assert out.e == pytest.approx(res["e"][t, n], rel=1e-10, abs=1e-14)
+        self._assert_filter_matches(run_svs_batch([0.0, 0.0], 4.0, 0.15, x, d),
+                                    svs_rate(4.0, 0.15), x, d)
 
     def test_atlms_batch_matches_scalar(self):
         x, d = self._signals(seed=6)
-        res = run_atlms_batch([0.0, 0.0], 500.0, 0.01, 900.0, 500.0, x, d)
-        for t in range(x.shape[0]):
-            st = FilterState.initial([0.0, 0.0])
-            for n in range(x.shape[1]):
-                out, st = atlms_step(
-                    st, 500.0, 0.01, 900.0, 500.0, StepInput(tuple(x[t, n]), d[t, n])
-                )
-                assert out.e == pytest.approx(res["e"][t, n], rel=1e-10, abs=1e-14)
+        self._assert_filter_matches(run_atlms_batch([0.0, 0.0], 500.0, 0.01, 900.0, 500.0, x, d),
+                                    atlms_rate(500.0, 0.01, 900.0, 500.0), x, d)
 
     def test_convex_batch_matches_scalar(self):
         x, d = self._signals(seed=7)
@@ -401,39 +385,50 @@ class TestBatchRunnersBitwise:
         dt = np.ascontiguousarray(d.T)
         return x, d, xt.transpose(2, 0, 1), dt.T
 
+    # "bias": the desired signal carries the offset fit_k * x0 + fit_b that
+    # the controllers' deleted bias term used to model; the filters now have
+    # to absorb it in their weights
     @pytest.fixture(params=[(0.0, 0.0), (0.3, -0.2)], ids=["no-bias", "bias"])
     def fit(self, request):
         return request.param
 
-    def test_lms(self, signals, order, fit):
+    @staticmethod
+    def _with_bias(signals, fit):
         x, d, xr, dr = signals
+        if fit == (0.0, 0.0):
+            return signals
+        d = d + (fit[0] * x[:, :, 0] + fit[1])
+        return x, d, xr, d if dr.flags.c_contiguous else np.ascontiguousarray(d.T).T
+
+    def test_lms(self, signals, order, fit):
+        x, d, xr, dr = self._with_bias(signals, fit)
         w0 = np.linspace(-0.3, 0.4, order)
-        ref = oracles.run_lms_batch_ref(w0, 0.05, x, d, *fit, record_w_at=self.RECORD)
-        assert_bitwise_equal(run_lms_batch(w0, 0.05, xr, dr, *fit, record_w_at=self.RECORD), ref)
+        ref = oracles.run_lms_batch_ref(w0, 0.05, x, d, record_w_at=self.RECORD)
+        assert_bitwise_equal(run_lms_batch(w0, 0.05, xr, dr, record_w_at=self.RECORD), ref)
 
     @pytest.mark.parametrize("alpha", [4.0, 1e4])
     def test_svs(self, signals, order, fit, alpha):
-        x, d, xr, dr = signals
+        x, d, xr, dr = self._with_bias(signals, fit)
         w0 = np.linspace(-0.3, 0.4, order)
-        ref = oracles.run_svs_batch_ref(w0, alpha, 0.15, x, d, *fit)
+        ref = oracles.run_svs_batch_ref(w0, alpha, 0.15, x, d)
         if alpha > 1e3:  # -alpha * |e| crosses the -700 clamp
             assert np.any(alpha * np.abs(ref["e"]) > 700.0)
-        assert_bitwise_equal(run_svs_batch(w0, alpha, 0.15, xr, dr, *fit), ref)
+        assert_bitwise_equal(run_svs_batch(w0, alpha, 0.15, xr, dr), ref)
 
     def test_atlms(self, signals, order, fit):
-        x, d, xr, dr = signals
+        x, d, xr, dr = self._with_bias(signals, fit)
         w0 = np.linspace(-0.3, 0.4, order)
-        ref = oracles.run_atlms_batch_ref(w0, 500.0, 0.01, 900.0, 500.0, x, d, *fit)
-        assert_bitwise_equal(run_atlms_batch(w0, 500.0, 0.01, 900.0, 500.0, xr, dr, *fit), ref)
+        ref = oracles.run_atlms_batch_ref(w0, 500.0, 0.01, 900.0, 500.0, x, d)
+        assert_bitwise_equal(run_atlms_batch(w0, 500.0, 0.01, 900.0, 500.0, xr, dr), ref)
 
     @pytest.mark.parametrize("t_o", [1, 2, 3])
     def test_convex(self, signals, order, fit, t_o):
-        x, d, xr, dr = signals
+        x, d, xr, dr = self._with_bias(signals, fit)
         w0 = np.linspace(-0.3, 0.4, order)
         # alpha large enough that the rate's exponent hits the -700 clamp,
         # gamma_o low enough that transfers fire
         p = ConvexParams(alpha=1e5, beta=0.3, sigma=11.0, phi=0.1, c=0.1, mu_b=2.0,
-                         gamma_o=0.55, t_o=t_o, fit_k=fit[0], fit_b=fit[1])
+                         gamma_o=0.55, t_o=t_o)
         ref = oracles.run_convex_batch_ref(w0, p, x, d, 0.3, self.RECORD)
         e1 = ref["e1"]
         assert np.any(-p.alpha * np.abs(e1[:, 1:] * e1[:, :-1]) + p.sigma * np.abs(e1[:, 1:]) < -700.0)

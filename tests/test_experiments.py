@@ -1,6 +1,6 @@
 import csv
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -77,6 +77,22 @@ class TestRunSysid:
             assert alone.iters_to_converge == together[m].iters_to_converge
             assert alone.final_mse == together[m].final_mse
             np.testing.assert_array_equal(alone.mse_curve, together[m].mse_curve)
+
+    def test_convex_params_may_be_a_dict(self, table4):
+        scn = small_scenario()
+        as_dict = run_sysid(scn, {"convex": asdict(table4["convex"])})["convex"]
+        as_params = run_sysid(scn, {"convex": table4["convex"]})["convex"]
+        np.testing.assert_array_equal(as_dict.mse_curve, as_params.mse_curve)
+
+    def test_noise_burst_only_when_reinjecting(self):
+        scn = small_scenario()
+        eps_on = experiments._sysid_signals(scn)[2].copy()
+        eps_off = experiments._sysid_signals(scn, reinject=False)[2]
+        lo = scn.noise_reinjection_at
+        burst = slice(lo, lo + experiments.REINJECTION_LEN)
+        np.testing.assert_array_equal(eps_on[:, burst], eps_off[:, burst] * experiments.REINJECTION_SCALE)
+        eps_on[:, burst] = eps_off[:, burst]
+        np.testing.assert_array_equal(eps_on, eps_off)
 
     def test_signal_views_are_time_major(self):
         scn = small_scenario(order=3, true_weights=(0.8, 0.5, -0.3))
