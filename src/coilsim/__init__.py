@@ -45,6 +45,7 @@ from .magnetics import (
     GridSpec,
     HelmholtzPair,
     field_map,
+    field_map_blocks,
     onaxis_field,
     pair_field,
     segment_field,

@@ -119,7 +119,7 @@ def cmd_optimize(args) -> int:
         pts[:, 0] = positions
         h = magnetics.uniformity(pair, pts).tolist()
         write_repr_csv(path, ("pos_over_d", "uniformity_pct"),
-                       ((r / spacing_m, v) for r, v in zip(positions, h)))
+                       [([r / spacing_m for r in positions], h)])
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -131,11 +131,10 @@ def cmd_field_map(args) -> int:
         return EXIT_OK
     pair = cfg.pair()
     grid = cfg.grid()
-    points, field, uniformity_pct = magnetics.field_map(pair, grid)
     out = _outdir(args) / "field_map.csv"
-    magnetics.write_field_map_csv(out, points, field, uniformity_pct)
+    magnetics.write_field_map_csv(out, magnetics.field_map_blocks(pair, grid))
     center = magnetics.onaxis_field(pair, 0.0)
-    print(f"{len(points)} grid points; center bz = {center * 1e6:.2f} uT")
+    print(f"{grid.size} grid points; center bz = {center * 1e6:.2f} uT")
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -175,10 +174,10 @@ def cmd_step(args) -> int:
         print("config OK")
         return EXIT_OK
     methods = _method_list(args.method)
+    scenarios = {m: cfg.step_scenario(m, seed_override=args.seed) for m in methods}
     out = _outdir(args)
     rows = []
-    for m in methods:
-        scn = cfg.step_scenario(m, seed_override=args.seed)
+    for m, scn in scenarios.items():
         trace: list = []
         sensor_rows: list = []
         diag = DiagnosticsRecorder() if (args.diag_csv and m == "convex") else None

@@ -189,7 +189,8 @@ class ScenarioConfig:
     def method_params(self, method: str):
         """The [method.<method>] parameters: a dict for the baselines, which
         need every key of their section, and a ConvexParams for convex,
-        which needs alpha and beta."""
+        which needs alpha and beta and whose value checks fail as a
+        ConfigError naming the section."""
         section = f"method.{method}"
         if not self.has_section(section):
             raise ConfigError(f"{self.source}: missing [{section}] parameters")
@@ -198,7 +199,10 @@ class ScenarioConfig:
         params = dict(self.data[section])
         if method == "convex":
             params.pop("init_weights", None)
-            return ConvexParams(**params)
+            try:
+                return ConvexParams(**params)
+            except ValueError as err:
+                raise ConfigError(f"{self.source}: [{section}] {err}") from None
         return params
 
     def convex_init_weights(self) -> tuple[float, ...]:

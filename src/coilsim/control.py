@@ -490,4 +490,4 @@ class DiagnosticsRecorder:
         )
 
     def write_csv(self, path) -> None:
-        write_repr_csv(path, DIAGNOSTICS_HEADER, self.rows)
+        write_repr_csv(path, DIAGNOSTICS_HEADER, [zip(*self.rows)])

@@ -585,8 +585,8 @@ def write_mse_curves_csv(path, curves: Mapping[str, np.ndarray]) -> None:
     cols = [np.asarray(c, dtype=float).tolist() for c in curves.values()]
     if len(set(map(len, cols))) != 1:
         raise ValueError("need at least one MSE curve, all of one length")
-    write_repr_csv(path, ["iter"] + [f"mse_{n}" for n in curves], zip(range(len(cols[0])), *cols))
+    write_repr_csv(path, ["iter"] + [f"mse_{n}" for n in curves], [[range(len(cols[0])), *cols]])
 
 
 def write_trace_csv(path, rows: Sequence[tuple[float, float, float, float]]) -> None:
-    write_repr_csv(path, TRACE_HEADER, rows)
+    write_repr_csv(path, TRACE_HEADER, [zip(*rows)])

@@ -8,20 +8,26 @@ placements are handled by transforming the query points, not the coils.
 Field functions take the query points as an (N, 3) array of rows (x, y, z)
 and return one result row per point: an (N, 3) array of (bx, by, bz) from
 `segment_field` and `pair_field`, an (N,) array from `uniformity`.  There is
-no per-point path: callers pass all their points in one call.
+no per-point path.  Grid maps go through the same kernel in consecutive
+blocks of at most MAP_BLOCK points (`field_map_blocks`), so their memory
+stays bounded at any grid size; `field_map` joins the blocks.
 
 Every output is bit-for-bit what a per-point evaluation of the same closed
-form gives, so shipped CSVs do not change when the batch size does.  That
-fixes the operation order: the segment kernel works per component, with the
-projection t1 = r1x*lx + r1y*ly + r1z*lz written out rather than as a
-matrix product, the prefactor multiplied left to right, and each loop summed
-segment by segment from zero before the two loops are added.
+form gives, so shipped CSVs do not change when the batch or block size
+does.  That fixes the operation order: the segment kernel works per
+component, with the projection t1 = r1x*lx + r1y*ly + r1z*lz written out
+rather than as a matrix product, the prefactor multiplied left to right, and
+each loop summed segment by segment from zero before the two loops are
+added.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -31,6 +37,10 @@ MU0 = 4.0e-7 * math.pi  # vacuum permeability, T*m/A (exact in SI-2019 sense)
 
 # Query points closer than this to a wire line are treated as singular.
 WIRE_GUARD_M = 1e-12
+
+# Points per pair_field call in a field map: bounds the kernel's temporaries,
+# and so the map's memory, whatever the grid size.
+MAP_BLOCK = 4096
 
 
 class PointOnWire(ValueError):
@@ -189,10 +199,14 @@ def onaxis_field(pair: HelmholtzPair, z: float) -> float:
     )
 
 
-def _uniformity_pct(pair: HelmholtzPair, bz: np.ndarray) -> np.ndarray:
+def _center_ref(pair: HelmholtzPair) -> float:
     ref = abs(pair_field(pair, np.zeros((1, 3)))[0, 2])
     if ref < 1e-15:
         raise ZeroCenterField("center field magnitude below 1e-15 T")
+    return ref
+
+
+def _uniformity_pct(bz: np.ndarray, ref: float) -> np.ndarray:
     return 100.0 * (np.abs(bz) - ref) / ref
 
 
@@ -202,7 +216,8 @@ def uniformity(pair: HelmholtzPair, points) -> np.ndarray:
 
     Raises ZeroCenterField if the center reference is below 1e-15 T.
     """
-    return _uniformity_pct(pair, pair_field(pair, points)[:, 2])
+    bz = pair_field(pair, points)[:, 2]
+    return _uniformity_pct(bz, _center_ref(pair))
 
 
 @dataclass(frozen=True)
@@ -231,28 +246,67 @@ class GridSpec:
         step = (hi - lo) / (n - 1)
         return lo + np.arange(n) * step
 
-    def points(self) -> np.ndarray:
-        """All grid points as an (N, 3) array."""
-        axes = np.meshgrid(self._axis(*self.x), self._axis(*self.y), self._axis(*self.z),
-                           indexing="ij")
-        return np.stack(axes, axis=-1).reshape(-1, 3)
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (self.x[2], self.y[2], self.z[2])
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    def points(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Grid points start..stop-1 in row-major order (all of them by
+        default) as an (n, 3) array."""
+        axes = (self._axis(*self.x), self._axis(*self.y), self._axis(*self.z))
+        index = np.unravel_index(np.arange(start, self.size if stop is None else stop), self.shape)
+        return np.stack([a[i] for a, i in zip(axes, index)], axis=1)
+
+
+def field_map_blocks(pair: HelmholtzPair, grid: GridSpec
+                     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Field and uniformity over a grid in consecutive row-major blocks of
+    at most MAP_BLOCK points.
+
+    Yields (points (n, 3), field (n, 3), uniformity_pct (n,)) per block.
+    The center reference is taken once, before the first block, so a zero
+    center field raises ZeroCenterField before any block; a grid point on a
+    wire line raises PointOnWire naming the point when its block is reached.
+    """
+    ref = _center_ref(pair)
+    for start in range(0, grid.size, MAP_BLOCK):
+        pts = grid.points(start, min(start + MAP_BLOCK, grid.size))
+        b = pair_field(pair, pts)
+        yield pts, b, _uniformity_pct(b[:, 2], ref)
 
 
 def field_map(pair: HelmholtzPair, grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Field and uniformity over a grid, in deterministic row-major order.
 
-    Returns (points (N, 3), field (N, 3), uniformity_pct (N,)).  A grid
-    point on a wire line raises PointOnWire naming the point.
+    Returns (points (N, 3), field (N, 3), uniformity_pct (N,)): the blocks
+    of `field_map_blocks` joined, bit-for-bit one pair_field call over all
+    points.  A grid point on a wire line raises PointOnWire naming the point.
     """
-    pts = grid.points()
-    b = pair_field(pair, pts)
-    return pts, b, _uniformity_pct(pair, b[:, 2])
+    blocks = list(field_map_blocks(pair, grid))
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 FIELD_MAP_HEADER = ("x_m", "y_m", "z_m", "bx_T", "by_T", "bz_T", "uniformity_pct")
 
 
-def write_field_map_csv(path, points, field, uniformity_pct) -> None:
-    """Write a field map as CSV with round-trip decimal formatting."""
-    table = np.column_stack((points, field, uniformity_pct))
-    write_repr_csv(path, FIELD_MAP_HEADER, table.tolist())
+def write_field_map_csv(path, blocks) -> None:
+    """Write field-map blocks of (points, field, uniformity_pct), as
+    `field_map_blocks` yields them, as CSV with round-trip decimal
+    formatting.
+
+    The rows go to `<path>.part`, which replaces `path` only once every
+    block is written: an error in a later block (a grid point on a wire)
+    leaves neither a partial map nor the temporary file behind.
+    """
+    path = Path(path)
+    part = path.with_name(path.name + ".part")
+    try:
+        write_repr_csv(part, FIELD_MAP_HEADER, ((*p.T, *b.T, h) for p, b, h in blocks))
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise

@@ -268,4 +268,4 @@ SENSOR_LOG_HEADER = ("t_s", "true_nT", "disturbance_nT", "measured_nT")
 
 def write_sensor_log_csv(path, rows: Sequence[tuple[float, float, float, float]]) -> None:
     """Write a (t, true, disturbance, measured) trace as CSV."""
-    write_repr_csv(path, SENSOR_LOG_HEADER, rows)
+    write_repr_csv(path, SENSOR_LOG_HEADER, [zip(*rows)])

@@ -26,6 +26,20 @@ class TestMagneticsGoldens:
         assert main(["field-map", "--preset", preset, "--out-dir", str(tmp_path)]) == EXIT_OK
         assert sha256(tmp_path / "field_map.csv") == digest
 
+    def test_multi_block_field_map_csv(self, tmp_path):
+        # 21^3 = 9,261 rows, three field-map blocks; captured from the map
+        # that ran one kernel call over all points and wrote row by row
+        cfg = tmp_path / "grid21.cfg"
+        cfg.write_text(
+            "[meta]\nschema_version = 1\n"
+            "[coil]\nside_mm = 840.4\nspacing_mm = 457.6\nturns = 24\ncurrent_a = 2.94\n"
+            "[grid]\nx_mm = -210.5,190.3,21\ny_mm = -200,200,21\nz_mm = -220,220,21\n"
+        )
+        assert main(["field-map", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert sha256(tmp_path / "field_map.csv") == (
+            "5936d6c46114e330e80a94a2b03ce3bba7ab2f3ccf088b6465f65e752e453bcc"
+        )
+
     def test_optimize_csv(self, tmp_path):
         argv = ["optimize", "--side-mm", "840.4", "--csv", "u.csv", "--out-dir", str(tmp_path)]
         assert main(argv) == EXIT_OK
@@ -45,6 +59,23 @@ class TestMagneticsGoldens:
         point = (420.2 / 1000.0, 0.0, 228.8 / 1000.0)
         assert f"point {point}" in capsys.readouterr().err
         assert not (tmp_path / "field_map.csv").exists()
+
+    def test_wire_point_in_second_block_leaves_no_file(self, tmp_path, capsys):
+        # the 5,000 points of the x = 0 plane fill the first block; row 5,000,
+        # the first point of the x = side/2 plane, lies on the wire and in
+        # the second block
+        cfg = tmp_path / "wire.cfg"
+        cfg.write_text(
+            "[meta]\nschema_version = 1\n"
+            "[coil]\nside_mm = 840.4\nspacing_mm = 457.6\nturns = 24\ncurrent_a = 2.94\n"
+            "[grid]\nx_mm = 0,420.2,2\ny_mm = -100,100,5000\nz_mm = 228.8,228.8,1\n"
+        )
+        out = tmp_path / "out"
+        rc = main(["field-map", "--config", str(cfg), "--out-dir", str(out)])
+        assert rc == EXIT_RUNTIME
+        point = (420.2 / 1000.0, -100 / 1000.0, 228.8 / 1000.0)
+        assert f"point {point}" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
 
     @pytest.mark.parametrize("side_mm", ["inf", "nan"])
     def test_nonfinite_side_exits_2(self, tmp_path, capsys, side_mm):
@@ -217,13 +248,15 @@ def test_convex_diagnostics_csv(tmp_path):
     )
 
 
-def preset_without(preset, section, key):
-    """A writer of the preset's config with `key` deleted from [section]."""
+def edited_preset(preset, section, key, value=None):
+    """A writer of the preset's config with `key` deleted from [section],
+    or set to `value` when one is given."""
     def write(tmp_path):
         lines = resources.files("coilsim").joinpath("presets", f"{preset}.cfg").read_text().splitlines(True)
         start = lines.index(f"[{section}]\n")
-        del lines[next(i for i in range(start, len(lines)) if lines[i].startswith(f"{key} = "))]
-        cfg = tmp_path / f"{preset}-no-{key}.cfg"
+        i = next(i for i in range(start, len(lines)) if lines[i].startswith(f"{key} = "))
+        lines[i:i + 1] = [] if value is None else [f"{key} = {value}\n"]
+        cfg = tmp_path / f"{preset}-{key}.cfg"
         cfg.write_text("".join(lines))
         return cfg
     return write
@@ -261,7 +294,14 @@ EXIT_CODES = {
                                config_text(META + "[step]\nprofile = step_up\nlevel_nt = 120000\n"),
                                EXIT_USAGE),
     "missing-method-key": (["step", "--config", "{cfg}", "--method", "lms", "--out-dir", "{out}"],
-                           preset_without("table7-up", "method.lms", "mu"), EXIT_USAGE),
+                           edited_preset("table7-up", "method.lms", "mu"), EXIT_USAGE),
+    # values ConvexParams rejects are config errors, not runtime failures
+    "convex-beta-0-sysid": (["sysid", "--config", "{cfg}", "--methods", "convex", "--out-dir", "{out}"],
+                            edited_preset("table4-30db", "method.convex", "beta", "0"), EXIT_USAGE),
+    "convex-beta-0-check": (["check", "--config", "{cfg}", "--out-dir", "{out}"],
+                            edited_preset("table4-30db", "method.convex", "beta", "0"), EXIT_USAGE),
+    "convex-beta-0-step": (["step", "--config", "{cfg}", "--method", "all", "--out-dir", "{out}"],
+                           edited_preset("table7-up", "method.convex", "beta", "0"), EXIT_USAGE),
     "unknown-method": (["sysid", "--preset", "table4-30db", "--methods", "bogus", "--out-dir", "{out}"],
                        None, EXIT_USAGE),
     "zero-side": (["optimize", "--side-mm", "0", "--out-dir", "{out}"], None, EXIT_USAGE),
@@ -278,7 +318,7 @@ def test_exit_code_contract(tmp_path, case):
     out = tmp_path / "out"
     assert main([a.format(cfg=cfg, out=out) for a in argv]) == code
     if code != EXIT_OK:
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -291,6 +331,6 @@ def test_exit_code_contract(tmp_path, case):
     ids=["step-lms-mu", "sysid-svs-beta", "sysid-convex-beta"],
 )
 def test_missing_method_key_exits_1_and_names_it(tmp_path, capsys, argv, preset, section, key):
-    cfg = preset_without(preset, section, key)(tmp_path)
+    cfg = edited_preset(preset, section, key)(tmp_path)
     assert main([*argv, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
     assert f"missing required [{section}] {key}" in capsys.readouterr().err

@@ -107,7 +107,7 @@ class TestCsvWriters:
     def test_rows_match_csv_writer(self, tmp_path):
         header = ("n", "a", "b", "c")
         rows = [(0, 1.5, -0.0, 1e-300), (12, float("inf"), float("nan"), -2.5e17)]
-        write_repr_csv(tmp_path / "rows.csv", header, rows)
+        write_repr_csv(tmp_path / "rows.csv", header, [zip(*rows)])
         with open(tmp_path / "ref.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)

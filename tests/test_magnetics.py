@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from coilsim.magnetics import (
+    MAP_BLOCK,
     MU0,
     GridSpec,
     HelmholtzPair,
     PointOnWire,
     ZeroCenterField,
     field_map,
+    field_map_blocks,
     onaxis_field,
     pair_field,
     segment_field,
@@ -253,11 +255,43 @@ class TestFieldMap:
             field_map(TABLE2, grid)
         assert err.value.point == (x, 0.0, z)
 
+    @pytest.mark.parametrize(
+        "shape", [(1, 1, 1), (16, 16, MAP_BLOCK // 256), (1, 1, MAP_BLOCK + 1)],
+        ids=["1", "MAP_BLOCK", "MAP_BLOCK+1"],
+    )
+    def test_blocks_join_to_one_kernel_call_bitwise(self, shape):
+        lo_hi = ((-0.15, 0.2), (-0.2, 0.15), (-0.3, 0.3))
+        grid = GridSpec(*((lo, hi if n > 1 else lo, n) for (lo, hi), n in zip(lo_hi, shape)))
+        axes = [GridSpec._axis(*a) for a in (grid.x, grid.y, grid.z)]
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        b = pair_field(TABLE2, pts)
+        h = uniformity(TABLE2, pts)
+        blocks = list(field_map_blocks(TABLE2, grid))
+        assert [len(p) for p, _, _ in blocks[:-1]] == [MAP_BLOCK] * (len(blocks) - 1)
+        for got, want in zip(field_map(TABLE2, grid), (pts, b, h)):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_zero_center_field_rejected_before_any_block(self):
+        dead = HelmholtzPair(TABLE2.side, TABLE2.spacing, TABLE2.turns, 0.0)
+        grid = GridSpec(x=(0, 0, 1), y=(0, 0, 1), z=(-0.1, 0.1, 5))
+        with pytest.raises(ZeroCenterField):
+            next(field_map_blocks(dead, grid))
+
+    def test_single_point_axis_keeps_negative_zero(self, tmp_path):
+        grid = GridSpec(x=(-0.0, -0.0, 1), y=(-0.1, 0.1, 3), z=(0.0, 0.0, 1))
+        path = tmp_path / "map.csv"
+        write_field_map_csv(path, field_map_blocks(TABLE2, grid))
+        rows = path.read_text().splitlines()[1:]
+        assert [r.split(",")[:3] for r in rows] == [
+            ["-0.0", "-0.1", "0.0"], ["-0.0", "0.0", "0.0"], ["-0.0", "0.1", "0.0"]
+        ]
+
     def test_csv_round_trip(self, tmp_path):
         grid = GridSpec(x=(0, 0, 1), y=(0, 0, 1), z=(-0.1, 0.1, 5))
         points, field, h = field_map(TABLE2, grid)
         path = tmp_path / "map.csv"
-        write_field_map_csv(path, points, field, h)
+        write_field_map_csv(path, [(points, field, h)])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x_m,y_m,z_m,bx_T,by_T,bz_T,uniformity_pct"
         assert len(lines) == 6
