@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,34 @@ def _outdir(args) -> Path:
     return args.out_dir
 
 
+@contextmanager
+def _new_outdir(args):
+    """`_outdir`, with the directories it made removed again, if still
+    empty, when the body raises."""
+    made = [p for p in (args.out_dir, *args.out_dir.parents) if not p.exists()]
+    out = _outdir(args)
+    try:
+        yield out
+    except BaseException:
+        for p in made:
+            with suppress(OSError):
+                p.rmdir()
+        raise
+
+
+def _positive(kind):
+    """An argparse type: a `kind` (float or int) that is finite and > 0."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="coilsim",
                      description="Square-Helmholtz field testbed simulator")
@@ -90,9 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="check the step-size convergence condition")
     _add_config_args(p)
     p.add_argument("--strict", action="store_true", help="nonzero exit on violation")
-    p.add_argument("--beta-scale", type=float, default=1.0)
-    p.add_argument("--c-scale", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=20000)
+    p.add_argument("--beta-scale", type=_positive(float), default=1.0)
+    p.add_argument("--c-scale", type=_positive(float), default=1.0)
+    p.add_argument("--samples", type=_positive(int), default=20000)
 
     sub.add_parser("presets", help="list shipped presets")
     return parser
@@ -131,8 +160,9 @@ def cmd_field_map(args) -> int:
         return EXIT_OK
     pair = cfg.pair()
     grid = cfg.grid()
-    out = _outdir(args) / "field_map.csv"
-    magnetics.write_field_map_csv(out, magnetics.field_map_blocks(pair, grid))
+    with _new_outdir(args) as out_dir:
+        out = out_dir / "field_map.csv"
+        magnetics.write_field_map_csv(out, magnetics.field_map_blocks(pair, grid))
     center = magnetics.onaxis_field(pair, 0.0)
     print(f"{grid.size} grid points; center bz = {center * 1e6:.2f} uT")
     print(f"wrote {out}")

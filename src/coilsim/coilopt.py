@@ -16,11 +16,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .magnetics import MU0, HelmholtzPair, onaxis_field, uniformity
+from .magnetics import MU0, HelmholtzPair, _center_ref, _uniformity_pct, onaxis_field, pair_field
 
 
-# Positions per uniformity call in uniform_region: bounds its memory, and the
-# scan stops at the first block holding an exceedance.
+# Positions per pair_field call in uniform_region: the scan's blocks start at
+# SCAN_FIRST_BLOCK positions and double up to SCAN_BLOCK, which bounds its
+# memory; the scan stops at the first block holding an exceedance, so a
+# region whose edge lies k positions out costs fewer than 2k + SCAN_FIRST_BLOCK
+# evaluations.
+SCAN_FIRST_BLOCK = 64
 SCAN_BLOCK = 4096
 
 
@@ -149,18 +153,22 @@ def uniform_region(
 
     d = pair.spacing
     last = 1.5 * max(d, pair.side)
+    ref = _center_ref(pair)
 
     def scan(axis: int) -> float:
         positions = scan_positions(resolution, resolution, last)
         reached = 0.0
-        while block := list(islice(positions, SCAN_BLOCK)):
+        size = SCAN_FIRST_BLOCK
+        while block := list(islice(positions, min(size, SCAN_BLOCK))):
             pts = np.zeros((len(block), 3))
             pts[:, axis] = block
-            over = np.flatnonzero(np.abs(uniformity(pair, pts)) > threshold)
+            h = _uniformity_pct(pair_field(pair, pts)[:, 2], ref)
+            over = np.flatnonzero(np.abs(h) > threshold)
             if over.size:
                 k = over[0]
                 return (block[k - 1] if k else reached) / d
             reached = block[-1]
+            size *= 2
         return reached / d
 
     return UniformRegion(threshold, scan(0), scan(1))

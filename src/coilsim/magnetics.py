@@ -12,13 +12,22 @@ no per-point path.  Grid maps go through the same kernel in consecutive
 blocks of at most MAP_BLOCK points (`field_map_blocks`), so their memory
 stays bounded at any grid size; `field_map` joins the blocks.
 
-Every output is bit-for-bit what a per-point evaluation of the same closed
-form gives, so shipped CSVs do not change when the batch or block size
-does.  That fixes the operation order: the segment kernel works per
-component, with the projection t1 = r1x*lx + r1y*ly + r1z*lz written out
-rather than as a matrix product, the prefactor multiplied left to right, and
-each loop summed segment by segment from zero before the two loops are
-added.
+The Biot-Savart segment law is written once, in one kernel over
+(segments x points): each segment is a row of a table (canonical endpoints,
+unit direction, length, signed gain N*mu0*I) whose columns broadcast as
+(k, 1) against the (n,) point coordinates.  `segment_field` is its k = 1
+case.  `pair_field` validates the points once and evaluates all eight sides
+in one kernel call per chunk of at most KERNEL_CHUNK points, which bounds
+each temporary at 8 * KERNEL_CHUNK values.
+
+Every output is bit-for-bit what a per-point, per-segment evaluation of the
+same closed form gives, so shipped CSVs do not change when the batch, chunk
+or block size does.  That fixes the operation order: the kernel works
+elementwise per component, with the projection t1 = r1x*lx + r1y*ly + r1z*lz
+written out rather than as a matrix product, the gain multiplied left to
+right, and each loop summed side by side from zero (so 0 + -0.0 gives 0.0)
+before the two loops are added.  A point on a wire is reported as that
+order would meet it: the first offending point of the first offending side.
 """
 
 from __future__ import annotations
@@ -38,19 +47,26 @@ MU0 = 4.0e-7 * math.pi  # vacuum permeability, T*m/A (exact in SI-2019 sense)
 # Query points closer than this to a wire line are treated as singular.
 WIRE_GUARD_M = 1e-12
 
-# Points per pair_field call in a field map: bounds the kernel's temporaries,
-# and so the map's memory, whatever the grid size.
+# Points per pair_field call in a field map: bounds the map's memory,
+# whatever the grid size.
 MAP_BLOCK = 4096
+
+# Points per segment-kernel call in pair_field: with the eight sides of a
+# pair, each (segments x points) temporary holds 8 * 512 = 4,096 values.
+KERNEL_CHUNK = 512
 
 
 class PointOnWire(ValueError):
     """Raised when a field is requested on (or within the guard distance of)
     a wire line, where the filament model is singular.  `point` is the first
-    offending (x, y, z)."""
+    offending (x, y, z), and `segment` the index of its wire in the order the
+    call evaluates them (for a pair: the loop at +spacing/2, then the other,
+    each side by side counterclockwise from +z)."""
 
-    def __init__(self, point: tuple[float, float, float]):
+    def __init__(self, point: tuple[float, float, float], segment: int = 0):
         super().__init__(f"point {point} is within {WIRE_GUARD_M} m of a wire line")
         self.point = point
+        self.segment = segment
 
 
 class ZeroCenterField(ValueError):
@@ -91,6 +107,65 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
+def _segment_row(start, end, turns: int, current: float) -> list[float]:
+    # one row of the kernel's segment table: the endpoints in canonical
+    # order, so that reversing start/end negates the field bit-for-bit, the
+    # unit direction, the length and the signed gain N*mu0*I
+    sign = 1.0
+    if tuple(end) < tuple(start):
+        start, end = end, start
+        sign = -1.0
+    sx, sy, sz = start
+    ex, ey, ez = end
+    dx = ex - sx
+    dy = ey - sy
+    dz = ez - sz
+    length = math.sqrt(dx * dx + dy * dy + dz * dz)
+    return [sx, sy, sz, ex, ey, ez, dx / length, dy / length, dz / length, length,
+            sign * turns * MU0 * current]
+
+
+def _segments_field(segments: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Field of each row of the segment table `segments` (k, 11) at each of
+    `pts` (n, 3); returns (k, n, 3).
+
+    Raises PointOnWire naming the first point within WIRE_GUARD_M of the
+    first such segment's line; its `segment` is that segment's row.
+    """
+    sx, sy, sz, ex, ey, ez, lx, ly, lz, length, gain = segments.T[:, :, None]
+    x, y, z = pts.T
+    r1x = x - sx
+    r1y = y - sy
+    r1z = z - sz
+    # signed projection of q-start onto the wire direction
+    t1 = r1x * lx + r1y * ly + r1z * lz
+    ax = r1x - t1 * lx
+    ay = r1y - t1 * ly
+    az = r1z - t1 * lz
+    a = np.sqrt(ax * ax + ay * ay + az * az)
+    on_wire = a <= WIRE_GUARD_M
+    if on_wire.any():
+        k = int(np.argmax(on_wire.any(axis=1)))
+        raise PointOnWire(tuple(pts[np.argmax(on_wire[k])].tolist()), segment=k)
+
+    d1 = np.sqrt(r1x * r1x + r1y * r1y + r1z * r1z)
+    r2x = x - ex
+    r2y = y - ey
+    r2z = z - ez
+    d2 = np.sqrt(r2x * r2x + r2y * r2y + r2z * r2z)
+
+    cos1 = t1 / d1
+    cos2 = (length - t1) / d2
+    scale = gain / (4.0 * math.pi * a) * (cos1 + cos2)
+
+    # unit vector along l_hat x a_hat
+    inv_a = 1.0 / a
+    px = (ly * az - lz * ay) * inv_a
+    py = (lz * ax - lx * az) * inv_a
+    pz = (lx * ay - ly * ax) * inv_a
+    return np.stack((scale * px, scale * py, scale * pz), axis=-1)
+
+
 def segment_field(start, end, current: float, points, turns: int = 1) -> np.ndarray:
     """Field at each of `points` (N, 3) of a straight filament carrying
     `current` from `start` to `end` (x, y, z); returns (N, 3).
@@ -111,52 +186,21 @@ def segment_field(start, end, current: float, points, turns: int = 1) -> np.ndar
         raise ValueError(f"non-finite segment endpoint: {tuple(start)} -> {tuple(end)}")
     if tuple(start) == tuple(end):
         raise ValueError("segment endpoints coincide")
-    pts = _as_points(points)
-    # evaluate with a canonical endpoint order so that reversing start/end
-    # negates the result bit-for-bit
-    sign = 1.0
-    if tuple(end) < tuple(start):
-        start, end = end, start
-        sign = -1.0
-    sx, sy, sz = start
-    ex, ey, ez = end
+    segment = np.array([_segment_row(start, end, turns, current)])
+    return _segments_field(segment, _as_points(points))[0]
 
-    dx = ex - sx
-    dy = ey - sy
-    dz = ez - sz
-    length = math.sqrt(dx * dx + dy * dy + dz * dz)
-    lx, ly, lz = dx / length, dy / length, dz / length
 
-    x, y, z = pts.T
-    r1x = x - sx
-    r1y = y - sy
-    r1z = z - sz
-    # signed projection of q-start onto the wire direction
-    t1 = r1x * lx + r1y * ly + r1z * lz
-    ax = r1x - t1 * lx
-    ay = r1y - t1 * ly
-    az = r1z - t1 * lz
-    a = np.sqrt(ax * ax + ay * ay + az * az)
-    on_wire = a <= WIRE_GUARD_M
-    if on_wire.any():
-        raise PointOnWire(tuple(pts[np.argmax(on_wire)].tolist()))
-
-    d1 = np.sqrt(r1x * r1x + r1y * r1y + r1z * r1z)
-    r2x = x - ex
-    r2y = y - ey
-    r2z = z - ez
-    d2 = np.sqrt(r2x * r2x + r2y * r2y + r2z * r2z)
-
-    cos1 = t1 / d1
-    cos2 = (length - t1) / d2
-    scale = sign * turns * MU0 * current / (4.0 * math.pi * a) * (cos1 + cos2)
-
-    # unit vector along l_hat x a_hat
-    inv_a = 1.0 / a
-    px = (ly * az - lz * ay) * inv_a
-    py = (lz * ax - lx * az) * inv_a
-    pz = (lx * ay - ly * ax) * inv_a
-    return np.stack((scale * px, scale * py, scale * pz), axis=1)
+def _pair_segments(pair: HelmholtzPair) -> np.ndarray:
+    # the eight sides in loop order: the loop at +spacing/2, then the one at
+    # -spacing/2, each counterclockwise from +z
+    s = 0.5 * pair.side
+    h = 0.5 * pair.spacing
+    rows = []
+    for z in (+h, -h):
+        corners = ((s, -s, z), (s, s, z), (-s, s, z), (-s, -s, z))
+        rows += [_segment_row(corners[i], corners[(i + 1) % 4], pair.turns, pair.current)
+                 for i in range(4)]
+    return np.array(rows)
 
 
 def pair_field(pair: HelmholtzPair, points) -> np.ndarray:
@@ -165,16 +209,34 @@ def pair_field(pair: HelmholtzPair, points) -> np.ndarray:
     Superposition of the loop at +spacing/2 and the loop at -spacing/2,
     each the sum of its four sides traversed counterclockwise from +z.
     """
-    s = 0.5 * pair.side
-    h = 0.5 * pair.spacing
-    loops = []
-    for z in (+h, -h):
-        corners = ((s, -s, z), (s, s, z), (-s, s, z), (-s, -s, z))
-        b = np.zeros(np.shape(points))
+    pts = _as_points(points)
+    segments = _pair_segments(pair)
+    out = np.empty(pts.shape)
+    for start in range(0, len(pts), KERNEL_CHUNK):
+        stop = start + KERNEL_CHUNK
+        try:
+            sides = _segments_field(segments, pts[start:stop])
+        except PointOnWire as hit:
+            raise _first_on_wire(segments, pts[stop:], hit) from None
+        loops = np.zeros((2, *sides.shape[1:]))
         for i in range(4):
-            b += segment_field(corners[i], corners[(i + 1) % 4], pair.current, points, pair.turns)
-        loops.append(b)
-    return loops[0] + loops[1]
+            loops += sides[i::4]  # side i of both loops
+        out[start:stop] = loops[0] + loops[1]
+    return out
+
+
+def _first_on_wire(segments: np.ndarray, rest: np.ndarray, hit: PointOnWire) -> PointOnWire:
+    # `hit` is the first on-wire point of one chunk; a later chunk can still
+    # hold a point on an earlier segment, which a per-segment evaluation of
+    # all points would report first
+    for start in range(0, len(rest), KERNEL_CHUNK):
+        if hit.segment == 0:
+            break
+        try:
+            _segments_field(segments[:hit.segment], rest[start:start + KERNEL_CHUNK])
+        except PointOnWire as earlier:
+            hit = earlier
+    return hit
 
 
 def _onaxis_single(side: float, z_rel: float, turns: int, current: float) -> float:

@@ -75,7 +75,20 @@ class TestMagneticsGoldens:
         assert rc == EXIT_RUNTIME
         point = (420.2 / 1000.0, -100 / 1000.0, 228.8 / 1000.0)
         assert f"point {point}" in capsys.readouterr().err
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
+
+    def test_failed_map_removes_only_the_directories_it_made(self, tmp_path):
+        cfg = tmp_path / "wire.cfg"
+        cfg.write_text(
+            "[meta]\nschema_version = 1\n"
+            "[coil]\nside_mm = 840.4\nspacing_mm = 457.6\nturns = 24\ncurrent_a = 2.94\n"
+            "[grid]\nx_mm = 420.2,420.2,1\ny_mm = 0,0,1\nz_mm = 228.8,228.8,1\n"
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["field-map", "--config", str(cfg), "--out-dir", str(out / "new" / "deeper")]
+        assert main(argv) == EXIT_RUNTIME
+        assert out.is_dir() and list(out.iterdir()) == []
 
     @pytest.mark.parametrize("side_mm", ["inf", "nan"])
     def test_nonfinite_side_exits_2(self, tmp_path, capsys, side_mm):
@@ -308,6 +321,12 @@ EXIT_CODES = {
     "no-config-source": (["sysid", "--out-dir", "{out}"], None, EXIT_USAGE),
     "check-violation": (["check", "--preset", "table4-30db", "--strict", "--c-scale", "100"],
                         None, EXIT_RUNTIME),
+    "check-beta-scale-0": (["check", "--preset", "table4-30db", "--beta-scale", "0", "--out-dir", "{out}"],
+                           None, EXIT_USAGE),
+    "check-c-scale-nan": (["check", "--preset", "table4-30db", "--c-scale", "nan", "--out-dir", "{out}"],
+                          None, EXIT_USAGE),
+    "check-samples-0": (["check", "--preset", "table4-30db", "--samples", "0", "--out-dir", "{out}"],
+                        None, EXIT_USAGE),
 }
 
 

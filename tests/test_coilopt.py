@@ -18,7 +18,7 @@ from coilsim.coilopt import (
     solve_optimal_ratio,
     uniform_region,
 )
-from coilsim.magnetics import HelmholtzPair, uniformity
+from coilsim.magnetics import HelmholtzPair, _center_ref, pair_field, uniformity
 
 TABLE2 = HelmholtzPair(side=0.8404, spacing=0.4576, turns=24, current=2.94)
 
@@ -145,6 +145,32 @@ class TestUniformRegion:
         monkeypatch.setattr(coilopt, "SCAN_BLOCK", block)
         region = uniform_region(TABLE2, threshold, resolution=4e-3)
         assert (region.extent_x_over_d, region.extent_y_over_d) == (whole_scan(0), whole_scan(1))
+
+    def test_center_reference_taken_once_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(pair):
+            calls.append(pair)
+            return _center_ref(pair)
+
+        monkeypatch.setattr(coilopt, "_center_ref", counted)
+        uniform_region(TABLE2, 1.0)
+        assert calls == [TABLE2]
+
+    def test_scan_stops_near_the_edge(self, monkeypatch):
+        # a whole-range scan evaluates 1,260 positions per axis to find an
+        # edge a few dozen out
+        evaluated = []
+
+        def counted(pair, pts):
+            evaluated.append(len(pts))
+            return pair_field(pair, pts)
+
+        monkeypatch.setattr(coilopt, "pair_field", counted)
+        region = uniform_region(TABLE2, 0.1)
+        extents = (region.extent_x_over_d, region.extent_y_over_d)
+        edge = sum(round(e * TABLE2.spacing / 1e-3) + 1 for e in extents)
+        assert sum(evaluated) < 4 * edge
 
     def test_memory_bounded_at_fine_resolution(self):
         # 1.8 million positions at 1 um; a whole-scan list of them alone

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coilsim.magnetics import (
+    KERNEL_CHUNK,
     MAP_BLOCK,
     MU0,
     GridSpec,
@@ -150,6 +153,40 @@ class TestPairField:
         )
         assert np.array_equal(pair_field(TABLE2, q), parts)
 
+    @pytest.mark.parametrize(
+        "n", [1, KERNEL_CHUNK - 1, KERNEL_CHUNK, KERNEL_CHUNK + 1, 2 * KERNEL_CHUNK + 3]
+    )
+    def test_chunks_match_per_segment_sum_bitwise(self, n):
+        # the per-segment path pair_field had before one kernel call
+        # evaluated all eight sides; the rows include exact zeros and points
+        # in the loop planes, where every side gives a signed zero for bx
+        h = 0.5 * TABLE2.spacing
+        q = np.random.default_rng(n).uniform(-0.6, 0.6, (n, 3))
+        q[::7] = 0.0
+        q[1::5, :2] = 0.0
+        q[2::3, 2] = h
+        q[3::4, 2] = -h
+        want = loop_field(TABLE2.side, +h, TABLE2.current, TABLE2.turns, q) + loop_field(
+            TABLE2.side, -h, TABLE2.current, TABLE2.turns, q
+        )
+        got = pair_field(TABLE2, q)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("later", [5, 2 * KERNEL_CHUNK + 88], ids=["same-chunk", "later-chunk"])
+    def test_point_on_wire_named_in_per_segment_order(self, later):
+        # row 0 lies on the fourth side of the upper loop, row `later` on the
+        # first: a per-segment evaluation meets the first side's point first
+        s, h = 0.5 * TABLE2.side, 0.5 * TABLE2.spacing
+        q = np.full((later + 40, 3), 0.01)
+        q[0] = (0.0, -s, h)
+        q[later] = (s, 0.0, h)
+        with pytest.raises(PointOnWire) as want:
+            loop_field(TABLE2.side, +h, TABLE2.current, TABLE2.turns, q)
+        with pytest.raises(PointOnWire) as got:
+            pair_field(TABLE2, q)
+        assert got.value.point == want.value.point == (s, 0.0, h)
+
     def test_linearity_in_current(self):
         # relative to the vector norm: transverse components nearly cancel
         # near the axis, so a per-component relative bound is meaningless
@@ -159,6 +196,60 @@ class TestPairField:
         b1 = pair_field(TABLE2, q)[0]
         bk = pair_field(scaled, q)[0]
         assert np.linalg.norm(bk - k * b1) <= 1e-15 * np.linalg.norm(bk)
+
+
+# random pairs and points well inside them (fractions of side and spacing),
+# away from every wire
+pairs = st.builds(
+    HelmholtzPair,
+    side=st.floats(0.1, 2.0),
+    spacing=st.floats(0.1, 2.0),
+    turns=st.integers(1, 200),
+    current=st.floats(0.01, 10.0) | st.floats(-10.0, -0.01),
+)
+fractions = st.lists(st.tuples(*[st.floats(-0.45, 0.45)] * 3), min_size=1, max_size=20)
+
+
+def scaled(pair, fractions) -> np.ndarray:
+    return np.array(fractions) * (pair.side, pair.side, pair.spacing)
+
+
+class TestFieldProperties:
+    # relative to the vector norm, as in test_linearity_in_current; inside
+    # the pair |bz| is within a small factor of the center field, so the
+    # rounding of eight summed sides stays far below 1e-12 of it
+    @settings(max_examples=50, deadline=None)
+    @given(pair=pairs, fractions=fractions, k=st.floats(0.01, 100.0))
+    def test_linear_in_current(self, pair, fractions, k):
+        q = scaled(pair, fractions)
+        scaled_pair = HelmholtzPair(pair.side, pair.spacing, pair.turns, k * pair.current)
+        b, bk = pair_field(pair, q), pair_field(scaled_pair, q)
+        assert (np.linalg.norm(bk - k * b, axis=1) <= 1e-12 * np.linalg.norm(bk, axis=1)).all()
+
+    @settings(max_examples=50, deadline=None)
+    @given(pair=pairs, fractions=fractions)
+    def test_linear_in_turns(self, pair, fractions):
+        q = scaled(pair, fractions)
+        single = HelmholtzPair(pair.side, pair.spacing, 1, pair.current)
+        b1, bn = pair_field(single, q), pair_field(pair, q)
+        assert (np.linalg.norm(bn - pair.turns * b1, axis=1) <= 1e-12 * np.linalg.norm(bn, axis=1)).all()
+
+    @settings(max_examples=50, deadline=None)
+    @given(pair=pairs, fractions=fractions)
+    def test_bz_even_in_z_exactly(self, pair, fractions):
+        # the loop at +h seen from -z is the loop at -h seen from z, side by
+        # side, so only the order of the two loop sums changes
+        q = scaled(pair, fractions)
+        mirrored = q * (1.0, 1.0, -1.0)
+        assert np.array_equal(pair_field(pair, mirrored)[:, 2], pair_field(pair, q)[:, 2])
+
+    @settings(max_examples=50, deadline=None)
+    @given(pair=pairs, fractions=fractions)
+    def test_bz_even_in_x_and_y(self, pair, fractions):
+        q = scaled(pair, fractions)
+        bz = pair_field(pair, q)[:, 2]
+        for flip in ((-1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (-1.0, -1.0, 1.0)):
+            assert pair_field(pair, q * flip)[:, 2] == pytest.approx(bz, rel=1e-12)
 
 
 class TestOnAxis:
