@@ -8,6 +8,7 @@ given (config, seed), so reruns produce byte-identical CSV bodies.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from contextlib import contextmanager, suppress
@@ -279,10 +280,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use and reused: parsing leaves no state in it
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else EXIT_USAGE
     try:

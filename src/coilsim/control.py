@@ -26,6 +26,16 @@ contiguous block, and the transposed views that the sysid harness passes
 cost no copy.  Mirroring the scalar side, LMS, SVS and ATLMS share one loop,
 `_run_filter`, that differs only in its step-size law; the convex runner
 stacks w1 and w2 so one multiply serves both branches.
+
+Each step writes its errors into one contiguous row of a time-major
+(kinds, ERROR_BLOCK, trials) buffer, and every ERROR_BLOCK steps (fewer at
+the end) the runner calls `sink(start, block)` with the filled rows:
+block[0] holds e and, for the convex runner, block[1] and block[2] hold e1
+and e2, each (steps, trials) for the steps from `start` on.  The buffer is
+reused, so a sink copies what it keeps.  A caller that only needs a
+reduction of the errors passes a sink and never holds a (trials, n_iters)
+array; without one, the runner copies the blocks into full arrays and
+returns them as "e" (and "e1", "e2").
 """
 
 from __future__ import annotations
@@ -348,25 +358,50 @@ def _clamp(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.minimum(np.maximum(v, lo), hi)
 
 
-def _run_filter(w0, x, d, rate, record_w_at=()) -> dict:
+# steps per error block handed to a runner's sink
+ERROR_BLOCK = 256
+
+ErrorSink = Callable[[int, np.ndarray], None]
+
+
+def _error_sink(sink: ErrorSink | None, kinds: int, trials: int, n_iters: int):
+    """The sink a runner hands its error blocks to, and the full (kinds,
+    trials, n_iters) error arrays it fills when the caller gave none."""
+    if sink is not None:
+        return sink, None
+    full = np.empty((kinds, trials, n_iters))
+
+    def keep(start: int, block: np.ndarray) -> None:
+        full[:, :, start : start + block.shape[1]] = block.transpose(0, 2, 1)
+
+    return keep, full
+
+
+def _run_filter(w0, x, d, rate, record_w_at=(), sink=None) -> dict:
     """Single-filter trials, e = d - w.x and then w += rate(e) * e * x,
     stepped time-major across all trials at once (no copy for the
     transposed views experiments._sysid_signals returns)."""
     x, d = np.ascontiguousarray(x.transpose(1, 2, 0)), np.ascontiguousarray(d.T)
     n_iters, order, trials = x.shape
     w = np.repeat(np.asarray(w0, dtype=float)[:, None], trials, axis=1)
-    e_out = np.empty((trials, n_iters))
+    sink, full = _error_sink(sink, 1, trials, n_iters)
+    errs = np.empty((1, ERROR_BLOCK, trials))
     snaps: dict[int, np.ndarray] = {}
     record = frozenset(int(i) for i in record_w_at)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_iters):
-            if n in record:
-                snaps[n] = w.T.copy()
-            x_n = x[n]
-            e = d[n] - _tap_sum(w * x_n)
-            e_out[:, n] = e
-            w += rate(e) * e * x_n
-    return {"e": e_out, "w": w.T.copy(), "w_snapshots": snaps}
+    for start in range(0, n_iters, ERROR_BLOCK):
+        stop = min(start + ERROR_BLOCK, n_iters)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(start, stop):
+                if n in record:
+                    snaps[n] = w.T.copy()
+                x_n = x[n]
+                e = np.subtract(d[n], _tap_sum(w * x_n), out=errs[0, n - start])
+                w += rate(e) * e * x_n
+        sink(start, errs[:, : stop - start])
+    out = {"w": w.T.copy(), "w_snapshots": snaps}
+    if full is not None:
+        out["e"] = full[0]
+    return out
 
 
 def run_lms_batch(
@@ -375,11 +410,13 @@ def run_lms_batch(
     x: np.ndarray,
     d: np.ndarray,
     record_w_at: Sequence[int] = (),
+    sink: ErrorSink | None = None,
 ) -> dict:
     """Run independent LMS trials: x has shape (trials, n_iters, order),
-    d shape (trials, n_iters).  Returns per-trial error traces and final
-    weights; `record_w_at` captures weight snapshots before those steps."""
-    return _run_filter(w0, x, d, lambda e: mu, record_w_at)
+    d shape (trials, n_iters).  Returns final weights and, without a
+    `sink`, per-trial error traces; `record_w_at` captures weight snapshots
+    before those steps."""
+    return _run_filter(w0, x, d, lambda e: mu, record_w_at, sink)
 
 
 def run_svs_batch(
@@ -388,9 +425,10 @@ def run_svs_batch(
     beta: float,
     x: np.ndarray,
     d: np.ndarray,
+    sink: ErrorSink | None = None,
 ) -> dict:
     return _run_filter(w0, x, d, lambda e: beta * (
-        1.0 / (1.0 + np.exp(_clamp(-alpha * np.abs(e), -700.0, 700.0))) - 0.5))
+        1.0 / (1.0 + np.exp(_clamp(-alpha * np.abs(e), -700.0, 700.0))) - 0.5), sink=sink)
 
 
 def run_atlms_batch(
@@ -401,9 +439,10 @@ def run_atlms_batch(
     n_scale: float,
     x: np.ndarray,
     d: np.ndarray,
+    sink: ErrorSink | None = None,
 ) -> dict:
     gain = beta * (2.0 / math.pi) * m / (m + n_scale)
-    return _run_filter(w0, x, d, lambda e: gain * np.arctan(alpha * e * e))
+    return _run_filter(w0, x, d, lambda e: gain * np.arctan(alpha * e * e), sink=sink)
 
 
 def run_convex_batch(
@@ -413,6 +452,7 @@ def run_convex_batch(
     d: np.ndarray,
     b0: float = 0.0,
     record_w_at: Sequence[int] = (),
+    sink: ErrorSink | None = None,
 ) -> dict:
     """Vectorized convex combination trials; same update order as
     convex_step."""
@@ -427,48 +467,50 @@ def run_convex_batch(
     prev_abs_e1 = np.zeros(trials)
     u = np.empty((2, trials))  # exponents of the slow rate's logistic and of gamma's
     k = np.empty((2, trials))
-    e_out, e1_out, e2_out = (np.empty((trials, n_iters)) for _ in range(3))
+    sink, full = _error_sink(sink, 3, trials, n_iters)
+    errs = np.empty((3, ERROR_BLOCK, trials))  # e, e1, e2
     snaps: dict[int, np.ndarray] = {}
     record = frozenset(int(i) for i in record_w_at)
-    block = 256
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_iters):
-            if n % block == 0:  # phi + x.x a block at a time: bounded memory
-                xs = x[n : n + block]
-                den = _tap_sum([xs[:, j] * xs[:, j] for j in range(order)])
-                den += params.phi
-            if n in record:
-                snaps[n] = w1.T.copy()
-            x_n = xb[n]
-            y12 = _tap_sum(w * x_n)
-            g1 = 1.0 - gamma
-            y = gamma * y12[0] + g1 * y12[1]
-            d_n = d[n]
-            e12 = d_n - y12
-            e1 = e12[0]
-            e = d_n - y
-            e_out[:, n] = e
-            e1_out[:, n] = e1
-            e2_out[:, n] = e12[1]
+    for start in range(0, n_iters, ERROR_BLOCK):
+        stop = min(start + ERROR_BLOCK, n_iters)
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs = x[start:stop]  # phi + x.x a block at a time: bounded memory
+            den = _tap_sum([xs[:, j] * xs[:, j] for j in range(order)])
+            den += params.phi
+            for n in range(start, stop):
+                if n in record:
+                    snaps[n] = w1.T.copy()
+                x_n = xb[n]
+                y12 = _tap_sum(w * x_n)
+                g1 = 1.0 - gamma
+                y = gamma * y12[0] + g1 * y12[1]
+                d_n = d[n]
+                row = errs[:, n - start]
+                e12 = np.subtract(d_n, y12, out=row[1:])
+                e1 = e12[0]
+                e = np.subtract(d_n, y, out=row[0])
 
-            # b first (the weight updates leave its inputs alone): one logistic pass
-            abs_e1 = np.abs(e1)  # |e1 * prev_e1| == |e1| * |prev_e1| exactly
-            np.add(-params.alpha * (abs_e1 * prev_abs_e1), params.sigma * abs_e1, out=u[0])
-            b += params.mu_b * np.sign(e) * (y12[0] - y12[1]) * gamma * g1
-            np.negative(b, out=u[1])  # clamp(-b) == -clamp(b) exactly
-            s = 1.0 / (1.0 + np.exp(_clamp(u, -700.0, 700.0)))
-            mu1 = _clamp(params.beta * (s[0] - 0.5), 0.0, 0.5 * params.beta)
+                # b first (the weight updates leave its inputs alone): one logistic pass
+                abs_e1 = np.abs(e1)  # |e1 * prev_e1| == |e1| * |prev_e1| exactly
+                np.add(-params.alpha * (abs_e1 * prev_abs_e1), params.sigma * abs_e1, out=u[0])
+                b += params.mu_b * np.sign(e) * (y12[0] - y12[1]) * gamma * g1
+                np.negative(b, out=u[1])  # clamp(-b) == -clamp(b) exactly
+                s = 1.0 / (1.0 + np.exp(_clamp(u, -700.0, 700.0)))
+                mu1 = _clamp(params.beta * (s[0] - 0.5), 0.0, 0.5 * params.beta)
 
-            np.divide(2.0 * mu1 * e1, den[n % block], out=k[0])
-            np.multiply(params.c, e12[1], out=k[1])
-            w += k * x_n
+                np.divide(2.0 * mu1 * e1, den[n - start], out=k[0])
+                np.multiply(params.c, e12[1], out=k[1])
+                w += k * x_n
 
-            if n % params.t_o == 0:
-                np.copyto(w2, w1, where=gamma > params.gamma_o)
-            gamma = s[1]
-            prev_abs_e1 = abs_e1
-    return {"e": e_out, "e1": e1_out, "e2": e2_out, "w1": w1.T.copy(), "w2": w2.T.copy(),
-            "b": b, "gamma": gamma, "w_snapshots": snaps}
+                if n % params.t_o == 0:
+                    np.copyto(w2, w1, where=gamma > params.gamma_o)
+                gamma = s[1]
+                prev_abs_e1 = abs_e1
+        sink(start, errs[:, : stop - start])
+    out = {"w1": w1.T.copy(), "w2": w2.T.copy(), "b": b, "gamma": gamma, "w_snapshots": snaps}
+    if full is not None:
+        out.update(e=full[0], e1=full[1], e2=full[2])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ closed-loop step-response study, the divergence probe, and stability
 statistics, plus the metric computations they share.
 
 Every run is reproducible: scenarios carry a seed, trial t derives its
-stream from seed XOR t, and aggregation is order-independent.
+stream from seed XOR t, and trial averages add the trials in index order
+however the trials and steps are blocked, so a scenario always gives the
+same bits.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ def compute_metrics(
                 break
             j += 1
         if ok:
-            reach = t[i] - t0
+            reach = float(t[i] - t0)
             break
 
     steady = v[(t - t0) > settle_time_s]
@@ -151,6 +153,8 @@ def compute_metrics(
 # the noise burst: REINJECTION_LEN samples at REINJECTION_SCALE times the noise
 REINJECTION_SCALE = 50.0
 REINJECTION_LEN = 10
+# sysid trials drawn per block of the signal arrays
+TRIAL_BLOCK = 16
 # MSE curve smoothing window, and the convergence test against the curve's tail
 SMOOTHING_WINDOW = 20
 TAIL_FRACTION = 0.1
@@ -182,32 +186,47 @@ class SysIdScenario:
             raise ValueError("trials must be >= 1")
 
 
-def _sysid_signals(scn: SysIdScenario, reinject: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-trial tap matrix X (trials, n_iters, order), targets D, and the
-    noise eps actually applied.  Trial t draws from seed XOR t.
+def _sysid_signals(
+    scn: SysIdScenario, reinject: bool = True, keep_noise: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Per-trial tap matrix X (trials, n_iters, order), noisy targets D
+    (trials, n_iters), and, with keep_noise, the noise eps that D carries
+    (None otherwise).  Trial t draws from seed XOR t.
 
     All three are transposed views of time-major arrays, (n_iters, order,
     trials) and (n_iters, trials), the layout the batch runners step
-    through.  Each trial's clean targets are one matrix-vector product over
-    its own row-major tap block."""
+    through.  Trials are drawn TRIAL_BLOCK at a time and written with one
+    slice per tap column; each trial's clean targets are one
+    matrix-vector product over its own row-major tap block, to which its
+    scaled (and reinjected) noise is added."""
+    n_iters, order, trials = scn.n_iters, scn.order, scn.trials
     wo = np.asarray(scn.true_weights, dtype=float)
-    x = np.empty((scn.n_iters, scn.order, scn.trials))
-    d = np.empty((scn.n_iters, scn.trials))
-    eps = np.empty((scn.n_iters, scn.trials))
-    for t in range(scn.trials):
-        rng = np.random.default_rng(scn.seed ^ t)
-        u = rng.standard_normal(scn.n_iters + scn.order - 1)
-        # tap-delay rows, most recent sample first
-        taps = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(u, scn.order)[:, ::-1])
-        x[:, :, t] = taps
-        d[:, t] = taps @ wo
-        eps[:, t] = rng.standard_normal(scn.n_iters)
-    eps *= snr_to_sigma(1.0, scn.snr_db)  # the inputs are unit-variance
-    if reinject:
-        lo = scn.noise_reinjection_at
-        eps[lo : lo + REINJECTION_LEN] *= REINJECTION_SCALE
-    d += eps
-    return x.transpose(2, 0, 1), d.T, eps.T
+    sigma = snr_to_sigma(1.0, scn.snr_db)  # the inputs are unit-variance
+    burst = slice(scn.noise_reinjection_at, scn.noise_reinjection_at + REINJECTION_LEN)
+    x = np.empty((n_iters, order, trials))
+    d = np.empty((n_iters, trials))
+    eps = np.empty((n_iters, trials)) if keep_noise else None
+    for t0 in range(0, trials, TRIAL_BLOCK):
+        t1 = min(t0 + TRIAL_BLOCK, trials)
+        u = np.empty((t1 - t0, n_iters + order - 1))
+        targets = np.empty((t1 - t0, n_iters))  # each trial's noise, then its noisy targets
+        for i in range(t1 - t0):
+            rng = np.random.default_rng(scn.seed ^ (t0 + i))
+            rng.standard_normal(out=u[i])
+            rng.standard_normal(out=targets[i])
+        targets *= sigma
+        if reinject:
+            targets[:, burst] *= REINJECTION_SCALE
+        if eps is not None:
+            eps[:, t0:t1] = targets.T
+        for i in range(t1 - t0):
+            # tap-delay rows, most recent sample first
+            taps = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(u[i], order)[:, ::-1])
+            targets[i] += taps @ wo
+        d[:, t0:t1] = targets.T
+        for j in range(order):
+            x[:, j, t0:t1] = u[:, order - 1 - j : order - 1 - j + n_iters].T
+    return x.transpose(2, 0, 1), d.T, None if eps is None else eps.T
 
 
 def _smooth_causal(raw: np.ndarray, window: int) -> np.ndarray:
@@ -218,10 +237,6 @@ def _smooth_causal(raw: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def _run_batch(method: str, params, w0: Sequence[float], x: np.ndarray, d: np.ndarray) -> dict:
-    return _RUNNERS[method](w0, x=x, d=d, **_keywords(method, params))
-
-
 def run_sysid(scn: SysIdScenario, methods: Mapping[str, object]) -> dict[str, MetricsReport]:
     """Trial-averaged identification runs, one report per method of
     `methods` (method name -> its parameters), all on one draw of the trial
@@ -230,15 +245,33 @@ def run_sysid(scn: SysIdScenario, methods: Mapping[str, object]) -> dict[str, Me
     Each MSE curve is the trial average of e^2 smoothed over a causal
     SMOOTHING_WINDOW-sample window; iters_to_converge is the first iteration
     at which the smoothed curve falls to within THRESHOLD_FACTOR of its tail
-    mean, and final_mse is that tail mean.
+    mean, and final_mse is that tail mean.  The runners hand their errors
+    over a block of steps at a time and each block is reduced to its part
+    of the curve at once, so no (trials, n_iters) error array is held.
     """
-    x, d = _sysid_signals(scn)[:2]
+    x, d, _ = _sysid_signals(scn)
     w0 = scn.init_weights if scn.init_weights is not None else (0.0,) * scn.order
-    return {m: _mse_report(scn, _run_batch(m, p, w0, x, d)["e"]) for m, p in methods.items()}
+    reports = {}
+    for m, p in methods.items():
+        raw = np.empty(scn.n_iters)
+        _RUNNERS[m](w0, x=x, d=d, sink=_mean_square_into(raw), **_keywords(m, p))
+        reports[m] = _mse_report(raw)
+    return reports
 
 
-def _mse_report(scn: SysIdScenario, e: np.ndarray) -> MetricsReport:
-    curve = _smooth_causal(np.mean(e**2, axis=0), SMOOTHING_WINDOW)
+def _mean_square_into(raw: np.ndarray):
+    """A batch-runner error sink that writes each block's trial mean of e^2
+    into raw.  The squares are laid out trial-major, so that the mean adds
+    the trials one after another in index order, as np.mean(e**2, axis=0)
+    does over a whole (trials, n_iters) array, and the bits are the same;
+    over a trial-contiguous axis numpy would add them pairwise."""
+    def sink(start: int, block: np.ndarray) -> None:
+        raw[start : start + block.shape[1]] = np.mean(np.square(block[0].T, order="C"), axis=0)
+    return sink
+
+
+def _mse_report(raw: np.ndarray) -> MetricsReport:
+    curve = _smooth_causal(raw, SMOOTHING_WINDOW)
     tail = float(np.mean(curve[-max(1, int(len(curve) * TAIL_FRACTION)):]))
     below = np.nonzero(curve <= THRESHOLD_FACTOR * tail)[0]
     iters = int(below[0]) if below.size else len(curve)
@@ -276,7 +309,7 @@ def run_divergence_probe(
     """
     if scn.n_iters <= late_iter:
         raise ValueError("scenario too short for the probe iterations")
-    x, d = _sysid_signals(scn, reinject=False)[:2]
+    x, d, _ = _sysid_signals(scn, reinject=False)
     w0 = scn.init_weights if scn.init_weights is not None else (0.0,) * scn.order
     res = run_convex_batch(w0, params, x, d)
     worst_ratio = 0.0
@@ -345,7 +378,7 @@ def run_stability_stat(
     n_star = scn.n_iters - 1 if at_iteration is None else at_iteration
     if not 1 <= n_star < scn.n_iters:
         raise ValueError("probe iteration out of range")
-    x, d, eps = _sysid_signals(scn, reinject=False)
+    x, d, eps = _sysid_signals(scn, reinject=False, keep_noise=True)
     w0 = scn.init_weights if scn.init_weights is not None else (0.0,) * scn.order
     res = run_lms_batch(w0, mu, x, d, record_w_at=(n_star - 1, n_star))
     wo = np.asarray(scn.true_weights, dtype=float)

@@ -2,11 +2,13 @@
 
 The field oracle integrates the line-integral law dB = N*mu0*I (dl x r)/(4pi |r|^3)
 directly by the midpoint rule; it shares no code with the package's closed
-forms.  Two groups are exceptions, kept as references for bit-for-bit
+forms.  Three groups are exceptions, kept as references for bit-for-bit
 behaviour rather than as independent oracles: `segment_field_scalar`, a
-per-point reference for the array kernel, and the `run_*_batch_ref`
-runners, the trial-major batch filters (one `einsum` per dot product per
-step) that the time-major runners in `coilsim.control` must reproduce.
+per-point reference for the array kernel; the `run_*_batch_ref` runners,
+the trial-major batch filters (one `einsum` per dot product per step) that
+the time-major runners in `coilsim.control` must reproduce; and
+`sysid_signals_ref`, the one-trial-at-a-time draw that the blocked draw in
+`coilsim.experiments` must reproduce.
 """
 
 from __future__ import annotations
@@ -240,3 +242,31 @@ def run_convex_batch_ref(
         "gamma": gamma,
         "w_snapshots": snaps,
     }
+
+
+# ---------------------------------------------------------------------------
+# sysid trial signals
+# ---------------------------------------------------------------------------
+
+
+def sysid_signals_ref(scn, sigma, reinject=True, burst_scale=50.0, burst_len=10):
+    """One trial at a time, trial t from seed XOR t: taps (trials, n_iters,
+    order), noise eps (trials, n_iters), and targets d = taps @ wo + eps,
+    with eps scaled by sigma and, when reinjecting, by burst_scale over the
+    burst_len samples from scn.noise_reinjection_at."""
+    wo = np.asarray(scn.true_weights, dtype=float)
+    x = np.empty((scn.trials, scn.n_iters, scn.order))
+    d = np.empty((scn.trials, scn.n_iters))
+    eps = np.empty((scn.trials, scn.n_iters))
+    for t in range(scn.trials):
+        rng = np.random.default_rng(scn.seed ^ t)
+        u = rng.standard_normal(scn.n_iters + scn.order - 1)
+        taps = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(u, scn.order)[:, ::-1])
+        x[t] = taps
+        d[t] = taps @ wo
+        eps[t] = rng.standard_normal(scn.n_iters)
+    eps *= sigma
+    if reinject:
+        lo = scn.noise_reinjection_at
+        eps[:, lo : lo + burst_len] *= burst_scale
+    return x, d + eps, eps

@@ -1,10 +1,12 @@
 import csv
+import functools
 import hashlib
 import re
 from importlib import resources
 
 import pytest
 
+from coilsim import cli
 from coilsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 
@@ -353,3 +355,26 @@ def test_missing_method_key_exits_1_and_names_it(tmp_path, capsys, argv, preset,
     cfg = edited_preset(preset, section, key)(tmp_path)
     assert main([*argv, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
     assert f"missing required [{section}] {key}" in capsys.readouterr().err
+
+
+def test_parser_built_once_across_commands(tmp_path, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+    assert main(["presets"]) == EXIT_OK
+    assert main(["optimize", "--side-mm", "100", "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert main(["check", "--preset", "table4-30db"]) == EXIT_OK
+    assert main(["step", "--preset", "table7-up", "--seed", "5", "--validate-only"]) == EXIT_OK
+    assert main(["sysid", "--preset", "table4-30db", "--validate-only"]) == EXIT_OK
+    assert main(["bogus"]) == EXIT_USAGE
+    assert len(built) == 1
+    # one parse leaves nothing behind for the next
+    parser = cli._parser()
+    assert parser.parse_args(["step", "--preset", "table7-up", "--seed", "5"]).seed == 5
+    assert parser.parse_args(["step", "--preset", "table7-up"]).seed is None

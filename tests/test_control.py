@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from coilsim.control import (
+    ERROR_BLOCK,
     ConditionReport,
     ConvexParams,
     ConvexState,
@@ -453,3 +454,46 @@ class TestBatchRunnersBitwise:
         x, d, xr, dr = signals
         ref = oracles.run_convex_batch_ref([0.0] * order, PARAMS, x, d)
         assert_bitwise_equal(run_convex_batch([0.0] * order, PARAMS, xr, dr), ref)
+
+
+class TestErrorBlocks:
+    """Past one ERROR_BLOCK of steps: the full error arrays still match the
+    trial-major references bit for bit, and a sink gets every step once, in
+    order, in place of them."""
+
+    TRIALS, N_ITERS = 5, 2 * ERROR_BLOCK + 5
+
+    @pytest.fixture
+    def signals(self):
+        rng = np.random.default_rng(11)
+        return rng.standard_normal((self.TRIALS, self.N_ITERS, 2)), rng.standard_normal((self.TRIALS, self.N_ITERS))
+
+    CASES = {
+        "lms": (run_lms_batch, oracles.run_lms_batch_ref, (0.05,), 1),
+        "svs": (run_svs_batch, oracles.run_svs_batch_ref, (4.0, 0.15), 1),
+        "atlms": (run_atlms_batch, oracles.run_atlms_batch_ref, (500.0, 0.01, 900.0, 500.0), 1),
+        "convex": (run_convex_batch, oracles.run_convex_batch_ref, (PARAMS,), 3),
+    }
+
+    @pytest.mark.parametrize("method", list(CASES))
+    def test_full_arrays_match_reference(self, signals, method):
+        run, ref, args, _ = self.CASES[method]
+        x, d = signals
+        assert_bitwise_equal(run([0.1, -0.2], *args, x, d), ref([0.1, -0.2], *args, x, d))
+
+    @pytest.mark.parametrize("method", list(CASES))
+    def test_sink_gets_each_block_in_order(self, signals, method):
+        run, _, args, kinds = self.CASES[method]
+        x, d = signals
+        full = run([0.1, -0.2], *args, x, d)
+        seen = []
+
+        def sink(start, block):
+            seen.append((start, block.shape))
+            for k, key in enumerate(("e", "e1", "e2")[:kinds]):
+                np.testing.assert_array_equal(block[k].T, full[key][:, start : start + block.shape[1]])
+
+        res = run([0.1, -0.2], *args, x, d, sink=sink)
+        assert "e" not in res
+        assert seen == [(0, (kinds, ERROR_BLOCK, self.TRIALS)), (ERROR_BLOCK, (kinds, ERROR_BLOCK, self.TRIALS)),
+                        (2 * ERROR_BLOCK, (kinds, 5, self.TRIALS))]

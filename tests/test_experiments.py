@@ -1,16 +1,20 @@
 import csv
+import tracemalloc
 import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+import oracles
 from coilsim import experiments
 from coilsim._table import write_repr_csv
 from coilsim.config import load_preset
+from coilsim.plant import snr_to_sigma
 from coilsim.control import check_convergence_condition
 from coilsim.experiments import (
     SysIdScenario,
+    compute_metrics,
     run_divergence_probe,
     run_stability_stat,
     run_sysid,
@@ -86,8 +90,8 @@ class TestRunSysid:
 
     def test_noise_burst_only_when_reinjecting(self):
         scn = small_scenario()
-        eps_on = experiments._sysid_signals(scn)[2].copy()
-        eps_off = experiments._sysid_signals(scn, reinject=False)[2]
+        eps_on = experiments._sysid_signals(scn, keep_noise=True)[2].copy()
+        eps_off = experiments._sysid_signals(scn, reinject=False, keep_noise=True)[2]
         lo = scn.noise_reinjection_at
         burst = slice(lo, lo + experiments.REINJECTION_LEN)
         np.testing.assert_array_equal(eps_on[:, burst], eps_off[:, burst] * experiments.REINJECTION_SCALE)
@@ -96,11 +100,75 @@ class TestRunSysid:
 
     def test_signal_views_are_time_major(self):
         scn = small_scenario(order=3, true_weights=(0.8, 0.5, -0.3))
-        x, d, eps = experiments._sysid_signals(scn)
+        x, d, eps = experiments._sysid_signals(scn, keep_noise=True)
         assert x.shape == (scn.trials, scn.n_iters, scn.order)
         assert d.shape == eps.shape == (scn.trials, scn.n_iters)
         assert x.transpose(1, 2, 0).flags.c_contiguous
         assert d.T.flags.c_contiguous and eps.T.flags.c_contiguous
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestSysidStreaming:
+    """run_sysid reduces each block of errors to its part of the MSE curve
+    as the runners hand it over; the curve must be the bits of the mean over
+    the runners' full error arrays, and no such array may be held."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 9])
+    @pytest.mark.parametrize("n_iters", [100, 256, 257, 1000])
+    def test_curve_matches_full_error_arrays(self, table4, n_iters, order):
+        weights = tuple(np.linspace(0.8, -0.4, order))
+        scn = small_scenario(n_iters=n_iters, noise_reinjection_at=n_iters // 2,
+                             order=order, true_weights=weights)
+        reports = run_sysid(scn, table4)
+        x, d, _ = experiments._sysid_signals(scn)
+        for m, params in table4.items():
+            e = experiments._RUNNERS[m]((0.0,) * order, x=x, d=d, **experiments._keywords(m, params))["e"]
+            want = experiments._smooth_causal(np.mean(e**2, axis=0), experiments.SMOOTHING_WINDOW)
+            np.testing.assert_array_equal(bits(reports[m].mse_curve), bits(want), err_msg=m)
+
+    def test_peak_memory_is_the_signals(self, table4):
+        scn = small_scenario(n_iters=3000, noise_reinjection_at=1500, trials=200)
+        signals = scn.trials * scn.n_iters * (scn.order + 1) * 8  # x.nbytes + d.nbytes
+        tracemalloc.start()
+        try:
+            run_sysid(scn, table4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one more (trials, n_iters) array would add a third of the signals
+        assert signals <= peak <= 1.25 * signals
+
+
+class TestSysidSignals:
+    @pytest.mark.parametrize("trials", [1, experiments.TRIAL_BLOCK, 37])
+    @pytest.mark.parametrize("order", [1, 3])
+    @pytest.mark.parametrize("reinject", [True, False])
+    def test_blocks_match_per_trial_draw(self, trials, order, reinject):
+        scn = small_scenario(trials=trials, order=order, true_weights=(0.8, 0.5, -0.3)[:order])
+        want = oracles.sysid_signals_ref(scn, snr_to_sigma(1.0, scn.snr_db), reinject,
+                                         experiments.REINJECTION_SCALE, experiments.REINJECTION_LEN)
+        got = experiments._sysid_signals(scn, reinject, keep_noise=True)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(bits(g), bits(w))
+        x, d, eps = experiments._sysid_signals(scn, reinject)
+        assert eps is None
+        np.testing.assert_array_equal(bits(x), bits(got[0]))
+        np.testing.assert_array_equal(bits(d), bits(got[1]))
+
+
+class TestComputeMetrics:
+    @pytest.mark.parametrize("level", [1.0, 0.5], ids=["reached", "never"])
+    def test_fields_are_plain_floats(self, level):
+        t = np.arange(400) * 0.01
+        v = np.where(t < 1.0, 0.0, level)
+        rep = compute_metrics(t, v, 1.0, settle_time_s=2.0, band_fraction=0.02)
+        fields = (rep.reach_target_time_s, rep.mean_steady_nt, rep.rmse_steady_nt,
+                  rep.fluct_min_nt, rep.fluct_max_nt)
+        assert [type(f) for f in fields] == [float] * 5
+        assert (rep.reach_target_time_s == 1.0) if level == 1.0 else np.isnan(rep.reach_target_time_s)
 
 
 class TestCsvWriters:
