@@ -21,8 +21,6 @@ from .control import (
     ConvexParams,
     ConvexState,
     FilterState,
-    StepInput,
-    StepOutput,
     atlms_rate,
     check_convergence_condition,
     convex_step,

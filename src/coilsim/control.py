@@ -12,10 +12,13 @@ baselines differ only in their step-size law mu(e).  A FilterState carries
 its weights and its law, built once per run by `lms_rate`, `svs_rate` or
 `atlms_rate`, and `filter_step` is the one scalar step for all three.
 
-Each step function mutates its state in place and returns it along with a
-StepOutput of per-step diagnostics.  Independent controller instances may
-run in parallel, but a single state must be stepped from one thread at a
-time.
+A scalar step takes the tap vector x (a tuple of floats, x[0] the most
+recent) and the target d, mutates its state in place and returns the
+control signal y.  The step's other values stay on the state until the next
+step overwrites them: e and mu on a FilterState; y1, y2, e, e1, e2 and mu1
+on a ConvexState.  A step builds no per-step record, so a closed loop pays
+for little but the law.  Independent controller instances may run in
+parallel, but a single state must be stepped from one thread at a time.
 
 Batch runners (`run_*_batch`) execute many independent trials of the same
 update equations vectorized across trials; they exist for experiment-harness
@@ -124,15 +127,22 @@ class ConvexParams:
 class ConvexState:
     """Mutable state of the convex combination controller.
 
-    gamma is kept equal to logistic(b) after every step.
+    gamma is kept equal to logistic(b) after every step.  y1 ... mu1 are
+    the last step's values (e = gamma * e1 + (1 - gamma) * e2 with that
+    step's gamma); e1 also feeds the next step's rate.
     """
 
     w1: list[float]
     w2: list[float]
     b: float = 0.0
     gamma: float = field(default=0.5)
-    prev_e1: float = 0.0
     step_index: int = 0
+    y1: float = 0.0
+    y2: float = 0.0
+    e: float = 0.0
+    e1: float = 0.0
+    e2: float = 0.0
+    mu1: float = 0.0
 
     @classmethod
     def initial(cls, w1: Sequence[float], w2: Sequence[float] | None = None, b: float = 0.0) -> "ConvexState":
@@ -146,79 +156,53 @@ class ConvexState:
 @dataclass(slots=True)
 class FilterState:
     """State of a single-filter baseline controller: its weights and its
-    step-size law, which maps the step's error e to the rate mu(e)."""
+    step-size law, which maps the step's error e to the rate mu(e), and the
+    last step's e and mu."""
 
     w: list[float]
     rate: Callable[[float], float]
     step_index: int = 0
+    e: float = 0.0
+    mu: float = 0.0
 
     @classmethod
     def initial(cls, w: Sequence[float], rate: Callable[[float], float]) -> "FilterState":
         return cls(w=[float(v) for v in w], rate=rate)
 
 
-@dataclass(frozen=True)
-class StepInput:
-    """One controller input sample: x is the measured disturbance tap vector
-    (x[0] = most recent), d the target value.  Units follow the scenario."""
-
-    x: tuple[float, ...]
-    d: float
-
-
-@dataclass(frozen=True)
-class StepOutput:
-    """Per-step diagnostics.  y is the combined control signal; e always
-    satisfies e = gamma * e1 + (1 - gamma) * e2 for the convex controller."""
-
-    y: float
-    y1: float
-    y2: float
-    e: float
-    e1: float
-    e2: float
-    mu1: float
-
-
-def _check_input(x: Sequence[float], d: float, order: int) -> None:
-    if len(x) != order:
-        raise DimensionMismatch(f"input length {len(x)} != filter order {order}")
-    for v in x:
-        if not math.isfinite(v):
-            raise NonFiniteInput(f"non-finite input sample {v!r}")
-    if not math.isfinite(d):
-        raise NonFiniteInput(f"non-finite target {d!r}")
-
-
-def convex_step(
-    state: ConvexState, params: ConvexParams, inp: StepInput
-) -> tuple[StepOutput, ConvexState]:
-    """Advance the convex combination controller by one sample.
+def convex_step(state: ConvexState, params: ConvexParams, x: Sequence[float], d: float) -> float:
+    """Advance the convex combination controller by one sample and return
+    its control signal y = gamma * y1 + (1 - gamma) * y2.
 
     Executes, in order: output combination, error estimation, learning-rate
     update, weight updates, conditional weight transfer, and update-factor /
-    gamma refresh.  The state is mutated in place and returned.
+    gamma refresh.  The state is mutated in place.
     """
-    w1, w2, x = state.w1, state.w2, inp.x
-    _check_input(x, inp.d, len(w1))
+    w1, w2, order = state.w1, state.w2, len(state.w1)
+    if len(x) != order:
+        raise DimensionMismatch(f"input length {len(x)} != filter order {order}")
     g = state.gamma
 
     y1 = 0.0
     y2 = 0.0
     xx = 0.0
-    for i in range(len(x)):
+    for i in range(order):
         xi = x[i]
+        if not math.isfinite(xi):
+            raise NonFiniteInput(f"non-finite input sample {xi!r}")
         y1 += w1[i] * xi
         y2 += w2[i] * xi
         xx += xi * xi
+    if not math.isfinite(d):
+        raise NonFiniteInput(f"non-finite target {d!r}")
     y = g * y1 + (1.0 - g) * y2
 
-    e1 = inp.d - y1
-    e2 = inp.d - y2
-    e = inp.d - y
+    e1 = d - y1
+    e2 = d - y2
+    e = d - y
 
     # adaptive rate of the slow branch, clamped to [0, beta/2]
-    arg = -params.alpha * abs(e1 * state.prev_e1) + params.sigma * abs(e1)
+    arg = -params.alpha * abs(e1 * state.e1) + params.sigma * abs(e1)
     mu1 = params.beta * (_inv1pexp(arg) - 0.5)
     if mu1 < 0.0:
         mu1 = 0.0
@@ -227,7 +211,7 @@ def convex_step(
 
     k1 = 2.0 * mu1 * e1 / (params.phi + xx)
     k2 = params.c * e2
-    for i in range(len(x)):
+    for i in range(order):
         w1[i] += k1 * x[i]
         w2[i] += k2 * x[i]
 
@@ -236,10 +220,9 @@ def convex_step(
 
     state.b += params.mu_b * _sign(e) * (y1 - y2) * g * (1.0 - g)
     state.gamma = logistic(state.b)
-    state.prev_e1 = e1
     state.step_index += 1
-
-    return StepOutput(y, y1, y2, e, e1, e2, mu1), state
+    state.y1, state.y2, state.e, state.e1, state.e2, state.mu1 = y1, y2, e, e1, e2, mu1
+    return y
 
 
 def lms_rate(mu: float) -> Callable[[float], float]:
@@ -258,21 +241,28 @@ def atlms_rate(alpha: float, beta: float, m: float, n_scale: float) -> Callable[
     return lambda e: beta * (2.0 / math.pi) * math.atan(alpha * e * e) * m / (m + n_scale)
 
 
-def filter_step(state: FilterState, inp: StepInput) -> tuple[StepOutput, FilterState]:
-    """Advance a single-filter baseline by one sample: e = d - w.x, then
-    w <- w + mu(e) * e * x with the state's step-size law mu."""
-    w, x = state.w, inp.x
-    _check_input(x, inp.d, len(w))
+def filter_step(state: FilterState, x: Sequence[float], d: float) -> float:
+    """Advance a single-filter baseline by one sample and return y = w.x:
+    e = d - y, then w <- w + mu(e) * e * x with the state's step-size law."""
+    w, order = state.w, len(state.w)
+    if len(x) != order:
+        raise DimensionMismatch(f"input length {len(x)} != filter order {order}")
     y = 0.0
-    for i in range(len(x)):
-        y += w[i] * x[i]
-    e = inp.d - y
+    for i in range(order):
+        xi = x[i]
+        if not math.isfinite(xi):
+            raise NonFiniteInput(f"non-finite input sample {xi!r}")
+        y += w[i] * xi
+    if not math.isfinite(d):
+        raise NonFiniteInput(f"non-finite target {d!r}")
+    e = d - y
     mu = state.rate(e)
     k = mu * e
-    for i in range(len(x)):
+    for i in range(order):
         w[i] += k * x[i]
     state.step_index += 1
-    return StepOutput(y, y, y, e, e, e, mu), state
+    state.e, state.mu = e, mu
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -526,10 +516,10 @@ class DiagnosticsRecorder:
     def __init__(self) -> None:
         self.rows: list[tuple] = []
 
-    def record(self, n: int, out: StepOutput, state: ConvexState) -> None:
-        self.rows.append(
-            (n, out.y, out.y1, out.y2, out.e, out.e1, out.e2, state.gamma, state.b, out.mu1)
-        )
+    def record(self, n: int, y: float, state: ConvexState) -> None:
+        """Record step n from its output y and the values it left on state."""
+        self.rows.append((n, y, state.y1, state.y2, state.e, state.e1, state.e2,
+                          state.gamma, state.b, state.mu1))
 
     def write_csv(self, path) -> None:
         write_repr_csv(path, DIAGNOSTICS_HEADER, [zip(*self.rows)])

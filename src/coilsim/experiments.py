@@ -11,7 +11,6 @@ same bits.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -25,7 +24,6 @@ from .control import (
     ConvexState,
     DiagnosticsRecorder,
     FilterState,
-    StepInput,
     atlms_rate,
     convex_step,
     filter_step,
@@ -307,20 +305,27 @@ def run_divergence_probe(
     growth_threshold between the two probe iterations, or going non-finite,
     counts as divergence.
     """
-    if scn.n_iters <= late_iter:
-        raise ValueError("scenario too short for the probe iterations")
+    if not (0 <= early_iter < scn.n_iters and 0 <= late_iter < scn.n_iters):
+        raise ValueError("probe iterations must lie in [0, n_iters)")
     x, d, _ = _sysid_signals(scn, reinject=False)
     w0 = scn.init_weights if scn.init_weights is not None else (0.0,) * scn.order
-    res = run_convex_batch(w0, params, x, d)
+    # probe[j, k]: error k (e, e1, e2) of every trial at probe iteration j
+    probe = np.empty((2, 3, scn.trials))
+
+    def keep_probe_steps(start: int, block: np.ndarray) -> None:
+        for j, n in enumerate((early_iter, late_iter)):
+            if start <= n < start + block.shape[1]:
+                probe[j] = block[:, n - start]
+
+    run_convex_batch(w0, params, x, d, sink=keep_probe_steps)
     worst_ratio = 0.0
     diverged = False
     mse_early_combined = mse_late_combined = math.nan
-    for key in ("e", "e1", "e2"):
-        err = res[key]
+    for k in range(3):
         with np.errstate(over="ignore"):  # a diverged branch may square to inf
-            early = float(np.mean(err[:, early_iter] ** 2))
-            late = float(np.mean(err[:, late_iter] ** 2))
-        if key == "e":
+            early = float(np.mean(probe[0, k] ** 2))
+            late = float(np.mean(probe[1, k] ** 2))
+        if k == 0:
             mse_early_combined, mse_late_combined = early, late
         if not math.isfinite(late):
             diverged = True
@@ -477,17 +482,6 @@ class StepScenario:
         return cls(v_min=self.v_min_v, v_max=self.v_max_v, sample_rate_hz=self.sensor.sample_rate_hz)
 
 
-def _make_stepper(method: str, params, init_w: Sequence[float]):
-    """The run's one-argument step function and its state; the law and the
-    partial are built here once, not once per step."""
-    kw = _keywords(method, params)
-    if method == "convex":
-        state = ConvexState.initial(init_w)
-        return functools.partial(convex_step, state, kw["params"]), state
-    state = FilterState.initial(init_w, _RATES[method](**kw))
-    return functools.partial(filter_step, state), state
-
-
 def run_step_response(
     scn: StepScenario,
     trace: list | None = None,
@@ -497,22 +491,30 @@ def run_step_response(
     """Run the closed loop at the sensor sample rate and compute step
     metrics on the post-switch measured field.
 
-    The disturbance series and the sensor noise are drawn for the whole run
-    before the loop starts, from the seed's two independent streams (see
-    coilsim.plant); the loop itself draws nothing.
+    The targets, the disturbance and the sensor noise are computed for the
+    whole run before the loop starts, the last two from the seed's two
+    independent streams (see coilsim.plant).  A loop step builds only its
+    tap tuple and the rows of the sinks it feeds: the controller step
+    returns y and leaves its diagnostics on its state.
 
     Optional sinks collect (t, target, measured, volts) trace rows,
-    (t, true, disturbance, measured) sensor-log rows, and convex
-    per-step diagnostics.  Warns ActuatorSaturationWarning when more than
-    half of the drive samples clamp.
+    (t, true, disturbance, measured) sensor-log rows, and convex per-step
+    diagnostics.  Warns ActuatorSaturationWarning when inverse_drive
+    returns v_min or v_max for more than half of the steps.
     """
     plant = scn.resolved_plant()
     fs = scn.sensor.sample_rate_hz
     dt = 1.0 / fs
     switch = scn.profile.switch_time_s
     n_total = int(round((switch + scn.duration_s) * fs))
-    step, state = _make_stepper(scn.method, scn.params, scn.init_weights)
+    kw = _keywords(scn.method, scn.params)
+    convex = scn.method == "convex"
+    if convex:
+        state, params = ConvexState.initial(scn.init_weights), kw["params"]
+    else:
+        state = FilterState.initial(scn.init_weights, _RATES[scn.method](**kw))
     times = [n * dt for n in range(n_total)]
+    targets = scn.profile.target_at(np.array(times)).tolist()
     disturbance = disturbance_series(scn.disturbance, times).tolist()
     noise = sensor_noise(scn.sensor, np.random.default_rng((scn.seed, 1)), n_total).tolist()
 
@@ -522,18 +524,16 @@ def run_step_response(
     measured: list[float] = []
 
     for n, t in enumerate(times):
-        target_nt = scn.profile.target_at(t)
+        target_nt = targets[n]
         x = (1.0, ambient_est_nt / scn.x_scale_nt)
         d_ctrl = (target_nt - ambient_est_nt) / unit
-        out, state = step(StepInput(x, d_ctrl))
+        y = convex_step(state, params, x, d_ctrl) if convex else filter_step(state, x, d_ctrl)
         if diagnostics is not None:
-            diagnostics.record(n, out, state)
+            diagnostics.record(n, y, state)
 
-        y_cmd_nt = out.y * unit
-        raw_v = (y_cmd_nt / 1000.0 - plant.fit_b) / plant.fit_k
-        if raw_v < plant.v_min or raw_v > plant.v_max:
+        v = inverse_drive(plant, y * unit)
+        if v == plant.v_min or v == plant.v_max:
             saturated += 1
-        v = inverse_drive(plant, y_cmd_nt)
         coil_nt = drive(plant, v)
         dist_nt = disturbance[n]
         true_nt = coil_nt + dist_nt
@@ -555,11 +555,10 @@ def run_step_response(
     post = [i for i, t in enumerate(times) if t >= switch]
     t_post = [times[i] for i in post]
     v_post = [measured[i] for i in post]
-    target_final = scn.profile.target_at(times[-1])
     return compute_metrics(
         t_post,
         v_post,
-        target_final,
+        targets[-1],
         scn.settle_time_s,
         scn.band_fraction,
         step_magnitude=scn.profile.step_magnitude(),

@@ -13,11 +13,9 @@ the two are independent of each other.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -70,7 +68,11 @@ def drive(plant: PlantModel, voltage: float) -> float:
 
 def inverse_drive(plant: PlantModel, target_field_nt: float) -> float:
     """Voltage that produces the target field, clamped to the actuation
-    range.  drive(inverse_drive(f)) == f for reachable f."""
+    range.  The round trip rounds six times: for reachable f,
+    |drive(inverse_drive(f)) - f| <= 5 * 2**-52 * max(|f| at either clamp
+    end, 1000 * |fit_b|) (first-order bound; at most 2.6 seen).  Over the
+    ascending fit's +/-3 V that is <= 4.4e-11 nT, 1.5 ulp of the largest
+    reachable |f|, and 19.5% of uniform reachable f come back inexact."""
     if abs(plant.fit_k) < 1e-12:
         raise DegenerateFit("fit slope ~0; voltage cannot be inferred")
     v = (target_field_nt / 1000.0 - plant.fit_b) / plant.fit_k
@@ -238,20 +240,26 @@ class TargetProfile:
         rows.sort()
         return cls("from_file", tuple(v for _, v in rows), samples=tuple(rows))
 
-    def target_at(self, t: float) -> float:
+    def target_at(self, t):
+        """Target at time t, nT: a float for a scalar t, an array of the
+        same shape for an array of times, with the same bits at each time."""
+        t = np.asarray(t, dtype=float)
+        levels = self.levels
         if self.kind == "constant":
-            return self.levels[0]
-        if self.kind in ("step_up", "step_down"):
-            return self.levels[0] if t < self.switch_time_s else self.levels[1]
-        if self.kind == "ramp_up":
-            if self.switch_time_s <= 0.0 or t >= self.switch_time_s:
-                return self.levels[1]
-            if t <= 0.0:
-                return self.levels[0]
-            return self.levels[1] * (t / self.switch_time_s)
-        # from_file: zero-order hold on the last sample at or before t
-        i = bisect.bisect_right(self.samples, t, key=itemgetter(0))
-        return self.samples[max(i - 1, 0)][1]
+            v = np.full(t.shape, levels[0])
+        elif self.kind in ("step_up", "step_down"):
+            v = np.where(t < self.switch_time_s, levels[0], levels[1])
+        elif self.kind == "ramp_up":
+            ramp = self.switch_time_s
+            if ramp <= 0.0:
+                v = np.full(t.shape, levels[1])
+            else:
+                v = np.where(t >= ramp, levels[1], np.where(t <= 0.0, levels[0], levels[1] * (t / ramp)))
+        else:
+            # from_file: zero-order hold on the last sample at or before t
+            times, values = np.array(self.samples).T
+            v = values[np.maximum(np.searchsorted(times, t, side="right") - 1, 0)]
+        return float(v) if v.ndim == 0 else v
 
     def step_magnitude(self) -> float:
         """Magnitude of the commanded change, used for reach-time bands."""

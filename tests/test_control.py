@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import oracles
 from coilsim.control import (
@@ -16,8 +18,6 @@ from coilsim.control import (
     FilterState,
     InsufficientSamples,
     NonFiniteInput,
-    StepInput,
-    StepOutput,
     atlms_rate,
     check_convergence_condition,
     convex_step,
@@ -41,7 +41,27 @@ def random_state(rng, order=2):
 
 
 def random_input(rng, order=2):
-    return StepInput(tuple(rng.normal(size=order)), rng.normal())
+    return tuple(rng.normal(size=order)), rng.normal()
+
+
+# (x, d, the error's message): x is checked before d, and nothing moves
+NON_FINITE_INPUTS = [
+    ((math.nan, 0.0), 0.0, "^non-finite input sample nan$"),
+    ((0.0, -math.inf), math.nan, "^non-finite input sample -inf$"),
+    ((0.0, 0.0), math.inf, "^non-finite target inf$"),
+]
+
+floats = hst.floats(-5.0, 5.0)
+# weights and b of a random two-tap state; inputs small enough that the
+# fast branch (c = 0.1) cannot diverge, so gamma never rounds to 0 or 1
+convex_states = hst.builds(
+    lambda w1, w2, b: ConvexState.initial(w1, w2, b=b),
+    hst.tuples(floats, floats), hst.tuples(floats, floats), hst.floats(-20.0, 20.0),
+)
+step_inputs = hst.lists(
+    hst.tuples(hst.tuples(hst.floats(-2.0, 2.0), hst.floats(-2.0, 2.0)), hst.floats(-10.0, 10.0)),
+    min_size=1, max_size=20,
+)
 
 
 class TestConvexStep:
@@ -51,41 +71,49 @@ class TestConvexStep:
         assert st.gamma == 0.5
 
     def test_equal_weights_make_e_independent_of_gamma(self):
-        inp = StepInput((0.3, -0.7), 1.2)
-        outs = []
+        states = []
         for b in (-2.0, 0.0, 3.0):
-            st = ConvexState.initial([0.4, -0.2], [0.4, -0.2], b=b)
-            out, _ = convex_step(st, PARAMS, inp)
-            outs.append(out)
-        assert outs[0].y1 == outs[0].y2
-        assert outs[0].e1 == outs[0].e2
-        assert len({o.e for o in outs}) == 1
+            s = ConvexState.initial([0.4, -0.2], [0.4, -0.2], b=b)
+            convex_step(s, PARAMS, (0.3, -0.7), 1.2)
+            states.append(s)
+        assert states[0].y1 == states[0].y2
+        assert states[0].e1 == states[0].e2
+        assert len({s.e for s in states}) == 1
 
     def test_zero_error_keeps_slow_weights(self):
-        st = ConvexState.initial([0.5, 0.5], [0.0, 0.0])
-        # d equals y1 so e1 = 0 and prev_e1 = 0: mu1 must be exactly 0
-        inp = StepInput((1.0, 1.0), 1.0)
-        w1_before = list(st.w1)
-        out, st = convex_step(st, PARAMS, inp)
-        assert out.e1 == 0.0
-        assert out.mu1 == 0.0
-        assert st.w1 == w1_before
+        s = ConvexState.initial([0.5, 0.5], [0.0, 0.0])
+        # d equals y1 so e1 = 0 and the previous e1 = 0: mu1 must be exactly 0
+        w1_before = list(s.w1)
+        convex_step(s, PARAMS, (1.0, 1.0), 1.0)
+        assert s.e1 == 0.0
+        assert s.mu1 == 0.0
+        assert s.w1 == w1_before
 
-    def test_gamma_stays_in_unit_interval(self):
-        rng = np.random.default_rng(42)
-        st = random_state(rng)
-        for _ in range(1000):
-            _, st = convex_step(st, PARAMS, random_input(rng))
-            assert 0.0 < st.gamma < 1.0
-            assert st.gamma == logistic(st.b)
+    def test_returns_y_and_leaves_the_step_on_the_state(self):
+        s = ConvexState.initial([0.5, -0.25], [0.125, 0.75], b=0.5)
+        g = s.gamma
+        y = convex_step(s, PARAMS, (2.0, 1.0), 1.5)
+        assert (s.y1, s.y2) == (0.75, 1.0)
+        assert y == g * 0.75 + (1.0 - g) * 1.0
+        assert (s.e, s.e1, s.e2) == (1.5 - y, 0.75, 0.5)
+        assert s.step_index == 1
 
-    def test_convex_error_identity(self):
-        rng = np.random.default_rng(43)
-        for _ in range(1000):
-            st = random_state(rng)
-            g = st.gamma
-            out, _ = convex_step(st, PARAMS, random_input(rng))
-            assert abs(out.e - (g * out.e1 + (1.0 - g) * out.e2)) <= 1e-12
+    @settings(max_examples=200, deadline=None)
+    @given(state=convex_states, inputs=step_inputs)
+    def test_gamma_stays_in_unit_interval(self, state, inputs):
+        for x, d in inputs:
+            convex_step(state, PARAMS, x, d)
+            assert 0.0 < state.gamma < 1.0
+            assert state.gamma == logistic(state.b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(state=convex_states, inputs=step_inputs)
+    def test_convex_error_identity(self, state, inputs):
+        for x, d in inputs:
+            g = state.gamma
+            y = convex_step(state, PARAMS, x, d)
+            assert state.e == d - y
+            assert abs(state.e - (g * state.e1 + (1.0 - g) * state.e2)) <= 1e-12
 
     def test_weight_transfer(self):
         rng = np.random.default_rng(44)
@@ -94,7 +122,7 @@ class TestConvexStep:
             st = random_state(rng)
             st.step_index = int(rng.integers(0, 6))
             expected = st.gamma > PARAMS.gamma_o and st.step_index % PARAMS.t_o == 0
-            _, st = convex_step(st, PARAMS, random_input(rng))
+            convex_step(st, PARAMS, *random_input(rng))
             if expected:
                 transfers += 1
                 assert st.w2 == st.w1
@@ -107,9 +135,9 @@ class TestConvexStep:
             st = random_state(rng)
             st.b = b
             st.gamma = logistic(b)
-            out, _ = convex_step(st, PARAMS, random_input(rng))
-            ref = out.y1 if pick == "y1" else out.y2
-            assert abs(out.y - ref) <= 1e-9
+            y = convex_step(st, PARAMS, *random_input(rng))
+            ref = st.y1 if pick == "y1" else st.y2
+            assert abs(y - ref) <= 1e-9
 
     def test_b_update_sign_antisymmetry(self):
         rng = np.random.default_rng(46)
@@ -120,11 +148,11 @@ class TestConvexStep:
             x = tuple(rng.normal(size=2))
             d = rng.normal()
             st_a = ConvexState.initial(w1, w2, b=b0)
-            out_a, st_a = convex_step(st_a, PARAMS, StepInput(x, d))
+            y_a = convex_step(st_a, PARAMS, x, d)
             # same pre-step outputs, negated error: d' = 2y - d
             st_b = ConvexState.initial(w1, w2, b=b0)
-            out_b, st_b = convex_step(st_b, PARAMS, StepInput(x, 2.0 * out_a.y - d))
-            assert out_b.e == pytest.approx(-out_a.e, rel=1e-9, abs=1e-12)
+            convex_step(st_b, PARAMS, x, 2.0 * y_a - d)
+            assert st_b.e == pytest.approx(-st_a.e, rel=1e-9, abs=1e-12)
             da = st_a.b - b0
             db = st_b.b - b0
             assert db == pytest.approx(-da, rel=1e-9, abs=1e-15)
@@ -135,21 +163,22 @@ class TestConvexStep:
         x = (1.0, 1.0)
         g = st.gamma
         y = g * 1.0 + (1.0 - g) * 0.0
-        out, st = convex_step(st, PARAMS, StepInput(x, y))
-        assert out.e == 0.0
+        convex_step(st, PARAMS, x, y)
+        assert st.e == 0.0
         assert st.b == 1.0
 
     def test_dimension_mismatch(self):
         st = ConvexState.initial([0.1, 0.2])
-        with pytest.raises(DimensionMismatch):
-            convex_step(st, PARAMS, StepInput((1.0,), 0.0))
+        with pytest.raises(DimensionMismatch, match="input length 1 != filter order 2"):
+            convex_step(st, PARAMS, (1.0,), 0.0)
 
     def test_non_finite_input(self):
         st = ConvexState.initial([0.1, 0.2])
-        with pytest.raises(NonFiniteInput):
-            convex_step(st, PARAMS, StepInput((math.nan, 0.0), 0.0))
-        with pytest.raises(NonFiniteInput):
-            convex_step(st, PARAMS, StepInput((0.0, 0.0), math.inf))
+        before = repr(st)
+        for x, d, message in NON_FINITE_INPUTS:
+            with pytest.raises(NonFiniteInput, match=message):
+                convex_step(st, PARAMS, x, d)
+        assert repr(st) == before
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -165,35 +194,49 @@ class TestConvexStep:
 class TestBaselines:
     def test_lms_hand_computed_step(self):
         st = FilterState.initial([0.0, 0.0], lms_rate(0.5))
-        out, st = filter_step(st, StepInput((1.0, 0.0), 1.0))
-        assert out.e == 1.0
+        assert filter_step(st, (1.0, 0.0), 1.0) == 0.0
+        assert (st.e, st.mu) == (1.0, 0.5)
         assert st.w == [0.5, 0.0]
-        out2, _ = filter_step(st, StepInput((1.0, 0.0), 1.0))
-        assert out2.e == 0.5
+        assert filter_step(st, (1.0, 0.0), 1.0) == 0.5
+        assert st.e == 0.5
+        assert st.step_index == 2
+
+    def test_dimension_mismatch(self):
+        st = FilterState.initial([0.1, 0.2], lms_rate(0.1))
+        with pytest.raises(DimensionMismatch, match="input length 3 != filter order 2"):
+            filter_step(st, (1.0, 0.0, 0.0), 0.0)
+
+    def test_non_finite_input(self):
+        st = FilterState.initial([0.1, 0.2], lms_rate(0.1))
+        before = repr(st)
+        for x, d, message in NON_FINITE_INPUTS:
+            with pytest.raises(NonFiniteInput, match=message):
+                filter_step(st, x, d)
+        assert repr(st) == before
 
     def test_lms_zero_error_keeps_weights(self):
         st = FilterState.initial([0.25, -0.5], lms_rate(0.1))
-        out, st = filter_step(st, StepInput((1.0, 1.0), -0.25))
-        assert out.e == 0.0
+        filter_step(st, (1.0, 1.0), -0.25)
+        assert st.e == 0.0
         assert st.w == [0.25, -0.5]
 
     def test_svs_step_size_limits(self):
         st = FilterState.initial([0.0, 0.0], svs_rate(4.0, 0.15))
-        out, _ = filter_step(st, StepInput((0.0, 0.0), 0.0))
-        assert out.mu1 == 0.0
+        filter_step(st, (0.0, 0.0), 0.0)
+        assert st.mu == 0.0
         st = FilterState.initial([0.0, 0.0], svs_rate(4.0, 0.15))
-        out, _ = filter_step(st, StepInput((0.0, 0.0), 1e9))
-        assert out.mu1 == pytest.approx(0.15 / 2.0, rel=1e-12)
+        filter_step(st, (0.0, 0.0), 1e9)
+        assert st.mu == pytest.approx(0.15 / 2.0, rel=1e-12)
 
     def test_atlms_step_size_limits(self):
         st = FilterState.initial([0.0, 0.0], atlms_rate(500.0, 0.01, 900.0, 500.0))
-        out, _ = filter_step(st, StepInput((0.0, 0.0), 0.0))
-        assert out.mu1 == 0.0
+        filter_step(st, (0.0, 0.0), 0.0)
+        assert st.mu == 0.0
         st = FilterState.initial([0.0, 0.0], atlms_rate(500.0, 0.01, 900.0, 500.0))
-        out, _ = filter_step(st, StepInput((0.0, 0.0), 1e12))
+        filter_step(st, (0.0, 0.0), 1e12)
         bound = 0.01 * 900.0 / (900.0 + 500.0)
-        assert out.mu1 <= bound
-        assert out.mu1 == pytest.approx(bound, rel=1e-6)
+        assert st.mu <= bound
+        assert st.mu == pytest.approx(bound, rel=1e-6)
 
 
 class TestConvergenceCondition:
@@ -260,8 +303,8 @@ class TestConvergenceCondition:
         assert rep.passed
         st = ConvexState.initial([0.0, 0.0])
         for i in range(2000):
-            out, st = convex_step(st, PARAMS, StepInput(tuple(x[i]), rng.normal()))
-            eff = 2.0 * out.mu1 / (PARAMS.phi + float(x[i] @ x[i]))
+            convex_step(st, PARAMS, tuple(x[i]), rng.normal())
+            eff = 2.0 * st.mu1 / (PARAMS.phi + float(x[i] @ x[i]))
             assert eff <= rep.mu_max_bound
 
 
@@ -303,8 +346,8 @@ class TestBatchEquivalence:
         for t in range(x.shape[0]):
             st = FilterState.initial([0.0, 0.0], rate)
             for n in range(x.shape[1]):
-                out, st = filter_step(st, StepInput(tuple(x[t, n]), d[t, n]))
-                assert out.e == pytest.approx(res["e"][t, n], rel=1e-10, abs=1e-14)
+                filter_step(st, tuple(x[t, n]), d[t, n])
+                assert st.e == pytest.approx(res["e"][t, n], rel=1e-10, abs=1e-14)
 
     def test_lms_batch_matches_scalar(self):
         x, d = self._signals()
@@ -326,9 +369,9 @@ class TestBatchEquivalence:
         for t in range(x.shape[0]):
             st = ConvexState.initial([0.0, 0.0])
             for n in range(x.shape[1]):
-                out, st = convex_step(st, PARAMS, StepInput(tuple(x[t, n]), d[t, n]))
-                assert out.e == pytest.approx(res["e"][t, n], rel=1e-10, abs=1e-14)
-                assert out.e1 == pytest.approx(res["e1"][t, n], rel=1e-10, abs=1e-14)
+                convex_step(st, PARAMS, tuple(x[t, n]), d[t, n])
+                assert st.e == pytest.approx(res["e"][t, n], rel=1e-10, abs=1e-14)
+                assert st.e1 == pytest.approx(res["e1"][t, n], rel=1e-10, abs=1e-14)
             assert st.gamma == pytest.approx(res["gamma"][t], rel=1e-10)
 
 
@@ -338,13 +381,14 @@ class TestDiagnostics:
         rec = DiagnosticsRecorder()
         st = ConvexState.initial([0.0, 0.0])
         for n in range(5):
-            out, st = convex_step(st, PARAMS, random_input(rng))
-            rec.record(n, out, st)
+            y = convex_step(st, PARAMS, *random_input(rng))
+            rec.record(n, y, st)
         path = tmp_path / "diag.csv"
         rec.write_csv(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "n,y,y1,y2,e,e1,e2,gamma,b,mu1"
         assert len(lines) == 6
+        assert lines[-1] == ",".join(map(repr, (4, y, st.y1, st.y2, st.e, st.e1, st.e2, st.gamma, st.b, st.mu1)))
 
 
 def bits(a):

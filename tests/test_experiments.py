@@ -10,12 +10,14 @@ import oracles
 from coilsim import experiments
 from coilsim._table import write_repr_csv
 from coilsim.config import load_preset
-from coilsim.plant import snr_to_sigma
-from coilsim.control import check_convergence_condition
+from coilsim.plant import TargetProfile, snr_to_sigma
+from coilsim.control import check_convergence_condition, run_convex_batch
 from coilsim.experiments import (
+    ActuatorSaturationWarning,
     SysIdScenario,
     compute_metrics,
     run_divergence_probe,
+    run_step_response,
     run_stability_stat,
     run_sysid,
     write_mse_curves_csv,
@@ -57,6 +59,88 @@ class TestDivergenceProbe:
         rep = run_divergence_probe(small_scenario(), table4["convex"])
         assert not rep.diverged
         assert rep.growth_ratio < 10.0
+
+    @staticmethod
+    def _report_from_full_arrays(scn, params, early_iter=50, late_iter=500, growth_threshold=1e3):
+        """The probe's report computed from the runner's full error arrays."""
+        x, d, _ = experiments._sysid_signals(scn, reinject=False)
+        res = run_convex_batch((0.0,) * scn.order, params, x, d)
+        worst, diverged, combined = 0.0, False, None
+        for key in ("e", "e1", "e2"):
+            with np.errstate(over="ignore"):
+                early = float(np.mean(res[key][:, early_iter] ** 2))
+                late = float(np.mean(res[key][:, late_iter] ** 2))
+            if key == "e":
+                combined = (early, late)
+            if not np.isfinite(late):
+                diverged, worst = True, float("inf")
+                continue
+            ratio = late / early if early > 0.0 else float("inf") if late > 0.0 else 0.0
+            worst = max(worst, ratio)
+            diverged = diverged or ratio > growth_threshold
+        return experiments.DivergenceReport(diverged, *combined, worst, early_iter, late_iter)
+
+    @pytest.mark.parametrize("case", ["diverging", "table4"])
+    def test_report_matches_full_error_arrays(self, table4, case):
+        scn = small_scenario()
+        params = table4["convex"]
+        if case == "diverging":
+            taps = experiments._sysid_signals(scn)[0].reshape(-1, scn.order)
+            lam = check_convergence_condition(params, taps).lambda_max
+            params = replace(params, c=1.5 * 2.0 / lam, t_o=10**6)
+        got = run_divergence_probe(scn, params)
+        want = self._report_from_full_arrays(scn, params)
+        assert [bits(v) for v in asdict(got).values()] == [bits(v) for v in asdict(want).values()]
+
+    @pytest.mark.parametrize("iters", [(-1, 500), (50, 600)])
+    def test_rejects_probe_iterations_outside_the_run(self, table4, iters):
+        with pytest.raises(ValueError):
+            run_divergence_probe(small_scenario(), table4["convex"], *iters)
+
+    def test_peak_memory_is_the_signals(self, table4):
+        # long enough that the runner's per-block buffers (~3 MB at 200
+        # trials) stay a small share of the signals
+        scn = small_scenario(n_iters=5000, noise_reinjection_at=2500, trials=200)
+        signals = scn.trials * scn.n_iters * (scn.order + 1) * 8  # x.nbytes + d.nbytes
+        tracemalloc.start()
+        try:
+            run_divergence_probe(scn, table4["convex"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the three full error arrays would add the signals' size again
+        assert signals <= peak <= 1.25 * signals
+
+
+class TestStepResponse:
+    @pytest.fixture(scope="class")
+    def table7_up(self):
+        return load_preset("table7-up").step_scenario("lms")
+
+    def test_drive_pinned_at_v_max_warns(self, table7_up):
+        # 10 mT is far beyond the 141 uT the coil reaches at v_max
+        scn = replace(table7_up, profile=TargetProfile.step_up(1e7, switch_time_s=0.5))
+        with pytest.warns(ActuatorSaturationWarning, match="hit the actuation clamp"):
+            run_step_response(scn)
+
+    def test_table7_up_does_not_warn(self, table7_up):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ActuatorSaturationWarning)
+            run_step_response(table7_up)
+
+    def test_targets_evaluated_once_per_run(self, table7_up, monkeypatch):
+        calls = []
+        target_at = TargetProfile.target_at
+
+        def counting(self, t):
+            calls.append(np.shape(t))
+            return target_at(self, t)
+
+        monkeypatch.setattr(TargetProfile, "target_at", counting)
+        trace = []
+        run_step_response(table7_up, trace=trace)
+        assert calls == [(len(trace),)]
+        assert {type(row[1]) for row in trace} == {float}
 
 
 class TestRunSysid:
@@ -108,7 +192,7 @@ class TestRunSysid:
 
 
 def bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
 class TestSysidStreaming:

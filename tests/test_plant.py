@@ -4,7 +4,7 @@ from operator import itemgetter
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coilsim.plant import (
@@ -72,6 +72,21 @@ class TestInverseDrive:
         p = PlantModel(fit_k=1e-13, fit_b=0.0)
         with pytest.raises(DegenerateFit):
             inverse_drive(p, 1000.0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        fit=st.sampled_from([ASCENDING_FIT, DESCENDING_FIT]),
+        ends=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).filter(lambda e: e[0] != e[1]),
+        frac=st.floats(0.0, 1.0),
+    )
+    @example(fit=ASCENDING_FIT, ends=(-3.0, 3.0), frac=0.5)
+    @example(fit=ASCENDING_FIT, ends=(-0.04, -0.035), frac=0.3)  # around zero field
+    def test_round_trip_within_documented_bound(self, fit, ends, frac):
+        p = PlantModel(*fit, v_min=min(ends), v_max=max(ends))
+        f_lo, f_hi = drive(p, p.v_min), drive(p, p.v_max)
+        f = min(max(f_lo + frac * (f_hi - f_lo), f_lo), f_hi)
+        m = max(abs(f_lo), abs(f_hi), 1000.0 * abs(p.fit_b))
+        assert abs(drive(p, inverse_drive(p, f)) - f) <= 5.0 * 2.0**-52 * m
 
 
 def bits(v: float) -> bytes:
@@ -257,6 +272,52 @@ class TestTargetProfile:
             TargetProfile("step_up", (0.0,))
         with pytest.raises(ValueError, match="time order"):
             TargetProfile("from_file", samples=((1.0, 5.0), (0.0, 2.0)))
+
+
+def target_at_ref(p, t):
+    """The per-time target law in plain Python floats."""
+    if p.kind == "constant":
+        return p.levels[0]
+    if p.kind in ("step_up", "step_down"):
+        return p.levels[0] if t < p.switch_time_s else p.levels[1]
+    if p.kind == "ramp_up":
+        if p.switch_time_s <= 0.0 or t >= p.switch_time_s:
+            return p.levels[1]
+        if t <= 0.0:
+            return p.levels[0]
+        return p.levels[1] * (t / p.switch_time_s)
+    return target_at_linear(p.samples, t)
+
+
+levels = st.floats(-2e5, 2e5)
+switch_times = st.floats(-1.0, 5.0)
+profiles = st.one_of(
+    st.builds(TargetProfile.constant, levels),
+    st.builds(TargetProfile.step_up, levels, switch_times),
+    st.builds(TargetProfile.step_down, levels, switch_times),
+    st.builds(TargetProfile.ramp_up, levels, switch_times),
+    st.lists(st.tuples(st.integers(-20, 40).map(lambda a: a / 8.0), levels), min_size=1, max_size=12).map(
+        lambda rows: TargetProfile("from_file", samples=tuple(sorted(rows, key=itemgetter(0))))),
+)
+
+
+class TestTargetArrays:
+    """target_at over an array of times gives, at each time, the bits of
+    target_at at that time alone, and both follow the per-time law."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(profile=profiles, times=st.lists(st.floats(-2.0, 6.0), max_size=30), data=st.data())
+    def test_array_form_matches_scalar_form_bitwise(self, profile, times, data):
+        # the edges of each kind: the switch time, t <= 0 for the ramp, and
+        # every from_file sample time
+        times = times + [profile.switch_time_s, 0.0, -0.0, -1.0] + [ts for ts, _ in profile.samples]
+        times = data.draw(st.permutations(times))
+        got = profile.target_at(np.array(times))
+        assert got.shape == (len(times),)
+        scalar = [profile.target_at(t) for t in times]
+        assert {type(v) for v in scalar} == {float}
+        assert [bits(v) for v in got.tolist()] == [bits(v) for v in scalar]
+        assert [bits(v) for v in scalar] == [bits(target_at_ref(profile, t)) for t in times]
 
 
 def target_at_linear(samples, t):
