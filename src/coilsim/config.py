@@ -199,19 +199,18 @@ class ScenarioConfig:
         params = dict(self.data[section])
         if method == "convex":
             params.pop("init_weights", None)
-            try:
-                return ConvexParams(**params)
-            except ValueError as err:
-                raise ConfigError(f"{self.source}: [{section}] {err}") from None
+            return self._build(ConvexParams, section, params)
         return params
 
     def convex_init_weights(self) -> tuple[float, ...]:
         return tuple(self.get("method.convex", "init_weights", (0.8, 0.5)))
 
     def sysid_scenario(self, snr_override: float | None = None):
+        """The [sysid] scenario; a value its checks reject is a ConfigError
+        naming the section."""
         from .experiments import SysIdScenario
 
-        return SysIdScenario(
+        fields = dict(
             snr_db=snr_override if snr_override is not None else self.require("sysid", "snr_db"),
             order=self.get("sysid", "order", 2),
             n_iters=self.get("sysid", "n_iters", 5000),
@@ -220,12 +219,15 @@ class ScenarioConfig:
             trials=self.get("sysid", "trials", 200),
             seed=self.get("sysid", "seed", 0),
         )
+        return self._build(SysIdScenario, "sysid", fields)
 
     def step_scenario(self, method: str, seed_override: int | None = None):
+        """The [step] scenario for `method`; a value its checks reject is a
+        ConfigError naming the section."""
         from .experiments import StepScenario
 
         seed = seed_override if seed_override is not None else self.get("step", "seed", 0)
-        return StepScenario(
+        fields = dict(
             profile=self.target_profile(),
             method=method,
             params=self.method_params(method),
@@ -241,6 +243,15 @@ class ScenarioConfig:
             ctrl_unit_nt=self.get("step", "ctrl_unit_nt", 1000.0),
             x_scale_nt=self.get("step", "x_scale_nt", 1e6),
         )
+        return self._build(StepScenario, "step", fields)
+
+    def _build(self, cls, section: str, fields: dict):
+        """cls(**fields), with a value error its checks raise as a
+        ConfigError naming the section the fields came from."""
+        try:
+            return cls(**fields)
+        except ValueError as err:
+            raise ConfigError(f"{self.source}: [{section}] {err}") from None
 
 
 def parse_config(text: str, source: str = "<config>") -> ScenarioConfig:

@@ -176,6 +176,8 @@ class SysIdScenario:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be >= 1")
+        if self.noise_reinjection_at < 0:
+            raise ValueError("noise_reinjection_at must be >= 0")
         if not self.n_iters > self.noise_reinjection_at:
             raise ValueError("n_iters must exceed noise_reinjection_at")
         if len(self.true_weights) != self.order:

@@ -317,6 +317,15 @@ EXIT_CODES = {
                             edited_preset("table4-30db", "method.convex", "beta", "0"), EXIT_USAGE),
     "convex-beta-0-step": (["step", "--config", "{cfg}", "--method", "all", "--out-dir", "{out}"],
                            edited_preset("table7-up", "method.convex", "beta", "0"), EXIT_USAGE),
+    # values the scenario checks reject are config errors naming the section
+    "sysid-trials-0": (["sysid", "--config", "{cfg}", "--out-dir", "{out}"],
+                       edited_preset("table4-30db", "sysid", "trials", "0"), EXIT_USAGE),
+    "sysid-order-0": (["sysid", "--config", "{cfg}", "--out-dir", "{out}"],
+                      edited_preset("table4-30db", "sysid", "order", "0"), EXIT_USAGE),
+    "sysid-reinjection-negative": (["sysid", "--config", "{cfg}", "--out-dir", "{out}"],
+                                   edited_preset("table4-30db", "sysid", "reinjection_at", "-20"), EXIT_USAGE),
+    "step-duration-at-settle": (["step", "--config", "{cfg}", "--method", "lms", "--out-dir", "{out}"],
+                                edited_preset("table7-up", "step", "duration_s", "1.5"), EXIT_USAGE),
     "unknown-method": (["sysid", "--preset", "table4-30db", "--methods", "bogus", "--out-dir", "{out}"],
                        None, EXIT_USAGE),
     "zero-side": (["optimize", "--side-mm", "0", "--out-dir", "{out}"], None, EXIT_USAGE),
@@ -355,6 +364,23 @@ def test_missing_method_key_exits_1_and_names_it(tmp_path, capsys, argv, preset,
     cfg = edited_preset(preset, section, key)(tmp_path)
     assert main([*argv, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
     assert f"missing required [{section}] {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, preset, section, key, value, message",
+    [
+        (["sysid"], "table4-30db", "sysid", "trials", "0", "trials must be >= 1"),
+        (["sysid"], "table4-30db", "sysid", "reinjection_at", "-20", "noise_reinjection_at must be >= 0"),
+        (["step", "--method", "lms"], "table7-up", "step", "duration_s", "1.0",
+         "duration_s must exceed settle_time_s"),
+    ],
+    ids=["sysid-trials", "sysid-reinjection", "step-duration"],
+)
+def test_scenario_value_error_exits_1_and_names_the_section(tmp_path, capsys, argv, preset, section, key,
+                                                              value, message):
+    cfg = edited_preset(preset, section, key, value)(tmp_path)
+    assert main([*argv, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
+    assert f"[{section}] {message}" in capsys.readouterr().err
 
 
 def test_parser_built_once_across_commands(tmp_path, monkeypatch):

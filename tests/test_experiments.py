@@ -182,6 +182,19 @@ class TestRunSysid:
         eps_on[:, burst] = eps_off[:, burst]
         np.testing.assert_array_equal(eps_on, eps_off)
 
+    @pytest.mark.parametrize("at", [-1, -20])
+    def test_negative_reinjection_index_rejected(self, at):
+        # a negative index would slice the burst from the end of the run
+        with pytest.raises(ValueError, match="noise_reinjection_at must be >= 0"):
+            small_scenario(noise_reinjection_at=at)
+
+    def test_reinjection_at_zero_bursts_the_first_samples(self):
+        scn = small_scenario(noise_reinjection_at=0)
+        eps_on = experiments._sysid_signals(scn, keep_noise=True)[2]
+        eps_off = experiments._sysid_signals(scn, reinject=False, keep_noise=True)[2]
+        burst = slice(0, experiments.REINJECTION_LEN)
+        np.testing.assert_array_equal(eps_on[:, burst], eps_off[:, burst] * experiments.REINJECTION_SCALE)
+
     def test_signal_views_are_time_major(self):
         scn = small_scenario(order=3, true_weights=(0.8, 0.5, -0.3))
         x, d, eps = experiments._sysid_signals(scn, keep_noise=True)
@@ -216,6 +229,8 @@ class TestSysidStreaming:
     def test_peak_memory_is_the_signals(self, table4):
         scn = small_scenario(n_iters=3000, noise_reinjection_at=1500, trials=200)
         signals = scn.trials * scn.n_iters * (scn.order + 1) * 8  # x.nbytes + d.nbytes
+        # an untraced first call, so the trace holds only what every call allocates
+        run_sysid(scn, table4)
         tracemalloc.start()
         try:
             run_sysid(scn, table4)

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coilsim._table import write_repr_csv
+from coilsim import _table
+from coilsim._table import KERNEL_CHUNK, KERNEL_MIN, WRITE_ROWS, write_repr_csv
 from coilsim.magnetics import MAP_BLOCK
 
 
@@ -22,7 +26,7 @@ SPECIALS = [
     0.1, 1.5, -2.5e17, 1e300,
 ]
 
-ROW_COUNTS = [0, 1, MAP_BLOCK - 1, MAP_BLOCK, MAP_BLOCK + 1]
+ROW_COUNTS = [0, 1, WRITE_ROWS - 1, WRITE_ROWS, WRITE_ROWS + 1, MAP_BLOCK - 1, MAP_BLOCK, MAP_BLOCK + 1]
 
 
 def old_writer(path, header, rows) -> None:
@@ -57,3 +61,120 @@ def test_column_blocks_match_row_writer_bytes(tmp_path_factory, n, pool, n_float
 def test_int_array_column_prints_python_ints(tmp_path):
     write_repr_csv(tmp_path / "t.csv", ["n", "v"], [[np.arange(3), np.array([-0.0, 0.0, -0.0])]])
     assert (tmp_path / "t.csv").read_bytes() == b"n,v\r\n0,-0.0\r\n1,0.0\r\n2,-0.0\r\n"
+
+
+# -- the array kernel against repr ------------------------------------------
+
+
+def assert_formats_as_repr(values):
+    """_format gives every double in `values` the text repr gives it."""
+    bits = np.unique(np.asarray(values, dtype=np.float64).view(np.uint64))
+    got = [row.tobytes().replace(b"\0", b"").decode() for row in _table._format(bits)]
+    want = list(map(repr, bits.view(np.float64).tolist()))
+    bad = [(g, w) for g, w in zip(got, want) if g != w]
+    assert not bad, f"{len(bad)} of {len(want)} differ, e.g. {bad[:5]}"
+
+
+def with_negatives(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, -values])
+
+
+def neighbours(values, steps=1):
+    """values and the doubles up to `steps` ulps on either side of each."""
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    return np.concatenate([(bits + k).view(np.float64) for k in range(-steps, steps + 1)])
+
+
+def test_every_power_of_two():
+    # c = 2^52 takes the asymmetric-interval branch; 2^-1022 and below do not
+    assert_formats_as_repr(with_negatives([math.ldexp(1.0, e) for e in range(-1074, 1024)]))
+
+
+def test_powers_of_ten_and_their_neighbours():
+    assert_formats_as_repr(with_negatives(neighbours([float(f"1e{k}") for k in range(-323, 309)])))
+
+
+def test_integers_around_2_to_the_53():
+    # exact integers below 2^53, every other one above it, then every fourth
+    ints = [float(2**53 + i) for i in range(-3000, 3000)]
+    ints += [float(2**54 + 4 * i) for i in range(-500, 500)]
+    assert_formats_as_repr(with_negatives(ints + [float(10**k + i) for k in range(15, 19) for i in (-1, 0, 1)]))
+
+
+@pytest.mark.parametrize("edge", [1e16, 1e-4, 1e-3, 1e15])
+def test_both_sides_of_the_notation_switches(edge):
+    # repr switches to exponent form when decpt <= -4 or decpt > 16
+    assert_formats_as_repr(with_negatives(neighbours([edge, edge * 10, edge / 10], steps=40)))
+
+
+def test_three_digit_exponents():
+    rng = np.random.default_rng(7)
+    mantissas = rng.uniform(1.0, 10.0, 2000)
+    exponents = rng.choice(np.r_[-307:-99, 100:308], 2000)
+    values = mantissas * 10.0 ** exponents.astype(float)
+    assert_formats_as_repr(with_negatives(np.r_[values, 1.7976931348623157e308, 2.2250738585072014e-308]))
+
+
+def test_short_and_integral_values():
+    # trailing zeros stripped, ".0" kept on integral fixed values
+    values = np.r_[np.arange(1, 3000) / 8, np.arange(1, 3000) * 1000.0, np.arange(1, 3000) / 75]
+    assert_formats_as_repr(with_negatives(values))
+
+
+@pytest.mark.parametrize("n", [KERNEL_CHUNK - 1, KERNEL_CHUNK, KERNEL_CHUNK + 1])
+def test_kernel_chunk_boundaries(n):
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-40, 40, n)
+    assert_formats_as_repr(np.r_[values, SPECIALS])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_any_bit_pattern_formats_as_repr(patterns):
+    assert_formats_as_repr(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+# -- the kernel cutover and column kinds --------------------------------------
+
+
+def write_and_read(tmp_path, header, columns):
+    write_repr_csv(tmp_path / "t.csv", header, [columns])
+    return (tmp_path / "t.csv").read_bytes()
+
+
+@pytest.mark.parametrize("float_cells", [KERNEL_MIN - 2, KERNEL_MIN, KERNEL_MIN + 2])
+def test_kernel_cutover_keeps_the_bytes(tmp_path, monkeypatch, float_cells):
+    # rows with fewer float cells than KERNEL_MIN are formatted by repr, the
+    # rest by the kernel; both give the row writer's bytes
+    calls = []
+    layout = _table._layout
+
+    def counting(*args):
+        calls.append(1)
+        layout(*args)
+
+    monkeypatch.setattr(_table, "_layout", counting)
+    n = float_cells // 2
+    rng = np.random.default_rng(float_cells)
+    a, b = rng.standard_normal(n) * 1e-5, rng.standard_normal(n).tolist()
+    got = write_and_read(tmp_path, ["i", "a", "b"], [range(n), a, b])
+    old_writer(tmp_path / "old.csv", ["i", "a", "b"], zip(range(n), a.tolist(), b))
+    assert got == (tmp_path / "old.csv").read_bytes()
+    assert bool(calls) == (float_cells >= KERNEL_MIN)
+
+
+@pytest.mark.parametrize("n", [3, KERNEL_MIN])
+def test_mixed_int_and_float_column_keeps_its_ints(tmp_path, n):
+    # a column of ints and floats would read as all floats through float64
+    mixed = [1, 2.5, -3, 4.0] * (n // 4 + 1)
+    floats = [0.1] * len(mixed)
+    got = write_and_read(tmp_path, ["m", "f"], [mixed, floats])
+    assert got.splitlines()[1:5] == [b"1,0.1", b"2.5,0.1", b"-3,0.1", b"4.0,0.1"]
+
+
+@pytest.mark.parametrize("n", [3, KERNEL_MIN])
+def test_numpy_float_scalars_print_as_floats(tmp_path, n):
+    cells = [np.float64(0.1), 2.5, np.float64(-1e-7)] * (n // 3 + 1)
+    got = write_and_read(tmp_path, ["v"], [cells])
+    assert got.splitlines()[1:4] == [b"0.1", b"2.5", b"-1e-07"]
