@@ -35,7 +35,6 @@ from .experiments import (
     compute_metrics,
     run_divergence_probe,
     run_step_response,
-    run_stability_stat,
     run_sysid,
 )
 from .magnetics import (
@@ -44,7 +43,6 @@ from .magnetics import (
     HelmholtzPair,
     field_map,
     field_map_blocks,
-    onaxis_field,
     pair_field,
     segment_field,
     uniformity,

@@ -164,7 +164,7 @@ def cmd_field_map(args) -> int:
     with _new_outdir(args) as out_dir:
         out = out_dir / "field_map.csv"
         magnetics.write_field_map_csv(out, magnetics.field_map_blocks(pair, grid))
-    center = magnetics.onaxis_field(pair, 0.0)
+    center = magnetics.pair_field(pair, np.zeros((1, 3)))[0, 2]
     print(f"{grid.size} grid points; center bz = {center * 1e6:.2f} uT")
     print(f"wrote {out}")
     return EXIT_OK
@@ -247,6 +247,8 @@ def cmd_check(args) -> int:
         params = replace(params, beta=params.beta * args.beta_scale,
                          c=params.c * args.c_scale)
     order = cfg.get("sysid", "order", 2)
+    if order < 1:
+        raise ConfigError(f"{cfg.source}: [sysid] order must be >= 1")
     seed = cfg.get("sysid", "seed", cfg.get("step", "seed", 0))
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(args.samples + order - 1)

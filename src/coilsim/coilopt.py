@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .magnetics import MU0, HelmholtzPair, _center_ref, _uniformity_pct, onaxis_field, pair_field
+from .magnetics import MU0, HelmholtzPair, _center_ref, _uniformity_pct, pair_field
 
 
 # Positions per pair_field call in uniform_region: the scan's blocks start at
@@ -100,8 +100,8 @@ def second_derivative_center(pair: HelmholtzPair) -> float:
     """Closed-form second axial derivative of the center field, T/m^2.
 
     Evaluated with n = side/spacing.  The overall constant is kept verbatim
-    even though only the zero matters; see second_derivative_center_fd for an
-    independent finite-difference estimate.
+    even though only the zero matters; the tests check it against a
+    finite-difference estimate from an independent on-axis closed form.
     """
     d = pair.spacing
     if d <= 0.0:
@@ -118,16 +118,6 @@ def second_derivative_center(pair: HelmholtzPair) -> float:
         * poly
         / (math.pi * d * d * math.sqrt(d * d * (2.0 * n2 + 1.0)) * denom_poly)
     )
-
-
-def second_derivative_center_fd(pair: HelmholtzPair, rel_step: float = 1e-4) -> float:
-    """Central finite-difference estimate of the second axial derivative of
-    the on-axis field at z = 0, step rel_step * spacing."""
-    h = rel_step * pair.spacing
-    f0 = onaxis_field(pair, 0.0)
-    fp = onaxis_field(pair, h)
-    fm = onaxis_field(pair, -h)
-    return (fp - 2.0 * f0 + fm) / (h * h)
 
 
 def optimal_spacing(side: float) -> float:

@@ -150,8 +150,15 @@ class ScenarioConfig:
         return GridSpec(x=ax("x_mm"), y=ax("y_mm"), z=ax("z_mm"))
 
     def sensor(self) -> SensorSpec:
+        """The [sensor] spec: a named model, or one built from the explicit
+        keys; a model given together with any of them is a ConfigError."""
         model = self.get("sensor", "model")
         if model is not None:
+            explicit = sorted(set(self.data["sensor"]) - {"model"})
+            if explicit:
+                raise ConfigError(
+                    f"{self.source}: [sensor] model fixes the sensor; remove {', '.join(explicit)}"
+                )
             try:
                 return _SENSOR_MODELS[model.lower()]
             except KeyError:

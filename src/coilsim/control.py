@@ -35,10 +35,9 @@ Each step writes its errors into one contiguous row of a time-major
 the end) the runner calls `sink(start, block)` with the filled rows:
 block[0] holds e and, for the convex runner, block[1] and block[2] hold e1
 and e2, each (steps, trials) for the steps from `start` on.  The buffer is
-reused, so a sink copies what it keeps.  A caller that only needs a
-reduction of the errors passes a sink and never holds a (trials, n_iters)
-array; without one, the runner copies the blocks into full arrays and
-returns them as "e" (and "e1", "e2").
+reused, so a sink copies what it keeps.  The sink is required and is the
+errors' only way out: a runner returns just its final state, so no
+(trials, n_iters) error array exists unless a sink builds one.
 """
 
 from __future__ import annotations
@@ -354,44 +353,23 @@ ERROR_BLOCK = 256
 ErrorSink = Callable[[int, np.ndarray], None]
 
 
-def _error_sink(sink: ErrorSink | None, kinds: int, trials: int, n_iters: int):
-    """The sink a runner hands its error blocks to, and the full (kinds,
-    trials, n_iters) error arrays it fills when the caller gave none."""
-    if sink is not None:
-        return sink, None
-    full = np.empty((kinds, trials, n_iters))
-
-    def keep(start: int, block: np.ndarray) -> None:
-        full[:, :, start : start + block.shape[1]] = block.transpose(0, 2, 1)
-
-    return keep, full
-
-
-def _run_filter(w0, x, d, rate, record_w_at=(), sink=None) -> dict:
+def _run_filter(w0, x, d, rate, sink: ErrorSink) -> dict:
     """Single-filter trials, e = d - w.x and then w += rate(e) * e * x,
     stepped time-major across all trials at once (no copy for the
     transposed views experiments._sysid_signals returns)."""
     x, d = np.ascontiguousarray(x.transpose(1, 2, 0)), np.ascontiguousarray(d.T)
     n_iters, order, trials = x.shape
     w = np.repeat(np.asarray(w0, dtype=float)[:, None], trials, axis=1)
-    sink, full = _error_sink(sink, 1, trials, n_iters)
     errs = np.empty((1, ERROR_BLOCK, trials))
-    snaps: dict[int, np.ndarray] = {}
-    record = frozenset(int(i) for i in record_w_at)
     for start in range(0, n_iters, ERROR_BLOCK):
         stop = min(start + ERROR_BLOCK, n_iters)
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(start, stop):
-                if n in record:
-                    snaps[n] = w.T.copy()
                 x_n = x[n]
                 e = np.subtract(d[n], _tap_sum(w * x_n), out=errs[0, n - start])
                 w += rate(e) * e * x_n
         sink(start, errs[:, : stop - start])
-    out = {"w": w.T.copy(), "w_snapshots": snaps}
-    if full is not None:
-        out["e"] = full[0]
-    return out
+    return {"w": w.T.copy()}
 
 
 def run_lms_batch(
@@ -399,14 +377,13 @@ def run_lms_batch(
     mu: float,
     x: np.ndarray,
     d: np.ndarray,
-    record_w_at: Sequence[int] = (),
-    sink: ErrorSink | None = None,
+    *,
+    sink: ErrorSink,
 ) -> dict:
     """Run independent LMS trials: x has shape (trials, n_iters, order),
-    d shape (trials, n_iters).  Returns final weights and, without a
-    `sink`, per-trial error traces; `record_w_at` captures weight snapshots
-    before those steps."""
-    return _run_filter(w0, x, d, lambda e: mu, record_w_at, sink)
+    d shape (trials, n_iters).  Hands the errors to `sink` and returns the
+    final weights as "w" (trials, order)."""
+    return _run_filter(w0, x, d, lambda e: mu, sink)
 
 
 def run_svs_batch(
@@ -415,10 +392,11 @@ def run_svs_batch(
     beta: float,
     x: np.ndarray,
     d: np.ndarray,
-    sink: ErrorSink | None = None,
+    *,
+    sink: ErrorSink,
 ) -> dict:
     return _run_filter(w0, x, d, lambda e: beta * (
-        1.0 / (1.0 + np.exp(_clamp(-alpha * np.abs(e), -700.0, 700.0))) - 0.5), sink=sink)
+        1.0 / (1.0 + np.exp(_clamp(-alpha * np.abs(e), -700.0, 700.0))) - 0.5), sink)
 
 
 def run_atlms_batch(
@@ -429,10 +407,11 @@ def run_atlms_batch(
     n_scale: float,
     x: np.ndarray,
     d: np.ndarray,
-    sink: ErrorSink | None = None,
+    *,
+    sink: ErrorSink,
 ) -> dict:
     gain = beta * (2.0 / math.pi) * m / (m + n_scale)
-    return _run_filter(w0, x, d, lambda e: gain * np.arctan(alpha * e * e), sink=sink)
+    return _run_filter(w0, x, d, lambda e: gain * np.arctan(alpha * e * e), sink)
 
 
 def run_convex_batch(
@@ -441,11 +420,12 @@ def run_convex_batch(
     x: np.ndarray,
     d: np.ndarray,
     b0: float = 0.0,
-    record_w_at: Sequence[int] = (),
-    sink: ErrorSink | None = None,
+    *,
+    sink: ErrorSink,
 ) -> dict:
     """Vectorized convex combination trials; same update order as
-    convex_step."""
+    convex_step.  Returns the final "w1", "w2" (trials, order), "b" and
+    "gamma" (trials,)."""
     x, d = np.ascontiguousarray(x.transpose(1, 2, 0)), np.ascontiguousarray(d.T)
     n_iters, order, trials = x.shape
     # w[:, 0] is w1 and w[:, 1] is w2: one multiply serves both branches
@@ -457,10 +437,7 @@ def run_convex_batch(
     prev_abs_e1 = np.zeros(trials)
     u = np.empty((2, trials))  # exponents of the slow rate's logistic and of gamma's
     k = np.empty((2, trials))
-    sink, full = _error_sink(sink, 3, trials, n_iters)
     errs = np.empty((3, ERROR_BLOCK, trials))  # e, e1, e2
-    snaps: dict[int, np.ndarray] = {}
-    record = frozenset(int(i) for i in record_w_at)
     for start in range(0, n_iters, ERROR_BLOCK):
         stop = min(start + ERROR_BLOCK, n_iters)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -468,8 +445,6 @@ def run_convex_batch(
             den = _tap_sum([xs[:, j] * xs[:, j] for j in range(order)])
             den += params.phi
             for n in range(start, stop):
-                if n in record:
-                    snaps[n] = w1.T.copy()
                 x_n = xb[n]
                 y12 = _tap_sum(w * x_n)
                 g1 = 1.0 - gamma
@@ -497,10 +472,7 @@ def run_convex_batch(
                 gamma = s[1]
                 prev_abs_e1 = abs_e1
         sink(start, errs[:, : stop - start])
-    out = {"w1": w1.T.copy(), "w2": w2.T.copy(), "b": b, "gamma": gamma, "w_snapshots": snaps}
-    if full is not None:
-        out.update(e=full[0], e1=full[1], e2=full[2])
-    return out
+    return {"w1": w1.T.copy(), "w2": w2.T.copy(), "b": b, "gamma": gamma}
 
 
 # ---------------------------------------------------------------------------

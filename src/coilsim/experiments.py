@@ -1,6 +1,6 @@
 """Experiment harness: the system-identification convergence study, the
-closed-loop step-response study, the divergence probe, and stability
-statistics, plus the metric computations they share.
+closed-loop step-response study and the divergence probe, plus the metric
+computations they share.
 
 Every run is reproducible: scenarios carry a seed, trial t derives its
 stream from seed XOR t, and trial averages add the trials in index order
@@ -186,14 +186,11 @@ class SysIdScenario:
             raise ValueError("trials must be >= 1")
 
 
-def _sysid_signals(
-    scn: SysIdScenario, reinject: bool = True, keep_noise: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Per-trial tap matrix X (trials, n_iters, order), noisy targets D
-    (trials, n_iters), and, with keep_noise, the noise eps that D carries
-    (None otherwise).  Trial t draws from seed XOR t.
+def _sysid_signals(scn: SysIdScenario, reinject: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial tap matrix X (trials, n_iters, order) and noisy targets D
+    (trials, n_iters).  Trial t draws from seed XOR t.
 
-    All three are transposed views of time-major arrays, (n_iters, order,
+    Both are transposed views of time-major arrays, (n_iters, order,
     trials) and (n_iters, trials), the layout the batch runners step
     through.  Trials are drawn TRIAL_BLOCK at a time and written with one
     slice per tap column; each trial's clean targets are one
@@ -205,7 +202,6 @@ def _sysid_signals(
     burst = slice(scn.noise_reinjection_at, scn.noise_reinjection_at + REINJECTION_LEN)
     x = np.empty((n_iters, order, trials))
     d = np.empty((n_iters, trials))
-    eps = np.empty((n_iters, trials)) if keep_noise else None
     for t0 in range(0, trials, TRIAL_BLOCK):
         t1 = min(t0 + TRIAL_BLOCK, trials)
         u = np.empty((t1 - t0, n_iters + order - 1))
@@ -217,8 +213,6 @@ def _sysid_signals(
         targets *= sigma
         if reinject:
             targets[:, burst] *= REINJECTION_SCALE
-        if eps is not None:
-            eps[:, t0:t1] = targets.T
         for i in range(t1 - t0):
             # tap-delay rows, most recent sample first
             taps = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(u[i], order)[:, ::-1])
@@ -226,7 +220,7 @@ def _sysid_signals(
         d[:, t0:t1] = targets.T
         for j in range(order):
             x[:, j, t0:t1] = u[:, order - 1 - j : order - 1 - j + n_iters].T
-    return x.transpose(2, 0, 1), d.T, None if eps is None else eps.T
+    return x.transpose(2, 0, 1), d.T
 
 
 def _smooth_causal(raw: np.ndarray, window: int) -> np.ndarray:
@@ -249,7 +243,7 @@ def run_sysid(scn: SysIdScenario, methods: Mapping[str, object]) -> dict[str, Me
     over a block of steps at a time and each block is reduced to its part
     of the curve at once, so no (trials, n_iters) error array is held.
     """
-    x, d, _ = _sysid_signals(scn)
+    x, d = _sysid_signals(scn)
     w0 = scn.init_weights if scn.init_weights is not None else (0.0,) * scn.order
     reports = {}
     for m, p in methods.items():
@@ -309,7 +303,7 @@ def run_divergence_probe(
     """
     if not (0 <= early_iter < scn.n_iters and 0 <= late_iter < scn.n_iters):
         raise ValueError("probe iterations must lie in [0, n_iters)")
-    x, d, _ = _sysid_signals(scn, reinject=False)
+    x, d = _sysid_signals(scn, reinject=False)
     w0 = scn.init_weights if scn.init_weights is not None else (0.0,) * scn.order
     # probe[j, k]: error k (e, e1, e2) of every trial at probe iteration j
     probe = np.empty((2, 3, scn.trials))
@@ -344,91 +338,6 @@ def run_divergence_probe(
         growth_ratio=worst_ratio,
         early_iter=early_iter,
         late_iter=late_iter,
-    )
-
-
-# ---------------------------------------------------------------------------
-# stability statistics
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    """Converged-regime error decomposition, estimated across trials at one
-    fixed iteration: E[e^2] = E[eps^2] + mismatch, and the lag-1 error
-    product equals the mismatch-only term."""
-
-    n_trials: int
-    at_iteration: int
-    mean_e2: float
-    mean_eps2: float
-    mismatch_term: float
-    e2_identity_dev: float
-    e2_identity_se: float
-    e2_identity_ok: bool
-    e2_floor_ok: bool
-    lag_identity_dev: float
-    lag_identity_se: float
-    lag_identity_ok: bool
-    passed: bool
-
-
-def run_stability_stat(
-    scn: SysIdScenario, mu: float = 0.01, at_iteration: int | None = None
-) -> StabilityReport:
-    """Monte-Carlo check of the converged-error decomposition for an LMS run.
-
-    Records weights at the probe iteration and the one before it, forms the
-    weight mismatch against the true taps, and checks both identities to
-    within 3 standard errors across trials.
-    """
-    n_star = scn.n_iters - 1 if at_iteration is None else at_iteration
-    if not 1 <= n_star < scn.n_iters:
-        raise ValueError("probe iteration out of range")
-    x, d, eps = _sysid_signals(scn, reinject=False, keep_noise=True)
-    w0 = scn.init_weights if scn.init_weights is not None else (0.0,) * scn.order
-    res = run_lms_batch(w0, mu, x, d, record_w_at=(n_star - 1, n_star))
-    wo = np.asarray(scn.true_weights, dtype=float)
-
-    dw_now = res["w_snapshots"][n_star] - wo
-    dw_prev = res["w_snapshots"][n_star - 1] - wo
-    x_now = np.ascontiguousarray(x[:, n_star, :])  # einsum's sum order depends on layout
-    x_prev = np.ascontiguousarray(x[:, n_star - 1, :])
-    e_now = res["e"][:, n_star]
-    e_prev = res["e"][:, n_star - 1]
-    eps_now = eps[:, n_star]
-
-    t = scn.trials
-    mismatch_now = np.einsum("ij,ij->i", x_now, dw_now)
-    mismatch_prev = np.einsum("ij,ij->i", x_prev, dw_prev)
-
-    delta_e2 = e_now**2 - eps_now**2 - mismatch_now**2
-    se_e2 = float(np.std(delta_e2, ddof=1) / math.sqrt(t))
-    dev_e2 = float(np.mean(delta_e2))
-    e2_ok = abs(dev_e2) <= 3.0 * se_e2
-
-    floor = e_now**2 - eps_now**2
-    floor_ok = float(np.mean(floor)) >= -3.0 * float(np.std(floor, ddof=1) / math.sqrt(t))
-
-    delta_lag = e_now * e_prev - mismatch_now * mismatch_prev
-    se_lag = float(np.std(delta_lag, ddof=1) / math.sqrt(t))
-    dev_lag = float(np.mean(delta_lag))
-    lag_ok = abs(dev_lag) <= 3.0 * se_lag
-
-    return StabilityReport(
-        n_trials=t,
-        at_iteration=n_star,
-        mean_e2=float(np.mean(e_now**2)),
-        mean_eps2=float(np.mean(eps_now**2)),
-        mismatch_term=float(np.mean(mismatch_now**2)),
-        e2_identity_dev=dev_e2,
-        e2_identity_se=se_e2,
-        e2_identity_ok=e2_ok,
-        e2_floor_ok=floor_ok,
-        lag_identity_dev=dev_lag,
-        lag_identity_se=se_lag,
-        lag_identity_ok=lag_ok,
-        passed=e2_ok and floor_ok and lag_ok,
     )
 
 
@@ -616,7 +525,7 @@ def write_metrics_csv(path, rows: Sequence[tuple[str, MetricsReport]]) -> None:
 def write_mse_curves_csv(path, curves: Mapping[str, np.ndarray]) -> None:
     """Columns: iter, then one MSE column per method; the curves must have
     equal lengths."""
-    cols = [np.asarray(c, dtype=float).tolist() for c in curves.values()]
+    cols = [np.asarray(c, dtype=float) for c in curves.values()]
     if len(set(map(len, cols))) != 1:
         raise ValueError("need at least one MSE curve, all of one length")
     write_repr_csv(path, ["iter"] + [f"mse_{n}" for n in curves], [[range(len(cols[0])), *cols]])

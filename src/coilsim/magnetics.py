@@ -239,28 +239,6 @@ def _first_on_wire(segments: np.ndarray, rest: np.ndarray, hit: PointOnWire) -> 
     return hit
 
 
-def _onaxis_single(side: float, z_rel: float, turns: int, current: float) -> float:
-    # z-component of one square loop's field on its axis, z_rel measured
-    # from the loop plane
-    h = 0.5 * side
-    h2 = h * h
-    u = z_rel * z_rel
-    return (2.0 * turns * MU0 * current / math.pi) * (
-        h2 / ((h2 + u) * math.sqrt(2.0 * h2 + u))
-    )
-
-
-def onaxis_field(pair: HelmholtzPair, z: float) -> float:
-    """Closed-form bz on the pair axis at height z, tesla.
-
-    No singularity for spacing > 0; valid for all z.
-    """
-    half = 0.5 * pair.spacing
-    return _onaxis_single(pair.side, z - half, pair.turns, pair.current) + _onaxis_single(
-        pair.side, z + half, pair.turns, pair.current
-    )
-
-
 def _center_ref(pair: HelmholtzPair) -> float:
     ref = abs(pair_field(pair, np.zeros((1, 3)))[0, 2])
     if ref < 1e-15:

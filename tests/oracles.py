@@ -1,14 +1,17 @@
-"""Independent brute-force references used to check closed-form results.
+"""Independent references used to check closed-form results.
 
 The field oracle integrates the line-integral law dB = N*mu0*I (dl x r)/(4pi |r|^3)
-directly by the midpoint rule; it shares no code with the package's closed
-forms.  Three groups are exceptions, kept as references for bit-for-bit
-behaviour rather than as independent oracles: `segment_field_scalar`, a
-per-point reference for the array kernel; the `run_*_batch_ref` runners,
-the trial-major batch filters (one `einsum` per dot product per step) that
-the time-major runners in `coilsim.control` must reproduce; and
+directly by the midpoint rule; `onaxis_field` is the textbook on-axis closed
+form of a square loop pair, and `second_derivative_center_fd` a finite
+difference of it.  None of them shares code with the package's closed forms.
+Three groups are exceptions, kept as references for bit-for-bit behaviour
+rather than as independent oracles: `segment_field_scalar`, a per-point
+reference for the array kernel; the `run_*_batch_ref` runners, the
+trial-major batch filters (one `einsum` per dot product per step) that the
+time-major runners in `coilsim.control` must reproduce; and
 `sysid_signals_ref`, the one-trial-at-a-time draw that the blocked draw in
-`coilsim.experiments` must reproduce.
+`coilsim.experiments` must reproduce.  `run_keeping_errors` collects a
+package runner's error blocks into whole arrays to compare with them.
 """
 
 from __future__ import annotations
@@ -57,6 +60,33 @@ def pair_field_numeric(side, spacing, turns, current, q, subdivisions=1_000_000)
     ) + square_loop_field_numeric(side, -h, current, turns, q, subdivisions)
 
 
+def _onaxis_single(side, z_rel, turns, current):
+    # z-component of one square loop's field on its axis, z_rel measured
+    # from the loop plane
+    h = 0.5 * side
+    h2 = h * h
+    u = z_rel * z_rel
+    return (2.0 * turns * MU0 * current / math.pi) * (h2 / ((h2 + u) * math.sqrt(2.0 * h2 + u)))
+
+
+def onaxis_field(pair, z):
+    """Closed-form bz on the pair axis at height z, tesla; no singularity
+    for spacing > 0, valid for all z."""
+    half = 0.5 * pair.spacing
+    return (_onaxis_single(pair.side, z - half, pair.turns, pair.current)
+            + _onaxis_single(pair.side, z + half, pair.turns, pair.current))
+
+
+def second_derivative_center_fd(pair, rel_step=1e-4):
+    """Central finite-difference estimate of the second axial derivative of
+    the on-axis field at z = 0, step rel_step * spacing."""
+    h = rel_step * pair.spacing
+    f0 = onaxis_field(pair, 0.0)
+    fp = onaxis_field(pair, h)
+    fm = onaxis_field(pair, -h)
+    return (fp - 2.0 * f0 + fm) / (h * h)
+
+
 def segment_field_scalar(start, end, current, turns, q):
     """Per-point evaluation of the package's segment closed form, in plain
     Python floats and the same operation order.
@@ -93,73 +123,54 @@ def segment_field_scalar(start, end, current, turns, q):
 # ---------------------------------------------------------------------------
 
 
-def _bias_col(x_n, fit_k, fit_b):
-    return fit_k * x_n[:, 0] + fit_b
+def run_keeping_errors(run, *args, **kwargs):
+    """Call the package batch runner `run` with a sink that keeps every
+    error block, and return its result with the whole (trials, n_iters)
+    error arrays added: "e", and "e1" and "e2" from the convex runner."""
+    blocks = []
+
+    def keep(start, block):
+        assert start == sum(b.shape[1] for b in blocks)
+        blocks.append(block.copy())  # the runner reuses its buffer
+
+    res = run(*args, sink=keep, **kwargs)
+    # trial-major, as the references lay them out: numpy's sums depend on it
+    errors = np.concatenate(blocks, axis=1).transpose(0, 2, 1).copy()
+    return {**res, **dict(zip(("e", "e1", "e2"), errors))}
 
 
-def run_lms_batch_ref(
-    w0,
-    mu: float,
-    x: np.ndarray,
-    d: np.ndarray,
-    fit_k: float = 0.0,
-    fit_b: float = 0.0,
-    record_w_at=(),
-):
+def run_lms_batch_ref(w0, mu: float, x: np.ndarray, d: np.ndarray):
     """Run independent LMS trials: x has shape (trials, n_iters, order),
     d shape (trials, n_iters).  Returns per-trial error traces and final
-    weights; `record_w_at` captures weight snapshots before those steps."""
+    weights."""
     trials, n_iters, order = x.shape
     w = np.tile(np.asarray(w0, dtype=float), (trials, 1))
     e_out = np.empty((trials, n_iters))
-    snaps = {}
-    record = frozenset(int(i) for i in record_w_at)
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_iters):
-            if n in record:
-                snaps[n] = w.copy()
             x_n = x[:, n, :]
-            y = np.einsum("ij,ij->i", w, x_n) + _bias_col(x_n, fit_k, fit_b)
-            e = d[:, n] - y
+            e = d[:, n] - np.einsum("ij,ij->i", w, x_n)
             e_out[:, n] = e
             w += (mu * e)[:, None] * x_n
-    return {"e": e_out, "w": w, "w_snapshots": snaps}
+    return {"e": e_out, "w": w}
 
 
-def run_svs_batch_ref(
-    w0,
-    alpha: float,
-    beta: float,
-    x: np.ndarray,
-    d: np.ndarray,
-    fit_k: float = 0.0,
-    fit_b: float = 0.0,
-):
+def run_svs_batch_ref(w0, alpha: float, beta: float, x: np.ndarray, d: np.ndarray):
     trials, n_iters, order = x.shape
     w = np.tile(np.asarray(w0, dtype=float), (trials, 1))
     e_out = np.empty((trials, n_iters))
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_iters):
             x_n = x[:, n, :]
-            y = np.einsum("ij,ij->i", w, x_n) + _bias_col(x_n, fit_k, fit_b)
-            e = d[:, n] - y
+            e = d[:, n] - np.einsum("ij,ij->i", w, x_n)
             e_out[:, n] = e
             mu = beta * (1.0 / (1.0 + np.exp(np.clip(-alpha * np.abs(e), -700, 700))) - 0.5)
             w += (mu * e)[:, None] * x_n
     return {"e": e_out, "w": w}
 
 
-def run_atlms_batch_ref(
-    w0,
-    alpha: float,
-    beta: float,
-    m: float,
-    n_scale: float,
-    x: np.ndarray,
-    d: np.ndarray,
-    fit_k: float = 0.0,
-    fit_b: float = 0.0,
-):
+def run_atlms_batch_ref(w0, alpha: float, beta: float, m: float, n_scale: float,
+                        x: np.ndarray, d: np.ndarray):
     trials, n_iters, order = x.shape
     w = np.tile(np.asarray(w0, dtype=float), (trials, 1))
     e_out = np.empty((trials, n_iters))
@@ -167,22 +178,14 @@ def run_atlms_batch_ref(
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_iters):
             x_n = x[:, n, :]
-            y = np.einsum("ij,ij->i", w, x_n) + _bias_col(x_n, fit_k, fit_b)
-            e = d[:, n] - y
+            e = d[:, n] - np.einsum("ij,ij->i", w, x_n)
             e_out[:, n] = e
             mu = gain * np.arctan(alpha * e * e)
             w += (mu * e)[:, None] * x_n
     return {"e": e_out, "w": w}
 
 
-def run_convex_batch_ref(
-    w0,
-    params,
-    x: np.ndarray,
-    d: np.ndarray,
-    b0: float = 0.0,
-    record_w_at=(),
-):
+def run_convex_batch_ref(w0, params, x: np.ndarray, d: np.ndarray, b0: float = 0.0):
     """Vectorized convex combination trials; same update order as
     convex_step."""
     trials, n_iters, order = x.shape
@@ -194,21 +197,14 @@ def run_convex_batch_ref(
     e_out = np.empty((trials, n_iters))
     e1_out = np.empty((trials, n_iters))
     e2_out = np.empty((trials, n_iters))
-    snaps = {}
-    record = frozenset(int(i) for i in record_w_at)
     half_beta = 0.5 * params.beta
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_iters):
-            if n in record:
-                snaps[n] = w1.copy()
             x_n = x[:, n, :]
-            bias = _bias_col(x_n, 0.0, 0.0)
-            a1 = np.einsum("ij,ij->i", w1, x_n)
-            a2 = np.einsum("ij,ij->i", w2, x_n)
+            y1 = np.einsum("ij,ij->i", w1, x_n)
+            y2 = np.einsum("ij,ij->i", w2, x_n)
             xx = np.einsum("ij,ij->i", x_n, x_n)
-            y1 = a1 + bias
-            y2 = a2 + bias
-            y = gamma * a1 + (1.0 - gamma) * a2 + bias
+            y = gamma * y1 + (1.0 - gamma) * y2
             d_n = d[:, n]
             e1 = d_n - y1
             e2 = d_n - y2
@@ -240,7 +236,6 @@ def run_convex_batch_ref(
         "w2": w2,
         "b": b,
         "gamma": gamma,
-        "w_snapshots": snaps,
     }
 
 

@@ -338,6 +338,18 @@ EXIT_CODES = {
                           None, EXIT_USAGE),
     "check-samples-0": (["check", "--preset", "table4-30db", "--samples", "0", "--out-dir", "{out}"],
                         None, EXIT_USAGE),
+    # check builds its own taps from [sysid] order: 0 left no eigenvalue and
+    # -1 no tap window
+    "check-order-0": (["check", "--config", "{cfg}", "--out-dir", "{out}"],
+                      edited_preset("table4-30db", "sysid", "order", "0"), EXIT_USAGE),
+    "check-order-negative": (["check", "--config", "{cfg}", "--out-dir", "{out}"],
+                             edited_preset("table4-30db", "sysid", "order", "-1"), EXIT_USAGE),
+    # a sensor model fixes the rate, so an explicit one would be ignored
+    "step-sensor-model-with-rate": (["step", "--config", "{cfg}", "--method", "lms", "--out-dir", "{out}"],
+                                    config_text(META + "[step]\nprofile = step_up\nlevel_nt = 120000\n"
+                                                "[method.lms]\nmu = 0.05\n"
+                                                "[sensor]\nmodel = rm3100\nsample_rate_hz = 10\n"),
+                                    EXIT_USAGE),
 }
 
 

@@ -14,11 +14,11 @@ from coilsim.coilopt import (
     optimality_polynomial,
     second_derivative_center,
     scan_positions,
-    second_derivative_center_fd,
     solve_optimal_ratio,
     uniform_region,
 )
 from coilsim.magnetics import HelmholtzPair, _center_ref, pair_field, uniformity
+from oracles import second_derivative_center_fd
 
 TABLE2 = HelmholtzPair(side=0.8404, spacing=0.4576, turns=24, current=2.94)
 

@@ -323,8 +323,7 @@ class TestErrorDecrease:
             taps = np.lib.stride_tricks.sliding_window_view(u, 2)[:, ::-1]
             x[t] = taps
             d[t] = taps @ wo + 0.0316 * r.standard_normal(n_iters)
-        res = run_convex_batch([0.0, 0.0], PARAMS, x, d)
-        e = np.abs(res["e"])
+        e = np.abs(oracles.run_keeping_errors(run_convex_batch, [0.0, 0.0], PARAMS, x, d)["e"])
         first = e[:, : n_iters // 2].mean(axis=1)
         second = e[:, n_iters // 2 :].mean(axis=1)
         assert np.count_nonzero(second < first) >= 99
@@ -342,7 +341,8 @@ class TestBatchEquivalence:
             d[t] = taps @ np.array([0.8, 0.5]) + 0.1 * rng.standard_normal(n_iters)
         return x, d
 
-    def _assert_filter_matches(self, res, rate, x, d):
+    def _assert_filter_matches(self, run, args, rate, x, d):
+        res = oracles.run_keeping_errors(run, [0.0, 0.0], *args, x, d)
         for t in range(x.shape[0]):
             st = FilterState.initial([0.0, 0.0], rate)
             for n in range(x.shape[1]):
@@ -351,21 +351,20 @@ class TestBatchEquivalence:
 
     def test_lms_batch_matches_scalar(self):
         x, d = self._signals()
-        self._assert_filter_matches(run_lms_batch([0.0, 0.0], 0.05, x, d), lms_rate(0.05), x, d)
+        self._assert_filter_matches(run_lms_batch, (0.05,), lms_rate(0.05), x, d)
 
     def test_svs_batch_matches_scalar(self):
         x, d = self._signals(seed=5)
-        self._assert_filter_matches(run_svs_batch([0.0, 0.0], 4.0, 0.15, x, d),
-                                    svs_rate(4.0, 0.15), x, d)
+        self._assert_filter_matches(run_svs_batch, (4.0, 0.15), svs_rate(4.0, 0.15), x, d)
 
     def test_atlms_batch_matches_scalar(self):
         x, d = self._signals(seed=6)
-        self._assert_filter_matches(run_atlms_batch([0.0, 0.0], 500.0, 0.01, 900.0, 500.0, x, d),
+        self._assert_filter_matches(run_atlms_batch, (500.0, 0.01, 900.0, 500.0),
                                     atlms_rate(500.0, 0.01, 900.0, 500.0), x, d)
 
     def test_convex_batch_matches_scalar(self):
         x, d = self._signals(seed=7)
-        res = run_convex_batch([0.0, 0.0], PARAMS, x, d)
+        res = oracles.run_keeping_errors(run_convex_batch, [0.0, 0.0], PARAMS, x, d)
         for t in range(x.shape[0]):
             st = ConvexState.initial([0.0, 0.0])
             for n in range(x.shape[1]):
@@ -397,15 +396,13 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-def assert_bitwise_equal(got: dict, ref: dict):
+def assert_bitwise_equal(run, args, ref: dict):
+    """run(*args), its errors collected by a sink, equals ref bit for bit."""
+    got = oracles.run_keeping_errors(run, *args)
+    assert got.keys() == ref.keys()
     for key, want in ref.items():
-        if key == "w_snapshots":
-            assert got[key].keys() == want.keys()
-            for n in want:
-                np.testing.assert_array_equal(bits(got[key][n]), bits(want[n]), err_msg=f"{key}[{n}]")
-        else:
-            assert got[key].shape == want.shape, key
-            np.testing.assert_array_equal(bits(got[key]), bits(want), err_msg=key)
+        assert got[key].shape == want.shape, key
+        np.testing.assert_array_equal(bits(got[key]), bits(want), err_msg=key)
 
 
 class TestBatchRunnersBitwise:
@@ -415,7 +412,6 @@ class TestBatchRunnersBitwise:
     that or a time-major view of the same values, and must not care."""
 
     TRIALS, N_ITERS = 13, 240
-    RECORD = (0, 7, 239)
 
     @pytest.fixture(params=[1, 2, 3, 9], ids=lambda o: f"order{o}")
     def order(self, request):
@@ -450,8 +446,8 @@ class TestBatchRunnersBitwise:
     def test_lms(self, signals, order, fit):
         x, d, xr, dr = self._with_bias(signals, fit)
         w0 = np.linspace(-0.3, 0.4, order)
-        ref = oracles.run_lms_batch_ref(w0, 0.05, x, d, record_w_at=self.RECORD)
-        assert_bitwise_equal(run_lms_batch(w0, 0.05, xr, dr, record_w_at=self.RECORD), ref)
+        ref = oracles.run_lms_batch_ref(w0, 0.05, x, d)
+        assert_bitwise_equal(run_lms_batch, (w0, 0.05, xr, dr), ref)
 
     @pytest.mark.parametrize("alpha", [4.0, 1e4])
     def test_svs(self, signals, order, fit, alpha):
@@ -460,13 +456,13 @@ class TestBatchRunnersBitwise:
         ref = oracles.run_svs_batch_ref(w0, alpha, 0.15, x, d)
         if alpha > 1e3:  # -alpha * |e| crosses the -700 clamp
             assert np.any(alpha * np.abs(ref["e"]) > 700.0)
-        assert_bitwise_equal(run_svs_batch(w0, alpha, 0.15, xr, dr), ref)
+        assert_bitwise_equal(run_svs_batch, (w0, alpha, 0.15, xr, dr), ref)
 
     def test_atlms(self, signals, order, fit):
         x, d, xr, dr = self._with_bias(signals, fit)
         w0 = np.linspace(-0.3, 0.4, order)
         ref = oracles.run_atlms_batch_ref(w0, 500.0, 0.01, 900.0, 500.0, x, d)
-        assert_bitwise_equal(run_atlms_batch(w0, 500.0, 0.01, 900.0, 500.0, xr, dr), ref)
+        assert_bitwise_equal(run_atlms_batch, (w0, 500.0, 0.01, 900.0, 500.0, xr, dr), ref)
 
     @pytest.mark.parametrize("t_o", [1, 2, 3])
     def test_convex(self, signals, order, fit, t_o):
@@ -476,12 +472,12 @@ class TestBatchRunnersBitwise:
         # gamma_o low enough that transfers fire
         p = ConvexParams(alpha=1e5, beta=0.3, sigma=11.0, phi=0.1, c=0.1, mu_b=2.0,
                          gamma_o=0.55, t_o=t_o)
-        ref = oracles.run_convex_batch_ref(w0, p, x, d, 0.3, self.RECORD)
+        ref = oracles.run_convex_batch_ref(w0, p, x, d, 0.3)
         e1 = ref["e1"]
         assert np.any(-p.alpha * np.abs(e1[:, 1:] * e1[:, :-1]) + p.sigma * np.abs(e1[:, 1:]) < -700.0)
         no_late_transfer = replace(p, t_o=self.N_ITERS)
         assert not np.array_equal(ref["e2"], oracles.run_convex_batch_ref(w0, no_late_transfer, x, d, 0.3)["e2"])
-        assert_bitwise_equal(run_convex_batch(w0, p, xr, dr, 0.3, self.RECORD), ref)
+        assert_bitwise_equal(run_convex_batch, (w0, p, xr, dr, 0.3), ref)
 
     def test_convex_gamma_clamp(self):
         # mu_b large enough that b ends below -700 in some trials, where the
@@ -494,18 +490,18 @@ class TestBatchRunnersBitwise:
         assert np.any(ref["gamma"] == 1.0 / (1.0 + np.exp(700.0)))
         xt, dt = np.ascontiguousarray(x.transpose(1, 2, 0)), np.ascontiguousarray(d.T)
         for xr, dr in ((x, d), (xt.transpose(2, 0, 1), dt.T)):
-            assert_bitwise_equal(run_convex_batch([0.1, -0.2], p, xr, dr, 0.3), ref)
+            assert_bitwise_equal(run_convex_batch, ([0.1, -0.2], p, xr, dr, 0.3), ref)
 
     def test_convex_default_rates(self, signals, order):
         x, d, xr, dr = signals
         ref = oracles.run_convex_batch_ref([0.0] * order, PARAMS, x, d)
-        assert_bitwise_equal(run_convex_batch([0.0] * order, PARAMS, xr, dr), ref)
+        assert_bitwise_equal(run_convex_batch, ([0.0] * order, PARAMS, xr, dr), ref)
 
 
 class TestErrorBlocks:
-    """Past one ERROR_BLOCK of steps: the full error arrays still match the
-    trial-major references bit for bit, and a sink gets every step once, in
-    order, in place of them."""
+    """Past one ERROR_BLOCK of steps: the errors a sink collects still match
+    the trial-major references bit for bit, the sink gets every step once,
+    in order, and the runner returns only its final state."""
 
     TRIALS, N_ITERS = 5, 2 * ERROR_BLOCK + 5
 
@@ -515,31 +511,37 @@ class TestErrorBlocks:
         return rng.standard_normal((self.TRIALS, self.N_ITERS, 2)), rng.standard_normal((self.TRIALS, self.N_ITERS))
 
     CASES = {
-        "lms": (run_lms_batch, oracles.run_lms_batch_ref, (0.05,), 1),
-        "svs": (run_svs_batch, oracles.run_svs_batch_ref, (4.0, 0.15), 1),
-        "atlms": (run_atlms_batch, oracles.run_atlms_batch_ref, (500.0, 0.01, 900.0, 500.0), 1),
-        "convex": (run_convex_batch, oracles.run_convex_batch_ref, (PARAMS,), 3),
+        "lms": (run_lms_batch, oracles.run_lms_batch_ref, (0.05,), {"w"}),
+        "svs": (run_svs_batch, oracles.run_svs_batch_ref, (4.0, 0.15), {"w"}),
+        "atlms": (run_atlms_batch, oracles.run_atlms_batch_ref, (500.0, 0.01, 900.0, 500.0), {"w"}),
+        "convex": (run_convex_batch, oracles.run_convex_batch_ref, (PARAMS,), {"w1", "w2", "b", "gamma"}),
     }
 
     @pytest.mark.parametrize("method", list(CASES))
     def test_full_arrays_match_reference(self, signals, method):
         run, ref, args, _ = self.CASES[method]
         x, d = signals
-        assert_bitwise_equal(run([0.1, -0.2], *args, x, d), ref([0.1, -0.2], *args, x, d))
+        assert_bitwise_equal(run, ([0.1, -0.2], *args, x, d), ref([0.1, -0.2], *args, x, d))
 
     @pytest.mark.parametrize("method", list(CASES))
     def test_sink_gets_each_block_in_order(self, signals, method):
-        run, _, args, kinds = self.CASES[method]
+        run, ref, args, state = self.CASES[method]
         x, d = signals
-        full = run([0.1, -0.2], *args, x, d)
+        want = ref([0.1, -0.2], *args, x, d)
+        kinds = len(want) - len(state)
         seen = []
 
         def sink(start, block):
             seen.append((start, block.shape))
             for k, key in enumerate(("e", "e1", "e2")[:kinds]):
-                np.testing.assert_array_equal(block[k].T, full[key][:, start : start + block.shape[1]])
+                np.testing.assert_array_equal(block[k].T, want[key][:, start : start + block.shape[1]])
 
-        res = run([0.1, -0.2], *args, x, d, sink=sink)
-        assert "e" not in res
+        assert run([0.1, -0.2], *args, x, d, sink=sink).keys() == state
         assert seen == [(0, (kinds, ERROR_BLOCK, self.TRIALS)), (ERROR_BLOCK, (kinds, ERROR_BLOCK, self.TRIALS)),
                         (2 * ERROR_BLOCK, (kinds, 5, self.TRIALS))]
+
+    @pytest.mark.parametrize("method", list(CASES))
+    def test_sink_is_required(self, signals, method):
+        run, _, args, _ = self.CASES[method]
+        with pytest.raises(TypeError, match="sink"):
+            run([0.1, -0.2], *args, *signals)

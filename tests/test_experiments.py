@@ -11,14 +11,13 @@ from coilsim import experiments
 from coilsim._table import write_repr_csv
 from coilsim.config import load_preset
 from coilsim.plant import TargetProfile, snr_to_sigma
-from coilsim.control import check_convergence_condition, run_convex_batch
+from coilsim.control import check_convergence_condition, run_convex_batch, run_lms_batch
 from coilsim.experiments import (
     ActuatorSaturationWarning,
     SysIdScenario,
     compute_metrics,
     run_divergence_probe,
     run_step_response,
-    run_stability_stat,
     run_sysid,
     write_mse_curves_csv,
 )
@@ -35,10 +34,26 @@ def table4():
     return {m: cfg.method_params(m) for m in experiments.METHODS}
 
 
-def test_stability_stat_passes():
-    rep = run_stability_stat(small_scenario(n_iters=1000, trials=200, seed=0), mu=0.01)
-    assert rep.passed
-    assert rep.n_trials == 200 and rep.at_iteration == 999
+def test_converged_lms_weight_error_uncorrelated_with_noise():
+    # At a converged step n, w_n depends on the noise up to step n - 1 only,
+    # so E[eps_n * x_n^T (w_o - w_n)] = 0: the mean over trials lies within
+    # 3 standard errors of 0.  w_{n+1} has taken in mu * e_n * x_n, which
+    # biases the same statistic by about -mu * sigma^2 * E[x^T x]; the trials
+    # are enough for that bias to fail the test.
+    scn = small_scenario(n_iters=400, noise_reinjection_at=399, trials=2000, seed=0)
+    mu, n = 0.05, 300  # LMS settles within ~1 / mu steps
+    x, d, eps = oracles.sysid_signals_ref(scn, snr_to_sigma(1.0, scn.snr_db), reinject=False)
+    wo = np.asarray(scn.true_weights)
+
+    def stat(steps):
+        w = run_lms_batch(np.zeros(scn.order), mu, x[:, :steps], d[:, :steps], sink=lambda *_: None)["w"]
+        s = eps[:, n] * np.sum(x[:, n] * (wo - w), axis=1)
+        return float(np.mean(s)), float(np.std(s, ddof=1) / np.sqrt(scn.trials))
+
+    mean, se = stat(n)  # w_n: the weights step n uses
+    assert abs(mean) <= 3.0 * se
+    mean, se = stat(n + 1)
+    assert abs(mean) > 3.0 * se
 
 
 class TestDivergenceProbe:
@@ -63,8 +78,8 @@ class TestDivergenceProbe:
     @staticmethod
     def _report_from_full_arrays(scn, params, early_iter=50, late_iter=500, growth_threshold=1e3):
         """The probe's report computed from the runner's full error arrays."""
-        x, d, _ = experiments._sysid_signals(scn, reinject=False)
-        res = run_convex_batch((0.0,) * scn.order, params, x, d)
+        x, d = experiments._sysid_signals(scn, reinject=False)
+        res = oracles.run_keeping_errors(run_convex_batch, (0.0,) * scn.order, params, x, d)
         worst, diverged, combined = 0.0, False, None
         for key in ("e", "e1", "e2"):
             with np.errstate(over="ignore"):
@@ -172,15 +187,22 @@ class TestRunSysid:
         as_params = run_sysid(scn, {"convex": table4["convex"]})["convex"]
         np.testing.assert_array_equal(as_dict.mse_curve, as_params.mse_curve)
 
+    @staticmethod
+    def _assert_burst_only_at(scn):
+        # outside the burst, reinjection leaves the targets' bits alone;
+        # inside it, the targets are the per-trial draw's
+        d_on = experiments._sysid_signals(scn)[1]
+        d_off = experiments._sysid_signals(scn, reinject=False)[1]
+        burst = np.zeros(scn.n_iters, bool)
+        burst[scn.noise_reinjection_at : scn.noise_reinjection_at + experiments.REINJECTION_LEN] = True
+        np.testing.assert_array_equal(bits(d_on[:, ~burst]), bits(d_off[:, ~burst]))
+        want = oracles.sysid_signals_ref(scn, snr_to_sigma(1.0, scn.snr_db), True,
+                                         experiments.REINJECTION_SCALE, experiments.REINJECTION_LEN)[1]
+        np.testing.assert_array_equal(bits(d_on[:, burst]), bits(want[:, burst]))
+        assert not np.any(d_on[:, burst] == d_off[:, burst])
+
     def test_noise_burst_only_when_reinjecting(self):
-        scn = small_scenario()
-        eps_on = experiments._sysid_signals(scn, keep_noise=True)[2].copy()
-        eps_off = experiments._sysid_signals(scn, reinject=False, keep_noise=True)[2]
-        lo = scn.noise_reinjection_at
-        burst = slice(lo, lo + experiments.REINJECTION_LEN)
-        np.testing.assert_array_equal(eps_on[:, burst], eps_off[:, burst] * experiments.REINJECTION_SCALE)
-        eps_on[:, burst] = eps_off[:, burst]
-        np.testing.assert_array_equal(eps_on, eps_off)
+        self._assert_burst_only_at(small_scenario())
 
     @pytest.mark.parametrize("at", [-1, -20])
     def test_negative_reinjection_index_rejected(self, at):
@@ -189,19 +211,15 @@ class TestRunSysid:
             small_scenario(noise_reinjection_at=at)
 
     def test_reinjection_at_zero_bursts_the_first_samples(self):
-        scn = small_scenario(noise_reinjection_at=0)
-        eps_on = experiments._sysid_signals(scn, keep_noise=True)[2]
-        eps_off = experiments._sysid_signals(scn, reinject=False, keep_noise=True)[2]
-        burst = slice(0, experiments.REINJECTION_LEN)
-        np.testing.assert_array_equal(eps_on[:, burst], eps_off[:, burst] * experiments.REINJECTION_SCALE)
+        self._assert_burst_only_at(small_scenario(noise_reinjection_at=0))
 
     def test_signal_views_are_time_major(self):
         scn = small_scenario(order=3, true_weights=(0.8, 0.5, -0.3))
-        x, d, eps = experiments._sysid_signals(scn, keep_noise=True)
+        x, d = experiments._sysid_signals(scn)
         assert x.shape == (scn.trials, scn.n_iters, scn.order)
-        assert d.shape == eps.shape == (scn.trials, scn.n_iters)
+        assert d.shape == (scn.trials, scn.n_iters)
         assert x.transpose(1, 2, 0).flags.c_contiguous
-        assert d.T.flags.c_contiguous and eps.T.flags.c_contiguous
+        assert d.T.flags.c_contiguous
 
 
 def bits(a):
@@ -220,9 +238,10 @@ class TestSysidStreaming:
         scn = small_scenario(n_iters=n_iters, noise_reinjection_at=n_iters // 2,
                              order=order, true_weights=weights)
         reports = run_sysid(scn, table4)
-        x, d, _ = experiments._sysid_signals(scn)
+        x, d = experiments._sysid_signals(scn)
         for m, params in table4.items():
-            e = experiments._RUNNERS[m]((0.0,) * order, x=x, d=d, **experiments._keywords(m, params))["e"]
+            e = oracles.run_keeping_errors(experiments._RUNNERS[m], (0.0,) * order, x=x, d=d,
+                                           **experiments._keywords(m, params))["e"]
             want = experiments._smooth_causal(np.mean(e**2, axis=0), experiments.SMOOTHING_WINDOW)
             np.testing.assert_array_equal(bits(reports[m].mse_curve), bits(want), err_msg=m)
 
@@ -249,13 +268,10 @@ class TestSysidSignals:
         scn = small_scenario(trials=trials, order=order, true_weights=(0.8, 0.5, -0.3)[:order])
         want = oracles.sysid_signals_ref(scn, snr_to_sigma(1.0, scn.snr_db), reinject,
                                          experiments.REINJECTION_SCALE, experiments.REINJECTION_LEN)
-        got = experiments._sysid_signals(scn, reinject, keep_noise=True)
+        got = experiments._sysid_signals(scn, reinject)
+        assert len(got) == 2
         for g, w in zip(got, want):
             np.testing.assert_array_equal(bits(g), bits(w))
-        x, d, eps = experiments._sysid_signals(scn, reinject)
-        assert eps is None
-        np.testing.assert_array_equal(bits(x), bits(got[0]))
-        np.testing.assert_array_equal(bits(d), bits(got[1]))
 
 
 class TestComputeMetrics:

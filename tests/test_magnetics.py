@@ -15,7 +15,6 @@ from coilsim.magnetics import (
     ZeroCenterField,
     field_map,
     field_map_blocks,
-    onaxis_field,
     pair_field,
     segment_field,
     uniformity,
@@ -23,6 +22,7 @@ from coilsim.magnetics import (
 )
 
 from oracles import (
+    onaxis_field,
     pair_field_numeric,
     segment_field_scalar,
     square_loop_field_numeric,
@@ -253,6 +253,9 @@ class TestFieldProperties:
 
 
 class TestOnAxis:
+    """The on-axis closed form in tests/oracles.py against the package's
+    segment kernel and the brute-force integral."""
+
     def test_matches_pair_field(self):
         rng = np.random.default_rng(3)
         d = TABLE2.spacing
