@@ -33,7 +33,6 @@ from .experiments import (
     StepScenario,
     SysIdScenario,
     compute_metrics,
-    run_divergence_probe,
     run_step_response,
     run_sysid,
 )

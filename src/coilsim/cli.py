@@ -156,11 +156,11 @@ def cmd_optimize(args) -> int:
 
 def cmd_field_map(args) -> int:
     cfg = _load(args)
+    pair = cfg.pair()
+    grid = cfg.grid()
     if args.validate_only:
         print("config OK")
         return EXIT_OK
-    pair = cfg.pair()
-    grid = cfg.grid()
     with _new_outdir(args) as out_dir:
         out = out_dir / "field_map.csv"
         magnetics.write_field_map_csv(out, magnetics.field_map_blocks(pair, grid))
@@ -182,12 +182,13 @@ def _method_list(raw: str) -> list[str]:
 
 def cmd_sysid(args) -> int:
     cfg = _load(args)
+    methods = _method_list(args.methods)
+    scn = cfg.sysid_scenario(snr_override=args.snr_db)
+    params = {m: cfg.method_params(m) for m in methods}
     if args.validate_only:
         print("config OK")
         return EXIT_OK
-    methods = _method_list(args.methods)
-    scn = cfg.sysid_scenario(snr_override=args.snr_db)
-    reports = experiments.run_sysid(scn, {m: cfg.method_params(m) for m in methods})
+    reports = experiments.run_sysid(scn, params)
     for m, report in reports.items():
         print(f"{m:7s} iters_to_converge={report.iters_to_converge:5d} "
               f"final_mse={report.final_mse:.4e}")
@@ -201,11 +202,11 @@ def cmd_sysid(args) -> int:
 
 def cmd_step(args) -> int:
     cfg = _load(args)
+    methods = _method_list(args.method)
+    scenarios = {m: cfg.step_scenario(m, seed_override=args.seed) for m in methods}
     if args.validate_only:
         print("config OK")
         return EXIT_OK
-    methods = _method_list(args.method)
-    scenarios = {m: cfg.step_scenario(m, seed_override=args.seed) for m in methods}
     out = _outdir(args)
     rows = []
     for m, scn in scenarios.items():
@@ -237,9 +238,6 @@ def cmd_step(args) -> int:
 
 def cmd_check(args) -> int:
     cfg = _load(args)
-    if args.validate_only:
-        print("config OK")
-        return EXIT_OK
     params = cfg.method_params("convex")
     if args.beta_scale != 1.0 or args.c_scale != 1.0:
         from dataclasses import replace
@@ -249,6 +247,9 @@ def cmd_check(args) -> int:
     order = cfg.get("sysid", "order", 2)
     if order < 1:
         raise ConfigError(f"{cfg.source}: [sysid] order must be >= 1")
+    if args.validate_only:
+        print("config OK")
+        return EXIT_OK
     seed = cfg.get("sysid", "seed", cfg.get("step", "seed", 0))
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(args.samples + order - 1)

@@ -281,7 +281,6 @@ class ConditionReport:
     fixed_rate: float
     fixed_ok: bool
     passed: bool
-    n_samples: int
 
 
 def check_convergence_condition(
@@ -318,7 +317,6 @@ def check_convergence_condition(
         fixed_rate=params.c,
         fixed_ok=fixed_ok,
         passed=nlms_ok and fixed_ok,
-        n_samples=n,
     )
 
 
@@ -419,12 +417,11 @@ def run_convex_batch(
     params: ConvexParams,
     x: np.ndarray,
     d: np.ndarray,
-    b0: float = 0.0,
     *,
     sink: ErrorSink,
 ) -> dict:
-    """Vectorized convex combination trials; same update order as
-    convex_step.  Returns the final "w1", "w2" (trials, order), "b" and
+    """Vectorized convex combination trials from b = 0; same update order
+    as convex_step.  Returns the final "w1", "w2" (trials, order), "b" and
     "gamma" (trials,)."""
     x, d = np.ascontiguousarray(x.transpose(1, 2, 0)), np.ascontiguousarray(d.T)
     n_iters, order, trials = x.shape
@@ -432,8 +429,8 @@ def run_convex_batch(
     w = np.tile(np.asarray(w0, dtype=float)[:, None, None], (1, 2, trials))
     w1, w2 = w[:, 0], w[:, 1]
     xb = x[:, :, None]  # each step's taps, broadcast over the two branches
-    b = np.full(trials, float(b0))
-    gamma = 1.0 / (1.0 + np.exp(-_clamp(b, -700.0, 700.0)))
+    b = np.zeros(trials)
+    gamma = np.full(trials, 0.5)  # logistic(0)
     prev_abs_e1 = np.zeros(trials)
     u = np.empty((2, trials))  # exponents of the slow rate's logistic and of gamma's
     k = np.empty((2, trials))

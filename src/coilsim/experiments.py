@@ -1,6 +1,5 @@
-"""Experiment harness: the system-identification convergence study, the
-closed-loop step-response study and the divergence probe, plus the metric
-computations they share.
+"""Experiment harness: the system-identification convergence study and the
+closed-loop step-response study, plus the metric computations they share.
 
 Every run is reproducible: scenarios carry a seed, trial t derives its
 stream from seed XOR t, and trial averages add the trials in index order
@@ -70,6 +69,10 @@ class ActuatorSaturationWarning(UserWarning):
     """More than half of the drive samples hit the actuation clamp."""
 
 
+# a reach counts once the series has stayed inside the band for this long, s
+DWELL_S = 0.2
+
+
 @dataclass
 class MetricsReport:
     """Per-run summary.  Step-response runs fill the time-domain fields;
@@ -92,13 +95,12 @@ def compute_metrics(
     settle_time_s: float,
     band_fraction: float,
     step_magnitude: float | None = None,
-    dwell_s: float = 0.2,
 ) -> MetricsReport:
     """Step-response metrics over a (time, value) series.
 
     Reach time is the first instant (relative to times[0]) at which the
     series enters the +/- band_fraction * step_magnitude band around the
-    target and stays inside for dwell_s; NaN if that never happens.  Steady
+    target and stays inside for DWELL_S; NaN if that never happens.  Steady
     statistics cover samples with t - times[0] > settle_time_s.
     """
     t = np.asarray(times, dtype=float)
@@ -115,7 +117,7 @@ def compute_metrics(
     for i in range(t.size):
         if not inside[i]:
             continue
-        t_end = t[i] + dwell_s
+        t_end = t[i] + DWELL_S
         if t[-1] < t_end:
             break  # cannot confirm the dwell within the record
         j = i
@@ -171,7 +173,6 @@ class SysIdScenario:
     true_weights: tuple[float, ...] = (0.8, 0.5)
     trials: int = 200
     seed: int = 0
-    init_weights: tuple[float, ...] | None = None  # None -> zeros
 
     def __post_init__(self):
         if self.order < 1:
@@ -186,7 +187,7 @@ class SysIdScenario:
             raise ValueError("trials must be >= 1")
 
 
-def _sysid_signals(scn: SysIdScenario, reinject: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def _sysid_signals(scn: SysIdScenario) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial tap matrix X (trials, n_iters, order) and noisy targets D
     (trials, n_iters).  Trial t draws from seed XOR t.
 
@@ -195,7 +196,7 @@ def _sysid_signals(scn: SysIdScenario, reinject: bool = True) -> tuple[np.ndarra
     through.  Trials are drawn TRIAL_BLOCK at a time and written with one
     slice per tap column; each trial's clean targets are one
     matrix-vector product over its own row-major tap block, to which its
-    scaled (and reinjected) noise is added."""
+    scaled and reinjected noise is added."""
     n_iters, order, trials = scn.n_iters, scn.order, scn.trials
     wo = np.asarray(scn.true_weights, dtype=float)
     sigma = snr_to_sigma(1.0, scn.snr_db)  # the inputs are unit-variance
@@ -211,8 +212,7 @@ def _sysid_signals(scn: SysIdScenario, reinject: bool = True) -> tuple[np.ndarra
             rng.standard_normal(out=u[i])
             rng.standard_normal(out=targets[i])
         targets *= sigma
-        if reinject:
-            targets[:, burst] *= REINJECTION_SCALE
+        targets[:, burst] *= REINJECTION_SCALE
         for i in range(t1 - t0):
             # tap-delay rows, most recent sample first
             taps = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(u[i], order)[:, ::-1])
@@ -239,16 +239,16 @@ def run_sysid(scn: SysIdScenario, methods: Mapping[str, object]) -> dict[str, Me
     Each MSE curve is the trial average of e^2 smoothed over a causal
     SMOOTHING_WINDOW-sample window; iters_to_converge is the first iteration
     at which the smoothed curve falls to within THRESHOLD_FACTOR of its tail
-    mean, and final_mse is that tail mean.  The runners hand their errors
-    over a block of steps at a time and each block is reduced to its part
-    of the curve at once, so no (trials, n_iters) error array is held.
+    mean, and final_mse is that tail mean.  Every filter starts from zero
+    weights.  The runners hand their errors over a block of steps at a
+    time and each block is reduced to its part of the curve at once, so no
+    (trials, n_iters) error array is held.
     """
     x, d = _sysid_signals(scn)
-    w0 = scn.init_weights if scn.init_weights is not None else (0.0,) * scn.order
     reports = {}
     for m, p in methods.items():
         raw = np.empty(scn.n_iters)
-        _RUNNERS[m](w0, x=x, d=d, sink=_mean_square_into(raw), **_keywords(m, p))
+        _RUNNERS[m]((0.0,) * scn.order, x=x, d=d, sink=_mean_square_into(raw), **_keywords(m, p))
         reports[m] = _mse_report(raw)
     return reports
 
@@ -270,75 +270,6 @@ def _mse_report(raw: np.ndarray) -> MetricsReport:
     below = np.nonzero(curve <= THRESHOLD_FACTOR * tail)[0]
     iters = int(below[0]) if below.size else len(curve)
     return MetricsReport(mse_curve=curve, iters_to_converge=iters, final_mse=tail)
-
-
-# ---------------------------------------------------------------------------
-# divergence probe
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DivergenceReport:
-    diverged: bool
-    mse_early: float
-    mse_late: float
-    growth_ratio: float
-    early_iter: int
-    late_iter: int
-
-
-def run_divergence_probe(
-    scn: SysIdScenario,
-    params: ConvexParams,
-    early_iter: int = 50,
-    late_iter: int = 500,
-    growth_threshold: float = 1e3,
-) -> DivergenceReport:
-    """Empirical contrapositive of the step-size bound: run the convex
-    controller and flag unbounded mean-square error growth.
-
-    Any branch (combined, slow, or fast) growing by more than
-    growth_threshold between the two probe iterations, or going non-finite,
-    counts as divergence.
-    """
-    if not (0 <= early_iter < scn.n_iters and 0 <= late_iter < scn.n_iters):
-        raise ValueError("probe iterations must lie in [0, n_iters)")
-    x, d = _sysid_signals(scn, reinject=False)
-    w0 = scn.init_weights if scn.init_weights is not None else (0.0,) * scn.order
-    # probe[j, k]: error k (e, e1, e2) of every trial at probe iteration j
-    probe = np.empty((2, 3, scn.trials))
-
-    def keep_probe_steps(start: int, block: np.ndarray) -> None:
-        for j, n in enumerate((early_iter, late_iter)):
-            if start <= n < start + block.shape[1]:
-                probe[j] = block[:, n - start]
-
-    run_convex_batch(w0, params, x, d, sink=keep_probe_steps)
-    worst_ratio = 0.0
-    diverged = False
-    mse_early_combined = mse_late_combined = math.nan
-    for k in range(3):
-        with np.errstate(over="ignore"):  # a diverged branch may square to inf
-            early = float(np.mean(probe[0, k] ** 2))
-            late = float(np.mean(probe[1, k] ** 2))
-        if k == 0:
-            mse_early_combined, mse_late_combined = early, late
-        if not math.isfinite(late):
-            diverged = True
-            worst_ratio = math.inf
-            continue
-        ratio = late / early if early > 0.0 else math.inf if late > 0.0 else 0.0
-        worst_ratio = max(worst_ratio, ratio)
-        if ratio > growth_threshold:
-            diverged = True
-    return DivergenceReport(
-        diverged=diverged,
-        mse_early=mse_early_combined,
-        mse_late=mse_late_combined,
-        growth_ratio=worst_ratio,
-        early_iter=early_iter,
-        late_iter=late_iter,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +298,6 @@ class StepScenario:
     band_fraction: float = 0.02
     seed: int = 0
     disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
-    plant: PlantModel | None = None  # None -> fit chosen by step direction
     v_min_v: float = 0.0
     v_max_v: float = 3.0
     init_weights: tuple[float, float] = (0.8, 0.5)
@@ -383,14 +313,10 @@ class StepScenario:
             raise ValueError("scales must be > 0")
 
     def resolved_plant(self) -> PlantModel:
-        if self.plant is not None:
-            return self.plant
-        descending = self.profile.kind == "step_down" or (
-            self.profile.kind == "from_file"
-            and self.profile.samples[-1][1] < self.profile.samples[0][1]
-        )
-        cls = PlantModel.descending if descending else PlantModel.ascending
-        return cls(v_min=self.v_min_v, v_max=self.v_max_v, sample_rate_hz=self.sensor.sample_rate_hz)
+        """The voltage fit of the step's direction: descending for a
+        step_down, ascending otherwise."""
+        cls = PlantModel.descending if self.profile.kind == "step_down" else PlantModel.ascending
+        return cls(v_min=self.v_min_v, v_max=self.v_max_v)
 
 
 def run_step_response(

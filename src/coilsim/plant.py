@@ -13,7 +13,6 @@ the two are independent of each other.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -42,13 +41,10 @@ class PlantModel:
     fit_b: float  # uT
     v_min: float = 0.0
     v_max: float = 3.0
-    sample_rate_hz: float = 200.0
 
     def __post_init__(self):
         if not self.v_min < self.v_max:
             raise ValueError("v_min must be < v_max")
-        if self.sample_rate_hz <= 0.0:
-            raise ValueError("sample_rate_hz must be > 0")
 
     @classmethod
     def ascending(cls, **kwargs) -> "PlantModel":
@@ -185,33 +181,25 @@ class TargetProfile:
 
     kinds: constant, step_up (levels[0] -> levels[1] at switch_time_s),
     step_down (same convention), ramp_up (linear 0 -> level over
-    [0, switch_time_s], then hold), from_file (zero-order hold over (t, nT)
-    rows loaded via TargetProfile.from_csv).
+    [0, switch_time_s], then hold).
     """
 
     kind: str
     levels: tuple[float, ...] = (0.0,)
     switch_time_s: float = 0.0
-    samples: tuple[tuple[float, float], ...] = ()
 
-    _KINDS = ("constant", "step_up", "step_down", "ramp_up", "from_file")
+    _KINDS = ("constant", "step_up", "step_down", "ramp_up")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
         # plain floats, so targets print as floats in trace CSVs
         object.__setattr__(self, "levels", tuple(map(float, self.levels)))
-        object.__setattr__(self, "samples", tuple((float(t), float(v)) for t, v in self.samples))
         for v in self.levels:
             if not math.isfinite(v):
                 raise ValueError("profile levels must be finite")
         if self.kind in ("step_up", "step_down") and len(self.levels) != 2:
             raise ValueError("step profiles need exactly 2 levels")
-        if self.kind == "from_file":
-            if not self.samples:
-                raise ValueError("from_file profile needs samples")
-            if not all(a[0] <= b[0] for a, b in zip(self.samples, self.samples[1:])):
-                raise ValueError("from_file samples must be in time order")
 
     @classmethod
     def constant(cls, level_nt: float) -> "TargetProfile":
@@ -229,17 +217,6 @@ class TargetProfile:
     def ramp_up(cls, level_nt: float, ramp_time_s: float) -> "TargetProfile":
         return cls("ramp_up", (0.0, level_nt), ramp_time_s)
 
-    @classmethod
-    def from_csv(cls, path) -> "TargetProfile":
-        rows = []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#") or row[0] == "t_s":
-                    continue
-                rows.append((float(row[0]), float(row[1])))
-        rows.sort()
-        return cls("from_file", tuple(v for _, v in rows), samples=tuple(rows))
-
     def target_at(self, t):
         """Target at time t, nT: a float for a scalar t, an array of the
         same shape for an array of times, with the same bits at each time."""
@@ -249,25 +226,23 @@ class TargetProfile:
             v = np.full(t.shape, levels[0])
         elif self.kind in ("step_up", "step_down"):
             v = np.where(t < self.switch_time_s, levels[0], levels[1])
-        elif self.kind == "ramp_up":
+        else:  # ramp_up
             ramp = self.switch_time_s
             if ramp <= 0.0:
                 v = np.full(t.shape, levels[1])
             else:
-                v = np.where(t >= ramp, levels[1], np.where(t <= 0.0, levels[0], levels[1] * (t / ramp)))
-        else:
-            # from_file: zero-order hold on the last sample at or before t
-            times, values = np.array(self.samples).T
-            v = values[np.maximum(np.searchsorted(times, t, side="right") - 1, 0)]
+                before = t <= 0.0
+                v = np.where(before, levels[0], levels[1])
+                # divide only inside the ramp (and at NaN), where t / ramp
+                # cannot overflow
+                rising = ~(before | (t >= ramp))
+                v[rising] = levels[1] * (t[rising] / ramp)
         return float(v) if v.ndim == 0 else v
 
     def step_magnitude(self) -> float:
         """Magnitude of the commanded change, used for reach-time bands."""
         if self.kind == "constant":
             return abs(self.levels[0])
-        if self.kind == "from_file":
-            vals = [v for _, v in self.samples]
-            return max(vals) - min(vals)
         return abs(self.levels[-1] - self.levels[0])
 
 

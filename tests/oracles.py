@@ -185,13 +185,13 @@ def run_atlms_batch_ref(w0, alpha: float, beta: float, m: float, n_scale: float,
     return {"e": e_out, "w": w}
 
 
-def run_convex_batch_ref(w0, params, x: np.ndarray, d: np.ndarray, b0: float = 0.0):
-    """Vectorized convex combination trials; same update order as
+def run_convex_batch_ref(w0, params, x: np.ndarray, d: np.ndarray):
+    """Vectorized convex combination trials from b = 0; same update order as
     convex_step."""
     trials, n_iters, order = x.shape
     w1 = np.tile(np.asarray(w0, dtype=float), (trials, 1))
     w2 = w1.copy()
-    b = np.full(trials, float(b0))
+    b = np.zeros(trials)
     gamma = 1.0 / (1.0 + np.exp(-np.clip(b, -700, 700)))
     prev_e1 = np.zeros(trials)
     e_out = np.empty((trials, n_iters))

@@ -288,6 +288,10 @@ def config_text(text, preset=None):
 
 
 META = "[meta]\nschema_version = 1\n"
+# a sensor model fixes the rate, so an explicit one would be ignored
+SENSOR_MODEL_WITH_RATE = config_text(META + "[step]\nprofile = step_up\nlevel_nt = 120000\n"
+                                     "[method.lms]\nmu = 0.05\n"
+                                     "[sensor]\nmodel = rm3100\nsample_rate_hz = 10\n")
 
 # (argv with {cfg} and {out} placeholders, config writer or None, exit code)
 EXIT_CODES = {
@@ -344,12 +348,14 @@ EXIT_CODES = {
                       edited_preset("table4-30db", "sysid", "order", "0"), EXIT_USAGE),
     "check-order-negative": (["check", "--config", "{cfg}", "--out-dir", "{out}"],
                              edited_preset("table4-30db", "sysid", "order", "-1"), EXIT_USAGE),
-    # a sensor model fixes the rate, so an explicit one would be ignored
     "step-sensor-model-with-rate": (["step", "--config", "{cfg}", "--method", "lms", "--out-dir", "{out}"],
-                                    config_text(META + "[step]\nprofile = step_up\nlevel_nt = 120000\n"
-                                                "[method.lms]\nmu = 0.05\n"
-                                                "[sensor]\nmodel = rm3100\nsample_rate_hz = 10\n"),
-                                    EXIT_USAGE),
+                                    SENSOR_MODEL_WITH_RATE, EXIT_USAGE),
+    # --validate-only runs the command's own checks, not only the schema's
+    "step-validate-only-sensor-model-with-rate": (
+        ["step", "--config", "{cfg}", "--method", "lms", "--validate-only", "--out-dir", "{out}"],
+        SENSOR_MODEL_WITH_RATE, EXIT_USAGE),
+    "check-validate-only-order-0": (["check", "--config", "{cfg}", "--validate-only", "--out-dir", "{out}"],
+                                    edited_preset("table4-30db", "sysid", "order", "0"), EXIT_USAGE),
 }
 
 

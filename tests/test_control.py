@@ -472,12 +472,12 @@ class TestBatchRunnersBitwise:
         # gamma_o low enough that transfers fire
         p = ConvexParams(alpha=1e5, beta=0.3, sigma=11.0, phi=0.1, c=0.1, mu_b=2.0,
                          gamma_o=0.55, t_o=t_o)
-        ref = oracles.run_convex_batch_ref(w0, p, x, d, 0.3)
+        ref = oracles.run_convex_batch_ref(w0, p, x, d)
         e1 = ref["e1"]
         assert np.any(-p.alpha * np.abs(e1[:, 1:] * e1[:, :-1]) + p.sigma * np.abs(e1[:, 1:]) < -700.0)
         no_late_transfer = replace(p, t_o=self.N_ITERS)
-        assert not np.array_equal(ref["e2"], oracles.run_convex_batch_ref(w0, no_late_transfer, x, d, 0.3)["e2"])
-        assert_bitwise_equal(run_convex_batch, (w0, p, xr, dr, 0.3), ref)
+        assert not np.array_equal(ref["e2"], oracles.run_convex_batch_ref(w0, no_late_transfer, x, d)["e2"])
+        assert_bitwise_equal(run_convex_batch, (w0, p, xr, dr), ref)
 
     def test_convex_gamma_clamp(self):
         # mu_b large enough that b ends below -700 in some trials, where the
@@ -485,12 +485,12 @@ class TestBatchRunnersBitwise:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((self.TRIALS, self.N_ITERS, 2))
         d = rng.standard_normal((self.TRIALS, self.N_ITERS))
-        p = ConvexParams(alpha=1e5, beta=0.3, sigma=11.0, phi=0.1, c=0.1, mu_b=1e4, gamma_o=0.55, t_o=2)
-        ref = oracles.run_convex_batch_ref([0.1, -0.2], p, x, d, 0.3)
+        p = ConvexParams(alpha=1e5, beta=0.3, sigma=11.0, phi=0.1, c=0.1, mu_b=5e4, gamma_o=0.55, t_o=2)
+        ref = oracles.run_convex_batch_ref([0.1, -0.2], p, x, d)
         assert np.any(ref["gamma"] == 1.0 / (1.0 + np.exp(700.0)))
         xt, dt = np.ascontiguousarray(x.transpose(1, 2, 0)), np.ascontiguousarray(d.T)
         for xr, dr in ((x, d), (xt.transpose(2, 0, 1), dt.T)):
-            assert_bitwise_equal(run_convex_batch, ([0.1, -0.2], p, xr, dr, 0.3), ref)
+            assert_bitwise_equal(run_convex_batch, ([0.1, -0.2], p, xr, dr), ref)
 
     def test_convex_default_rates(self, signals, order):
         x, d, xr, dr = signals

@@ -11,12 +11,11 @@ from coilsim import experiments
 from coilsim._table import write_repr_csv
 from coilsim.config import load_preset
 from coilsim.plant import TargetProfile, snr_to_sigma
-from coilsim.control import check_convergence_condition, run_convex_batch, run_lms_batch
+from coilsim.control import run_lms_batch
 from coilsim.experiments import (
     ActuatorSaturationWarning,
     SysIdScenario,
     compute_metrics,
-    run_divergence_probe,
     run_step_response,
     run_sysid,
     write_mse_curves_csv,
@@ -54,77 +53,6 @@ def test_converged_lms_weight_error_uncorrelated_with_noise():
     assert abs(mean) <= 3.0 * se
     mean, se = stat(n + 1)
     assert abs(mean) > 3.0 * se
-
-
-class TestDivergenceProbe:
-    def test_flags_fast_rate_past_bound(self, table4):
-        # with the weight transfer off, so that the slow branch does not
-        # keep resetting the fast one
-        scn = small_scenario()
-        taps = experiments._sysid_signals(scn)[0].reshape(-1, scn.order)
-        lam = check_convergence_condition(table4["convex"], taps).lambda_max
-        params = replace(table4["convex"], c=1.5 * 2.0 / lam, t_o=10**6)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rep = run_divergence_probe(scn, params)
-        assert rep.diverged
-        assert rep.growth_ratio == float("inf")
-
-    def test_table4_rates_do_not_diverge(self, table4):
-        rep = run_divergence_probe(small_scenario(), table4["convex"])
-        assert not rep.diverged
-        assert rep.growth_ratio < 10.0
-
-    @staticmethod
-    def _report_from_full_arrays(scn, params, early_iter=50, late_iter=500, growth_threshold=1e3):
-        """The probe's report computed from the runner's full error arrays."""
-        x, d = experiments._sysid_signals(scn, reinject=False)
-        res = oracles.run_keeping_errors(run_convex_batch, (0.0,) * scn.order, params, x, d)
-        worst, diverged, combined = 0.0, False, None
-        for key in ("e", "e1", "e2"):
-            with np.errstate(over="ignore"):
-                early = float(np.mean(res[key][:, early_iter] ** 2))
-                late = float(np.mean(res[key][:, late_iter] ** 2))
-            if key == "e":
-                combined = (early, late)
-            if not np.isfinite(late):
-                diverged, worst = True, float("inf")
-                continue
-            ratio = late / early if early > 0.0 else float("inf") if late > 0.0 else 0.0
-            worst = max(worst, ratio)
-            diverged = diverged or ratio > growth_threshold
-        return experiments.DivergenceReport(diverged, *combined, worst, early_iter, late_iter)
-
-    @pytest.mark.parametrize("case", ["diverging", "table4"])
-    def test_report_matches_full_error_arrays(self, table4, case):
-        scn = small_scenario()
-        params = table4["convex"]
-        if case == "diverging":
-            taps = experiments._sysid_signals(scn)[0].reshape(-1, scn.order)
-            lam = check_convergence_condition(params, taps).lambda_max
-            params = replace(params, c=1.5 * 2.0 / lam, t_o=10**6)
-        got = run_divergence_probe(scn, params)
-        want = self._report_from_full_arrays(scn, params)
-        assert [bits(v) for v in asdict(got).values()] == [bits(v) for v in asdict(want).values()]
-
-    @pytest.mark.parametrize("iters", [(-1, 500), (50, 600)])
-    def test_rejects_probe_iterations_outside_the_run(self, table4, iters):
-        with pytest.raises(ValueError):
-            run_divergence_probe(small_scenario(), table4["convex"], *iters)
-
-    def test_peak_memory_is_the_signals(self, table4):
-        # long enough that the runner's per-block buffers (~3 MB at 200
-        # trials) stay a small share of the signals
-        scn = small_scenario(n_iters=5000, noise_reinjection_at=2500, trials=200)
-        signals = scn.trials * scn.n_iters * (scn.order + 1) * 8  # x.nbytes + d.nbytes
-        tracemalloc.start()
-        try:
-            run_divergence_probe(scn, table4["convex"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the three full error arrays would add the signals' size again
-        assert signals <= peak <= 1.25 * signals
 
 
 class TestStepResponse:
@@ -189,17 +117,18 @@ class TestRunSysid:
 
     @staticmethod
     def _assert_burst_only_at(scn):
-        # outside the burst, reinjection leaves the targets' bits alone;
-        # inside it, the targets are the per-trial draw's
-        d_on = experiments._sysid_signals(scn)[1]
-        d_off = experiments._sysid_signals(scn, reinject=False)[1]
+        # outside the burst, the targets have the bits of the per-trial draw
+        # without reinjection; inside it, those of the reinjected draw
+        d = experiments._sysid_signals(scn)[1]
+        sigma = snr_to_sigma(1.0, scn.snr_db)
+        d_off = oracles.sysid_signals_ref(scn, sigma, reinject=False)[1]
+        want = oracles.sysid_signals_ref(scn, sigma, True, experiments.REINJECTION_SCALE,
+                                         experiments.REINJECTION_LEN)[1]
         burst = np.zeros(scn.n_iters, bool)
         burst[scn.noise_reinjection_at : scn.noise_reinjection_at + experiments.REINJECTION_LEN] = True
-        np.testing.assert_array_equal(bits(d_on[:, ~burst]), bits(d_off[:, ~burst]))
-        want = oracles.sysid_signals_ref(scn, snr_to_sigma(1.0, scn.snr_db), True,
-                                         experiments.REINJECTION_SCALE, experiments.REINJECTION_LEN)[1]
-        np.testing.assert_array_equal(bits(d_on[:, burst]), bits(want[:, burst]))
-        assert not np.any(d_on[:, burst] == d_off[:, burst])
+        np.testing.assert_array_equal(bits(d[:, ~burst]), bits(d_off[:, ~burst]))
+        np.testing.assert_array_equal(bits(d[:, burst]), bits(want[:, burst]))
+        assert not np.any(d[:, burst] == d_off[:, burst])
 
     def test_noise_burst_only_when_reinjecting(self):
         self._assert_burst_only_at(small_scenario())
@@ -263,12 +192,11 @@ class TestSysidStreaming:
 class TestSysidSignals:
     @pytest.mark.parametrize("trials", [1, experiments.TRIAL_BLOCK, 37])
     @pytest.mark.parametrize("order", [1, 3])
-    @pytest.mark.parametrize("reinject", [True, False])
-    def test_blocks_match_per_trial_draw(self, trials, order, reinject):
+    def test_blocks_match_per_trial_draw(self, trials, order):
         scn = small_scenario(trials=trials, order=order, true_weights=(0.8, 0.5, -0.3)[:order])
-        want = oracles.sysid_signals_ref(scn, snr_to_sigma(1.0, scn.snr_db), reinject,
+        want = oracles.sysid_signals_ref(scn, snr_to_sigma(1.0, scn.snr_db), True,
                                          experiments.REINJECTION_SCALE, experiments.REINJECTION_LEN)
-        got = experiments._sysid_signals(scn, reinject)
+        got = experiments._sysid_signals(scn)
         assert len(got) == 2
         for g, w in zip(got, want):
             np.testing.assert_array_equal(bits(g), bits(w))
