@@ -247,10 +247,13 @@ def cmd_check(args) -> int:
     order = cfg.get("sysid", "order", 2)
     if order < 1:
         raise ConfigError(f"{cfg.source}: [sysid] order must be >= 1")
+    section = "sysid" if cfg.get("sysid", "seed") is not None else "step"
+    seed = cfg.get(section, "seed", 0)
+    if seed < 0:
+        raise ConfigError(f"{cfg.source}: [{section}] seed must be >= 0")
     if args.validate_only:
         print("config OK")
         return EXIT_OK
-    seed = cfg.get("sysid", "seed", cfg.get("step", "seed", 0))
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(args.samples + order - 1)
     x = np.lib.stride_tricks.sliding_window_view(u, order)[:, ::-1]

@@ -209,9 +209,6 @@ class ScenarioConfig:
             return self._build(ConvexParams, section, params)
         return params
 
-    def convex_init_weights(self) -> tuple[float, ...]:
-        return tuple(self.get("method.convex", "init_weights", (0.8, 0.5)))
-
     def sysid_scenario(self, snr_override: float | None = None):
         """The [sysid] scenario; a value its checks reject is a ConfigError
         naming the section."""
@@ -246,10 +243,14 @@ class ScenarioConfig:
             disturbance=self.disturbance(seed),
             v_min_v=self.get("plant", "v_min_v", 0.0),
             v_max_v=self.get("plant", "v_max_v", 3.0),
-            init_weights=self.convex_init_weights(),
             ctrl_unit_nt=self.get("step", "ctrl_unit_nt", 1000.0),
             x_scale_nt=self.get("step", "x_scale_nt", 1e6),
         )
+        # [method.convex] init_weights starts convex runs only; the other
+        # methods, and convex without the key, start from StepScenario's default
+        init_weights = self.get("method.convex", "init_weights")
+        if method == "convex" and init_weights is not None:
+            fields["init_weights"] = tuple(init_weights)
         return self._build(StepScenario, "step", fields)
 
     def _build(self, cls, section: str, fields: dict):

@@ -22,13 +22,12 @@ parallel, but a single state must be stepped from one thread at a time.
 
 Batch runners (`run_*_batch`) execute many independent trials of the same
 update equations vectorized across trials; they exist for experiment-harness
-speed and are pinned to the scalar steps by equivalence tests.  They take
-trial-major arrays, x (trials, n_iters, order) and d (trials, n_iters), and
-step through them time-major, (n_iters, order, trials): one step reads one
-contiguous block, and the transposed views that the sysid harness passes
-cost no copy.  Mirroring the scalar side, LMS, SVS and ATLMS share one loop,
-`_run_filter`, that differs only in its step-size law; the convex runner
-stacks w1 and w2 so one multiply serves both branches.
+speed and are pinned to the scalar steps by equivalence tests.  Each dot
+product adds its taps in plain order, w0*x0 + w1*x1 + ..., the order of the
+scalar steps, so the bits do not depend on a BLAS kernel.  Mirroring the
+scalar side, LMS, SVS and ATLMS share one loop, `_run_filter`, that differs
+only in its step-size law; the convex runner stacks w1 and w2 so one
+multiply serves both branches.
 
 Each step writes its errors into one contiguous row of a time-major
 (kinds, ERROR_BLOCK, trials) buffer, and every ERROR_BLOCK steps (fewer at
@@ -325,19 +324,12 @@ def check_convergence_condition(
 # ---------------------------------------------------------------------------
 
 
-def _tap_sum(p) -> np.ndarray:
-    """Sum over the leading (tap) axis in np.einsum's order for a contiguous
-    row, to which the sysid outputs are pinned: even and odd taps in two
-    lanes (eights from their last pair back), then the lanes; plain tap
-    order for one or two taps."""
-    n = len(p)
-    if n < 3:
-        return p[0] if n == 1 else p[0] + p[1]
-    lanes: list = [None, None]
-    blocks = [j + k for j in range(0, n - n % 8, 8) for k in (6, 7, 4, 5, 2, 3, 0, 1)]
-    for j in blocks + list(range(n - n % 8, n)):
-        lanes[j % 2] = p[j] if lanes[j % 2] is None else p[j] + lanes[j % 2]
-    return lanes[0] + lanes[1]
+def _plain_sum(p) -> np.ndarray:
+    """p[0] + p[1] + ... over the leading (tap) axis, added left to right."""
+    y = p[0]
+    for j in range(1, len(p)):
+        y = y + p[j]
+    return y
 
 
 def _clamp(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -353,9 +345,7 @@ ErrorSink = Callable[[int, np.ndarray], None]
 
 def _run_filter(w0, x, d, rate, sink: ErrorSink) -> dict:
     """Single-filter trials, e = d - w.x and then w += rate(e) * e * x,
-    stepped time-major across all trials at once (no copy for the
-    transposed views experiments._sysid_signals returns)."""
-    x, d = np.ascontiguousarray(x.transpose(1, 2, 0)), np.ascontiguousarray(d.T)
+    one step across all trials at once."""
     n_iters, order, trials = x.shape
     w = np.repeat(np.asarray(w0, dtype=float)[:, None], trials, axis=1)
     errs = np.empty((1, ERROR_BLOCK, trials))
@@ -364,7 +354,7 @@ def _run_filter(w0, x, d, rate, sink: ErrorSink) -> dict:
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(start, stop):
                 x_n = x[n]
-                e = np.subtract(d[n], _tap_sum(w * x_n), out=errs[0, n - start])
+                e = np.subtract(d[n], _plain_sum(w * x_n), out=errs[0, n - start])
                 w += rate(e) * e * x_n
         sink(start, errs[:, : stop - start])
     return {"w": w.T.copy()}
@@ -378,9 +368,10 @@ def run_lms_batch(
     *,
     sink: ErrorSink,
 ) -> dict:
-    """Run independent LMS trials: x has shape (trials, n_iters, order),
-    d shape (trials, n_iters).  Hands the errors to `sink` and returns the
-    final weights as "w" (trials, order)."""
+    """Run independent LMS trials on time-major inputs of any strides: x
+    has shape (n_iters, order, trials), d shape (n_iters, trials).  Hands
+    the errors to `sink` and returns the final weights as "w" (trials,
+    order)."""
     return _run_filter(w0, x, d, lambda e: mu, sink)
 
 
@@ -421,9 +412,8 @@ def run_convex_batch(
     sink: ErrorSink,
 ) -> dict:
     """Vectorized convex combination trials from b = 0; same update order
-    as convex_step.  Returns the final "w1", "w2" (trials, order), "b" and
-    "gamma" (trials,)."""
-    x, d = np.ascontiguousarray(x.transpose(1, 2, 0)), np.ascontiguousarray(d.T)
+    as convex_step, on inputs laid out as run_lms_batch's.  Returns the
+    final "w1", "w2" (trials, order), "b" and "gamma" (trials,)."""
     n_iters, order, trials = x.shape
     # w[:, 0] is w1 and w[:, 1] is w2: one multiply serves both branches
     w = np.tile(np.asarray(w0, dtype=float)[:, None, None], (1, 2, trials))
@@ -435,15 +425,18 @@ def run_convex_batch(
     u = np.empty((2, trials))  # exponents of the slow rate's logistic and of gamma's
     k = np.empty((2, trials))
     errs = np.empty((3, ERROR_BLOCK, trials))  # e, e1, e2
+    dens = np.empty((ERROR_BLOCK, trials))  # phi + x.x, a block of steps at a time
     for start in range(0, n_iters, ERROR_BLOCK):
         stop = min(start + ERROR_BLOCK, n_iters)
         with np.errstate(over="ignore", invalid="ignore"):
-            xs = x[start:stop]  # phi + x.x a block at a time: bounded memory
-            den = _tap_sum([xs[:, j] * xs[:, j] for j in range(order)])
+            xs = x[start:stop]
+            den = np.multiply(xs[:, 0], xs[:, 0], out=dens[: stop - start])
+            for j in range(1, order):  # in plain tap order
+                den += xs[:, j] * xs[:, j]
             den += params.phi
             for n in range(start, stop):
                 x_n = xb[n]
-                y12 = _tap_sum(w * x_n)
+                y12 = _plain_sum(w * x_n)
                 g1 = 1.0 - gamma
                 y = gamma * y12[0] + g1 * y12[1]
                 d_n = d[n]

@@ -1,10 +1,12 @@
 """Experiment harness: the system-identification convergence study and the
 closed-loop step-response study, plus the metric computations they share.
 
-Every run is reproducible: scenarios carry a seed, trial t derives its
-stream from seed XOR t, and trial averages add the trials in index order
-however the trials and steps are blocked, so a scenario always gives the
-same bits.
+Every run is reproducible: scenarios carry a seed, and sysid trial t draws
+from its own pair of child streams of that seed, SeedSequence(seed,
+spawn_key=(t, k)) with k = 0 for its input and k = 1 for its noise.  Trial
+averages add the trials in index order however the trials and steps are
+blocked, and every dot product adds its taps in plain order with no BLAS
+call, so a scenario gives the same bits on any CPU.
 """
 
 from __future__ import annotations
@@ -185,42 +187,50 @@ class SysIdScenario:
             raise ValueError("true_weights length must equal order")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _sysid_signals(scn: SysIdScenario) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial tap matrix X (trials, n_iters, order) and noisy targets D
-    (trials, n_iters).  Trial t draws from seed XOR t.
+    """Tap inputs x (n_iters, order, trials) and noisy targets d (n_iters,
+    trials), time-major: the layout the batch runners step through.
 
-    Both are transposed views of time-major arrays, (n_iters, order,
-    trials) and (n_iters, trials), the layout the batch runners step
-    through.  Trials are drawn TRIAL_BLOCK at a time and written with one
-    slice per tap column; each trial's clean targets are one
-    matrix-vector product over its own row-major tap block, to which its
-    scaled and reinjected noise is added."""
+    Trial t draws its input from SeedSequence(seed, spawn_key=(t, 0)) and
+    its noise from spawn_key=(t, 1): the streams of
+    SeedSequence(seed).spawn(trials)[t].spawn(2), each reachable by its
+    index alone.  The input samples are held once, newest first, in one
+    (n_iters + order - 1, trials) array s, and x is a zero-copy tap-delay
+    view of it: x[n, j] is the sample j steps before step n's newest, tap 0
+    the newest, and each step's taps x[n] are one contiguous block of s,
+    which keeps the runners' multiplies on numpy's fast path.  Trials are
+    drawn TRIAL_BLOCK at a time; a block's clean targets are multiply-adds
+    in plain tap order, x0*w0 + x1*w1 + ..., to which its scaled and
+    reinjected noise is added."""
     n_iters, order, trials = scn.n_iters, scn.order, scn.trials
+    n_samples = n_iters + order - 1
     wo = np.asarray(scn.true_weights, dtype=float)
     sigma = snr_to_sigma(1.0, scn.snr_db)  # the inputs are unit-variance
     burst = slice(scn.noise_reinjection_at, scn.noise_reinjection_at + REINJECTION_LEN)
-    x = np.empty((n_iters, order, trials))
+    s = np.empty((n_samples, trials))
     d = np.empty((n_iters, trials))
     for t0 in range(0, trials, TRIAL_BLOCK):
         t1 = min(t0 + TRIAL_BLOCK, trials)
-        u = np.empty((t1 - t0, n_iters + order - 1))
-        targets = np.empty((t1 - t0, n_iters))  # each trial's noise, then its noisy targets
+        u = np.empty((t1 - t0, n_samples))
+        noise = np.empty((t1 - t0, n_iters))
         for i in range(t1 - t0):
-            rng = np.random.default_rng(scn.seed ^ (t0 + i))
-            rng.standard_normal(out=u[i])
-            rng.standard_normal(out=targets[i])
-        targets *= sigma
-        targets[:, burst] *= REINJECTION_SCALE
-        for i in range(t1 - t0):
-            # tap-delay rows, most recent sample first
-            taps = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(u[i], order)[:, ::-1])
-            targets[i] += taps @ wo
+            for k, out in enumerate((u[i], noise[i])):
+                stream = np.random.SeedSequence(scn.seed, spawn_key=(t0 + i, k))
+                np.random.default_rng(stream).standard_normal(out=out)
+        noise *= sigma
+        noise[:, burst] *= REINJECTION_SCALE
+        targets = u[:, order - 1 : n_samples] * wo[0]
+        for j in range(1, order):
+            targets += u[:, order - 1 - j : n_samples - j] * wo[j]
+        targets += noise
+        s[:, t0:t1] = u[:, ::-1].T
         d[:, t0:t1] = targets.T
-        for j in range(order):
-            x[:, j, t0:t1] = u[:, order - 1 - j : order - 1 - j + n_iters].T
-    return x.transpose(2, 0, 1), d.T
+    x = np.lib.stride_tricks.sliding_window_view(s, order, axis=0)[::-1].transpose(0, 2, 1)
+    return x, d
 
 
 def _smooth_causal(raw: np.ndarray, window: int) -> np.ndarray:
@@ -311,6 +321,8 @@ class StepScenario:
             raise ValueError(f"unknown method {self.method!r}")
         if self.ctrl_unit_nt <= 0.0 or self.x_scale_nt <= 0.0:
             raise ValueError("scales must be > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def resolved_plant(self) -> PlantModel:
         """The voltage fit of the step's direction: descending for a

@@ -6,12 +6,15 @@ form of a square loop pair, and `second_derivative_center_fd` a finite
 difference of it.  None of them shares code with the package's closed forms.
 Three groups are exceptions, kept as references for bit-for-bit behaviour
 rather than as independent oracles: `segment_field_scalar`, a per-point
-reference for the array kernel; the `run_*_batch_ref` runners, the
-trial-major batch filters (one `einsum` per dot product per step) that the
-time-major runners in `coilsim.control` must reproduce; and
-`sysid_signals_ref`, the one-trial-at-a-time draw that the blocked draw in
-`coilsim.experiments` must reproduce.  `run_keeping_errors` collects a
-package runner's error blocks into whole arrays to compare with them.
+reference for the array kernel; the `run_*_batch_ref` runners, batch
+filters in their plainest form (one step at a time into whole error
+arrays, each dot product a loop over the taps in plain order) that the
+runners in `coilsim.control` must reproduce; and `sysid_signals_ref`, the
+one-trial-at-a-time draw from `SeedSequence.spawn` children that the
+blocked draw in `coilsim.experiments` must reproduce.  All of them lay
+signals out time-major, x (n_iters, order, trials) and d (n_iters,
+trials).  `run_keeping_errors` collects a package runner's error blocks
+into whole arrays to compare with them.
 """
 
 from __future__ import annotations
@@ -119,13 +122,13 @@ def segment_field_scalar(start, end, current, turns, q):
 
 
 # ---------------------------------------------------------------------------
-# trial-major batch runners
+# batch runners
 # ---------------------------------------------------------------------------
 
 
 def run_keeping_errors(run, *args, **kwargs):
     """Call the package batch runner `run` with a sink that keeps every
-    error block, and return its result with the whole (trials, n_iters)
+    error block, and return its result with the whole (n_iters, trials)
     error arrays added: "e", and "e1" and "e2" from the convex runner."""
     blocks = []
 
@@ -134,109 +137,87 @@ def run_keeping_errors(run, *args, **kwargs):
         blocks.append(block.copy())  # the runner reuses its buffer
 
     res = run(*args, sink=keep, **kwargs)
-    # trial-major, as the references lay them out: numpy's sums depend on it
-    errors = np.concatenate(blocks, axis=1).transpose(0, 2, 1).copy()
-    return {**res, **dict(zip(("e", "e1", "e2"), errors))}
+    return {**res, **dict(zip(("e", "e1", "e2"), np.concatenate(blocks, axis=1)))}
+
+
+def _dot(w, x):
+    # w[0] * x[0] + w[1] * x[1] + ..., taps added in plain order
+    y = w[0] * x[0]
+    for j in range(1, len(w)):
+        y = y + w[j] * x[j]
+    return y
+
+
+def _run_filter_ref(w0, x, d, rate):
+    """Independent single-filter trials: e = d - w.x, then w += rate(e) * e * x.
+    Returns the errors "e" (n_iters, trials) and final weights "w" (trials,
+    order)."""
+    n_iters, order, trials = x.shape
+    w = np.tile(np.asarray(w0, dtype=float)[:, None], (1, trials))
+    e_out = np.empty((n_iters, trials))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_iters):
+            e = d[n] - _dot(w, x[n])
+            e_out[n] = e
+            w += rate(e) * e * x[n]
+    return {"e": e_out, "w": w.T}
 
 
 def run_lms_batch_ref(w0, mu: float, x: np.ndarray, d: np.ndarray):
-    """Run independent LMS trials: x has shape (trials, n_iters, order),
-    d shape (trials, n_iters).  Returns per-trial error traces and final
-    weights."""
-    trials, n_iters, order = x.shape
-    w = np.tile(np.asarray(w0, dtype=float), (trials, 1))
-    e_out = np.empty((trials, n_iters))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_iters):
-            x_n = x[:, n, :]
-            e = d[:, n] - np.einsum("ij,ij->i", w, x_n)
-            e_out[:, n] = e
-            w += (mu * e)[:, None] * x_n
-    return {"e": e_out, "w": w}
+    return _run_filter_ref(w0, x, d, lambda e: mu)
 
 
 def run_svs_batch_ref(w0, alpha: float, beta: float, x: np.ndarray, d: np.ndarray):
-    trials, n_iters, order = x.shape
-    w = np.tile(np.asarray(w0, dtype=float), (trials, 1))
-    e_out = np.empty((trials, n_iters))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_iters):
-            x_n = x[:, n, :]
-            e = d[:, n] - np.einsum("ij,ij->i", w, x_n)
-            e_out[:, n] = e
-            mu = beta * (1.0 / (1.0 + np.exp(np.clip(-alpha * np.abs(e), -700, 700))) - 0.5)
-            w += (mu * e)[:, None] * x_n
-    return {"e": e_out, "w": w}
+    return _run_filter_ref(
+        w0, x, d, lambda e: beta * (1.0 / (1.0 + np.exp(np.clip(-alpha * np.abs(e), -700, 700))) - 0.5))
 
 
 def run_atlms_batch_ref(w0, alpha: float, beta: float, m: float, n_scale: float,
                         x: np.ndarray, d: np.ndarray):
-    trials, n_iters, order = x.shape
-    w = np.tile(np.asarray(w0, dtype=float), (trials, 1))
-    e_out = np.empty((trials, n_iters))
     gain = beta * (2.0 / math.pi) * m / (m + n_scale)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_iters):
-            x_n = x[:, n, :]
-            e = d[:, n] - np.einsum("ij,ij->i", w, x_n)
-            e_out[:, n] = e
-            mu = gain * np.arctan(alpha * e * e)
-            w += (mu * e)[:, None] * x_n
-    return {"e": e_out, "w": w}
+    return _run_filter_ref(w0, x, d, lambda e: gain * np.arctan(alpha * e * e))
 
 
 def run_convex_batch_ref(w0, params, x: np.ndarray, d: np.ndarray):
     """Vectorized convex combination trials from b = 0; same update order as
     convex_step."""
-    trials, n_iters, order = x.shape
-    w1 = np.tile(np.asarray(w0, dtype=float), (trials, 1))
+    n_iters, order, trials = x.shape
+    w1 = np.tile(np.asarray(w0, dtype=float)[:, None], (1, trials))
     w2 = w1.copy()
     b = np.zeros(trials)
     gamma = 1.0 / (1.0 + np.exp(-np.clip(b, -700, 700)))
     prev_e1 = np.zeros(trials)
-    e_out = np.empty((trials, n_iters))
-    e1_out = np.empty((trials, n_iters))
-    e2_out = np.empty((trials, n_iters))
+    errors = np.empty((3, n_iters, trials))  # e, e1, e2
     half_beta = 0.5 * params.beta
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_iters):
-            x_n = x[:, n, :]
-            y1 = np.einsum("ij,ij->i", w1, x_n)
-            y2 = np.einsum("ij,ij->i", w2, x_n)
-            xx = np.einsum("ij,ij->i", x_n, x_n)
+            x_n = x[n]
+            y1 = _dot(w1, x_n)
+            y2 = _dot(w2, x_n)
+            xx = _dot(x_n, x_n)
             y = gamma * y1 + (1.0 - gamma) * y2
-            d_n = d[:, n]
+            d_n = d[n]
             e1 = d_n - y1
             e2 = d_n - y2
             e = d_n - y
-            e_out[:, n] = e
-            e1_out[:, n] = e1
-            e2_out[:, n] = e2
+            errors[:, n] = e, e1, e2
 
             arg = -params.alpha * np.abs(e1 * prev_e1) + params.sigma * np.abs(e1)
             mu1 = params.beta * (1.0 / (1.0 + np.exp(np.clip(arg, -700, 700))) - 0.5)
             mu1 = np.clip(mu1, 0.0, half_beta)
 
-            w1 += (2.0 * mu1 * e1 / (params.phi + xx))[:, None] * x_n
-            w2 += (params.c * e2)[:, None] * x_n
+            w1 += (2.0 * mu1 * e1 / (params.phi + xx)) * x_n
+            w2 += (params.c * e2) * x_n
 
             if n % params.t_o == 0:
                 transfer = gamma > params.gamma_o
-                if transfer.any():
-                    w2[transfer] = w1[transfer]
+                w2[:, transfer] = w1[:, transfer]
 
             b += params.mu_b * np.sign(e) * (y1 - y2) * gamma * (1.0 - gamma)
             gamma = 1.0 / (1.0 + np.exp(-np.clip(b, -700, 700)))
             prev_e1 = e1
-    return {
-        "e": e_out,
-        "e1": e1_out,
-        "e2": e2_out,
-        "w1": w1,
-        "w2": w2,
-        "b": b,
-        "gamma": gamma,
-    }
+    return {"e": errors[0], "e1": errors[1], "e2": errors[2], "w1": w1.T, "w2": w2.T,
+            "b": b, "gamma": gamma}
 
 
 # ---------------------------------------------------------------------------
@@ -245,23 +226,23 @@ def run_convex_batch_ref(w0, params, x: np.ndarray, d: np.ndarray):
 
 
 def sysid_signals_ref(scn, sigma, reinject=True, burst_scale=50.0, burst_len=10):
-    """One trial at a time, trial t from seed XOR t: taps (trials, n_iters,
-    order), noise eps (trials, n_iters), and targets d = taps @ wo + eps,
-    with eps scaled by sigma and, when reinjecting, by burst_scale over the
-    burst_len samples from scn.noise_reinjection_at."""
-    wo = np.asarray(scn.true_weights, dtype=float)
-    x = np.empty((scn.trials, scn.n_iters, scn.order))
-    d = np.empty((scn.trials, scn.n_iters))
-    eps = np.empty((scn.trials, scn.n_iters))
-    for t in range(scn.trials):
-        rng = np.random.default_rng(scn.seed ^ t)
-        u = rng.standard_normal(scn.n_iters + scn.order - 1)
-        taps = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(u, scn.order)[:, ::-1])
-        x[t] = taps
-        d[t] = taps @ wo
-        eps[t] = rng.standard_normal(scn.n_iters)
+    """One trial at a time, trial t's input from the first and its noise
+    from the second child of SeedSequence(seed).spawn(trials)[t]: taps x
+    (n_iters, order, trials), noise eps (n_iters, trials), and targets
+    d = x0*w0 + x1*w1 + ... + eps, with eps scaled by sigma and, when
+    reinjecting, by burst_scale over the burst_len samples from
+    scn.noise_reinjection_at."""
+    n_iters, order = scn.n_iters, scn.order
+    x = np.empty((n_iters, order, scn.trials))
+    eps = np.empty((n_iters, scn.trials))
+    for t, child in enumerate(np.random.SeedSequence(scn.seed).spawn(scn.trials)):
+        inputs, noise = (np.random.default_rng(s) for s in child.spawn(2))
+        u = inputs.standard_normal(n_iters + order - 1)
+        for j in range(order):  # tap j lags the newest sample by j
+            x[:, j, t] = u[order - 1 - j : order - 1 - j + n_iters]
+        eps[:, t] = noise.standard_normal(n_iters)
     eps *= sigma
     if reinject:
         lo = scn.noise_reinjection_at
-        eps[:, lo : lo + burst_len] *= burst_scale
-    return x, d + eps, eps
+        eps[lo : lo + burst_len] *= burst_scale
+    return x, _dot(scn.true_weights, x.transpose(1, 0, 2)) + eps, eps

@@ -1,9 +1,14 @@
 import csv
 import functools
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coilsim import cli
@@ -227,22 +232,31 @@ class TestStepGoldens:
         assert sha256(tmp_path / "sensor.csv") == self.SIGMA0_SENSOR_LOG["convex"]
 
 
+def linked_to_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no "dicts" mode
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
 class TestSysidGoldens:
-    # captured from the runs that drew the trial signals once per method and
-    # stepped the trial-major einsum runners; one draw per command and the
-    # time-major runners must reproduce them byte for byte
+    # captured from the runs whose trials draw from SeedSequence(seed,
+    # spawn_key=(t, k)) child streams and whose targets and runners add the
+    # taps in plain order; no BLAS call lies on the path, so the digests
+    # hold on any CPU
     GOLDENS = {
         "table4-30db": {
-            "metrics.csv": "aef5165fd5903d9b0a586cea1c425732af958cc4d11e707a118c0ab6d35bd62b",
-            "mse_curve.csv": "e1782302411c0994524f7b8534563983bea1c1245a33607bf8f96f6afa5e52df",
+            "metrics.csv": "7dbcb410f00f1517b6133663a0e6c18e3ec95cc20a87ef928da4dddfd50f76df",
+            "mse_curve.csv": "7969116ce247148714c3ac4e9c11475bcb14ab94dd65115d48124b9fc446f55a",
         },
         "table4-10db": {
-            "metrics.csv": "dca06bc39e4615f21dec85f3ae36446f1881e5b1bb677fce24dc7b914c3dccef",
-            "mse_curve.csv": "51196c94b03f6e5c71dff0b54c18e56a028c648e35ca07ff5b974f9c53f90365",
+            "metrics.csv": "141615caef24800ff2ba04c2cb63cf7f27d7a0b8579d10d1bbf0b003e8ce79ff",
+            "mse_curve.csv": "94890d2b19c305d455a0582b343d85a2e122c78e2eb740be44bb314755efa7fc",
         },
         "table4-10db --methods lms,convex": {
-            "metrics.csv": "3e5c66f903edd538c10561be605ea88adb463e70847f540e5930d8c033006db5",
-            "mse_curve.csv": "21d1159d95faf334dc9b3d532796779fadb59735685e4ee814b8e39e21c04862",
+            "metrics.csv": "d8885553222bee8bb1678cae0849448b42d76293244e8468650c6fb3e8a84b22",
+            "mse_curve.csv": "19603885a18b2ca97e249bd0f56b89f3c0f6808d0845c2644b91d2aea88f54a5",
         },
     }
 
@@ -251,6 +265,31 @@ class TestSysidGoldens:
         argv = ["sysid", "--preset", *args.split(), "--out-dir", str(tmp_path)]
         assert main(argv) == EXIT_OK
         assert {p.name: sha256(p) for p in tmp_path.iterdir()} == self.GOLDENS[args]
+
+    @pytest.mark.skipif(not linked_to_openblas(), reason="numpy is not linked to OpenBLAS")
+    def test_outputs_under_another_blas_kernel(self, tmp_path):
+        # Prescott is OpenBLAS's SSE3 kernel set, with no FMA
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["sysid", "--preset", "table4-30db", "--out-dir", str(tmp_path)]
+        subprocess.run([sys.executable, "-m", "coilsim.cli", *argv], env=env, check=True, capture_output=True,
+                       timeout=300)
+        assert {p.name: sha256(p) for p in tmp_path.iterdir()} == self.GOLDENS["table4-30db"]
+
+
+def test_convex_init_weights_start_only_convex(tmp_path):
+    # [method.convex] init_weights = 0,0 moves the convex run, and leaves lms
+    # on StepScenario's default (0.8, 0.5), which the preset also gives convex
+    cfg = edited_preset("table7-up", "method.convex", "init_weights", "0,0")(tmp_path)
+    metrics = {}
+    for name, source in (("preset", ["--preset", "table7-up"]), ("edited", ["--config", str(cfg)])):
+        out = tmp_path / name
+        assert main(["step", *source, "--method", "lms,convex", "--out-dir", str(out)]) == EXIT_OK
+        with open(out / "metrics.csv", newline="") as fh:
+            metrics[name] = {row[0]: row for row in csv.reader(fh)}
+    assert metrics["edited"]["lms"] == metrics["preset"]["lms"]
+    assert metrics["edited"]["convex"] != metrics["preset"]["convex"]
 
 
 def test_convex_diagnostics_csv(tmp_path):
@@ -328,6 +367,13 @@ EXIT_CODES = {
                       edited_preset("table4-30db", "sysid", "order", "0"), EXIT_USAGE),
     "sysid-reinjection-negative": (["sysid", "--config", "{cfg}", "--out-dir", "{out}"],
                                    edited_preset("table4-30db", "sysid", "reinjection_at", "-20"), EXIT_USAGE),
+    # a seed keys numpy's SeedSequence, which takes no negative entropy
+    "sysid-seed-negative": (["sysid", "--config", "{cfg}", "--out-dir", "{out}"],
+                            edited_preset("table4-30db", "sysid", "seed", "-1"), EXIT_USAGE),
+    "step-seed-negative": (["step", "--preset", "table7-up", "--seed", "-3", "--out-dir", "{out}"],
+                           None, EXIT_USAGE),
+    "check-seed-negative": (["check", "--config", "{cfg}", "--out-dir", "{out}"],
+                            edited_preset("table4-30db", "sysid", "seed", "-1"), EXIT_USAGE),
     "step-duration-at-settle": (["step", "--config", "{cfg}", "--method", "lms", "--out-dir", "{out}"],
                                 edited_preset("table7-up", "step", "duration_s", "1.5"), EXIT_USAGE),
     "unknown-method": (["sysid", "--preset", "table4-30db", "--methods", "bogus", "--out-dir", "{out}"],
@@ -391,8 +437,11 @@ def test_missing_method_key_exits_1_and_names_it(tmp_path, capsys, argv, preset,
         (["sysid"], "table4-30db", "sysid", "reinjection_at", "-20", "noise_reinjection_at must be >= 0"),
         (["step", "--method", "lms"], "table7-up", "step", "duration_s", "1.0",
          "duration_s must exceed settle_time_s"),
+        (["sysid"], "table4-30db", "sysid", "seed", "-1", "seed must be >= 0"),
+        (["check"], "table4-30db", "sysid", "seed", "-1", "seed must be >= 0"),
+        (["step", "--method", "lms"], "table7-up", "step", "seed", "-1", "seed must be >= 0"),
     ],
-    ids=["sysid-trials", "sysid-reinjection", "step-duration"],
+    ids=["sysid-trials", "sysid-reinjection", "step-duration", "sysid-seed", "check-seed", "step-seed"],
 )
 def test_scenario_value_error_exits_1_and_names_the_section(tmp_path, capsys, argv, preset, section, key,
                                                               value, message):

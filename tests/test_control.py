@@ -308,50 +308,61 @@ class TestConvergenceCondition:
             assert eff <= rep.mu_max_bound
 
 
+def tap_delay(samples, order):
+    """Time-major taps (n_iters, order, trials) over a (n_iters + order - 1,
+    trials) sample array, tap 0 the newest sample, as a copy."""
+    n_iters = samples.shape[0] - order + 1
+    return np.stack([samples[order - 1 - j : order - 1 - j + n_iters] for j in range(order)], axis=1)
+
+
 class TestErrorDecrease:
     def test_mean_abs_error_drops_under_valid_rates(self):
         # converging runs: second-half |e| below first-half |e| in >= 99/100
         # seeded trials of the white-input identification task
         rng = np.random.default_rng(99)
         n_iters, trials = 1000, 100
-        x = np.empty((trials, n_iters, 2))
-        d = np.empty((trials, n_iters))
-        wo = np.array([0.8, 0.5])
-        for t in range(trials):
-            r = np.random.default_rng(1000 + t)
-            u = r.standard_normal(n_iters + 1)
-            taps = np.lib.stride_tricks.sliding_window_view(u, 2)[:, ::-1]
-            x[t] = taps
-            d[t] = taps @ wo + 0.0316 * r.standard_normal(n_iters)
+        x = tap_delay(rng.standard_normal((n_iters + 1, trials)), 2)
+        d = 0.8 * x[:, 0] + 0.5 * x[:, 1] + 0.0316 * rng.standard_normal((n_iters, trials))
         e = np.abs(oracles.run_keeping_errors(run_convex_batch, [0.0, 0.0], PARAMS, x, d)["e"])
-        first = e[:, : n_iters // 2].mean(axis=1)
-        second = e[:, n_iters // 2 :].mean(axis=1)
+        first = e[: n_iters // 2].mean(axis=0)
+        second = e[n_iters // 2 :].mean(axis=0)
         assert np.count_nonzero(second < first) >= 99
 
 
 class TestBatchEquivalence:
-    def _signals(self, trials=3, n_iters=200, seed=0):
-        x = np.empty((trials, n_iters, 2))
-        d = np.empty((trials, n_iters))
-        for t in range(trials):
-            rng = np.random.default_rng(seed + t)
-            u = rng.standard_normal(n_iters + 1)
-            taps = np.lib.stride_tricks.sliding_window_view(u, 2)[:, ::-1]
-            x[t] = taps
-            d[t] = taps @ np.array([0.8, 0.5]) + 0.1 * rng.standard_normal(n_iters)
+    TRIALS = 3
+
+    def _signals(self, order=2, n_iters=200, seed=0):
+        rng = np.random.default_rng(seed)
+        x = tap_delay(rng.standard_normal((n_iters + order - 1, self.TRIALS)), order)
+        wo = np.linspace(0.8, -0.4, order)
+        d = sum(w * x[:, j] for j, w in enumerate(wo)) + 0.1 * rng.standard_normal((n_iters, self.TRIALS))
         return x, d
+
+    @staticmethod
+    def _scalar_errors(x, d, t, step, state):
+        """The scalar step's errors over trial t of the time-major signals."""
+        errors = []
+        for n in range(x.shape[0]):
+            step(state, tuple(x[n, :, t]), d[n, t])
+            errors.append(state.e)
+        return np.array(errors)
 
     def _assert_filter_matches(self, run, args, rate, x, d):
         res = oracles.run_keeping_errors(run, [0.0, 0.0], *args, x, d)
-        for t in range(x.shape[0]):
-            st = FilterState.initial([0.0, 0.0], rate)
-            for n in range(x.shape[1]):
-                filter_step(st, tuple(x[t, n]), d[t, n])
-                assert st.e == pytest.approx(res["e"][t, n], rel=1e-10, abs=1e-14)
+        for t in range(self.TRIALS):
+            e = self._scalar_errors(x, d, t, filter_step, FilterState.initial([0.0, 0.0], rate))
+            np.testing.assert_allclose(e, res["e"][:, t], rtol=1e-10, atol=1e-14)
 
     def test_lms_batch_matches_scalar(self):
-        x, d = self._signals()
-        self._assert_filter_matches(run_lms_batch, (0.05,), lms_rate(0.05), x, d)
+        # the same multiply-adds in the same order: equal bit for bit
+        for order in (1, 2, 3, 9):
+            x, d = self._signals(order, seed=order)
+            w0 = np.linspace(-0.3, 0.4, order)
+            res = oracles.run_keeping_errors(run_lms_batch, w0, 0.05, x, d)
+            for t in range(self.TRIALS):
+                e = self._scalar_errors(x, d, t, filter_step, FilterState.initial(w0, lms_rate(0.05)))
+                np.testing.assert_array_equal(bits(e), bits(res["e"][:, t]), err_msg=f"order {order}")
 
     def test_svs_batch_matches_scalar(self):
         x, d = self._signals(seed=5)
@@ -365,12 +376,12 @@ class TestBatchEquivalence:
     def test_convex_batch_matches_scalar(self):
         x, d = self._signals(seed=7)
         res = oracles.run_keeping_errors(run_convex_batch, [0.0, 0.0], PARAMS, x, d)
-        for t in range(x.shape[0]):
+        for t in range(self.TRIALS):
             st = ConvexState.initial([0.0, 0.0])
-            for n in range(x.shape[1]):
-                convex_step(st, PARAMS, tuple(x[t, n]), d[t, n])
-                assert st.e == pytest.approx(res["e"][t, n], rel=1e-10, abs=1e-14)
-                assert st.e1 == pytest.approx(res["e1"][t, n], rel=1e-10, abs=1e-14)
+            for n in range(x.shape[0]):
+                convex_step(st, PARAMS, tuple(x[n, :, t]), d[n, t])
+                assert st.e == pytest.approx(res["e"][n, t], rel=1e-10, abs=1e-14)
+                assert st.e1 == pytest.approx(res["e1"][n, t], rel=1e-10, abs=1e-14)
             assert st.gamma == pytest.approx(res["gamma"][t], rel=1e-10)
 
 
@@ -406,10 +417,11 @@ def assert_bitwise_equal(run, args, ref: dict):
 
 
 class TestBatchRunnersBitwise:
-    """The time-major runners reproduce the trial-major einsum runners kept
-    in tests/oracles.py bit for bit.  The references always get C-ordered
-    input, the layout the sysid harness used to pass; the runners get either
-    that or a time-major view of the same values, and must not care."""
+    """The runners reproduce the plain references kept in tests/oracles.py
+    bit for bit.  Both take time-major x (n_iters, order, trials) and d
+    (n_iters, trials); the runners get them either C-ordered ("c-order") or
+    as the view that the sysid harness passes ("time-major"): taps over one
+    sample array held newest first, and must not care."""
 
     TRIALS, N_ITERS = 13, 240
 
@@ -420,13 +432,11 @@ class TestBatchRunnersBitwise:
     @pytest.fixture(params=["c-order", "time-major"])
     def signals(self, request, order):
         rng = np.random.default_rng(order)
-        x = rng.standard_normal((self.TRIALS, self.N_ITERS, order))
-        d = rng.standard_normal((self.TRIALS, self.N_ITERS))
-        if request.param == "c-order":
-            return x, d, x, d
-        xt = np.ascontiguousarray(x.transpose(1, 2, 0))
-        dt = np.ascontiguousarray(d.T)
-        return x, d, xt.transpose(2, 0, 1), dt.T
+        samples = rng.standard_normal((self.N_ITERS + order - 1, self.TRIALS))
+        view = np.lib.stride_tricks.sliding_window_view(samples, order, axis=0)[::-1].transpose(0, 2, 1)
+        x = np.ascontiguousarray(view)
+        d = rng.standard_normal((self.N_ITERS, self.TRIALS))
+        return x, d, x if request.param == "c-order" else view, d
 
     # "bias": the desired signal carries the offset fit_k * x0 + fit_b that
     # the controllers' deleted bias term used to model; the filters now have
@@ -437,11 +447,9 @@ class TestBatchRunnersBitwise:
 
     @staticmethod
     def _with_bias(signals, fit):
-        x, d, xr, dr = signals
-        if fit == (0.0, 0.0):
-            return signals
-        d = d + (fit[0] * x[:, :, 0] + fit[1])
-        return x, d, xr, d if dr.flags.c_contiguous else np.ascontiguousarray(d.T).T
+        x, d, xr, _ = signals
+        d = d + (fit[0] * x[:, 0] + fit[1])
+        return x, d, xr, d
 
     def test_lms(self, signals, order, fit):
         x, d, xr, dr = self._with_bias(signals, fit)
@@ -483,14 +491,12 @@ class TestBatchRunnersBitwise:
         # mu_b large enough that b ends below -700 in some trials, where the
         # clamp, not exp's overflow, sets gamma
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((self.TRIALS, self.N_ITERS, 2))
-        d = rng.standard_normal((self.TRIALS, self.N_ITERS))
+        x = rng.standard_normal((self.N_ITERS, 2, self.TRIALS))
+        d = rng.standard_normal((self.N_ITERS, self.TRIALS))
         p = ConvexParams(alpha=1e5, beta=0.3, sigma=11.0, phi=0.1, c=0.1, mu_b=5e4, gamma_o=0.55, t_o=2)
         ref = oracles.run_convex_batch_ref([0.1, -0.2], p, x, d)
         assert np.any(ref["gamma"] == 1.0 / (1.0 + np.exp(700.0)))
-        xt, dt = np.ascontiguousarray(x.transpose(1, 2, 0)), np.ascontiguousarray(d.T)
-        for xr, dr in ((x, d), (xt.transpose(2, 0, 1), dt.T)):
-            assert_bitwise_equal(run_convex_batch, ([0.1, -0.2], p, xr, dr), ref)
+        assert_bitwise_equal(run_convex_batch, ([0.1, -0.2], p, x, d), ref)
 
     def test_convex_default_rates(self, signals, order):
         x, d, xr, dr = signals
@@ -500,7 +506,7 @@ class TestBatchRunnersBitwise:
 
 class TestErrorBlocks:
     """Past one ERROR_BLOCK of steps: the errors a sink collects still match
-    the trial-major references bit for bit, the sink gets every step once,
+    the references bit for bit, the sink gets every step once,
     in order, and the runner returns only its final state."""
 
     TRIALS, N_ITERS = 5, 2 * ERROR_BLOCK + 5
@@ -508,7 +514,7 @@ class TestErrorBlocks:
     @pytest.fixture
     def signals(self):
         rng = np.random.default_rng(11)
-        return rng.standard_normal((self.TRIALS, self.N_ITERS, 2)), rng.standard_normal((self.TRIALS, self.N_ITERS))
+        return rng.standard_normal((self.N_ITERS, 2, self.TRIALS)), rng.standard_normal((self.N_ITERS, self.TRIALS))
 
     CASES = {
         "lms": (run_lms_batch, oracles.run_lms_batch_ref, (0.05,), {"w"}),
@@ -534,7 +540,7 @@ class TestErrorBlocks:
         def sink(start, block):
             seen.append((start, block.shape))
             for k, key in enumerate(("e", "e1", "e2")[:kinds]):
-                np.testing.assert_array_equal(block[k].T, want[key][:, start : start + block.shape[1]])
+                np.testing.assert_array_equal(block[k], want[key][start : start + block.shape[1]])
 
         assert run([0.1, -0.2], *args, x, d, sink=sink).keys() == state
         assert seen == [(0, (kinds, ERROR_BLOCK, self.TRIALS)), (ERROR_BLOCK, (kinds, ERROR_BLOCK, self.TRIALS)),

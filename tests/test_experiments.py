@@ -45,8 +45,8 @@ def test_converged_lms_weight_error_uncorrelated_with_noise():
     wo = np.asarray(scn.true_weights)
 
     def stat(steps):
-        w = run_lms_batch(np.zeros(scn.order), mu, x[:, :steps], d[:, :steps], sink=lambda *_: None)["w"]
-        s = eps[:, n] * np.sum(x[:, n] * (wo - w), axis=1)
+        w = run_lms_batch(np.zeros(scn.order), mu, x[:steps], d[:steps], sink=lambda *_: None)["w"]
+        s = eps[n] * np.sum(x[n] * (wo[:, None] - w.T), axis=0)
         return float(np.mean(s)), float(np.std(s, ddof=1) / np.sqrt(scn.trials))
 
     mean, se = stat(n)  # w_n: the weights step n uses
@@ -126,9 +126,9 @@ class TestRunSysid:
                                          experiments.REINJECTION_LEN)[1]
         burst = np.zeros(scn.n_iters, bool)
         burst[scn.noise_reinjection_at : scn.noise_reinjection_at + experiments.REINJECTION_LEN] = True
-        np.testing.assert_array_equal(bits(d[:, ~burst]), bits(d_off[:, ~burst]))
-        np.testing.assert_array_equal(bits(d[:, burst]), bits(want[:, burst]))
-        assert not np.any(d[:, burst] == d_off[:, burst])
+        np.testing.assert_array_equal(bits(d[~burst]), bits(d_off[~burst]))
+        np.testing.assert_array_equal(bits(d[burst]), bits(want[burst]))
+        assert not np.any(d[burst] == d_off[burst])
 
     def test_noise_burst_only_when_reinjecting(self):
         self._assert_burst_only_at(small_scenario())
@@ -145,10 +145,12 @@ class TestRunSysid:
     def test_signal_views_are_time_major(self):
         scn = small_scenario(order=3, true_weights=(0.8, 0.5, -0.3))
         x, d = experiments._sysid_signals(scn)
-        assert x.shape == (scn.trials, scn.n_iters, scn.order)
-        assert d.shape == (scn.trials, scn.n_iters)
-        assert x.transpose(1, 2, 0).flags.c_contiguous
-        assert d.T.flags.c_contiguous
+        assert x.shape == (scn.n_iters, scn.order, scn.trials)
+        assert d.shape == (scn.n_iters, scn.trials) and d.flags.c_contiguous
+        # each step's taps are one block of a sample array that holds each
+        # input sample once: step n's tap 1 is step n - 1's tap 0
+        assert all(x[n].flags.c_contiguous for n in range(scn.n_iters))
+        assert np.shares_memory(x[1, 1], x[0, 0])
 
 
 def bits(a):
@@ -171,12 +173,15 @@ class TestSysidStreaming:
         for m, params in table4.items():
             e = oracles.run_keeping_errors(experiments._RUNNERS[m], (0.0,) * order, x=x, d=d,
                                            **experiments._keywords(m, params))["e"]
-            want = experiments._smooth_causal(np.mean(e**2, axis=0), experiments.SMOOTHING_WINDOW)
+            # trial-major, so that the mean adds the trials in index order
+            want = experiments._smooth_causal(np.mean(np.ascontiguousarray(e.T) ** 2, axis=0),
+                                              experiments.SMOOTHING_WINDOW)
             np.testing.assert_array_equal(bits(reports[m].mse_curve), bits(want), err_msg=m)
 
     def test_peak_memory_is_the_signals(self, table4):
         scn = small_scenario(n_iters=3000, noise_reinjection_at=1500, trials=200)
-        signals = scn.trials * scn.n_iters * (scn.order + 1) * 8  # x.nbytes + d.nbytes
+        # the input samples, each held once, and the targets
+        signals = scn.trials * (2 * scn.n_iters + scn.order - 1) * 8
         # an untraced first call, so the trace holds only what every call allocates
         run_sysid(scn, table4)
         tracemalloc.start()
@@ -185,7 +190,7 @@ class TestSysidStreaming:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one more (trials, n_iters) array would add a third of the signals
+        # one more (n_iters, trials) array would add half of the signals
         assert signals <= peak <= 1.25 * signals
 
 
@@ -200,6 +205,15 @@ class TestSysidSignals:
         assert len(got) == 2
         for g, w in zip(got, want):
             np.testing.assert_array_equal(bits(g), bits(w))
+
+    def test_adjacent_seeds_share_no_trial(self):
+        # under seed XOR t, seed 1's trial 0 was seed 0's trial 1
+        def columns(seed):
+            x, d = experiments._sysid_signals(small_scenario(seed=seed, trials=8))
+            return [{a[:, t].tobytes() for t in range(8)} for a in (x[:, 0], d)]
+
+        for a, b in zip(columns(0), columns(1)):
+            assert not a & b
 
 
 class TestComputeMetrics:
