@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime/validation failure.
-All file outputs land under --out-dir; every command is deterministic for a
-given (config, seed), so reruns produce byte-identical CSV bodies.
+Output file names are taken relative to --out-dir, so an absolute --csv,
+--sensor-log or --diag-csv path lands where it names.  Every command is
+deterministic for a given (config, seed), so reruns produce byte-identical
+CSV bodies.  A command writes all its files before it prints anything, and
+a reader that closes stdout early ends it quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from contextlib import contextmanager, suppress
 from pathlib import Path
@@ -19,9 +23,8 @@ import numpy as np
 from . import coilopt, experiments, magnetics
 from ._table import write_repr_csv
 from .config import ConfigError, ScenarioConfig, load_config, load_preset, preset_names
-from .control import DiagnosticsRecorder, check_convergence_condition
-from .experiments import METHODS
-from .plant import write_sensor_log_csv
+from .control import check_convergence_condition
+from .experiments import DIAGNOSTICS_COLUMNS, METHODS, SENSOR_LOG_COLUMNS, TRACE_COLUMNS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -105,14 +108,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sysid", help="run the identification study for all methods")
     _add_config_args(p)
     p.add_argument("--snr-db", type=float, help="override the configured SNR")
-    p.add_argument("--methods", default="all", help="comma list or 'all'")
+    p.add_argument("--methods", default="all", help="comma list of distinct methods, or 'all'")
 
     p = sub.add_parser("step", help="run the closed-loop step response")
     _add_config_args(p)
-    p.add_argument("--method", default="all", help="one method or 'all'")
+    p.add_argument("--method", default="all", help="comma list of distinct methods, or 'all'")
     p.add_argument("--seed", type=int, help="override the configured seed")
     p.add_argument("--diag-csv", type=Path,
-                   help="write per-step convex diagnostics (convex runs only)")
+                   help="write per-step convex diagnostics; exits 1 unless convex runs")
     p.add_argument("--sensor-log", type=Path,
                    help="write t/true/disturbance/measured CSV "
                         "(one per method, <stem>_<method><suffix>, when several run)")
@@ -136,11 +139,6 @@ def cmd_optimize(args) -> int:
     spacing_m = side_m / result.n
     pair = magnetics.HelmholtzPair(side=side_m, spacing=spacing_m, turns=1, current=1.0)
     curvature = coilopt.second_derivative_center(pair)
-    print(f"optimal ratio n*      : {result.n:.6f}")
-    print(f"polynomial residual   : {result.residual:.3e}  ({result.iterations} bisections)")
-    print(f"side length           : {args.side_mm:.1f} mm")
-    print(f"optimal spacing       : {spacing_m * 1000.0:.1f} mm")
-    print(f"center curvature      : {curvature:.3e} T/m^2")
     if args.csv is not None:
         args.out_dir.mkdir(parents=True, exist_ok=True)
         path = args.csv if args.csv.is_absolute() else args.out_dir / args.csv
@@ -150,6 +148,12 @@ def cmd_optimize(args) -> int:
         h = magnetics.uniformity(pair, pts).tolist()
         write_repr_csv(path, ("pos_over_d", "uniformity_pct"),
                        [([r / spacing_m for r in positions], h)])
+    print(f"optimal ratio n*      : {result.n:.6f}")
+    print(f"polynomial residual   : {result.residual:.3e}  ({result.iterations} bisections)")
+    print(f"side length           : {args.side_mm:.1f} mm")
+    print(f"optimal spacing       : {spacing_m * 1000.0:.1f} mm")
+    print(f"center curvature      : {curvature:.3e} T/m^2")
+    if args.csv is not None:
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -174,9 +178,13 @@ def _method_list(raw: str) -> list[str]:
     if raw == "all":
         return list(METHODS)
     methods = [m.strip() for m in raw.split(",") if m.strip()]
+    if not methods:
+        raise ConfigError(f"no method selected; choose from {METHODS}")
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
+    if len(set(methods)) < len(methods):
+        raise ConfigError(f"method selected more than once in {raw!r}")
     return methods
 
 
@@ -189,49 +197,51 @@ def cmd_sysid(args) -> int:
         print("config OK")
         return EXIT_OK
     reports = experiments.run_sysid(scn, params)
-    for m, report in reports.items():
-        print(f"{m:7s} iters_to_converge={report.iters_to_converge:5d} "
-              f"final_mse={report.final_mse:.4e}")
     out = _outdir(args)
     experiments.write_metrics_csv(out / "metrics.csv", list(reports.items()))
     experiments.write_mse_curves_csv(out / "mse_curve.csv",
                                      {m: r.mse_curve for m, r in reports.items()})
+    for m, report in reports.items():
+        print(f"{m:7s} iters_to_converge={report.iters_to_converge:5d} "
+              f"final_mse={report.final_mse:.4e}")
     print(f"wrote {out / 'metrics.csv'} and {out / 'mse_curve.csv'}")
     return EXIT_OK
+
+
+def _write_columns(path, names, columns) -> None:
+    write_repr_csv(path, names, [[columns[n] for n in names]])
 
 
 def cmd_step(args) -> int:
     cfg = _load(args)
     methods = _method_list(args.method)
+    if args.diag_csv and "convex" not in methods:
+        return _Parser.exit_with("--diag-csv needs the convex method among those run")
     scenarios = {m: cfg.step_scenario(m, seed_override=args.seed) for m in methods}
     if args.validate_only:
         print("config OK")
         return EXIT_OK
     out = _outdir(args)
+    single = len(methods) == 1
     rows = []
     for m, scn in scenarios.items():
-        trace: list = []
-        sensor_rows: list = []
-        diag = DiagnosticsRecorder() if (args.diag_csv and m == "convex") else None
-        report = experiments.run_step_response(
-            scn, trace=trace,
-            sensor_log=sensor_rows if args.sensor_log else None,
-            diagnostics=diag,
-        )
-        rows.append((m, report))
-        single = len(methods) == 1
-        experiments.write_trace_csv(out / ("trace.csv" if single else f"trace_{m}.csv"), trace)
+        report = experiments.run_step_response(scn)
+        cols = report.columns
+        _write_columns(out / ("trace.csv" if single else f"trace_{m}.csv"), TRACE_COLUMNS, cols)
         if args.sensor_log:
             log = args.sensor_log if single else args.sensor_log.with_stem(f"{args.sensor_log.stem}_{m}")
-            write_sensor_log_csv(out / log, sensor_rows)
-        if diag is not None:
-            diag.write_csv(out / args.diag_csv)
+            _write_columns(out / log, SENSOR_LOG_COLUMNS, cols)
+        if args.diag_csv and m == "convex":
+            _write_columns(out / args.diag_csv, DIAGNOSTICS_COLUMNS, cols)
+        report.columns = None  # written; only the summary is kept for metrics.csv
+        rows.append((m, report))
+    experiments.write_metrics_csv(out / "metrics.csv", rows)
+    for m, report in rows:
         reach = report.reach_target_time_s
         reach_txt = "never" if math.isnan(reach) else f"{reach:.3f}s"
         print(f"{m:7s} reach={reach_txt} mean={report.mean_steady_nt:.1f}nT "
               f"rmse={report.rmse_steady_nt:.1f}nT "
               f"fluct=[{report.fluct_min_nt:.0f}, {report.fluct_max_nt:.0f}]nT")
-    experiments.write_metrics_csv(out / "metrics.csv", rows)
     print(f"wrote {out / 'metrics.csv'}")
     return EXIT_OK
 
@@ -298,7 +308,16 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone, after every file was written; send
+        # the rest of the output, and the flush at exit, to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE

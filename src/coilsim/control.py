@@ -16,9 +16,11 @@ A scalar step takes the tap vector x (a tuple of floats, x[0] the most
 recent) and the target d, mutates its state in place and returns the
 control signal y.  The step's other values stay on the state until the next
 step overwrites them: e and mu on a FilterState; y1, y2, e, e1, e2 and mu1
-on a ConvexState.  A step builds no per-step record, so a closed loop pays
-for little but the law.  Independent controller instances may run in
-parallel, but a single state must be stepped from one thread at a time.
+on a ConvexState, whose gamma and b are then the next step's.  A caller
+that wants them per step reads them off the state after each step, as the
+closed loop in coilsim.experiments does.  Independent controller instances
+may run in parallel, but a single state must be stepped from one thread at
+a time.
 
 Batch runners (`run_*_batch`) execute many independent trials of the same
 update equations vectorized across trials; they exist for experiment-harness
@@ -46,8 +48,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-
-from ._table import write_repr_csv
 
 
 class DimensionMismatch(ValueError):
@@ -464,24 +464,3 @@ def run_convex_batch(
         sink(start, errs[:, : stop - start])
     return {"w1": w1.T.copy(), "w2": w2.T.copy(), "b": b, "gamma": gamma}
 
-
-# ---------------------------------------------------------------------------
-# diagnostics export
-# ---------------------------------------------------------------------------
-
-DIAGNOSTICS_HEADER = ("n", "y", "y1", "y2", "e", "e1", "e2", "gamma", "b", "mu1")
-
-
-class DiagnosticsRecorder:
-    """Collects per-step convex-controller diagnostics for CSV export."""
-
-    def __init__(self) -> None:
-        self.rows: list[tuple] = []
-
-    def record(self, n: int, y: float, state: ConvexState) -> None:
-        """Record step n from its output y and the values it left on state."""
-        self.rows.append((n, y, state.y1, state.y2, state.e, state.e1, state.e2,
-                          state.gamma, state.b, state.mu1))
-
-    def write_csv(self, path) -> None:
-        write_repr_csv(path, DIAGNOSTICS_HEADER, [zip(*self.rows)])

@@ -7,12 +7,18 @@ spawn_key=(t, k)) with k = 0 for its input and k = 1 for its noise.  Trial
 averages add the trials in index order however the trials and steps are
 blocked, and every dot product adds its taps in plain order with no BLAS
 call, so a scenario gives the same bits on any CPU.
+
+A step-response run returns its metrics together with its per-step record,
+MetricsReport.columns: one array per column name.  The trace, sensor-log
+and convex-diagnostics files of the `step` command are the column lists
+TRACE_COLUMNS, SENSOR_LOG_COLUMNS and DIAGNOSTICS_COLUMNS of that record.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import struct
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -23,7 +29,6 @@ from ._table import write_repr_csv
 from .control import (
     ConvexParams,
     ConvexState,
-    DiagnosticsRecorder,
     FilterState,
     atlms_rate,
     convex_step,
@@ -77,7 +82,8 @@ DWELL_S = 0.2
 
 @dataclass
 class MetricsReport:
-    """Per-run summary.  Step-response runs fill the time-domain fields;
+    """Per-run summary.  Step-response runs fill the time-domain fields and
+    columns, their per-step record (see run_step_response);
     system-identification runs fill the MSE fields; unused fields are None."""
 
     reach_target_time_s: float | None = None
@@ -88,6 +94,7 @@ class MetricsReport:
     mse_curve: np.ndarray | None = None
     iters_to_converge: int | None = None
     final_mse: float | None = None
+    columns: dict[str, np.ndarray] | None = None
 
 
 def compute_metrics(
@@ -331,87 +338,91 @@ class StepScenario:
         return cls(v_min=self.v_min_v, v_max=self.v_max_v)
 
 
-def run_step_response(
-    scn: StepScenario,
-    trace: list | None = None,
-    sensor_log: list | None = None,
-    diagnostics: DiagnosticsRecorder | None = None,
-) -> MetricsReport:
+# the columns of the three files `step` writes from a run's record; the
+# diagnostics exist for convex runs only
+TRACE_COLUMNS = ("t_s", "target_nT", "measured_nT", "control_V")
+SENSOR_LOG_COLUMNS = ("t_s", "true_nT", "disturbance_nT", "measured_nT")
+DIAGNOSTICS_COLUMNS = ("n", "y", "y1", "y2", "e", "e1", "e2", "gamma", "b", "mu1")
+
+
+def run_step_response(scn: StepScenario) -> MetricsReport:
     """Run the closed loop at the sensor sample rate and compute step
     metrics on the post-switch measured field.
 
     The targets, the disturbance and the sensor noise are computed for the
     whole run before the loop starts, the last two from the seed's two
-    independent streams (see coilsim.plant).  A loop step builds only its
-    tap tuple and the rows of the sinks it feeds: the controller step
-    returns y and leaves its diagnostics on its state.
+    independent streams (see coilsim.plant).  A loop step stores only what
+    depends on feedback, as doubles: the drive voltage, the coil field, the
+    measured field and, for convex, y and the eight values the controller
+    step leaves on its state (after the step, so gamma and b are the next
+    step's).  The times, targets, disturbance and true field are arrays
+    computed outside the loop.
 
-    Optional sinks collect (t, target, measured, volts) trace rows,
-    (t, true, disturbance, measured) sensor-log rows, and convex per-step
-    diagnostics.  Warns ActuatorSaturationWarning when inverse_drive
-    returns v_min or v_max for more than half of the steps.
+    The report's `columns` hold the run's per-step record, one array per
+    name: t_s, target_nT, measured_nT, control_V, true_nT and
+    disturbance_nT, and for convex the DIAGNOSTICS_COLUMNS too.  n, the step
+    index, is an int array; every other column is float64.  Warns
+    ActuatorSaturationWarning when the drive voltage sits at v_min or v_max
+    for more than half of the steps.
     """
     plant = scn.resolved_plant()
-    fs = scn.sensor.sample_rate_hz
-    dt = 1.0 / fs
-    switch = scn.profile.switch_time_s
-    n_total = int(round((switch + scn.duration_s) * fs))
+    n_total = int(round((scn.profile.switch_time_s + scn.duration_s) * scn.sensor.sample_rate_hz))
     kw = _keywords(scn.method, scn.params)
     convex = scn.method == "convex"
     if convex:
         state, params = ConvexState.initial(scn.init_weights), kw["params"]
     else:
         state = FilterState.initial(scn.init_weights, _RATES[scn.method](**kw))
-    times = [n * dt for n in range(n_total)]
-    targets = scn.profile.target_at(np.array(times)).tolist()
-    disturbance = disturbance_series(scn.disturbance, times).tolist()
-    noise = sensor_noise(scn.sensor, np.random.default_rng((scn.seed, 1)), n_total).tolist()
+    steps = np.arange(n_total)
+    times = steps * (1.0 / scn.sensor.sample_rate_hz)
+    targets = scn.profile.target_at(times)
+    disturbance = disturbance_series(scn.disturbance, times)
+    noise = sensor_noise(scn.sensor, np.random.default_rng((scn.seed, 1)), n_total)
 
     unit = scn.ctrl_unit_nt
     ambient_est_nt = 0.0
-    saturated = 0
-    measured: list[float] = []
+    # one row of doubles per step: volts, coil field, measured field and,
+    # for convex, y and the state's y1 ... mu1
+    width = 12 if convex else 3
+    record = bytearray()
+    pack = struct.Struct(f"{width}d").pack
 
-    for n, t in enumerate(times):
-        target_nt = targets[n]
+    for target_nt, dist_nt, noise_nt in zip(targets.tolist(), disturbance.tolist(), noise.tolist()):
         x = (1.0, ambient_est_nt / scn.x_scale_nt)
         d_ctrl = (target_nt - ambient_est_nt) / unit
         y = convex_step(state, params, x, d_ctrl) if convex else filter_step(state, x, d_ctrl)
-        if diagnostics is not None:
-            diagnostics.record(n, y, state)
-
         v = inverse_drive(plant, y * unit)
-        if v == plant.v_min or v == plant.v_max:
-            saturated += 1
         coil_nt = drive(plant, v)
-        dist_nt = disturbance[n]
-        true_nt = coil_nt + dist_nt
-        meas_nt = sense(scn.sensor, true_nt, noise[n])
+        meas_nt = sense(scn.sensor, coil_nt + dist_nt, noise_nt)
         ambient_est_nt = meas_nt - coil_nt
+        if convex:
+            record += pack(v, coil_nt, meas_nt, y, state.y1, state.y2, state.e, state.e1, state.e2,
+                           state.gamma, state.b, state.mu1)
+        else:
+            record += pack(v, coil_nt, meas_nt)
 
-        measured.append(meas_nt)
-        if trace is not None:
-            trace.append((t, target_nt, meas_nt, v))
-        if sensor_log is not None:
-            sensor_log.append((t, true_nt, dist_nt, meas_nt))
-
+    volts, coil, measured, *diagnostics = np.frombuffer(record).reshape(n_total, width).T
+    saturated = np.count_nonzero((volts == plant.v_min) | (volts == plant.v_max))
     if saturated > 0.5 * n_total:
         warnings.warn(
             f"{saturated}/{n_total} drive samples hit the actuation clamp",
             ActuatorSaturationWarning,
         )
 
-    post = [i for i, t in enumerate(times) if t >= switch]
-    t_post = [times[i] for i in post]
-    v_post = [measured[i] for i in post]
-    return compute_metrics(
-        t_post,
-        v_post,
-        targets[-1],
+    post = times >= scn.profile.switch_time_s
+    report = compute_metrics(
+        times[post],
+        measured[post],
+        float(targets[-1]),
         scn.settle_time_s,
         scn.band_fraction,
         step_magnitude=scn.profile.step_magnitude(),
     )
+    report.columns = {"t_s": times, "target_nT": targets, "measured_nT": measured, "control_V": volts,
+                      "true_nT": coil + disturbance, "disturbance_nT": disturbance}
+    if convex:
+        report.columns.update(zip(DIAGNOSTICS_COLUMNS, (steps, *diagnostics)))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +439,6 @@ METRICS_HEADER = (
     "iters_to_converge",
     "final_mse",
 )
-
-TRACE_HEADER = ("t_s", "target_nT", "measured_nT", "control_V")
 
 
 def _fmt(v) -> str:
@@ -468,6 +477,3 @@ def write_mse_curves_csv(path, curves: Mapping[str, np.ndarray]) -> None:
         raise ValueError("need at least one MSE curve, all of one length")
     write_repr_csv(path, ["iter"] + [f"mse_{n}" for n in curves], [[range(len(cols[0])), *cols]])
 
-
-def write_trace_csv(path, rows: Sequence[tuple[float, float, float, float]]) -> None:
-    write_repr_csv(path, TRACE_HEADER, [zip(*rows)])

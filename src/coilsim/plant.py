@@ -15,11 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-
-from ._table import write_repr_csv
 
 
 class DegenerateFit(ValueError):
@@ -245,10 +242,3 @@ class TargetProfile:
             return abs(self.levels[0])
         return abs(self.levels[-1] - self.levels[0])
 
-
-SENSOR_LOG_HEADER = ("t_s", "true_nT", "disturbance_nT", "measured_nT")
-
-
-def write_sensor_log_csv(path, rows: Sequence[tuple[float, float, float, float]]) -> None:
-    """Write a (t, true, disturbance, measured) trace as CSV."""
-    write_repr_csv(path, SENSOR_LOG_HEADER, [zip(*rows)])

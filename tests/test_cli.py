@@ -13,6 +13,8 @@ import pytest
 
 from coilsim import cli
 from coilsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from coilsim.config import load_preset
+from coilsim.experiments import run_step_response
 
 
 def sha256(path) -> str:
@@ -302,6 +304,49 @@ def test_convex_diagnostics_csv(tmp_path):
     )
 
 
+def test_step_trace_header_and_rows(tmp_path):
+    # the trace is columns of the step record, one row per step; the sensor
+    # log and the diagnostics are checked in test_plant and test_control
+    argv = ["step", "--preset", "table7-up", "--method", "convex", "--out-dir", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    record = run_step_response(load_preset("table7-up").step_scenario("convex")).columns
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
+    assert lines[0] == "t_s,target_nT,measured_nT,control_V"
+    assert len(lines) == 1 + len(record["t_s"])
+    last = ",".join(repr(float(record[k][-1])) for k in lines[0].split(","))
+    assert lines[-1] == last
+
+
+@pytest.mark.parametrize("closed", ["after-one-line", "before-any-line"])
+def test_closed_stdout_exits_0_after_writing_every_file(tmp_path, closed):
+    # `coilsim step ... | head -1`: every file is written before the first
+    # line is printed, and the broken pipe ends the command quietly.
+    # Unbuffered, the second print meets the closed pipe; buffered, the
+    # flush at the end of main does.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [sys.executable, "-m", "coilsim.cli", "step", "--preset", "table7-up", "--out-dir", str(tmp_path)]
+    if closed == "after-one-line":
+        env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"lms ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        rc = proc.wait(timeout=120)
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(argv, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write_end)
+        rc, err = done.returncode, done.stderr
+    assert (rc, err) == (EXIT_OK, b"")
+    assert {p.name: sha256(p) for p in tmp_path.iterdir()} == TestStepGoldens.PRESETS["table7-up"]
+
+
 def edited_preset(preset, section, key, value=None):
     """A writer of the preset's config with `key` deleted from [section],
     or set to `value` when one is given."""
@@ -378,6 +423,19 @@ EXIT_CODES = {
                                 edited_preset("table7-up", "step", "duration_s", "1.5"), EXIT_USAGE),
     "unknown-method": (["sysid", "--preset", "table4-30db", "--methods", "bogus", "--out-dir", "{out}"],
                        None, EXIT_USAGE),
+    # a method list must name at least one method, each once
+    "step-no-method": (["step", "--preset", "table7-up", "--method", ",", "--out-dir", "{out}"],
+                       None, EXIT_USAGE),
+    "sysid-no-method": (["sysid", "--preset", "table4-30db", "--methods", ",", "--out-dir", "{out}"],
+                        None, EXIT_USAGE),
+    "step-method-twice": (["step", "--preset", "table7-up", "--method", "lms,lms", "--out-dir", "{out}"],
+                          None, EXIT_USAGE),
+    # only a convex run has diagnostics to write
+    "step-diag-csv-without-convex": (["step", "--preset", "table7-up", "--method", "lms",
+                                      "--diag-csv", "d.csv", "--out-dir", "{out}"], None, EXIT_USAGE),
+    "step-validate-only-diag-csv-without-convex": (["step", "--preset", "table7-up", "--method", "lms",
+                                                    "--diag-csv", "d.csv", "--validate-only",
+                                                    "--out-dir", "{out}"], None, EXIT_USAGE),
     "zero-side": (["optimize", "--side-mm", "0", "--out-dir", "{out}"], None, EXIT_USAGE),
     "no-config-source": (["sysid", "--out-dir", "{out}"], None, EXIT_USAGE),
     "check-violation": (["check", "--preset", "table4-30db", "--strict", "--c-scale", "100"],

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import oracles
+from coilsim.cli import EXIT_OK, main
+from coilsim.config import load_preset
 from coilsim.control import (
     ERROR_BLOCK,
     ConditionReport,
     ConvexParams,
     ConvexState,
-    DiagnosticsRecorder,
     DimensionMismatch,
     FilterState,
     InsufficientSamples,
@@ -30,6 +31,7 @@ from coilsim.control import (
     run_svs_batch,
     svs_rate,
 )
+from coilsim.experiments import run_step_response
 
 PARAMS = ConvexParams(alpha=500.0, beta=0.01, sigma=0.0, phi=1.0, c=0.1,
                       mu_b=0.1, gamma_o=0.55, t_o=2)
@@ -387,20 +389,18 @@ class TestBatchEquivalence:
 
 class TestDiagnostics:
     def test_csv_export(self, tmp_path):
-        rng = np.random.default_rng(2)
-        rec = DiagnosticsRecorder()
-        st = ConvexState.initial([0.0, 0.0])
-        for n in range(5):
-            y = convex_step(st, PARAMS, *random_input(rng))
-            rec.record(n, y, st)
-        path = tmp_path / "diag.csv"
-        rec.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "n,y,y1,y2,e,e1,e2,gamma,b,mu1"
-        assert len(lines) == 6
-        # np.float64 cells print as the plain floats they are
-        values = (y, st.y1, st.y2, st.e, st.e1, st.e2, st.gamma, st.b, st.mu1)
-        assert lines[-1] == ",".join(["4", *(repr(float(v)) for v in values)])
+        # the diagnostics are the convex columns of the step record: one row
+        # per step, and np.float64 cells print as the plain floats they are
+        argv = ["step", "--preset", "table7-up", "--method", "convex", "--diag-csv", "diag.csv",
+                "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        record = run_step_response(load_preset("table7-up").step_scenario("convex")).columns
+        lines = (tmp_path / "diag.csv").read_text().splitlines()
+        header = "n,y,y1,y2,e,e1,e2,gamma,b,mu1"
+        assert lines[0] == header
+        assert len(lines) == 1 + len(record["t_s"])
+        values = [repr(float(record[k][-1])) for k in header.split(",")[1:]]
+        assert lines[-1] == ",".join([str(len(record["t_s"]) - 1), *values])
 
 
 def bits(a):

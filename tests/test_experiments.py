@@ -10,7 +10,7 @@ import oracles
 from coilsim import experiments
 from coilsim._table import write_repr_csv
 from coilsim.config import load_preset
-from coilsim.plant import TargetProfile, snr_to_sigma
+from coilsim.plant import TargetProfile, drive, sense, sensor_noise, snr_to_sigma
 from coilsim.control import run_lms_batch
 from coilsim.experiments import (
     ActuatorSaturationWarning,
@@ -80,10 +80,41 @@ class TestStepResponse:
             return target_at(self, t)
 
         monkeypatch.setattr(TargetProfile, "target_at", counting)
-        trace = []
-        run_step_response(table7_up, trace=trace)
-        assert calls == [(len(trace),)]
-        assert {type(row[1]) for row in trace} == {float}
+        report = run_step_response(table7_up)
+        assert calls == [(len(report.columns["t_s"]),)]
+
+
+class TestStepRecord:
+    """The per-step record a run returns agrees with the scalar plant and,
+    for convex, with the controller's combination rule, step for step."""
+
+    @pytest.mark.parametrize("method", experiments.METHODS)
+    @pytest.mark.parametrize("preset", ["table7-up", "location-field"])
+    def test_record_matches_the_plant(self, preset, method):
+        scn = load_preset(preset).step_scenario(method)
+        cols = run_step_response(scn).columns
+        steps = int(round((scn.profile.switch_time_s + scn.duration_s) * scn.sensor.sample_rate_hz))
+        names = {"t_s", "target_nT", "measured_nT", "control_V", "true_nT", "disturbance_nT"}
+        if method == "convex":
+            names |= set(experiments.DIAGNOSTICS_COLUMNS)
+        assert set(cols) == names
+        assert {len(c) for c in cols.values()} == {steps}
+
+        plant = scn.resolved_plant()
+        volts, dist, true = (cols[k].tolist() for k in ("control_V", "disturbance_nT", "true_nT"))
+        want = [drive(plant, v) + d for v, d in zip(volts, dist)]
+        np.testing.assert_array_equal(bits(cols["true_nT"]), bits(want))
+        noise = sensor_noise(scn.sensor, np.random.default_rng((scn.seed, 1)), steps).tolist()
+        want = [sense(scn.sensor, t, z) for t, z in zip(true, noise)]
+        np.testing.assert_array_equal(bits(cols["measured_nT"]), bits(want))
+
+        if method == "convex":
+            np.testing.assert_array_equal(cols["n"], np.arange(steps))
+            # each step combines its errors with the gamma the step before left
+            gamma = np.concatenate(([0.5], cols["gamma"][:-1]))
+            e, e1, e2 = cols["e"], cols["e1"], cols["e2"]
+            scale = np.abs(cols["y1"]) + np.abs(cols["y2"]) + np.abs(e)
+            assert np.max(np.abs(e - (gamma * e1 + (1.0 - gamma) * e2)) / scale) <= 1e-15
 
 
 class TestRunSysid:

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coilsim.cli import EXIT_OK, main
+from coilsim.config import load_preset
+from coilsim.experiments import run_step_response
 from coilsim.plant import (
     ASCENDING_FIT,
     DESCENDING_FIT,
@@ -24,7 +27,6 @@ from coilsim.plant import (
     sense,
     sensor_noise,
     snr_to_sigma,
-    write_sensor_log_csv,
 )
 
 
@@ -316,12 +318,14 @@ class TestTargetArrays:
 
 class TestSensorLog:
     def test_csv_header_and_rows(self, tmp_path):
-        rows = [(0.0, 1.0, 0.5, 1.2), (0.01, 1.1, 0.4, 1.0)]
-        path = tmp_path / "log.csv"
-        write_sensor_log_csv(path, rows)
-        lines = path.read_text().strip().splitlines()
+        # the sensor log `step --sensor-log` writes: one row per step
+        argv = ["step", "--preset", "table7-up", "--method", "lms", "--sensor-log", "log.csv",
+                "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        steps = len(run_step_response(load_preset("table7-up").step_scenario("lms")).columns["t_s"])
+        lines = (tmp_path / "log.csv").read_text().splitlines()
         assert lines[0] == "t_s,true_nT,disturbance_nT,measured_nT"
-        assert len(lines) == 3
+        assert len(lines) == 1 + steps
 
 
 class TestFitConstants:
