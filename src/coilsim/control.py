@@ -22,30 +22,38 @@ closed loop in coilsim.experiments does.  Independent controller instances
 may run in parallel, but a single state must be stepped from one thread at
 a time.
 
-Batch runners (`run_*_batch`) execute many independent trials of the same
-update equations vectorized across trials; they exist for experiment-harness
-speed and are pinned to the scalar steps by equivalence tests.  Each dot
-product adds its taps in plain order, w0*x0 + w1*x1 + ..., the order of the
-scalar steps, so the bits do not depend on a BLAS kernel.  Mirroring the
-scalar side, LMS, SVS and ATLMS share one loop, `_run_filter`, that differs
-only in its step-size law; the convex runner stacks w1 and w2 so one
-multiply serves both branches.
+Batch runners execute many independent trials of the same update
+equations vectorized across trials; they exist for experiment-harness speed
+and are pinned to the scalar steps by equivalence tests.  One time loop,
+`run_laws_batch`, steps any set of the four laws together over one stacked
+(order, filters, trials) weight array: the convex w1 and w2 first, then
+each single filter.  The work every law shares runs once per step for all
+filters: w.x, d - y, k = rate * e and w += k * x, with one row of `rate`
+per filter (mu for LMS, c for the fast branch, 2 * mu1 for the slow one,
+whose k alone is then divided by phi + x.x, and the SVS and ATLMS rates as
+their laws write them), and the logistics of mu1, gamma and the SVS rate
+share one pass.  Each element keeps the operation order of the scalar
+step, so a law gives the same bits whichever laws run beside it.  Each dot
+product adds its taps in plain order, w0*x0 + w1*x1 + ..., so the bits do
+not depend on a BLAS kernel.  `run_lms_batch`, `run_svs_batch`,
+`run_atlms_batch` and `run_convex_batch` are its one-law calls.
 
-Each step writes its errors into one contiguous row of a time-major
-(kinds, ERROR_BLOCK, trials) buffer, and every ERROR_BLOCK steps (fewer at
-the end) the runner calls `sink(start, block)` with the filled rows:
-block[0] holds e and, for the convex runner, block[1] and block[2] hold e1
-and e2, each (steps, trials) for the steps from `start` on.  The buffer is
-reused, so a sink copies what it keeps.  The sink is required and is the
-errors' only way out: a runner returns just its final state, so no
-(trials, n_iters) error array exists unless a sink builds one.
+Each step writes its errors into one row of a time-major
+(rows, ERROR_BLOCK, trials) buffer, the convex e first and then each
+filter's, and every ERROR_BLOCK steps (fewer at the end) the loop calls
+each method's `sink(start, block)` with a view of its filled rows:
+block[0] holds e and, for convex, block[1] and block[2] hold e1 and e2,
+each (steps, trials) for the steps from `start` on.  The buffer is reused,
+so a sink copies what it keeps.  The sink is required and is the errors'
+only way out: a runner returns just its final state, so no (trials,
+n_iters) error array exists unless a sink builds one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -324,40 +332,148 @@ def check_convergence_condition(
 # ---------------------------------------------------------------------------
 
 
-def _plain_sum(p) -> np.ndarray:
-    """p[0] + p[1] + ... over the leading (tap) axis, added left to right."""
-    y = p[0]
-    for j in range(1, len(p)):
-        y = y + p[j]
-    return y
-
-
-def _clamp(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    # the bits of np.clip, NaN included, at less per-call overhead
-    return np.minimum(np.maximum(v, lo), hi)
-
-
-# steps per error block handed to a runner's sink
-ERROR_BLOCK = 256
+# steps per error block handed to a sink
+ERROR_BLOCK = 128
 
 ErrorSink = Callable[[int, np.ndarray], None]
 
 
-def _run_filter(w0, x, d, rate, sink: ErrorSink) -> dict:
-    """Single-filter trials, e = d - w.x and then w += rate(e) * e * x,
-    one step across all trials at once."""
+def run_laws_batch(
+    w0: Sequence[float],
+    laws: Mapping[str, Mapping],
+    x: np.ndarray,
+    d: np.ndarray,
+    *,
+    sinks: Mapping[str, ErrorSink],
+) -> dict[str, dict]:
+    """Run independent trials of several update laws in one time loop, every
+    filter from the weights w0, on time-major inputs of any strides: x has
+    shape (n_iters, order, trials), d shape (n_iters, trials).
+
+    `laws` maps each method, "lms", "svs", "atlms" or "convex", to the
+    keywords of its run_*_batch runner, and each method runs as if alone:
+    sinks[method] gets its error blocks and the result holds, under its
+    name, the final state its runner returns.
+    """
     n_iters, order, trials = x.shape
-    w = np.repeat(np.asarray(w0, dtype=float)[:, None], trials, axis=1)
-    errs = np.empty((1, ERROR_BLOCK, trials))
-    for start in range(0, n_iters, ERROR_BLOCK):
-        stop = min(start + ERROR_BLOCK, n_iters)
-        with np.errstate(over="ignore", invalid="ignore"):
+    singles = [m for m in laws if m != "convex"]
+    convex = "convex" in laws
+    top = int(convex)  # error row 0 holds the convex e
+    n_conv = 2 * top  # filters 0 and 1 are the convex w1 and w2
+    n_f = n_conv + len(singles)
+    w = np.tile(np.asarray(w0, dtype=float)[:, None, None], (1, n_f, trials))
+    xb = x[:, :, None]  # each step's taps, broadcast over the filters
+    y = np.empty((top + n_f, trials))  # the convex y, then each filter's w.x
+    y_f = y[top:]
+    errs = np.empty((top + n_f, ERROR_BLOCK, trials))  # the rows of y, as d - y
+    rate, k = np.empty((2, n_f, trials))  # each filter's k = rate * e
+    xw = np.empty((order, n_f, trials))  # w * x, then k * x
+    rows = {}  # method -> its error rows
+    has_svs, has_atlms = "svs" in laws, "atlms" in laws
+    # one row per logistic, mu1's and gamma's for convex and the SVS rate's:
+    # the arguments go in and one pass turns them into the logistics
+    n_log = n_conv + has_svs
+    u = np.empty((n_log, trials)) if n_log else None
+    for i, m in enumerate(singles):
+        f, kw = n_conv + i, laws[m]
+        rows[m] = slice(top + f, top + f + 1)
+        if m == "lms":
+            rate[f] = kw["mu"]
+        elif m == "svs":
+            svs_e, svs_rate, svs_u = errs[top + f], rate[f], u[-1]
+            svs_a, svs_b = -kw["alpha"], kw["beta"]
+        elif m == "atlms":
+            at_e, at_rate, at_a = errs[top + f], rate[f], kw["alpha"]
+            at_gain = kw["beta"] * (2.0 / math.pi) * kw["m"] / (kw["m"] + kw["n_scale"])
+        else:
+            raise ValueError(f"unknown method {m!r}")
+    if convex:
+        p = laws["convex"]["params"]
+        rows["convex"] = slice(0, 3)  # e, e1, e2
+        w1, w2 = w[:, 0], w[:, 1]
+        y_c, y1, y2 = y[0], y[1], y[2]
+        rate[1] = p.c
+        rate1, k1 = rate[0], k[0]
+        b, g1, tmp, dy, abs_e1, prev_abs_e1 = np.zeros((6, trials))
+        mu_u, gamma = u[0], u[1]  # gamma's row holds -b until the logistic pass
+        gamma[:] = 0.5  # logistic(0)
+        transfer = np.empty(trials, dtype=bool)
+        dens = np.empty((ERROR_BLOCK, trials))  # phi + x.x, a block of steps at a time
+        neg_alpha, sigma, mu_b, t_o = -p.alpha, p.sigma, p.mu_b, p.t_o
+        beta, half_beta = p.beta, 0.5 * p.beta
+    multiply, add, subtract, divide, exp = np.multiply, np.add, np.subtract, np.divide, np.exp
+    maximum, minimum, absolute, copyto = np.maximum, np.minimum, np.absolute, np.copyto
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_iters, ERROR_BLOCK):
+            stop = min(start + ERROR_BLOCK, n_iters)
+            if convex:
+                xs = x[start:stop]
+                den = np.multiply(xs[:, 0], xs[:, 0], out=dens[: stop - start])
+                for j in range(1, order):  # in plain tap order
+                    den += xs[:, j] * xs[:, j]
+                den += p.phi
             for n in range(start, stop):
-                x_n = x[n]
-                e = np.subtract(d[n], _plain_sum(w * x_n), out=errs[0, n - start])
-                w += rate(e) * e * x_n
-        sink(start, errs[:, : stop - start])
-    return {"w": w.T.copy()}
+                x_n, i = xb[n], n - start
+                multiply(w, x_n, out=xw)
+                if order == 1:
+                    copyto(y_f, xw[0])
+                else:
+                    add(xw[0], xw[1], out=y_f)  # the taps in plain order
+                    for j in range(2, order):
+                        add(y_f, xw[j], out=y_f)
+                if convex:
+                    subtract(1.0, gamma, out=g1)
+                    multiply(gamma, y1, out=y_c)
+                    add(y_c, multiply(g1, y2, out=tmp), out=y_c)
+                e_all = errs[:, i]
+                subtract(d[n], y, out=e_all)
+
+                if convex:
+                    e, e1 = e_all[0], e_all[1]
+                    absolute(e1, out=abs_e1)  # |e1 * prev_e1| == |e1| * |prev_e1| exactly
+                    multiply(multiply(abs_e1, prev_abs_e1, out=mu_u), neg_alpha, out=mu_u)
+                    add(mu_u, multiply(abs_e1, sigma, out=tmp), out=mu_u)
+                    # b first (the weight updates leave its inputs alone)
+                    multiply(np.sign(e, out=tmp), mu_b, out=tmp)
+                    multiply(tmp, subtract(y1, y2, out=dy), out=tmp)
+                    multiply(multiply(tmp, gamma, out=tmp), g1, out=tmp)
+                    add(b, tmp, out=b)
+                    moves = n % t_o == 0  # a weight-transfer step
+                    if moves:
+                        np.greater(gamma, p.gamma_o, out=transfer)
+                    np.negative(b, out=gamma)  # clamp(-b) == -clamp(b) exactly
+                if has_svs:
+                    multiply(absolute(svs_e[i], out=svs_u), svs_a, out=svs_u)
+                if u is not None:  # 1 / (1 + exp(clamp(u))), row by row
+                    minimum(maximum(u, -700.0, out=u), 700.0, out=u)
+                    divide(1.0, add(exp(u, out=u), 1.0, out=u), out=u)
+                if convex:  # 2 * mu1, mu1 clamped to [0, beta/2]
+                    multiply(subtract(mu_u, 0.5, out=rate1), beta, out=rate1)
+                    minimum(maximum(rate1, 0.0, out=rate1), half_beta, out=rate1)
+                    multiply(rate1, 2.0, out=rate1)
+                if has_svs:
+                    multiply(subtract(svs_u, 0.5, out=svs_rate), svs_b, out=svs_rate)
+                if has_atlms:
+                    e_at = at_e[i]
+                    multiply(multiply(e_at, at_a, out=at_rate), e_at, out=at_rate)
+                    multiply(np.arctan(at_rate, out=at_rate), at_gain, out=at_rate)
+
+                multiply(rate, e_all[top:], out=k)
+                if convex:
+                    divide(k1, den[i], out=k1)
+                add(w, multiply(k, x_n, out=xw), out=w)
+                if convex:
+                    if moves:
+                        copyto(w2, w1, where=transfer)
+                    abs_e1, prev_abs_e1 = prev_abs_e1, abs_e1
+            for m, r in rows.items():
+                sinks[m](start, errs[r, : stop - start])
+
+    res = {m: {"w": w[:, n_conv + i].T.copy()} for i, m in enumerate(singles)}
+    if convex:
+        res["convex"] = {"w1": w1.T.copy(), "w2": w2.T.copy(), "b": b, "gamma": gamma.copy()}
+    return res
 
 
 def run_lms_batch(
@@ -368,11 +484,11 @@ def run_lms_batch(
     *,
     sink: ErrorSink,
 ) -> dict:
-    """Run independent LMS trials on time-major inputs of any strides: x
-    has shape (n_iters, order, trials), d shape (n_iters, trials).  Hands
-    the errors to `sink` and returns the final weights as "w" (trials,
-    order)."""
-    return _run_filter(w0, x, d, lambda e: mu, sink)
+    """Run independent LMS trials, e = d - w.x and then w += mu * e * x, on
+    time-major inputs of any strides: x has shape (n_iters, order, trials),
+    d shape (n_iters, trials).  Hands the errors to `sink` and returns the
+    final weights as "w" (trials, order)."""
+    return run_laws_batch(w0, {"lms": {"mu": mu}}, x, d, sinks={"lms": sink})["lms"]
 
 
 def run_svs_batch(
@@ -384,8 +500,7 @@ def run_svs_batch(
     *,
     sink: ErrorSink,
 ) -> dict:
-    return _run_filter(w0, x, d, lambda e: beta * (
-        1.0 / (1.0 + np.exp(_clamp(-alpha * np.abs(e), -700.0, 700.0))) - 0.5), sink)
+    return run_laws_batch(w0, {"svs": {"alpha": alpha, "beta": beta}}, x, d, sinks={"svs": sink})["svs"]
 
 
 def run_atlms_batch(
@@ -399,8 +514,8 @@ def run_atlms_batch(
     *,
     sink: ErrorSink,
 ) -> dict:
-    gain = beta * (2.0 / math.pi) * m / (m + n_scale)
-    return _run_filter(w0, x, d, lambda e: gain * np.arctan(alpha * e * e), sink)
+    law = {"alpha": alpha, "beta": beta, "m": m, "n_scale": n_scale}
+    return run_laws_batch(w0, {"atlms": law}, x, d, sinks={"atlms": sink})["atlms"]
 
 
 def run_convex_batch(
@@ -414,53 +529,4 @@ def run_convex_batch(
     """Vectorized convex combination trials from b = 0; same update order
     as convex_step, on inputs laid out as run_lms_batch's.  Returns the
     final "w1", "w2" (trials, order), "b" and "gamma" (trials,)."""
-    n_iters, order, trials = x.shape
-    # w[:, 0] is w1 and w[:, 1] is w2: one multiply serves both branches
-    w = np.tile(np.asarray(w0, dtype=float)[:, None, None], (1, 2, trials))
-    w1, w2 = w[:, 0], w[:, 1]
-    xb = x[:, :, None]  # each step's taps, broadcast over the two branches
-    b = np.zeros(trials)
-    gamma = np.full(trials, 0.5)  # logistic(0)
-    prev_abs_e1 = np.zeros(trials)
-    u = np.empty((2, trials))  # exponents of the slow rate's logistic and of gamma's
-    k = np.empty((2, trials))
-    errs = np.empty((3, ERROR_BLOCK, trials))  # e, e1, e2
-    dens = np.empty((ERROR_BLOCK, trials))  # phi + x.x, a block of steps at a time
-    for start in range(0, n_iters, ERROR_BLOCK):
-        stop = min(start + ERROR_BLOCK, n_iters)
-        with np.errstate(over="ignore", invalid="ignore"):
-            xs = x[start:stop]
-            den = np.multiply(xs[:, 0], xs[:, 0], out=dens[: stop - start])
-            for j in range(1, order):  # in plain tap order
-                den += xs[:, j] * xs[:, j]
-            den += params.phi
-            for n in range(start, stop):
-                x_n = xb[n]
-                y12 = _plain_sum(w * x_n)
-                g1 = 1.0 - gamma
-                y = gamma * y12[0] + g1 * y12[1]
-                d_n = d[n]
-                row = errs[:, n - start]
-                e12 = np.subtract(d_n, y12, out=row[1:])
-                e1 = e12[0]
-                e = np.subtract(d_n, y, out=row[0])
-
-                # b first (the weight updates leave its inputs alone): one logistic pass
-                abs_e1 = np.abs(e1)  # |e1 * prev_e1| == |e1| * |prev_e1| exactly
-                np.add(-params.alpha * (abs_e1 * prev_abs_e1), params.sigma * abs_e1, out=u[0])
-                b += params.mu_b * np.sign(e) * (y12[0] - y12[1]) * gamma * g1
-                np.negative(b, out=u[1])  # clamp(-b) == -clamp(b) exactly
-                s = 1.0 / (1.0 + np.exp(_clamp(u, -700.0, 700.0)))
-                mu1 = _clamp(params.beta * (s[0] - 0.5), 0.0, 0.5 * params.beta)
-
-                np.divide(2.0 * mu1 * e1, den[n - start], out=k[0])
-                np.multiply(params.c, e12[1], out=k[1])
-                w += k * x_n
-
-                if n % params.t_o == 0:
-                    np.copyto(w2, w1, where=gamma > params.gamma_o)
-                gamma = s[1]
-                prev_abs_e1 = abs_e1
-        sink(start, errs[:, : stop - start])
-    return {"w1": w1.T.copy(), "w2": w2.T.copy(), "b": b, "gamma": gamma}
-
+    return run_laws_batch(w0, {"convex": {"params": params}}, x, d, sinks={"convex": sink})["convex"]

@@ -17,6 +17,7 @@ TRACE_COLUMNS, SENSOR_LOG_COLUMNS and DIAGNOSTICS_COLUMNS of that record.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import struct
 import warnings
@@ -27,6 +28,7 @@ import numpy as np
 
 from ._table import write_repr_csv
 from .control import (
+    ERROR_BLOCK,
     ConvexParams,
     ConvexState,
     FilterState,
@@ -34,10 +36,7 @@ from .control import (
     convex_step,
     filter_step,
     lms_rate,
-    run_atlms_batch,
-    run_convex_batch,
-    run_lms_batch,
-    run_svs_batch,
+    run_laws_batch,
     svs_rate,
 )
 from .plant import (
@@ -57,14 +56,12 @@ METHODS = ("lms", "svs", "atlms", "convex")
 
 # method -> step-size law factory of the scalar single-filter step
 _RATES = {"lms": lms_rate, "svs": svs_rate, "atlms": atlms_rate}
-# method -> batch runner
-_RUNNERS = {"lms": run_lms_batch, "svs": run_svs_batch, "atlms": run_atlms_batch,
-            "convex": run_convex_batch}
 
 
 def _keywords(method: str, params) -> dict:
-    """A method's parameters as keywords of its law factory and its batch
-    runner; convex takes them as one ConvexParams, built here from a dict."""
+    """A method's parameters as keywords of its law factory and of its law
+    in control.run_laws_batch; convex takes them as one ConvexParams, built
+    here from a dict."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "convex":
@@ -164,6 +161,9 @@ REINJECTION_SCALE = 50.0
 REINJECTION_LEN = 10
 # sysid trials drawn per block of the signal arrays
 TRIAL_BLOCK = 16
+# sysid trials drawn and run at a time: enough trials per step to spread
+# numpy's per-call cost, and at 5,000 steps ~80 MB of signals
+TRIAL_CHUNK = 1024
 # MSE curve smoothing window, and the convergence test against the curve's tail
 SMOOTHING_WINDOW = 20
 TAIL_FRACTION = 0.1
@@ -198,9 +198,11 @@ class SysIdScenario:
             raise ValueError("seed must be >= 0")
 
 
-def _sysid_signals(scn: SysIdScenario) -> tuple[np.ndarray, np.ndarray]:
+def _sysid_signals(scn: SysIdScenario, first: int = 0,
+                   stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Tap inputs x (n_iters, order, trials) and noisy targets d (n_iters,
-    trials), time-major: the layout the batch runners step through.
+    trials) of trials first to stop (all of them by default), time-major:
+    the layout the batch runners step through.
 
     Trial t draws its input from SeedSequence(seed, spawn_key=(t, 0)) and
     its noise from spawn_key=(t, 1): the streams of
@@ -213,7 +215,9 @@ def _sysid_signals(scn: SysIdScenario) -> tuple[np.ndarray, np.ndarray]:
     drawn TRIAL_BLOCK at a time; a block's clean targets are multiply-adds
     in plain tap order, x0*w0 + x1*w1 + ..., to which its scaled and
     reinjected noise is added."""
-    n_iters, order, trials = scn.n_iters, scn.order, scn.trials
+    n_iters, order = scn.n_iters, scn.order
+    stop = scn.trials if stop is None else stop
+    trials = stop - first
     n_samples = n_iters + order - 1
     wo = np.asarray(scn.true_weights, dtype=float)
     sigma = snr_to_sigma(1.0, scn.snr_db)  # the inputs are unit-variance
@@ -226,7 +230,7 @@ def _sysid_signals(scn: SysIdScenario) -> tuple[np.ndarray, np.ndarray]:
         noise = np.empty((t1 - t0, n_iters))
         for i in range(t1 - t0):
             for k, out in enumerate((u[i], noise[i])):
-                stream = np.random.SeedSequence(scn.seed, spawn_key=(t0 + i, k))
+                stream = np.random.SeedSequence(scn.seed, spawn_key=(first + t0 + i, k))
                 np.random.default_rng(stream).standard_normal(out=out)
         noise *= sigma
         noise[:, burst] *= REINJECTION_SCALE
@@ -241,6 +245,7 @@ def _sysid_signals(scn: SysIdScenario) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _smooth_causal(raw: np.ndarray, window: int) -> np.ndarray:
+    window = min(window, len(raw))  # a curve shorter than the window is a cumulative mean
     c = np.cumsum(raw)
     out = np.empty_like(raw)
     out[:window] = c[:window] / np.arange(1, window + 1)
@@ -257,27 +262,37 @@ def run_sysid(scn: SysIdScenario, methods: Mapping[str, object]) -> dict[str, Me
     SMOOTHING_WINDOW-sample window; iters_to_converge is the first iteration
     at which the smoothed curve falls to within THRESHOLD_FACTOR of its tail
     mean, and final_mse is that tail mean.  Every filter starts from zero
-    weights.  The runners hand their errors over a block of steps at a
-    time and each block is reduced to its part of the curve at once, so no
-    (trials, n_iters) error array is held.
+    weights.  The trials are drawn TRIAL_CHUNK at a time, and every method
+    steps through a chunk in one time loop (control.run_laws_batch) before
+    the next chunk is drawn.  The loop hands over the errors a block of
+    steps at a time, and each block is added at once to its method's
+    running sum of e^2, so neither a (trials, n_iters) error array nor more
+    than a chunk of signals is held.
     """
-    x, d = _sysid_signals(scn)
-    reports = {}
-    for m, p in methods.items():
-        raw = np.empty(scn.n_iters)
-        _RUNNERS[m]((0.0,) * scn.order, x=x, d=d, sink=_mean_square_into(raw), **_keywords(m, p))
-        reports[m] = _mse_report(raw)
-    return reports
+    laws = {m: _keywords(m, p) for m, p in methods.items()}
+    sums = {m: np.zeros(scn.n_iters) for m in methods}
+    for first in range(0, scn.trials, TRIAL_CHUNK):
+        stop = min(first + TRIAL_CHUNK, scn.trials)
+        x, d = _sysid_signals(scn, first, stop)
+        rows = np.zeros((1 + stop - first, ERROR_BLOCK))
+        sinks = {m: _mean_square_into(s, rows) for m, s in sums.items()}
+        run_laws_batch((0.0,) * scn.order, laws, x, d, sinks=sinks)
+        del x, d  # so that the next chunk is drawn with this one freed
+    return {m: _mse_report(s / scn.trials) for m, s in sums.items()}
 
 
-def _mean_square_into(raw: np.ndarray):
-    """A batch-runner error sink that writes each block's trial mean of e^2
-    into raw.  The squares are laid out trial-major, so that the mean adds
-    the trials one after another in index order, as np.mean(e**2, axis=0)
-    does over a whole (trials, n_iters) array, and the bits are the same;
-    over a trial-contiguous axis numpy would add them pairwise."""
+def _mean_square_into(total: np.ndarray, rows: np.ndarray):
+    """An error sink that adds each block's e^2 to the per-step sums in
+    total.  With the sums in row 0 of rows (1 + trials, ERROR_BLOCK) and the
+    squares in the rows after, one reduce adds the trials to the sums one by
+    one in index order, as np.mean(e**2, axis=0) does over a whole (trials,
+    n_iters) array, so the bits hold however the trials are chunked.  It
+    spans all of rows' columns: over one column numpy adds pairwise."""
     def sink(start: int, block: np.ndarray) -> None:
-        raw[start : start + block.shape[1]] = np.mean(np.square(block[0].T, order="C"), axis=0)
+        steps = block.shape[1]
+        rows[0, :steps] = total[start : start + steps]
+        np.square(block[0].T, out=rows[1:, :steps])
+        total[start : start + steps] = np.add.reduce(rows, axis=0)[:steps]
     return sink
 
 
@@ -338,6 +353,9 @@ class StepScenario:
         return cls(v_min=self.v_min_v, v_max=self.v_max_v)
 
 
+# closed-loop steps whose inputs are turned into Python floats at a time
+STEP_BLOCK = 4096
+
 # the columns of the three files `step` writes from a run's record; the
 # diagnostics exist for convex runs only
 TRACE_COLUMNS = ("t_s", "target_nT", "measured_nT", "control_V")
@@ -351,7 +369,8 @@ def run_step_response(scn: StepScenario) -> MetricsReport:
 
     The targets, the disturbance and the sensor noise are computed for the
     whole run before the loop starts, the last two from the seed's two
-    independent streams (see coilsim.plant).  A loop step stores only what
+    independent streams (see coilsim.plant), and the loop takes them as
+    Python floats STEP_BLOCK steps at a time.  A loop step stores only what
     depends on feedback, as doubles: the drive voltage, the coil field, the
     measured field and, for convex, y and the eight values the controller
     step leaves on its state (after the step, so gamma and b are the next
@@ -387,7 +406,9 @@ def run_step_response(scn: StepScenario) -> MetricsReport:
     record = bytearray()
     pack = struct.Struct(f"{width}d").pack
 
-    for target_nt, dist_nt, noise_nt in zip(targets.tolist(), disturbance.tolist(), noise.tolist()):
+    blocks = (zip(targets[i : i + STEP_BLOCK].tolist(), disturbance[i : i + STEP_BLOCK].tolist(),
+                  noise[i : i + STEP_BLOCK].tolist()) for i in range(0, n_total, STEP_BLOCK))
+    for target_nt, dist_nt, noise_nt in itertools.chain.from_iterable(blocks):
         x = (1.0, ambient_est_nt / scn.x_scale_nt)
         d_ctrl = (target_nt - ambient_est_nt) / unit
         y = convex_step(state, params, x, d_ctrl) if convex else filter_step(state, x, d_ctrl)
@@ -400,6 +421,7 @@ def run_step_response(scn: StepScenario) -> MetricsReport:
                            state.gamma, state.b, state.mu1)
         else:
             record += pack(v, coil_nt, meas_nt)
+    del noise  # the loop was its only reader
 
     volts, coil, measured, *diagnostics = np.frombuffer(record).reshape(n_total, width).T
     saturated = np.count_nonzero((volts == plant.v_min) | (volts == plant.v_max))
@@ -409,7 +431,7 @@ def run_step_response(scn: StepScenario) -> MetricsReport:
             ActuatorSaturationWarning,
         )
 
-    post = times >= scn.profile.switch_time_s
+    post = slice(np.searchsorted(times, scn.profile.switch_time_s), None)  # a view: the times ascend
     report = compute_metrics(
         times[post],
         measured[post],

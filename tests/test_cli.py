@@ -280,6 +280,21 @@ class TestSysidGoldens:
         assert {p.name: sha256(p) for p in tmp_path.iterdir()} == self.GOLDENS["table4-30db"]
 
 
+def test_sysid_methods_run_together_as_if_alone(tmp_path):
+    # the methods step in one loop; each column is that of the all-method run
+    curves = {}
+    for methods in ("convex,lms", "all"):
+        out = tmp_path / methods
+        argv = ["sysid", "--preset", "table4-30db", "--methods", methods, "--out-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        with open(out / "mse_curve.csv", newline="") as fh:
+            curves[methods] = list(zip(*csv.reader(fh)))  # the file's columns
+    columns = {col[0]: col for col in curves["all"]}
+    assert [col[0] for col in curves["convex,lms"]] == ["iter", "mse_convex", "mse_lms"]
+    for col in curves["convex,lms"]:
+        assert col == columns[col[0]]
+
+
 def test_convex_init_weights_start_only_convex(tmp_path):
     # [method.convex] init_weights = 0,0 moves the convex run, and leaves lms
     # on StepScenario's default (0.8, 0.5), which the preset also gives convex
@@ -377,6 +392,10 @@ SENSOR_MODEL_WITH_RATE = config_text(META + "[step]\nprofile = step_up\nlevel_nt
                                      "[method.lms]\nmu = 0.05\n"
                                      "[sensor]\nmodel = rm3100\nsample_rate_hz = 10\n")
 
+# a sysid run shorter than the MSE curve's smoothing window (20 steps)
+SHORT_SYSID = config_text(META + "[sysid]\nsnr_db = 30\nn_iters = 10\nreinjection_at = 5\ntrials = 4\n"
+                          "[method.lms]\nmu = 0.005\n[method.convex]\nalpha = 500\nbeta = 0.01\n")
+
 # (argv with {cfg} and {out} placeholders, config writer or None, exit code)
 EXIT_CODES = {
     "presets": (["presets"], None, EXIT_OK),
@@ -460,6 +479,8 @@ EXIT_CODES = {
         SENSOR_MODEL_WITH_RATE, EXIT_USAGE),
     "check-validate-only-order-0": (["check", "--config", "{cfg}", "--validate-only", "--out-dir", "{out}"],
                                     edited_preset("table4-30db", "sysid", "order", "0"), EXIT_USAGE),
+    "sysid-shorter-than-smoothing-window": (["sysid", "--config", "{cfg}", "--methods", "lms,convex",
+                                             "--out-dir", "{out}"], SHORT_SYSID, EXIT_OK),
 }
 
 
@@ -471,6 +492,10 @@ def test_exit_code_contract(tmp_path, case):
     assert main([a.format(cfg=cfg, out=out) for a in argv]) == code
     if code != EXIT_OK:
         assert not out.exists()
+    elif case == "sysid-shorter-than-smoothing-window":
+        with open(out / "mse_curve.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["iter", "mse_lms", "mse_convex"] and len(rows) == 1 + 10
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +28,7 @@ from coilsim.control import (
     logistic,
     run_atlms_batch,
     run_convex_batch,
+    run_laws_batch,
     run_lms_batch,
     run_svs_batch,
     svs_rate,
@@ -551,3 +553,76 @@ class TestErrorBlocks:
         run, _, args, _ = self.CASES[method]
         with pytest.raises(TypeError, match="sink"):
             run([0.1, -0.2], *args, *signals)
+
+
+# rates at which the SVS and convex exponents cross the +-700 clamp and
+# convex transfers weights
+STRONG = ConvexParams(alpha=1e5, beta=0.3, sigma=11.0, phi=0.1, c=0.1, mu_b=2.0, gamma_o=0.55, t_o=3)
+# method -> (runner, reference, positional arguments, the one loop's keywords)
+LAWS = {
+    "lms": (run_lms_batch, oracles.run_lms_batch_ref, (0.05,), {"mu": 0.05}),
+    "svs": (run_svs_batch, oracles.run_svs_batch_ref, (1e4, 0.15), {"alpha": 1e4, "beta": 0.15}),
+    "atlms": (run_atlms_batch, oracles.run_atlms_batch_ref, (500.0, 0.01, 900.0, 500.0),
+              {"alpha": 500.0, "beta": 0.01, "m": 900.0, "n_scale": 500.0}),
+    "convex": (run_convex_batch, oracles.run_convex_batch_ref, (STRONG,), {"params": STRONG}),
+}
+# every non-empty subset of the laws, as listed and reversed
+SUBSETS = sorted({o for r in range(1, 5) for c in combinations(LAWS, r) for o in (c, c[::-1])})
+
+
+class TestOneLoop:
+    """run_laws_batch steps any set of laws, in any order, together: each
+    method's error blocks and final state are, bit for bit, those of its
+    one-method runner and of its reference in tests/oracles.py."""
+
+    N_ITERS = ERROR_BLOCK + 5
+
+    @staticmethod
+    def _keeping(blocks):
+        def sink(start, block):
+            blocks.append((start, block.copy()))  # the loop reuses its buffer
+        return sink
+
+    @pytest.fixture(scope="class", params=[(o, t) for o in (1, 2, 3) for t in (1, 7, 37)],
+                    ids=lambda p: f"order{p[0]}-trials{p[1]}")
+    def alone(self, request):
+        """The signals, and each method's blocks and state when run alone."""
+        order, trials = request.param
+        rng = np.random.default_rng(order * 100 + trials)
+        samples = rng.standard_normal((self.N_ITERS + order - 1, trials))
+        x = np.lib.stride_tricks.sliding_window_view(samples, order, axis=0)[::-1].transpose(0, 2, 1)
+        d = rng.standard_normal((self.N_ITERS, trials))
+        w0 = np.linspace(-0.3, 0.4, order)
+        runs = {}
+        for m, (run, ref, args, _) in LAWS.items():
+            blocks = []
+            state = run(w0, *args, x, d, sink=self._keeping(blocks))
+            want = ref(w0, *args, np.ascontiguousarray(x), d)
+            errors = np.concatenate([b for _, b in blocks], axis=1)
+            for key, e in zip(("e", "e1", "e2"), errors):
+                np.testing.assert_array_equal(bits(e), bits(want[key]), err_msg=key)
+            for key, v in state.items():
+                np.testing.assert_array_equal(bits(v), bits(want[key]), err_msg=key)
+            runs[m] = blocks, state
+        return w0, x, d, runs
+
+    @pytest.mark.parametrize("methods", SUBSETS, ids="-".join)
+    def test_each_law_as_if_alone(self, alone, methods):
+        w0, x, d, runs = alone
+        blocks = {m: [] for m in methods}
+        got = run_laws_batch(w0, {m: LAWS[m][3] for m in methods}, x, d,
+                             sinks={m: self._keeping(blocks[m]) for m in methods})
+        assert set(got) == set(methods)
+        for m in methods:
+            want_blocks, want_state = runs[m]
+            assert [(s, b.shape) for s, b in blocks[m]] == [(s, b.shape) for s, b in want_blocks], m
+            for (_, b), (_, want) in zip(blocks[m], want_blocks):
+                np.testing.assert_array_equal(bits(b), bits(want), err_msg=m)
+            assert got[m].keys() == want_state.keys()
+            for key, v in got[m].items():
+                np.testing.assert_array_equal(bits(v), bits(want_state[key]), err_msg=f"{m} {key}")
+
+    def test_unknown_law_is_rejected(self):
+        x, d = np.zeros((4, 2, 3)), np.zeros((4, 3))
+        with pytest.raises(ValueError, match="unknown method 'nlms'"):
+            run_laws_batch([0.0, 0.0], {"nlms": {}}, x, d, sinks={"nlms": lambda *_: None})

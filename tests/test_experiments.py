@@ -11,7 +11,7 @@ from coilsim import experiments
 from coilsim._table import write_repr_csv
 from coilsim.config import load_preset
 from coilsim.plant import TargetProfile, drive, sense, sensor_noise, snr_to_sigma
-from coilsim.control import run_lms_batch
+from coilsim.control import run_atlms_batch, run_convex_batch, run_lms_batch, run_svs_batch
 from coilsim.experiments import (
     ActuatorSaturationWarning,
     SysIdScenario,
@@ -82,6 +82,32 @@ class TestStepResponse:
         monkeypatch.setattr(TargetProfile, "target_at", counting)
         report = run_step_response(table7_up)
         assert calls == [(len(report.columns["t_s"]),)]
+
+    def test_blocks_of_steps_give_the_same_record(self, monkeypatch):
+        scn = load_preset("table7-up").step_scenario("convex")
+        want = run_step_response(scn).columns
+        monkeypatch.setattr(experiments, "STEP_BLOCK", 100)  # 18 blocks, the last of 25 steps
+        got = run_step_response(scn).columns
+        assert got.keys() == want.keys()
+        for name, column in want.items():
+            np.testing.assert_array_equal(bits(got[name]), bits(column), err_msg=name)
+
+    def test_peak_memory_is_the_record(self, monkeypatch):
+        # 22,725 steps of a convex run in 23 blocks: the loop's inputs are
+        # Python floats one block at a time, so the peak stays near what
+        # the report's columns hold when the run is over (1.11 times it),
+        # where three lists of floats over the whole run put it 1.66 times
+        monkeypatch.setattr(experiments, "STEP_BLOCK", 1024)
+        scn = replace(load_preset("table7-up").step_scenario("convex"), duration_s=300.0)
+        run_step_response(replace(scn, duration_s=5.0))  # untraced: what only a first call allocates
+        tracemalloc.start()
+        try:
+            report = run_step_response(scn)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held >= sum(c.nbytes for c in report.columns.values())
+        assert peak <= 1.15 * held
 
 
 class TestStepRecord:
@@ -188,6 +214,9 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
+RUNNERS = {"lms": run_lms_batch, "svs": run_svs_batch, "atlms": run_atlms_batch, "convex": run_convex_batch}
+
+
 class TestSysidStreaming:
     """run_sysid reduces each block of errors to its part of the MSE curve
     as the runners hand it over; the curve must be the bits of the mean over
@@ -202,12 +231,23 @@ class TestSysidStreaming:
         reports = run_sysid(scn, table4)
         x, d = experiments._sysid_signals(scn)
         for m, params in table4.items():
-            e = oracles.run_keeping_errors(experiments._RUNNERS[m], (0.0,) * order, x=x, d=d,
+            e = oracles.run_keeping_errors(RUNNERS[m], (0.0,) * order, x=x, d=d,
                                            **experiments._keywords(m, params))["e"]
             # trial-major, so that the mean adds the trials in index order
             want = experiments._smooth_causal(np.mean(np.ascontiguousarray(e.T) ** 2, axis=0),
                                               experiments.SMOOTHING_WINDOW)
             np.testing.assert_array_equal(bits(reports[m].mse_curve), bits(want), err_msg=m)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_one_step_block_adds_the_trials_in_order(self, seed):
+        # over a single column numpy would add the 200 trials pairwise
+        e = np.random.default_rng(seed).standard_normal((1, 1, 200))
+        total = np.zeros(1)
+        experiments._mean_square_into(total, np.zeros((201, experiments.ERROR_BLOCK)))(0, e)
+        want = np.zeros(1)
+        for t in range(200):
+            want = want + e[0, 0, t] ** 2
+        np.testing.assert_array_equal(bits(total), bits(want))
 
     def test_peak_memory_is_the_signals(self, table4):
         scn = small_scenario(n_iters=3000, noise_reinjection_at=1500, trials=200)
@@ -223,6 +263,44 @@ class TestSysidStreaming:
             tracemalloc.stop()
         # one more (n_iters, trials) array would add half of the signals
         assert signals <= peak <= 1.25 * signals
+
+
+class TestSysidChunks:
+    """run_sysid draws and runs TRIAL_CHUNK trials at a time: the curves
+    keep their bits, and the memory a run needs does not grow with its
+    trial count."""
+
+    def test_chunks_keep_the_bits(self, table4, monkeypatch):
+        scn = small_scenario(trials=37, n_iters=2 * experiments.ERROR_BLOCK + 1,
+                             noise_reinjection_at=100)
+        whole = run_sysid(scn, table4)
+        monkeypatch.setattr(experiments, "TRIAL_CHUNK", 8)  # five chunks, the last of 5 trials
+        for m, report in run_sysid(scn, table4).items():
+            np.testing.assert_array_equal(bits(report.mse_curve), bits(whole[m].mse_curve), err_msg=m)
+            assert (report.iters_to_converge, report.final_mse) == (whole[m].iters_to_converge,
+                                                                   whole[m].final_mse)
+
+    def test_peak_memory_does_not_grow_with_trials(self, table4, monkeypatch):
+        monkeypatch.setattr(experiments, "TRIAL_CHUNK", 8)
+        scenarios = {chunks: small_scenario(trials=8 * chunks, n_iters=300, noise_reinjection_at=150)
+                     for chunks in (2, 4)}
+        run_sysid(scenarios[2], table4)  # untraced, so the trace holds only what every call allocates
+        peaks = {}
+        for chunks, scn in scenarios.items():
+            tracemalloc.start()
+            try:
+                run_sysid(scn, table4)
+                peaks[chunks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # one chunk's signals are 38 kB; all the trials held at once would add 77 kB
+        assert peaks[4] <= 1.05 * peaks[2]
+
+    def test_a_trial_range_draws_those_trials(self):
+        scn = small_scenario(trials=37)
+        whole = experiments._sysid_signals(scn)
+        for got, want in zip(experiments._sysid_signals(scn, 5, 30), whole):
+            np.testing.assert_array_equal(bits(got), bits(want[..., 5:30]))
 
 
 class TestSysidSignals:
