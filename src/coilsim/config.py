@@ -165,19 +165,19 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"{self.source}: [sensor] model must be one of {sorted(_SENSOR_MODELS)}"
                 ) from None
-        return SensorSpec(
+        return self._build(SensorSpec, "sensor", dict(
             noise_sigma_nt=self.get("sensor", "noise_sigma_nt", 0.0),
             quantization_step_nt=self.get("sensor", "quantization_step_nt", 0.0),
             sample_rate_hz=self.get("sensor", "sample_rate_hz", 200.0),
-        )
+        ))
 
     def disturbance(self, seed: int) -> DisturbanceSpec:
-        return DisturbanceSpec(
+        return self._build(DisturbanceSpec, "disturbance", dict(
             dc_offset_nt=self.get("disturbance", "dc_offset_nt", 0.0),
             ac_components=self.get("disturbance", "ac_components", ()),
             gaussian_sigma_nt=self.get("disturbance", "gaussian_sigma_nt", 0.0),
             seed=seed,
-        )
+        ))
 
     def target_profile(self) -> TargetProfile:
         kind = self.require("step", "profile")

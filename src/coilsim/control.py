@@ -22,21 +22,19 @@ closed loop in coilsim.experiments does.  Independent controller instances
 may run in parallel, but a single state must be stepped from one thread at
 a time.
 
-Batch runners execute many independent trials of the same update
-equations vectorized across trials; they exist for experiment-harness speed
-and are pinned to the scalar steps by equivalence tests.  One time loop,
-`run_laws_batch`, steps any set of the four laws together over one stacked
+One time loop, `run_laws_batch`, runs many independent trials of any set
+of the four laws together, vectorized across trials, over one stacked
 (order, filters, trials) weight array: the convex w1 and w2 first, then
-each single filter.  The work every law shares runs once per step for all
-filters: w.x, d - y, k = rate * e and w += k * x, with one row of `rate`
-per filter (mu for LMS, c for the fast branch, 2 * mu1 for the slow one,
-whose k alone is then divided by phi + x.x, and the SVS and ATLMS rates as
-their laws write them), and the logistics of mu1, gamma and the SVS rate
-share one pass.  Each element keeps the operation order of the scalar
-step, so a law gives the same bits whichever laws run beside it.  Each dot
-product adds its taps in plain order, w0*x0 + w1*x1 + ..., so the bits do
-not depend on a BLAS kernel.  `run_lms_batch`, `run_svs_batch`,
-`run_atlms_batch` and `run_convex_batch` are its one-law calls.
+each single filter.  It exists for experiment-harness speed and is pinned
+to the scalar steps by equivalence tests.  The work every law shares runs
+once per step for all filters: w.x, d - y, k = rate * e and w += k * x,
+with one row of `rate` per filter (mu for LMS, c for the fast branch,
+2 * mu1 for the slow one, whose k alone is then divided by phi + x.x, and
+the SVS and ATLMS rates as their laws write them), and the logistics of
+mu1, gamma and the SVS rate share one pass.  Each element keeps the
+operation order of the scalar step, so a law gives the same bits whichever
+laws run beside it.  Each dot product adds its taps in plain order,
+w0*x0 + w1*x1 + ..., so the bits do not depend on a BLAS kernel.
 
 Each step writes its errors into one row of a time-major
 (rows, ERROR_BLOCK, trials) buffer, the convex e first and then each
@@ -44,9 +42,13 @@ filter's, and every ERROR_BLOCK steps (fewer at the end) the loop calls
 each method's `sink(start, block)` with a view of its filled rows:
 block[0] holds e and, for convex, block[1] and block[2] hold e1 and e2,
 each (steps, trials) for the steps from `start` on.  The buffer is reused,
-so a sink copies what it keeps.  The sink is required and is the errors'
-only way out: a runner returns just its final state, so no (trials,
-n_iters) error array exists unless a sink builds one.
+so a sink copies what it keeps.  The sinks are required and are the
+errors' only way out: the loop returns just each method's final state, so
+no (trials, n_iters) error array exists unless a sink builds one.
+
+`check_convergence_condition` tests the convex controller's rates against
+the stability bound 2/lambda_max of LMS on white, unit-variance input, in
+closed form.
 """
 
 from __future__ import annotations
@@ -64,10 +66,6 @@ class DimensionMismatch(ValueError):
 
 class NonFiniteInput(ValueError):
     """A step input contains NaN or infinity."""
-
-
-class InsufficientSamples(ValueError):
-    """Too few input samples to estimate the autocorrelation matrix."""
 
 
 def _inv1pexp(arg: float) -> float:
@@ -117,11 +115,12 @@ class ConvexParams:
     t_o: int = 2
 
     def __post_init__(self):
-        if self.beta <= 0.0:
+        # written so that NaN fails too
+        if not self.beta > 0.0:
             raise ValueError("beta must be > 0")
-        if self.phi < 0.0:
+        if not self.phi >= 0.0:
             raise ValueError("phi must be >= 0")
-        if self.c <= 0.0:
+        if not self.c > 0.0:
             raise ValueError("c must be > 0")
         if not 0.0 < self.gamma_o < 1.0:
             raise ValueError("gamma_o must lie in (0, 1)")
@@ -278,8 +277,8 @@ def filter_step(state: FilterState, x: Sequence[float], d: float) -> float:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Result of checking the step-size convergence condition against input
-    statistics: both rates must be positive and below 2 / lambda_max."""
+    """Result of checking the step-size convergence condition: both rates
+    must be positive and below 2 / lambda_max."""
 
     lambda_max: float
     mu_max_bound: float
@@ -290,32 +289,21 @@ class ConditionReport:
     passed: bool
 
 
-def check_convergence_condition(
-    params: ConvexParams, x_samples: Sequence[Sequence[float]]
-) -> ConditionReport:
-    """Estimate the input autocorrelation matrix from samples and check the
-    controller rates against the 2/lambda_max stability bound.
+def check_convergence_condition(params: ConvexParams) -> ConditionReport:
+    """Check the controller rates against the 2/lambda_max stability bound
+    of LMS on white, unit-variance input (Feuer & Weinstein, IEEE TASSP
+    33(1), 1985), whose autocorrelation matrix is R = I at any order: so
+    lambda_max = 1 and the bound is 2.
 
-    The slow branch's effective rate is bounded by beta / (phi + min x^T x);
-    the fast branch's by its fixed rate c.  Raises InsufficientSamples when
-    fewer samples than the filter order are supplied.
+    The slow branch's rate 2 * mu1 / (phi + x.x), with mu1 <= beta/2, is at
+    most beta / (phi + x.x), whose supremum over x is beta / phi, at x = 0;
+    inf when phi = 0.  The fast branch's rate is its fixed c.
     """
-    x = np.asarray(x_samples, dtype=float)
-    if x.ndim != 2:
-        raise DimensionMismatch("x_samples must be a 2-D sample/tap array")
-    n, order = x.shape
-    if n < order:
-        raise InsufficientSamples(f"need >= {order} samples, got {n}")
-
-    rxx = (x.T @ x) / n
-    lam = float(np.linalg.eigvalsh(rxx)[-1])
-    bound = math.inf if lam <= 0.0 else 2.0 / lam
-
-    min_xtx = float(np.min(np.einsum("ij,ij->i", x, x)))
-    nlms_rate = params.beta / (params.phi + min_xtx)
+    lam = 1.0
+    bound = 2.0 / lam
+    nlms_rate = params.beta / params.phi if params.phi > 0.0 else math.inf
     nlms_ok = params.beta > 0.0 and nlms_rate <= bound
     fixed_ok = 0.0 < params.c < bound
-
     return ConditionReport(
         lambda_max=lam,
         mu_max_bound=bound,
@@ -350,10 +338,12 @@ def run_laws_batch(
     filter from the weights w0, on time-major inputs of any strides: x has
     shape (n_iters, order, trials), d shape (n_iters, trials).
 
-    `laws` maps each method, "lms", "svs", "atlms" or "convex", to the
-    keywords of its run_*_batch runner, and each method runs as if alone:
-    sinks[method] gets its error blocks and the result holds, under its
-    name, the final state its runner returns.
+    `laws` maps each method to the keywords of its law: "lms" to mu, "svs"
+    to alpha and beta, "atlms" to alpha, beta, m and n_scale, and "convex"
+    to params, a ConvexParams run from b = 0.  Each method runs as if
+    alone: sinks[method] gets its error blocks, and the result holds its
+    final state under its name, "w" (trials, order) for a single filter and
+    "w1", "w2" (trials, order), "b" and "gamma" (trials,) for convex.
     """
     n_iters, order, trials = x.shape
     singles = [m for m in laws if m != "convex"]
@@ -474,59 +464,3 @@ def run_laws_batch(
     if convex:
         res["convex"] = {"w1": w1.T.copy(), "w2": w2.T.copy(), "b": b, "gamma": gamma.copy()}
     return res
-
-
-def run_lms_batch(
-    w0: Sequence[float],
-    mu: float,
-    x: np.ndarray,
-    d: np.ndarray,
-    *,
-    sink: ErrorSink,
-) -> dict:
-    """Run independent LMS trials, e = d - w.x and then w += mu * e * x, on
-    time-major inputs of any strides: x has shape (n_iters, order, trials),
-    d shape (n_iters, trials).  Hands the errors to `sink` and returns the
-    final weights as "w" (trials, order)."""
-    return run_laws_batch(w0, {"lms": {"mu": mu}}, x, d, sinks={"lms": sink})["lms"]
-
-
-def run_svs_batch(
-    w0: Sequence[float],
-    alpha: float,
-    beta: float,
-    x: np.ndarray,
-    d: np.ndarray,
-    *,
-    sink: ErrorSink,
-) -> dict:
-    return run_laws_batch(w0, {"svs": {"alpha": alpha, "beta": beta}}, x, d, sinks={"svs": sink})["svs"]
-
-
-def run_atlms_batch(
-    w0: Sequence[float],
-    alpha: float,
-    beta: float,
-    m: float,
-    n_scale: float,
-    x: np.ndarray,
-    d: np.ndarray,
-    *,
-    sink: ErrorSink,
-) -> dict:
-    law = {"alpha": alpha, "beta": beta, "m": m, "n_scale": n_scale}
-    return run_laws_batch(w0, {"atlms": law}, x, d, sinks={"atlms": sink})["atlms"]
-
-
-def run_convex_batch(
-    w0: Sequence[float],
-    params: ConvexParams,
-    x: np.ndarray,
-    d: np.ndarray,
-    *,
-    sink: ErrorSink,
-) -> dict:
-    """Vectorized convex combination trials from b = 0; same update order
-    as convex_step, on inputs laid out as run_lms_batch's.  Returns the
-    final "w1", "w2" (trials, order), "b" and "gamma" (trials,)."""
-    return run_laws_batch(w0, {"convex": {"params": params}}, x, d, sinks={"convex": sink})["convex"]

@@ -184,6 +184,9 @@ class SysIdScenario:
     seed: int = 0
 
     def __post_init__(self):
+        # beyond about +/-3080 dB the noise power ratio leaves the float range
+        if not abs(self.snr_db) <= 3000.0:
+            raise ValueError("snr_db must be finite and within +/-3000 dB")
         if self.order < 1:
             raise ValueError("order must be >= 1")
         if self.noise_reinjection_at < 0:
@@ -337,14 +340,32 @@ class StepScenario:
     x_scale_nt: float = 1e6
 
     def __post_init__(self):
-        if self.duration_s <= self.settle_time_s:
+        switch, rate = self.profile.switch_time_s, self.sensor.sample_rate_hz
+        # NaN or inf whenever one of its terms is
+        if not math.isfinite((switch + self.duration_s) * rate):
+            raise ValueError("switch_time_s, duration_s and sample_rate_hz must be finite, "
+                             "as must the run's sample count")
+        if not self.duration_s > self.settle_time_s:
             raise ValueError("duration_s must exceed settle_time_s")
+        # the steady window of run_step_response's metrics, from the first
+        # sample at or after the switch, must hold a sample
+        dt, last = 1.0 / rate, self.n_steps() - 1
+        first = max(0, math.floor(switch / dt))
+        first += first * dt < switch
+        if not (first <= last and last * dt - first * dt > self.settle_time_s):
+            raise ValueError("no sample falls after switch_time_s + settle_time_s")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.ctrl_unit_nt <= 0.0 or self.x_scale_nt <= 0.0:
             raise ValueError("scales must be > 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        self.resolved_plant()  # a bad [plant] range fails here, not mid-run
+
+    def n_steps(self) -> int:
+        """The run's sample count: (switch_time_s + duration_s) *
+        sample_rate_hz, rounded."""
+        return int(round((self.profile.switch_time_s + self.duration_s) * self.sensor.sample_rate_hz))
 
     def resolved_plant(self) -> PlantModel:
         """The voltage fit of the step's direction: descending for a
@@ -385,7 +406,7 @@ def run_step_response(scn: StepScenario) -> MetricsReport:
     for more than half of the steps.
     """
     plant = scn.resolved_plant()
-    n_total = int(round((scn.profile.switch_time_s + scn.duration_s) * scn.sensor.sample_rate_hz))
+    n_total = scn.n_steps()
     kw = _keywords(scn.method, scn.params)
     convex = scn.method == "convex"
     if convex:

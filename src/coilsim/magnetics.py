@@ -274,6 +274,8 @@ class GridSpec:
 
     def __post_init__(self):
         for name, (lo, hi, n) in (("x", self.x), ("y", self.y), ("z", self.z)):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{name} axis ends must be finite")
             if n < 1:
                 raise ValueError(f"{name} axis count must be >= 1")
             if n == 1 and lo != hi:

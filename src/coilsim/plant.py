@@ -81,11 +81,12 @@ class SensorSpec:
     sample_rate_hz: float = 200.0
 
     def __post_init__(self):
-        if self.noise_sigma_nt < 0.0:
+        # written so that NaN fails too
+        if not self.noise_sigma_nt >= 0.0:
             raise ValueError("noise_sigma_nt must be >= 0")
-        if self.quantization_step_nt < 0.0:
+        if not self.quantization_step_nt >= 0.0:
             raise ValueError("quantization_step_nt must be >= 0")
-        if self.sample_rate_hz <= 0.0:
+        if not self.sample_rate_hz > 0.0:
             raise ValueError("sample_rate_hz must be > 0")
 
 
@@ -137,12 +138,13 @@ class DisturbanceSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # written so that NaN fails too
         for amp, freq, _phase in self.ac_components:
-            if amp < 0.0:
+            if not amp >= 0.0:
                 raise ValueError("AC amplitudes must be >= 0")
-            if freq <= 0.0:
+            if not freq > 0.0:
                 raise ValueError("AC frequencies must be > 0")
-        if self.gaussian_sigma_nt < 0.0:
+        if not self.gaussian_sigma_nt >= 0.0:
             raise ValueError("gaussian_sigma_nt must be >= 0")
 
 

@@ -8,13 +8,14 @@ Three groups are exceptions, kept as references for bit-for-bit behaviour
 rather than as independent oracles: `segment_field_scalar`, a per-point
 reference for the array kernel; the `run_*_batch_ref` runners, batch
 filters in their plainest form (one step at a time into whole error
-arrays, each dot product a loop over the taps in plain order) that the
-runners in `coilsim.control` must reproduce; and `sysid_signals_ref`, the
+arrays, each dot product a loop over the taps in plain order) that
+`coilsim.control.run_laws_batch` must reproduce; and `sysid_signals_ref`, the
 one-trial-at-a-time draw from `SeedSequence.spawn` children that the
 blocked draw in `coilsim.experiments` must reproduce.  All of them lay
 signals out time-major, x (n_iters, order, trials) and d (n_iters,
-trials).  `run_keeping_errors` collects a package runner's error blocks
-into whole arrays to compare with them.
+trials).  `run_keeping_errors` collects the error blocks of a one-law
+`coilsim.control.run_laws_batch` run into whole arrays to compare with
+them.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from coilsim.control import run_laws_batch
 
 MU0 = 4.0e-7 * np.pi
 
@@ -126,17 +129,19 @@ def segment_field_scalar(start, end, current, turns, q):
 # ---------------------------------------------------------------------------
 
 
-def run_keeping_errors(run, *args, **kwargs):
-    """Call the package batch runner `run` with a sink that keeps every
-    error block, and return its result with the whole (n_iters, trials)
-    error arrays added: "e", and "e1" and "e2" from the convex runner."""
+def run_keeping_errors(w0, law, x, d):
+    """Run run_laws_batch on the one-law mapping `law` (method -> the
+    keywords of its law) with a sink that keeps every error block, and
+    return the method's final state with the whole (n_iters, trials) error
+    arrays added: "e", and "e1" and "e2" for convex."""
+    (method,) = law
     blocks = []
 
     def keep(start, block):
         assert start == sum(b.shape[1] for b in blocks)
         blocks.append(block.copy())  # the runner reuses its buffer
 
-    res = run(*args, sink=keep, **kwargs)
+    res = run_laws_batch(w0, law, x, d, sinks={method: keep})[method]
     return {**res, **dict(zip(("e", "e1", "e2"), np.concatenate(blocks, axis=1)))}
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from coilsim import cli
 from coilsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from coilsim.config import load_preset
+from coilsim.config import load_preset, preset_names
 from coilsim.experiments import run_step_response
 
 
@@ -111,6 +111,20 @@ class TestMagneticsGoldens:
         assert rc == EXIT_RUNTIME
         assert "side must be finite" in capsys.readouterr().err
         assert not (tmp_path / "field_map.csv").exists()
+
+    @pytest.mark.parametrize("validate_only", [False, True], ids=["run", "validate-only"])
+    @pytest.mark.parametrize("x_mm", ["nan,0,1", "0,inf,3"])
+    def test_nonfinite_grid_end_exits_2(self, tmp_path, capsys, x_mm, validate_only):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(
+            "[meta]\nschema_version = 1\n"
+            "[coil]\nside_mm = 840.4\nspacing_mm = 457.6\nturns = 24\ncurrent_a = 2.94\n"
+            f"[grid]\nx_mm = {x_mm}\ny_mm = 0,0,1\nz_mm = 0,0,1\n"
+        )
+        argv = ["field-map", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+        assert main(argv + ["--validate-only"] * validate_only) == EXIT_RUNTIME
+        assert "x axis ends must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_step_metrics_cells_are_plain_floats(tmp_path, capsys):
@@ -387,10 +401,9 @@ def config_text(text, preset=None):
 
 
 META = "[meta]\nschema_version = 1\n"
+MINIMAL_STEP = META + "[step]\nprofile = step_up\nlevel_nt = 120000\n[method.lms]\nmu = 0.05\n"
 # a sensor model fixes the rate, so an explicit one would be ignored
-SENSOR_MODEL_WITH_RATE = config_text(META + "[step]\nprofile = step_up\nlevel_nt = 120000\n"
-                                     "[method.lms]\nmu = 0.05\n"
-                                     "[sensor]\nmodel = rm3100\nsample_rate_hz = 10\n")
+SENSOR_MODEL_WITH_RATE = config_text(MINIMAL_STEP + "[sensor]\nmodel = rm3100\nsample_rate_hz = 10\n")
 
 # a sysid run shorter than the MSE curve's smoothing window (20 steps)
 SHORT_SYSID = config_text(META + "[sysid]\nsnr_db = 30\nn_iters = 10\nreinjection_at = 5\ntrials = 4\n"
@@ -402,7 +415,7 @@ EXIT_CODES = {
     "check-passes": (["check", "--preset", "table4-30db", "--strict"], None, EXIT_OK),
     "unknown-preset": (["field-map", "--preset", "no-such-preset", "--out-dir", "{out}"], None, EXIT_USAGE),
     # [location] was parsed but never read, and is no longer a section
-    "unknown-section": (["step", "--config", "{cfg}", "--validate-only"],
+    "unknown-section": (["step", "--config", "{cfg}", "--out-dir", "{out}"],
                         config_text("[location]\nby_nt = 21290.2\n", "table7-up"), EXIT_USAGE),
     "unknown-key": (["field-map", "--config", "{cfg}", "--out-dir", "{out}"],
                     config_text(META + "[coil]\nradius_mm = 400\n"), EXIT_USAGE),
@@ -424,6 +437,10 @@ EXIT_CODES = {
                             edited_preset("table4-30db", "method.convex", "beta", "0"), EXIT_USAGE),
     "convex-beta-0-step": (["step", "--config", "{cfg}", "--method", "all", "--out-dir", "{out}"],
                            edited_preset("table7-up", "method.convex", "beta", "0"), EXIT_USAGE),
+    # NaN used to pass, and check then printed a VIOLATION verdict on it
+    **{f"check-convex-{key}-nan": (["check", "--config", "{cfg}", "--out-dir", "{out}"],
+                                   edited_preset("table4-30db", "method.convex", key, "nan"), EXIT_USAGE)
+       for key in ("beta", "phi", "c")},
     # values the scenario checks reject are config errors naming the section
     "sysid-trials-0": (["sysid", "--config", "{cfg}", "--out-dir", "{out}"],
                        edited_preset("table4-30db", "sysid", "trials", "0"), EXIT_USAGE),
@@ -436,8 +453,6 @@ EXIT_CODES = {
                             edited_preset("table4-30db", "sysid", "seed", "-1"), EXIT_USAGE),
     "step-seed-negative": (["step", "--preset", "table7-up", "--seed", "-3", "--out-dir", "{out}"],
                            None, EXIT_USAGE),
-    "check-seed-negative": (["check", "--config", "{cfg}", "--out-dir", "{out}"],
-                            edited_preset("table4-30db", "sysid", "seed", "-1"), EXIT_USAGE),
     "step-duration-at-settle": (["step", "--config", "{cfg}", "--method", "lms", "--out-dir", "{out}"],
                                 edited_preset("table7-up", "step", "duration_s", "1.5"), EXIT_USAGE),
     "unknown-method": (["sysid", "--preset", "table4-30db", "--methods", "bogus", "--out-dir", "{out}"],
@@ -452,9 +467,6 @@ EXIT_CODES = {
     # only a convex run has diagnostics to write
     "step-diag-csv-without-convex": (["step", "--preset", "table7-up", "--method", "lms",
                                       "--diag-csv", "d.csv", "--out-dir", "{out}"], None, EXIT_USAGE),
-    "step-validate-only-diag-csv-without-convex": (["step", "--preset", "table7-up", "--method", "lms",
-                                                    "--diag-csv", "d.csv", "--validate-only",
-                                                    "--out-dir", "{out}"], None, EXIT_USAGE),
     "zero-side": (["optimize", "--side-mm", "0", "--out-dir", "{out}"], None, EXIT_USAGE),
     "no-config-source": (["sysid", "--out-dir", "{out}"], None, EXIT_USAGE),
     "check-violation": (["check", "--preset", "table4-30db", "--strict", "--c-scale", "100"],
@@ -463,25 +475,39 @@ EXIT_CODES = {
                            None, EXIT_USAGE),
     "check-c-scale-nan": (["check", "--preset", "table4-30db", "--c-scale", "nan", "--out-dir", "{out}"],
                           None, EXIT_USAGE),
-    "check-samples-0": (["check", "--preset", "table4-30db", "--samples", "0", "--out-dir", "{out}"],
-                        None, EXIT_USAGE),
-    # check builds its own taps from [sysid] order: 0 left no eigenvalue and
-    # -1 no tap window
-    "check-order-0": (["check", "--config", "{cfg}", "--out-dir", "{out}"],
-                      edited_preset("table4-30db", "sysid", "order", "0"), EXIT_USAGE),
-    "check-order-negative": (["check", "--config", "{cfg}", "--out-dir", "{out}"],
-                             edited_preset("table4-30db", "sysid", "order", "-1"), EXIT_USAGE),
     "step-sensor-model-with-rate": (["step", "--config", "{cfg}", "--method", "lms", "--out-dir", "{out}"],
                                     SENSOR_MODEL_WITH_RATE, EXIT_USAGE),
-    # --validate-only runs the command's own checks, not only the schema's
-    "step-validate-only-sensor-model-with-rate": (
-        ["step", "--config", "{cfg}", "--method", "lms", "--validate-only", "--out-dir", "{out}"],
-        SENSOR_MODEL_WITH_RATE, EXIT_USAGE),
-    "check-validate-only-order-0": (["check", "--config", "{cfg}", "--validate-only", "--out-dir", "{out}"],
-                                    edited_preset("table4-30db", "sysid", "order", "0"), EXIT_USAGE),
     "sysid-shorter-than-smoothing-window": (["sysid", "--config", "{cfg}", "--methods", "lms,convex",
                                              "--out-dir", "{out}"], SHORT_SYSID, EXIT_OK),
+    # a run length that is not finite, or leaves no steady sample, used to
+    # end in an OverflowError, an IndexError or exit 2
+    **{f"step-{name}": (["step", "--config", "{cfg}", "--method", "lms", "--out-dir", "{out}"],
+                        edited_preset("table7-up", "step", key, value), EXIT_USAGE)
+       for name, key, value in (("duration-inf", "duration_s", "inf"), ("duration-nan", "duration_s", "nan"),
+                                ("switch-time-inf", "switch_time_s", "inf"))},
+    "step-sample-rate-tiny": (["step", "--config", "{cfg}", "--method", "lms", "--out-dir", "{out}"],
+                              config_text(MINIMAL_STEP + "[sensor]\nsample_rate_hz = 1e-9\n"), EXIT_USAGE),
+    "step-sample-count-overflows": (["step", "--config", "{cfg}", "--method", "lms", "--out-dir", "{out}"],
+                                    config_text(MINIMAL_STEP.replace("[method", "duration_s = 1e300\n[method")
+                                                + "[sensor]\nsample_rate_hz = 1e300\n"), EXIT_USAGE),
+    "sysid-snr-minus-inf": (["sysid", "--config", "{cfg}", "--out-dir", "{out}"],
+                            edited_preset("table4-30db", "sysid", "snr_db", "-inf"), EXIT_USAGE),
+    # NaN used to switch a noise term off, and a negative value to exit 2
+    **{f"step-{section}-sigma-{name}": (["step", "--config", "{cfg}", "--method", "lms", "--out-dir", "{out}"],
+                                       config_text(MINIMAL_STEP + f"[{section}]\n{key} = {value}\n"), EXIT_USAGE)
+       for section, key in (("sensor", "noise_sigma_nt"), ("disturbance", "gaussian_sigma_nt"))
+       for name, value in (("nan", "nan"), ("negative", "-1"))},
+    "step-v-max-nan": (["step", "--config", "{cfg}", "--method", "lms", "--out-dir", "{out}"],
+                       edited_preset("table7-up", "plant", "v_max_v", "nan"), EXIT_USAGE),
 }
+# commands that take --validate-only; it runs the command's own checks, not
+# only the schema's, so every case of theirs that exits 1 exits 1 with the
+# flag too
+VALIDATING = ("field-map", "sysid", "step", "check")
+EXIT_CODES.update({
+    f"{argv[0]}-validate-only-{name.removeprefix(argv[0] + '-')}": ([*argv, "--validate-only"], cfg, code)
+    for name, (argv, cfg, code) in list(EXIT_CODES.items()) if code == EXIT_USAGE and argv[0] in VALIDATING
+})
 
 
 @pytest.mark.parametrize("case", list(EXIT_CODES))
@@ -521,16 +547,64 @@ def test_missing_method_key_exits_1_and_names_it(tmp_path, capsys, argv, preset,
         (["step", "--method", "lms"], "table7-up", "step", "duration_s", "1.0",
          "duration_s must exceed settle_time_s"),
         (["sysid"], "table4-30db", "sysid", "seed", "-1", "seed must be >= 0"),
-        (["check"], "table4-30db", "sysid", "seed", "-1", "seed must be >= 0"),
         (["step", "--method", "lms"], "table7-up", "step", "seed", "-1", "seed must be >= 0"),
+        (["step", "--method", "lms"], "table7-up", "step", "duration_s", "inf",
+         "switch_time_s, duration_s and sample_rate_hz must be finite"),
+        (["sysid"], "table4-30db", "sysid", "snr_db", "-inf", "snr_db must be finite"),
+        (["step", "--method", "lms"], "table7-up", "disturbance", "gaussian_sigma_nt", "nan",
+         "gaussian_sigma_nt must be >= 0"),
     ],
-    ids=["sysid-trials", "sysid-reinjection", "step-duration", "sysid-seed", "check-seed", "step-seed"],
+    ids=["sysid-trials", "sysid-reinjection", "step-duration", "sysid-seed", "step-seed", "step-duration-inf",
+         "sysid-snr-minus-inf", "disturbance-gaussian-sigma-nan"],
 )
 def test_scenario_value_error_exits_1_and_names_the_section(tmp_path, capsys, argv, preset, section, key,
                                                               value, message):
     cfg = edited_preset(preset, section, key, value)(tmp_path)
     assert main([*argv, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
     assert f"[{section}] {message}" in capsys.readouterr().err
+
+
+# every preset with [method.convex] -> its slow (beta/phi) and fast (c) rates
+CHECK_RATES = {"location-field": ("0.500000", "1.200000"), "table4-0-30db": ("0.100000", "0.060000"),
+               "table4-10db": ("1.500000", "0.100000"), "table4-30db": ("0.100000", "0.060000"),
+               "table7-down": ("0.500000", "1.200000"), "table7-up": ("0.500000", "1.200000")}
+
+
+def test_check_covers_every_convex_preset():
+    assert {p for p in preset_names() if load_preset(p).has_section("method.convex")} == set(CHECK_RATES)
+
+
+@pytest.mark.parametrize("preset", list(CHECK_RATES))
+def test_check_output(capsys, preset):
+    # white unit-variance input has R = I: lambda_max is exactly 1, where a
+    # sampled estimate read 1.0196 or 1.0227
+    slow, fast = CHECK_RATES[preset]
+    assert main(["check", "--preset", preset, "--strict"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "lambda_max            : 1.000000\n"
+        "rate bound 2/lambda   : 2.000000\n"
+        f"slow-branch rate      : {slow}  [ok]\n"
+        f"fast-branch rate (c)  : {fast}  [ok]\n"
+        "overall               : pass\n"
+    )
+
+
+@pytest.mark.parametrize("preset, section", [("table4-30db", "sysid"), ("table7-up", "step")])
+def test_check_output_does_not_depend_on_the_seed(tmp_path, capsys, preset, section):
+    outputs = []
+    for seed in ("1", "2"):
+        cfg = edited_preset(preset, section, "seed", seed)(tmp_path)
+        assert main(["check", "--config", str(cfg)]) == EXIT_OK
+        outputs.append(capsys.readouterr().out.encode())
+    assert outputs[0] == outputs[1]
+
+
+def test_check_strict_phi_0_exits_2_with_an_unbounded_slow_rate(tmp_path, capsys):
+    cfg = edited_preset("table4-30db", "method.convex", "phi", "0")(tmp_path)
+    assert main(["check", "--config", str(cfg), "--strict"]) == EXIT_RUNTIME
+    out = capsys.readouterr().out
+    assert "slow-branch rate      : inf  [VIOLATION]\n" in out
+    assert "overall               : FAIL\n" in out
 
 
 def test_parser_built_once_across_commands(tmp_path, monkeypatch):

@@ -13,12 +13,10 @@ from coilsim.cli import EXIT_OK, main
 from coilsim.config import load_preset
 from coilsim.control import (
     ERROR_BLOCK,
-    ConditionReport,
     ConvexParams,
     ConvexState,
     DimensionMismatch,
     FilterState,
-    InsufficientSamples,
     NonFiniteInput,
     atlms_rate,
     check_convergence_condition,
@@ -26,17 +24,24 @@ from coilsim.control import (
     filter_step,
     lms_rate,
     logistic,
-    run_atlms_batch,
-    run_convex_batch,
     run_laws_batch,
-    run_lms_batch,
-    run_svs_batch,
     svs_rate,
 )
 from coilsim.experiments import run_step_response
 
 PARAMS = ConvexParams(alpha=500.0, beta=0.01, sigma=0.0, phi=1.0, c=0.1,
                       mu_b=0.1, gamma_o=0.55, t_o=2)
+# rates at which the SVS and convex exponents cross the +-700 clamp and
+# convex transfers weights
+STRONG = ConvexParams(alpha=1e5, beta=0.3, sigma=11.0, phi=0.1, c=0.1, mu_b=2.0, gamma_o=0.55, t_o=3)
+# method -> (its reference in tests/oracles.py, the keywords of its law in
+# run_laws_batch); a reference takes the same keywords
+LAWS = {
+    "lms": (oracles.run_lms_batch_ref, {"mu": 0.05}),
+    "svs": (oracles.run_svs_batch_ref, {"alpha": 1e4, "beta": 0.15}),
+    "atlms": (oracles.run_atlms_batch_ref, {"alpha": 500.0, "beta": 0.01, "m": 900.0, "n_scale": 500.0}),
+    "convex": (oracles.run_convex_batch_ref, {"params": STRONG}),
+}
 
 
 def random_state(rng, order=2):
@@ -193,6 +198,9 @@ class TestConvexStep:
             ConvexParams(alpha=1.0, beta=0.1, t_o=0)
         with pytest.raises(ValueError):
             ConvexParams(alpha=1.0, beta=0.1, c=-1.0)
+        for key in ("beta", "phi", "c"):
+            with pytest.raises(ValueError, match=f"^{key} must be"):
+                ConvexParams(**{"alpha": 1.0, "beta": 0.1, key: math.nan})
 
 
 class TestBaselines:
@@ -245,71 +253,44 @@ class TestBaselines:
 
 class TestConvergenceCondition:
     def test_white_input_bound(self):
-        rng = np.random.default_rng(10)
-        x = rng.standard_normal((100_000, 2))
-        rep = check_convergence_condition(PARAMS, x)
-        assert rep.lambda_max == pytest.approx(1.0, rel=0.05)
-        assert rep.mu_max_bound == pytest.approx(2.0, rel=0.05)
+        rep = check_convergence_condition(PARAMS)
+        assert (rep.lambda_max, rep.mu_max_bound) == (1.0, 2.0)
+        assert (rep.nlms_rate, rep.fixed_rate) == (PARAMS.beta / PARAMS.phi, PARAMS.c)
         assert rep.nlms_ok and rep.fixed_ok and rep.passed
 
     def test_zero_beta_fails_positivity(self):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal((1000, 2))
-        fake = SimpleNamespace(beta=0.0, phi=1.0, c=0.1)
-        rep = check_convergence_condition(fake, x)
+        rep = check_convergence_condition(SimpleNamespace(beta=0.0, phi=1.0, c=0.1))
         assert not rep.nlms_ok
         assert not rep.passed
 
     def test_violation_by_ten_flagged(self):
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal((10_000, 2))
-        base = check_convergence_condition(PARAMS, x)
-        min_xtx = PARAMS.beta / base.nlms_rate - PARAMS.phi
-        bad_beta = 10.0 * base.mu_max_bound * (PARAMS.phi + min_xtx)
-        bad = ConvexParams(alpha=PARAMS.alpha, beta=bad_beta, phi=PARAMS.phi, c=PARAMS.c)
-        rep = check_convergence_condition(bad, x)
-        assert not rep.nlms_ok
-        big_c = SimpleNamespace(beta=PARAMS.beta, phi=PARAMS.phi, c=3.0 * base.mu_max_bound)
-        assert not check_convergence_condition(big_c, x).fixed_ok
+        bound = check_convergence_condition(PARAMS).mu_max_bound
+        assert not check_convergence_condition(replace(PARAMS, beta=10.0 * bound * PARAMS.phi)).nlms_ok
+        assert not check_convergence_condition(replace(PARAMS, c=3.0 * bound)).fixed_ok
 
-    def test_power_iteration_matches_eigvalsh(self):
-        rng = np.random.default_rng(13)
-        x = rng.standard_normal((5000, 4)) @ np.diag([2.0, 1.0, 0.5, 0.1])
-        rep = check_convergence_condition(
-            SimpleNamespace(beta=0.01, phi=1.0, c=0.1), x
-        )
-        rxx = x.T @ x / len(x)
-        lam_ref = float(np.linalg.eigvalsh(rxx)[-1])
-        assert rep.lambda_max == pytest.approx(lam_ref, rel=1e-8)
-
-    def test_top_eigenvector_orthogonal_to_ones(self):
-        # the sample correlation is [[1, -.5], [-.5, 1]] with equal diagonal
-        # entries, so its top eigenvector (1, -1) is orthogonal to an
-        # all-ones start vector
-        x = np.array([[math.sqrt(1.5), -math.sqrt(1.5)], [math.sqrt(0.5), math.sqrt(0.5)]])
-        rxx = x.T @ x / 2
-        assert rxx[0, 0] == rxx[1, 1]
-        assert rxx.ravel() == pytest.approx([1.0, -0.5, -0.5, 1.0], rel=1e-15)
-        rep = check_convergence_condition(SimpleNamespace(beta=0.01, phi=1.0, c=2.0), x)
-        assert rep.lambda_max == pytest.approx(1.5, rel=1e-15)
-        assert rep.mu_max_bound == pytest.approx(4.0 / 3.0, rel=1e-15)
-        assert not rep.fixed_ok  # c = 2 exceeds 2/1.5
-        assert not rep.passed
-
-    def test_insufficient_samples(self):
-        with pytest.raises(InsufficientSamples):
-            check_convergence_condition(PARAMS, np.ones((1, 2)))
+    def test_phi_zero_leaves_the_slow_rate_unbounded(self):
+        rep = check_convergence_condition(replace(PARAMS, phi=0.0))
+        assert rep.nlms_rate == math.inf
+        assert not rep.nlms_ok and not rep.passed
 
     def test_effective_step_bounded_when_passing(self):
         rng = np.random.default_rng(14)
-        x = rng.standard_normal((20_000, 2))
-        rep = check_convergence_condition(PARAMS, x)
+        rep = check_convergence_condition(PARAMS)
         assert rep.passed
         st = ConvexState.initial([0.0, 0.0])
-        for i in range(2000):
-            convex_step(st, PARAMS, tuple(x[i]), rng.normal())
-            eff = 2.0 * st.mu1 / (PARAMS.phi + float(x[i] @ x[i]))
-            assert eff <= rep.mu_max_bound
+        for _ in range(2000):
+            x = tuple(rng.standard_normal(2))
+            convex_step(st, PARAMS, x, rng.normal())
+            eff = 2.0 * st.mu1 / (PARAMS.phi + x[0] * x[0] + x[1] * x[1])
+            assert eff <= rep.nlms_rate <= rep.mu_max_bound
+
+    def test_slow_rate_is_reached_at_zero_input(self):
+        # with x = 0 the target stays the error, e1 = 2, and from the second
+        # step -alpha * |e1 * prev_e1| passes the -700 clamp: mu1 = beta/2
+        st = ConvexState.initial([0.0, 0.0])
+        for _ in range(2):
+            convex_step(st, PARAMS, (0.0, 0.0), 2.0)
+        assert 2.0 * st.mu1 / PARAMS.phi == check_convergence_condition(PARAMS).nlms_rate
 
 
 def tap_delay(samples, order):
@@ -327,7 +308,7 @@ class TestErrorDecrease:
         n_iters, trials = 1000, 100
         x = tap_delay(rng.standard_normal((n_iters + 1, trials)), 2)
         d = 0.8 * x[:, 0] + 0.5 * x[:, 1] + 0.0316 * rng.standard_normal((n_iters, trials))
-        e = np.abs(oracles.run_keeping_errors(run_convex_batch, [0.0, 0.0], PARAMS, x, d)["e"])
+        e = np.abs(oracles.run_keeping_errors([0.0, 0.0], {"convex": {"params": PARAMS}}, x, d)["e"])
         first = e[: n_iters // 2].mean(axis=0)
         second = e[n_iters // 2 :].mean(axis=0)
         assert np.count_nonzero(second < first) >= 99
@@ -352,8 +333,8 @@ class TestBatchEquivalence:
             errors.append(state.e)
         return np.array(errors)
 
-    def _assert_filter_matches(self, run, args, rate, x, d):
-        res = oracles.run_keeping_errors(run, [0.0, 0.0], *args, x, d)
+    def _assert_filter_matches(self, law, rate, x, d):
+        res = oracles.run_keeping_errors([0.0, 0.0], law, x, d)
         for t in range(self.TRIALS):
             e = self._scalar_errors(x, d, t, filter_step, FilterState.initial([0.0, 0.0], rate))
             np.testing.assert_allclose(e, res["e"][:, t], rtol=1e-10, atol=1e-14)
@@ -363,23 +344,22 @@ class TestBatchEquivalence:
         for order in (1, 2, 3, 9):
             x, d = self._signals(order, seed=order)
             w0 = np.linspace(-0.3, 0.4, order)
-            res = oracles.run_keeping_errors(run_lms_batch, w0, 0.05, x, d)
+            res = oracles.run_keeping_errors(w0, {"lms": {"mu": 0.05}}, x, d)
             for t in range(self.TRIALS):
                 e = self._scalar_errors(x, d, t, filter_step, FilterState.initial(w0, lms_rate(0.05)))
                 np.testing.assert_array_equal(bits(e), bits(res["e"][:, t]), err_msg=f"order {order}")
 
     def test_svs_batch_matches_scalar(self):
         x, d = self._signals(seed=5)
-        self._assert_filter_matches(run_svs_batch, (4.0, 0.15), svs_rate(4.0, 0.15), x, d)
+        self._assert_filter_matches({"svs": {"alpha": 4.0, "beta": 0.15}}, svs_rate(4.0, 0.15), x, d)
 
     def test_atlms_batch_matches_scalar(self):
         x, d = self._signals(seed=6)
-        self._assert_filter_matches(run_atlms_batch, (500.0, 0.01, 900.0, 500.0),
-                                    atlms_rate(500.0, 0.01, 900.0, 500.0), x, d)
+        self._assert_filter_matches({"atlms": LAWS["atlms"][1]}, atlms_rate(500.0, 0.01, 900.0, 500.0), x, d)
 
     def test_convex_batch_matches_scalar(self):
         x, d = self._signals(seed=7)
-        res = oracles.run_keeping_errors(run_convex_batch, [0.0, 0.0], PARAMS, x, d)
+        res = oracles.run_keeping_errors([0.0, 0.0], {"convex": {"params": PARAMS}}, x, d)
         for t in range(self.TRIALS):
             st = ConvexState.initial([0.0, 0.0])
             for n in range(x.shape[0]):
@@ -409,9 +389,10 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-def assert_bitwise_equal(run, args, ref: dict):
-    """run(*args), its errors collected by a sink, equals ref bit for bit."""
-    got = oracles.run_keeping_errors(run, *args)
+def assert_bitwise_equal(w0, law, x, d, ref: dict):
+    """run_laws_batch on the one-law mapping `law`, its errors collected by
+    a sink, equals ref bit for bit."""
+    got = oracles.run_keeping_errors(w0, law, x, d)
     assert got.keys() == ref.keys()
     for key, want in ref.items():
         assert got[key].shape == want.shape, key
@@ -419,9 +400,9 @@ def assert_bitwise_equal(run, args, ref: dict):
 
 
 class TestBatchRunnersBitwise:
-    """The runners reproduce the plain references kept in tests/oracles.py
-    bit for bit.  Both take time-major x (n_iters, order, trials) and d
-    (n_iters, trials); the runners get them either C-ordered ("c-order") or
+    """Each law, run alone, reproduces its plain reference kept in
+    tests/oracles.py bit for bit.  Both take time-major x (n_iters, order,
+    trials) and d (n_iters, trials); run_laws_batch gets them either C-ordered ("c-order") or
     as the view that the sysid harness passes ("time-major"): taps over one
     sample array held newest first, and must not care."""
 
@@ -457,7 +438,7 @@ class TestBatchRunnersBitwise:
         x, d, xr, dr = self._with_bias(signals, fit)
         w0 = np.linspace(-0.3, 0.4, order)
         ref = oracles.run_lms_batch_ref(w0, 0.05, x, d)
-        assert_bitwise_equal(run_lms_batch, (w0, 0.05, xr, dr), ref)
+        assert_bitwise_equal(w0, {"lms": {"mu": 0.05}}, xr, dr, ref)
 
     @pytest.mark.parametrize("alpha", [4.0, 1e4])
     def test_svs(self, signals, order, fit, alpha):
@@ -466,13 +447,13 @@ class TestBatchRunnersBitwise:
         ref = oracles.run_svs_batch_ref(w0, alpha, 0.15, x, d)
         if alpha > 1e3:  # -alpha * |e| crosses the -700 clamp
             assert np.any(alpha * np.abs(ref["e"]) > 700.0)
-        assert_bitwise_equal(run_svs_batch, (w0, alpha, 0.15, xr, dr), ref)
+        assert_bitwise_equal(w0, {"svs": {"alpha": alpha, "beta": 0.15}}, xr, dr, ref)
 
     def test_atlms(self, signals, order, fit):
         x, d, xr, dr = self._with_bias(signals, fit)
         w0 = np.linspace(-0.3, 0.4, order)
-        ref = oracles.run_atlms_batch_ref(w0, 500.0, 0.01, 900.0, 500.0, x, d)
-        assert_bitwise_equal(run_atlms_batch, (w0, 500.0, 0.01, 900.0, 500.0, xr, dr), ref)
+        ref = oracles.run_atlms_batch_ref(w0, x=x, d=d, **LAWS["atlms"][1])
+        assert_bitwise_equal(w0, {"atlms": LAWS["atlms"][1]}, xr, dr, ref)
 
     @pytest.mark.parametrize("t_o", [1, 2, 3])
     def test_convex(self, signals, order, fit, t_o):
@@ -487,7 +468,7 @@ class TestBatchRunnersBitwise:
         assert np.any(-p.alpha * np.abs(e1[:, 1:] * e1[:, :-1]) + p.sigma * np.abs(e1[:, 1:]) < -700.0)
         no_late_transfer = replace(p, t_o=self.N_ITERS)
         assert not np.array_equal(ref["e2"], oracles.run_convex_batch_ref(w0, no_late_transfer, x, d)["e2"])
-        assert_bitwise_equal(run_convex_batch, (w0, p, xr, dr), ref)
+        assert_bitwise_equal(w0, {"convex": {"params": p}}, xr, dr, ref)
 
     def test_convex_gamma_clamp(self):
         # mu_b large enough that b ends below -700 in some trials, where the
@@ -498,18 +479,18 @@ class TestBatchRunnersBitwise:
         p = ConvexParams(alpha=1e5, beta=0.3, sigma=11.0, phi=0.1, c=0.1, mu_b=5e4, gamma_o=0.55, t_o=2)
         ref = oracles.run_convex_batch_ref([0.1, -0.2], p, x, d)
         assert np.any(ref["gamma"] == 1.0 / (1.0 + np.exp(700.0)))
-        assert_bitwise_equal(run_convex_batch, ([0.1, -0.2], p, x, d), ref)
+        assert_bitwise_equal([0.1, -0.2], {"convex": {"params": p}}, x, d, ref)
 
     def test_convex_default_rates(self, signals, order):
         x, d, xr, dr = signals
         ref = oracles.run_convex_batch_ref([0.0] * order, PARAMS, x, d)
-        assert_bitwise_equal(run_convex_batch, ([0.0] * order, PARAMS, xr, dr), ref)
+        assert_bitwise_equal([0.0] * order, {"convex": {"params": PARAMS}}, xr, dr, ref)
 
 
 class TestErrorBlocks:
     """Past one ERROR_BLOCK of steps: the errors a sink collects still match
-    the references bit for bit, the sink gets every step once,
-    in order, and the runner returns only its final state."""
+    the references bit for bit, the sink gets every step once, in order,
+    and the loop returns only the final state."""
 
     TRIALS, N_ITERS = 5, 2 * ERROR_BLOCK + 5
 
@@ -518,54 +499,37 @@ class TestErrorBlocks:
         rng = np.random.default_rng(11)
         return rng.standard_normal((self.N_ITERS, 2, self.TRIALS)), rng.standard_normal((self.N_ITERS, self.TRIALS))
 
-    CASES = {
-        "lms": (run_lms_batch, oracles.run_lms_batch_ref, (0.05,), {"w"}),
-        "svs": (run_svs_batch, oracles.run_svs_batch_ref, (4.0, 0.15), {"w"}),
-        "atlms": (run_atlms_batch, oracles.run_atlms_batch_ref, (500.0, 0.01, 900.0, 500.0), {"w"}),
-        "convex": (run_convex_batch, oracles.run_convex_batch_ref, (PARAMS,), {"w1", "w2", "b", "gamma"}),
-    }
-
-    @pytest.mark.parametrize("method", list(CASES))
+    @pytest.mark.parametrize("method", list(LAWS))
     def test_full_arrays_match_reference(self, signals, method):
-        run, ref, args, _ = self.CASES[method]
+        ref, law = LAWS[method]
         x, d = signals
-        assert_bitwise_equal(run, ([0.1, -0.2], *args, x, d), ref([0.1, -0.2], *args, x, d))
+        assert_bitwise_equal([0.1, -0.2], {method: law}, x, d, ref([0.1, -0.2], x=x, d=d, **law))
 
-    @pytest.mark.parametrize("method", list(CASES))
+    @pytest.mark.parametrize("method", list(LAWS))
     def test_sink_gets_each_block_in_order(self, signals, method):
-        run, ref, args, state = self.CASES[method]
+        ref, law = LAWS[method]
         x, d = signals
-        want = ref([0.1, -0.2], *args, x, d)
-        kinds = len(want) - len(state)
+        want = ref([0.1, -0.2], x=x, d=d, **law)
+        errors = [key for key in ("e", "e1", "e2") if key in want]
         seen = []
 
         def sink(start, block):
             seen.append((start, block.shape))
-            for k, key in enumerate(("e", "e1", "e2")[:kinds]):
+            for k, key in enumerate(errors):
                 np.testing.assert_array_equal(block[k], want[key][start : start + block.shape[1]])
 
-        assert run([0.1, -0.2], *args, x, d, sink=sink).keys() == state
+        got = run_laws_batch([0.1, -0.2], {method: law}, x, d, sinks={method: sink})
+        assert got[method].keys() == want.keys() - set(errors)
+        kinds = len(errors)
         assert seen == [(0, (kinds, ERROR_BLOCK, self.TRIALS)), (ERROR_BLOCK, (kinds, ERROR_BLOCK, self.TRIALS)),
                         (2 * ERROR_BLOCK, (kinds, 5, self.TRIALS))]
 
-    @pytest.mark.parametrize("method", list(CASES))
+    @pytest.mark.parametrize("method", list(LAWS))
     def test_sink_is_required(self, signals, method):
-        run, _, args, _ = self.CASES[method]
-        with pytest.raises(TypeError, match="sink"):
-            run([0.1, -0.2], *args, *signals)
+        with pytest.raises(TypeError, match="sinks"):
+            run_laws_batch([0.1, -0.2], {method: LAWS[method][1]}, *signals)
 
 
-# rates at which the SVS and convex exponents cross the +-700 clamp and
-# convex transfers weights
-STRONG = ConvexParams(alpha=1e5, beta=0.3, sigma=11.0, phi=0.1, c=0.1, mu_b=2.0, gamma_o=0.55, t_o=3)
-# method -> (runner, reference, positional arguments, the one loop's keywords)
-LAWS = {
-    "lms": (run_lms_batch, oracles.run_lms_batch_ref, (0.05,), {"mu": 0.05}),
-    "svs": (run_svs_batch, oracles.run_svs_batch_ref, (1e4, 0.15), {"alpha": 1e4, "beta": 0.15}),
-    "atlms": (run_atlms_batch, oracles.run_atlms_batch_ref, (500.0, 0.01, 900.0, 500.0),
-              {"alpha": 500.0, "beta": 0.01, "m": 900.0, "n_scale": 500.0}),
-    "convex": (run_convex_batch, oracles.run_convex_batch_ref, (STRONG,), {"params": STRONG}),
-}
 # every non-empty subset of the laws, as listed and reversed
 SUBSETS = sorted({o for r in range(1, 5) for c in combinations(LAWS, r) for o in (c, c[::-1])})
 
@@ -573,7 +537,7 @@ SUBSETS = sorted({o for r in range(1, 5) for c in combinations(LAWS, r) for o in
 class TestOneLoop:
     """run_laws_batch steps any set of laws, in any order, together: each
     method's error blocks and final state are, bit for bit, those of its
-    one-method runner and of its reference in tests/oracles.py."""
+    one-law run and of its reference in tests/oracles.py."""
 
     N_ITERS = ERROR_BLOCK + 5
 
@@ -594,10 +558,10 @@ class TestOneLoop:
         d = rng.standard_normal((self.N_ITERS, trials))
         w0 = np.linspace(-0.3, 0.4, order)
         runs = {}
-        for m, (run, ref, args, _) in LAWS.items():
+        for m, (ref, law) in LAWS.items():
             blocks = []
-            state = run(w0, *args, x, d, sink=self._keeping(blocks))
-            want = ref(w0, *args, np.ascontiguousarray(x), d)
+            state = run_laws_batch(w0, {m: law}, x, d, sinks={m: self._keeping(blocks)})[m]
+            want = ref(w0, x=np.ascontiguousarray(x), d=d, **law)
             errors = np.concatenate([b for _, b in blocks], axis=1)
             for key, e in zip(("e", "e1", "e2"), errors):
                 np.testing.assert_array_equal(bits(e), bits(want[key]), err_msg=key)
@@ -610,7 +574,7 @@ class TestOneLoop:
     def test_each_law_as_if_alone(self, alone, methods):
         w0, x, d, runs = alone
         blocks = {m: [] for m in methods}
-        got = run_laws_batch(w0, {m: LAWS[m][3] for m in methods}, x, d,
+        got = run_laws_batch(w0, {m: LAWS[m][1] for m in methods}, x, d,
                              sinks={m: self._keeping(blocks[m]) for m in methods})
         assert set(got) == set(methods)
         for m in methods:

@@ -10,10 +10,11 @@ import oracles
 from coilsim import experiments
 from coilsim._table import write_repr_csv
 from coilsim.config import load_preset
-from coilsim.plant import TargetProfile, drive, sense, sensor_noise, snr_to_sigma
-from coilsim.control import run_atlms_batch, run_convex_batch, run_lms_batch, run_svs_batch
+from coilsim.plant import SensorSpec, TargetProfile, drive, sense, sensor_noise, snr_to_sigma
+from coilsim.control import run_laws_batch
 from coilsim.experiments import (
     ActuatorSaturationWarning,
+    StepScenario,
     SysIdScenario,
     compute_metrics,
     run_step_response,
@@ -45,7 +46,8 @@ def test_converged_lms_weight_error_uncorrelated_with_noise():
     wo = np.asarray(scn.true_weights)
 
     def stat(steps):
-        w = run_lms_batch(np.zeros(scn.order), mu, x[:steps], d[:steps], sink=lambda *_: None)["w"]
+        w = run_laws_batch(np.zeros(scn.order), {"lms": {"mu": mu}}, x[:steps], d[:steps],
+                           sinks={"lms": lambda *_: None})["lms"]["w"]
         s = eps[n] * np.sum(x[n] * (wo[:, None] - w.T), axis=0)
         return float(np.mean(s)), float(np.std(s, ddof=1) / np.sqrt(scn.trials))
 
@@ -119,7 +121,7 @@ class TestStepRecord:
     def test_record_matches_the_plant(self, preset, method):
         scn = load_preset(preset).step_scenario(method)
         cols = run_step_response(scn).columns
-        steps = int(round((scn.profile.switch_time_s + scn.duration_s) * scn.sensor.sample_rate_hz))
+        steps = scn.n_steps()
         names = {"t_s", "target_nT", "measured_nT", "control_V", "true_nT", "disturbance_nT"}
         if method == "convex":
             names |= set(experiments.DIAGNOSTICS_COLUMNS)
@@ -141,6 +143,37 @@ class TestStepRecord:
             e, e1, e2 = cols["e"], cols["e1"], cols["e2"]
             scale = np.abs(cols["y1"]) + np.abs(cols["y2"]) + np.abs(e)
             assert np.max(np.abs(e - (gamma * e1 + (1.0 - gamma) * e2)) / scale) <= 1e-15
+
+
+class TestStepScenarioChecks:
+    @staticmethod
+    def _scenario(rate, switch, duration):
+        return StepScenario(profile=TargetProfile.step_up(10000.0, switch), method="lms", params={"mu": 0.05},
+                            sensor=SensorSpec(sample_rate_hz=rate), duration_s=duration, settle_time_s=1.5,
+                            v_min_v=-3.0)
+
+    # at 2 Hz from 0.25 s, a 2.25 s run ends exactly settle_time_s after its
+    # first post-switch sample, which is not a steady sample
+    @pytest.mark.parametrize("rate, switch", [(1.0, 0.1), (1.0, 0.5), (2.0, 0.25), (3.3, 0.7), (75.0, 3.0),
+                                              (75.0, 0.01)])
+    def test_steady_window_check_is_the_runs(self, rate, switch):
+        # a scenario is rejected exactly when its run would find no steady
+        # sample: each rejected length is run with the checks bypassed
+        accepted = rejected = 0
+        for duration in 1.5 + np.arange(1, 40) * (0.1 / rate):
+            try:
+                scn = self._scenario(rate, switch, duration)
+            except ValueError as err:
+                assert str(err) == "no sample falls after switch_time_s + settle_time_s"
+                rejected += 1
+                scn = self._scenario(rate, switch, 10.0)
+                object.__setattr__(scn, "duration_s", duration)
+                with pytest.raises(ValueError, match="times and values|no samples after the settling time"):
+                    run_step_response(scn)
+            else:
+                run_step_response(scn)
+                accepted += 1
+        assert accepted and rejected
 
 
 class TestRunSysid:
@@ -214,13 +247,10 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
-RUNNERS = {"lms": run_lms_batch, "svs": run_svs_batch, "atlms": run_atlms_batch, "convex": run_convex_batch}
-
-
 class TestSysidStreaming:
     """run_sysid reduces each block of errors to its part of the MSE curve
-    as the runners hand it over; the curve must be the bits of the mean over
-    the runners' full error arrays, and no such array may be held."""
+    as the loop hands it over; the curve must be the bits of the mean over
+    each law's full error arrays, and no such array may be held."""
 
     @pytest.mark.parametrize("order", [1, 2, 3, 9])
     @pytest.mark.parametrize("n_iters", [100, 256, 257, 1000])
@@ -231,8 +261,7 @@ class TestSysidStreaming:
         reports = run_sysid(scn, table4)
         x, d = experiments._sysid_signals(scn)
         for m, params in table4.items():
-            e = oracles.run_keeping_errors(RUNNERS[m], (0.0,) * order, x=x, d=d,
-                                           **experiments._keywords(m, params))["e"]
+            e = oracles.run_keeping_errors((0.0,) * order, {m: experiments._keywords(m, params)}, x, d)["e"]
             # trial-major, so that the mean adds the trials in index order
             want = experiments._smooth_causal(np.mean(np.ascontiguousarray(e.T) ** 2, axis=0),
                                               experiments.SMOOTHING_WINDOW)
