@@ -19,12 +19,8 @@ from .coilopt import (
 from .control import (
     ConditionReport,
     ConvexParams,
-    ConvexState,
-    FilterState,
     atlms_rate,
     check_convergence_condition,
-    convex_step,
-    filter_step,
     lms_rate,
     svs_rate,
 )
@@ -54,9 +50,6 @@ from .plant import (
     SensorSpec,
     TargetProfile,
     disturbance_series,
-    drive,
-    inverse_drive,
-    sense,
     sensor_noise,
     snr_to_sigma,
 )

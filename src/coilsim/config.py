@@ -8,7 +8,9 @@ quantities carry explicit units in their key names.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from functools import partial
 from importlib import resources
 from typing import Callable
 
@@ -19,6 +21,7 @@ from .plant import (
     IDEAL_SENSOR,
     RM3100,
     DisturbanceSpec,
+    PlantModel,
     SensorSpec,
     TargetProfile,
 )
@@ -183,21 +186,19 @@ class ScenarioConfig:
         kind = self.require("step", "profile")
         level = self.require("step", "level_nt")
         switch = self.get("step", "switch_time_s", 0.0)
-        if kind == "step_up":
-            return TargetProfile.step_up(level, switch)
-        if kind == "step_down":
-            return TargetProfile.step_down(level, switch)
+        if kind in ("step_up", "step_down"):
+            return self._build(getattr(TargetProfile, kind), "step", dict(level_nt=level, switch_time_s=switch))
         if kind == "constant":
-            return TargetProfile.constant(level)
+            return self._build(TargetProfile.constant, "step", dict(level_nt=level))
         if kind == "ramp_up":
-            return TargetProfile.ramp_up(level, switch)
+            return self._build(TargetProfile.ramp_up, "step", dict(level_nt=level, ramp_time_s=switch))
         raise ConfigError(f"{self.source}: [step] profile {kind!r} not recognized")
 
     def method_params(self, method: str):
         """The [method.<method>] parameters: a dict for the baselines, which
-        need every key of their section, and a ConvexParams for convex,
-        which needs alpha and beta and whose value checks fail as a
-        ConfigError naming the section."""
+        need every key of their section, each finite, and a ConvexParams for
+        convex, which needs alpha and beta; a value that fails its checks is
+        a ConfigError naming the section."""
         section = f"method.{method}"
         if not self.has_section(section):
             raise ConfigError(f"{self.source}: missing [{section}] parameters")
@@ -207,6 +208,9 @@ class ScenarioConfig:
         if method == "convex":
             params.pop("init_weights", None)
             return self._build(ConvexParams, section, params)
+        for key, value in params.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{self.source}: [{section}] {key} must be finite")
         return params
 
     def sysid_scenario(self, snr_override: float | None = None):
@@ -227,10 +231,12 @@ class ScenarioConfig:
 
     def step_scenario(self, method: str, seed_override: int | None = None):
         """The [step] scenario for `method`; a value its checks reject is a
-        ConfigError naming the section."""
+        ConfigError naming the section the value came from."""
         from .experiments import StepScenario
 
         seed = seed_override if seed_override is not None else self.get("step", "seed", 0)
+        v_min, v_max = self.get("plant", "v_min_v", 0.0), self.get("plant", "v_max_v", 3.0)
+        self._build(PlantModel.ascending, "plant", dict(v_min=v_min, v_max=v_max))  # a bad range names [plant]
         fields = dict(
             profile=self.target_profile(),
             method=method,
@@ -241,17 +247,18 @@ class ScenarioConfig:
             band_fraction=self.get("step", "band_fraction", 0.02),
             seed=seed,
             disturbance=self.disturbance(seed),
-            v_min_v=self.get("plant", "v_min_v", 0.0),
-            v_max_v=self.get("plant", "v_max_v", 3.0),
+            v_min_v=v_min,
+            v_max_v=v_max,
             ctrl_unit_nt=self.get("step", "ctrl_unit_nt", 1000.0),
             x_scale_nt=self.get("step", "x_scale_nt", 1e6),
         )
+        scn = self._build(StepScenario, "step", fields)
         # [method.convex] init_weights starts convex runs only; the other
         # methods, and convex without the key, start from StepScenario's default
         init_weights = self.get("method.convex", "init_weights")
         if method == "convex" and init_weights is not None:
-            fields["init_weights"] = tuple(init_weights)
-        return self._build(StepScenario, "step", fields)
+            scn = self._build(partial(replace, scn), "method.convex", dict(init_weights=init_weights))
+        return scn
 
     def _build(self, cls, section: str, fields: dict):
         """cls(**fields), with a value error its checks raise as a

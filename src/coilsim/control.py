@@ -8,19 +8,18 @@ adapted by a signed gradient rule, and the slow branch's weights are
 periodically transferred to the fast branch once gamma exceeds a threshold.
 
 LMS, sigmoid-variable-step (SVS), and arctangent-step (ATLMS) single-filter
-baselines differ only in their step-size law mu(e).  A FilterState carries
-its weights and its law, built once per run by `lms_rate`, `svs_rate` or
-`atlms_rate`, and `filter_step` is the one scalar step for all three.
+baselines differ only in their step-size law mu(e), built once per run by
+`lms_rate`, `svs_rate` or `atlms_rate` as a closure from the step's error
+to its rate.
 
-A scalar step takes the tap vector x (a tuple of floats, x[0] the most
-recent) and the target d, mutates its state in place and returns the
-control signal y.  The step's other values stay on the state until the next
-step overwrites them: e and mu on a FilterState; y1, y2, e, e1, e2 and mu1
-on a ConvexState, whose gamma and b are then the next step's.  A caller
-that wants them per step reads them off the state after each step, as the
-closed loop in coilsim.experiments does.  Independent controller instances
-may run in parallel, but a single state must be stepped from one thread at
-a time.
+Each law runs in two places.  The closed loop,
+coilsim.experiments.run_step_response, steps one two-tap controller a
+sample at a time in Python floats, inline in its time loop: a single filter
+calls its rate closure once per step, and the convex update runs there in
+full.  It raises NonFiniteInput on a non-finite tap or target.  The scalar
+steps that loop was written from, `filter_step` and `convex_step` with
+their states, are kept in tests/oracles.py, and the loop is pinned to them
+bit for bit.
 
 One time loop, `run_laws_batch`, runs many independent trials of any set
 of the four laws together, vectorized across trials, over one stacked
@@ -54,18 +53,14 @@ closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 
-class DimensionMismatch(ValueError):
-    """Input vector length does not match the filter order."""
-
-
 class NonFiniteInput(ValueError):
-    """A step input contains NaN or infinity."""
+    """A closed-loop step's tap input or target is NaN or infinite."""
 
 
 def _inv1pexp(arg: float) -> float:
@@ -75,19 +70,6 @@ def _inv1pexp(arg: float) -> float:
     if arg < -700.0:
         return 1.0
     return 1.0 / (1.0 + math.exp(arg))
-
-
-def logistic(u: float) -> float:
-    """1 / (1 + exp(-u)); maps any finite u into (0, 1)."""
-    return _inv1pexp(-u)
-
-
-def _sign(v: float) -> float:
-    if v > 0.0:
-        return 1.0
-    if v < 0.0:
-        return -1.0
-    return 0.0
 
 
 @dataclass(frozen=True)
@@ -116,6 +98,8 @@ class ConvexParams:
 
     def __post_init__(self):
         # written so that NaN fails too
+        if not all(map(math.isfinite, (self.alpha, self.sigma, self.mu_b))):
+            raise ValueError("alpha, sigma and mu_b must be finite")
         if not self.beta > 0.0:
             raise ValueError("beta must be > 0")
         if not self.phi >= 0.0:
@@ -126,108 +110,6 @@ class ConvexParams:
             raise ValueError("gamma_o must lie in (0, 1)")
         if self.t_o < 1:
             raise ValueError("t_o must be >= 1")
-
-
-@dataclass(slots=True)
-class ConvexState:
-    """Mutable state of the convex combination controller.
-
-    gamma is kept equal to logistic(b) after every step.  y1 ... mu1 are
-    the last step's values (e = gamma * e1 + (1 - gamma) * e2 with that
-    step's gamma); e1 also feeds the next step's rate.
-    """
-
-    w1: list[float]
-    w2: list[float]
-    b: float = 0.0
-    gamma: float = field(default=0.5)
-    step_index: int = 0
-    y1: float = 0.0
-    y2: float = 0.0
-    e: float = 0.0
-    e1: float = 0.0
-    e2: float = 0.0
-    mu1: float = 0.0
-
-    @classmethod
-    def initial(cls, w1: Sequence[float], w2: Sequence[float] | None = None, b: float = 0.0) -> "ConvexState":
-        w1 = [float(v) for v in w1]
-        w2 = w1[:] if w2 is None else [float(v) for v in w2]
-        if len(w1) != len(w2):
-            raise DimensionMismatch("w1 and w2 must have the same length")
-        return cls(w1=w1, w2=w2, b=b, gamma=logistic(b))
-
-
-@dataclass(slots=True)
-class FilterState:
-    """State of a single-filter baseline controller: its weights and its
-    step-size law, which maps the step's error e to the rate mu(e), and the
-    last step's e and mu."""
-
-    w: list[float]
-    rate: Callable[[float], float]
-    step_index: int = 0
-    e: float = 0.0
-    mu: float = 0.0
-
-    @classmethod
-    def initial(cls, w: Sequence[float], rate: Callable[[float], float]) -> "FilterState":
-        return cls(w=[float(v) for v in w], rate=rate)
-
-
-def convex_step(state: ConvexState, params: ConvexParams, x: Sequence[float], d: float) -> float:
-    """Advance the convex combination controller by one sample and return
-    its control signal y = gamma * y1 + (1 - gamma) * y2.
-
-    Executes, in order: output combination, error estimation, learning-rate
-    update, weight updates, conditional weight transfer, and update-factor /
-    gamma refresh.  The state is mutated in place.
-    """
-    w1, w2, order = state.w1, state.w2, len(state.w1)
-    if len(x) != order:
-        raise DimensionMismatch(f"input length {len(x)} != filter order {order}")
-    g = state.gamma
-
-    y1 = 0.0
-    y2 = 0.0
-    xx = 0.0
-    for i in range(order):
-        xi = x[i]
-        if not math.isfinite(xi):
-            raise NonFiniteInput(f"non-finite input sample {xi!r}")
-        y1 += w1[i] * xi
-        y2 += w2[i] * xi
-        xx += xi * xi
-    if not math.isfinite(d):
-        raise NonFiniteInput(f"non-finite target {d!r}")
-    y = g * y1 + (1.0 - g) * y2
-
-    e1 = d - y1
-    e2 = d - y2
-    e = d - y
-
-    # adaptive rate of the slow branch, clamped to [0, beta/2]
-    arg = -params.alpha * abs(e1 * state.e1) + params.sigma * abs(e1)
-    mu1 = params.beta * (_inv1pexp(arg) - 0.5)
-    if mu1 < 0.0:
-        mu1 = 0.0
-    elif mu1 > 0.5 * params.beta:
-        mu1 = 0.5 * params.beta
-
-    k1 = 2.0 * mu1 * e1 / (params.phi + xx)
-    k2 = params.c * e2
-    for i in range(order):
-        w1[i] += k1 * x[i]
-        w2[i] += k2 * x[i]
-
-    if g > params.gamma_o and state.step_index % params.t_o == 0:
-        state.w2 = w1[:]
-
-    state.b += params.mu_b * _sign(e) * (y1 - y2) * g * (1.0 - g)
-    state.gamma = logistic(state.b)
-    state.step_index += 1
-    state.y1, state.y2, state.e, state.e1, state.e2, state.mu1 = y1, y2, e, e1, e2, mu1
-    return y
 
 
 def lms_rate(mu: float) -> Callable[[float], float]:
@@ -244,30 +126,6 @@ def atlms_rate(alpha: float, beta: float, m: float, n_scale: float) -> Callable[
     """Arctangent step: mu(e) = beta * (2/pi) * atan(alpha * e^2) * m/(m+n),
     bounded by beta * m / (m + n)."""
     return lambda e: beta * (2.0 / math.pi) * math.atan(alpha * e * e) * m / (m + n_scale)
-
-
-def filter_step(state: FilterState, x: Sequence[float], d: float) -> float:
-    """Advance a single-filter baseline by one sample and return y = w.x:
-    e = d - y, then w <- w + mu(e) * e * x with the state's step-size law."""
-    w, order = state.w, len(state.w)
-    if len(x) != order:
-        raise DimensionMismatch(f"input length {len(x)} != filter order {order}")
-    y = 0.0
-    for i in range(order):
-        xi = x[i]
-        if not math.isfinite(xi):
-            raise NonFiniteInput(f"non-finite input sample {xi!r}")
-        y += w[i] * xi
-    if not math.isfinite(d):
-        raise NonFiniteInput(f"non-finite target {d!r}")
-    e = d - y
-    mu = state.rate(e)
-    k = mu * e
-    for i in range(order):
-        w[i] += k * x[i]
-    state.step_index += 1
-    state.e, state.mu = e, mu
-    return y
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,8 @@ from ._table import write_repr_csv
 from .control import (
     ERROR_BLOCK,
     ConvexParams,
-    ConvexState,
-    FilterState,
+    NonFiniteInput,
     atlms_rate,
-    convex_step,
-    filter_step,
     lms_rate,
     run_laws_batch,
     svs_rate,
@@ -45,16 +42,13 @@ from .plant import (
     SensorSpec,
     TargetProfile,
     disturbance_series,
-    drive,
-    inverse_drive,
-    sense,
     sensor_noise,
     snr_to_sigma,
 )
 
 METHODS = ("lms", "svs", "atlms", "convex")
 
-# method -> step-size law factory of the scalar single-filter step
+# method -> step-size law factory of a single filter in the closed loop
 _RATES = {"lms": lms_rate, "svs": svs_rate, "atlms": atlms_rate}
 
 
@@ -106,8 +100,9 @@ def compute_metrics(
 
     Reach time is the first instant (relative to times[0]) at which the
     series enters the +/- band_fraction * step_magnitude band around the
-    target and stays inside for DWELL_S; NaN if that never happens.  Steady
-    statistics cover samples with t - times[0] > settle_time_s.
+    target and stays inside for DWELL_S; NaN if that never happens within
+    the record.  Steady statistics cover samples with t - times[0] >
+    settle_time_s.  The times must ascend, as a run's do.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -118,24 +113,16 @@ def compute_metrics(
     band = band_fraction * abs(step_magnitude)
     inside = np.abs(v - target) <= band
 
-    reach = math.nan
+    # A sample's dwell window holds when it ends by the record's last sample
+    # and the band's next exit, if any, comes after it.  Within a run of
+    # inside samples, starts .. ends - 1, a later sample's window ends later
+    # and meets the same exit, so only the runs' first samples can be the
+    # first to hold.
     t0 = t[0]
-    for i in range(t.size):
-        if not inside[i]:
-            continue
-        t_end = t[i] + DWELL_S
-        if t[-1] < t_end:
-            break  # cannot confirm the dwell within the record
-        j = i
-        ok = True
-        while j < t.size and t[j] <= t_end:
-            if not inside[j]:
-                ok = False
-                break
-            j += 1
-        if ok:
-            reach = float(t[i] - t0)
-            break
+    starts, ends = np.flatnonzero(np.diff(inside, prepend=False, append=False)).reshape(-1, 2).T
+    t_end = t[starts] + DWELL_S
+    held = np.flatnonzero((t_end <= t[-1]) & ((ends == t.size) | (t.take(ends, mode="clip") > t_end)))
+    reach = float(t[starts[held[0]]] - t0) if held.size else math.nan
 
     steady = v[(t - t0) > settle_time_s]
     if steady.size == 0:
@@ -318,10 +305,12 @@ class StepScenario:
 
     The controller works in scaled field units (ctrl_unit_nt per unit) with
     two taps: a constant reference and the previous sample's normalized
-    ambient estimate (the sensed field minus the known coil contribution).
-    The commanded field goes through the voltage fit, the ambient disturbance
-    adds in, and the magnetometer closes the loop.  hold_time_s of pre-switch
-    running lets the controller settle on the initial level first.
+    ambient estimate (the sensed field minus the known coil contribution),
+    their weights starting from init_weights, two finite values.  The
+    commanded field goes through the voltage fit, the ambient disturbance
+    adds in, and the magnetometer closes the loop.  switch_time_s of
+    pre-switch running lets the controller settle on the initial level
+    first.
     """
 
     profile: TargetProfile
@@ -354,10 +343,17 @@ class StepScenario:
         first += first * dt < switch
         if not (first <= last and last * dt - first * dt > self.settle_time_s):
             raise ValueError("no sample falls after switch_time_s + settle_time_s")
+        if not self.settle_time_s >= 0.0:
+            raise ValueError("settle_time_s must be >= 0")
+        if not 0.0 < self.band_fraction < math.inf:
+            raise ValueError("band_fraction must be > 0 and finite")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.ctrl_unit_nt <= 0.0 or self.x_scale_nt <= 0.0:
-            raise ValueError("scales must be > 0")
+        if not (0.0 < self.ctrl_unit_nt < math.inf and 0.0 < self.x_scale_nt < math.inf):
+            raise ValueError("ctrl_unit_nt and x_scale_nt must be > 0 and finite")
+        # the loop runs a two-tap controller
+        if len(self.init_weights) != 2 or not all(map(math.isfinite, self.init_weights)):
+            raise ValueError("init_weights must be two finite values")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         self.resolved_plant()  # a bad [plant] range fails here, not mid-run
@@ -391,10 +387,20 @@ def run_step_response(scn: StepScenario) -> MetricsReport:
     The targets, the disturbance and the sensor noise are computed for the
     whole run before the loop starts, the last two from the seed's two
     independent streams (see coilsim.plant), and the loop takes them as
-    Python floats STEP_BLOCK steps at a time.  A loop step stores only what
-    depends on feedback, as doubles: the drive voltage, the coil field, the
-    measured field and, for convex, y and the eight values the controller
-    step leaves on its state (after the step, so gamma and b are the next
+    Python floats STEP_BLOCK steps at a time.  Each loop step is one inline
+    block of float arithmetic: the controller's law on the taps (1, x1) and
+    the target d, the inverse drive and the drive of the plant's voltage
+    fit, and the magnetometer reading.  A single filter calls its rate
+    closure (coilsim.control) once per step; the convex update runs inline
+    in full.  Each operation keeps the order of the scalar functions the
+    loop was written from, `filter_step`, `convex_step`, `inverse_drive`,
+    `drive` and `sense`, which are kept in tests/oracles.py with the
+    reference loop `step_response_ref`, and the record is theirs bit for
+    bit.  A non-finite tap x1 or target d raises NonFiniteInput.
+
+    A loop step stores only what depends on feedback, as doubles: the drive
+    voltage, the coil field, the measured field and, for convex, y, y1, y2,
+    e, e1, e2, gamma, b and mu1 (after the step, so gamma and b are the next
     step's).  The times, targets, disturbance and true field are arrays
     computed outside the loop.
 
@@ -407,22 +413,32 @@ def run_step_response(scn: StepScenario) -> MetricsReport:
     """
     plant = scn.resolved_plant()
     n_total = scn.n_steps()
-    kw = _keywords(scn.method, scn.params)
-    convex = scn.method == "convex"
-    if convex:
-        state, params = ConvexState.initial(scn.init_weights), kw["params"]
-    else:
-        state = FilterState.initial(scn.init_weights, _RATES[scn.method](**kw))
     steps = np.arange(n_total)
     times = steps * (1.0 / scn.sensor.sample_rate_hz)
     targets = scn.profile.target_at(times)
     disturbance = disturbance_series(scn.disturbance, times)
     noise = sensor_noise(scn.sensor, np.random.default_rng((scn.seed, 1)), n_total)
 
-    unit = scn.ctrl_unit_nt
+    kw = _keywords(scn.method, scn.params)
+    convex = scn.method == "convex"
+    if convex:
+        p = kw["params"]
+        neg_alpha, beta, half_beta, sigma, phi = -p.alpha, p.beta, 0.5 * p.beta, p.sigma, p.phi
+        c, mu_b, gamma_o, t_o = p.c, p.mu_b, p.gamma_o, p.t_o
+        gamma, b, prev_e1, n = 0.5, 0.0, 0.0, 0  # gamma = logistic(b)
+    else:
+        rate = _RATES[scn.method](**kw)
+    # a single filter's weights, or the convex fast branch's; u0, u1 are the
+    # slow branch's, which the fast one starts as a copy of
+    w0, w1 = (float(w) for w in scn.init_weights)
+    u0, u1 = w0, w1
+    fit_k, fit_b, v_min, v_max = plant.fit_k, plant.fit_b, plant.v_min, plant.v_max
+    q = scn.sensor.quantization_step_nt
+    unit, x_scale = scn.ctrl_unit_nt, scn.x_scale_nt
+    exp, copysign, inf = math.exp, math.copysign, math.inf
     ambient_est_nt = 0.0
     # one row of doubles per step: volts, coil field, measured field and,
-    # for convex, y and the state's y1 ... mu1
+    # for convex, y ... mu1
     width = 12 if convex else 3
     record = bytearray()
     pack = struct.Struct(f"{width}d").pack
@@ -430,16 +446,59 @@ def run_step_response(scn: StepScenario) -> MetricsReport:
     blocks = (zip(targets[i : i + STEP_BLOCK].tolist(), disturbance[i : i + STEP_BLOCK].tolist(),
                   noise[i : i + STEP_BLOCK].tolist()) for i in range(0, n_total, STEP_BLOCK))
     for target_nt, dist_nt, noise_nt in itertools.chain.from_iterable(blocks):
-        x = (1.0, ambient_est_nt / scn.x_scale_nt)
-        d_ctrl = (target_nt - ambient_est_nt) / unit
-        y = convex_step(state, params, x, d_ctrl) if convex else filter_step(state, x, d_ctrl)
-        v = inverse_drive(plant, y * unit)
-        coil_nt = drive(plant, v)
-        meas_nt = sense(scn.sensor, coil_nt + dist_nt, noise_nt)
+        # the taps are (1, x1): a weight or a gain times the first tap is
+        # itself.  Each dot product starts from +0.0, as the scalar steps'
+        # tap loops did, so a -0.0 first weight adds as +0.0.
+        x1 = ambient_est_nt / x_scale
+        d = (target_nt - ambient_est_nt) / unit
+        if not -inf < x1 < inf:
+            raise NonFiniteInput(f"non-finite input sample {x1!r}")
+        if not -inf < d < inf:
+            raise NonFiniteInput(f"non-finite target {d!r}")
+        if convex:
+            g, g1 = gamma, 1.0 - gamma
+            y1 = 0.0 + u0 + u1 * x1
+            y2 = 0.0 + w0 + w1 * x1
+            y = g * y1 + g1 * y2
+            e1 = d - y1
+            e2 = d - y2
+            e = d - y
+            # the slow branch's rate: beta * (1 / (1 + exp(arg)) - 0.5), the
+            # exponential guarded, clamped to [0, beta/2]
+            arg = neg_alpha * abs(e1 * prev_e1) + sigma * abs(e1)
+            mu1 = beta * ((0.0 if arg > 700.0 else 1.0 if arg < -700.0 else 1.0 / (1.0 + exp(arg))) - 0.5)
+            mu1 = 0.0 if mu1 < 0.0 else half_beta if mu1 > half_beta else mu1
+            k1 = 2.0 * mu1 * e1 / (phi + (1.0 + x1 * x1))
+            k2 = c * e2
+            u0 += k1
+            u1 += k1 * x1
+            w0 += k2
+            w1 += k2 * x1
+            if g > gamma_o and n % t_o == 0:  # weight transfer
+                w0, w1 = u0, u1
+            b += mu_b * (1.0 if e > 0.0 else -1.0 if e < 0.0 else 0.0) * (y1 - y2) * g * g1
+            gamma = 0.0 if b < -700.0 else 1.0 if b > 700.0 else 1.0 / (1.0 + exp(-b))
+            prev_e1 = e1
+            n += 1
+        else:
+            y = 0.0 + w0 + w1 * x1
+            e = d - y
+            k = rate(e) * e
+            w0 += k
+            w1 += k * x1
+        # the voltage for the commanded field, clamped, and the coil's field
+        v = (y * unit / 1000.0 - fit_b) / fit_k
+        v = v_min if v < v_min else v_max if v > v_max else v
+        coil_nt = (fit_k * v + fit_b) * 1000.0
+        # the reading: noise, then round-half-even to the quantization step;
+        # copysign keeps the sign of a reading that rounds to zero
+        meas_nt = coil_nt + dist_nt + noise_nt
+        if q > 0.0:
+            r = meas_nt / q
+            meas_nt = copysign(q * round(r), meas_nt) if -inf < r < inf else q * r
         ambient_est_nt = meas_nt - coil_nt
         if convex:
-            record += pack(v, coil_nt, meas_nt, y, state.y1, state.y2, state.e, state.e1, state.e2,
-                           state.gamma, state.b, state.mu1)
+            record += pack(v, coil_nt, meas_nt, y, y1, y2, e, e1, e2, gamma, b, mu1)
         else:
             record += pack(v, coil_nt, meas_nt)
     del noise  # the loop was its only reader

@@ -4,6 +4,13 @@ disturbance, and magnetometer models.
 Fields at this boundary are in nanotesla; the voltage/field fit constants are
 in microtesla per volt and microtesla (the testbed's fitted curve units).
 
+The drive, its inverse and the magnetometer reading are applied sample by
+sample inside the closed loop, coilsim.experiments.run_step_response, where
+they are written inline: PlantModel and SensorSpec hold their constants.
+The scalar functions the loop was written from, `drive`, `inverse_drive`
+and `sense`, are kept in tests/oracles.py, and the loop is pinned to them
+bit for bit.
+
 Random quantities are drawn a run at a time, not a sample at a time: a run
 with seed s takes its sensor noise from the stream default_rng((s, 1)) and
 its Gaussian disturbance from default_rng((s, 2)).  Each stream is
@@ -19,11 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class DegenerateFit(ValueError):
-    """Raised when the voltage/field fit slope is ~zero and cannot be
-    inverted."""
-
-
 # Fitted voltage -> field curves of the physical coil, measured separately
 # for rising and falling drive (hysteresis): field_uT = k * volts + b.
 ASCENDING_FIT = (46.333, 1.7623)
@@ -32,7 +34,9 @@ DESCENDING_FIT = (46.253, 1.8935)
 
 @dataclass(frozen=True)
 class PlantModel:
-    """Linear drive model: clamp the voltage, then field_nT = (k*v + b)*1000."""
+    """Linear drive model: clamp the voltage to [v_min, v_max], then
+    field_nT = (k*v + b)*1000.  Its inverse, the voltage for a field, is
+    v = (field_nT/1000 - b)/k, clamped the same way."""
 
     fit_k: float  # uT per volt
     fit_b: float  # uT
@@ -41,7 +45,7 @@ class PlantModel:
 
     def __post_init__(self):
         if not self.v_min < self.v_max:
-            raise ValueError("v_min must be < v_max")
+            raise ValueError("v_min_v must be < v_max_v")  # named with their unit, as [plant] keys are
 
     @classmethod
     def ascending(cls, **kwargs) -> "PlantModel":
@@ -52,29 +56,11 @@ class PlantModel:
         return cls(*DESCENDING_FIT, **kwargs)
 
 
-def drive(plant: PlantModel, voltage: float) -> float:
-    """Field produced for a drive voltage, nT.  Voltage is clamped to the
-    actuation range; clamping is the contract, not an error."""
-    v = min(max(voltage, plant.v_min), plant.v_max)
-    return (plant.fit_k * v + plant.fit_b) * 1000.0
-
-
-def inverse_drive(plant: PlantModel, target_field_nt: float) -> float:
-    """Voltage that produces the target field, clamped to the actuation
-    range.  The round trip rounds six times: for reachable f,
-    |drive(inverse_drive(f)) - f| <= 5 * 2**-52 * max(|f| at either clamp
-    end, 1000 * |fit_b|) (first-order bound; at most 2.6 seen).  Over the
-    ascending fit's +/-3 V that is <= 4.4e-11 nT, 1.5 ulp of the largest
-    reachable |f|, and 19.5% of uniform reachable f come back inexact."""
-    if abs(plant.fit_k) < 1e-12:
-        raise DegenerateFit("fit slope ~0; voltage cannot be inferred")
-    v = (target_field_nt / 1000.0 - plant.fit_b) / plant.fit_k
-    return min(max(v, plant.v_min), plant.v_max)
-
-
 @dataclass(frozen=True)
 class SensorSpec:
-    """Magnetometer model: additive Gaussian noise then quantization."""
+    """Magnetometer model: a reading adds its Gaussian noise to the true
+    field, then rounds half-to-even to the quantization step; a zero step
+    means no quantization."""
 
     noise_sigma_nt: float = 0.0
     quantization_step_nt: float = 0.0
@@ -82,10 +68,10 @@ class SensorSpec:
 
     def __post_init__(self):
         # written so that NaN fails too
-        if not self.noise_sigma_nt >= 0.0:
-            raise ValueError("noise_sigma_nt must be >= 0")
-        if not self.quantization_step_nt >= 0.0:
-            raise ValueError("quantization_step_nt must be >= 0")
+        if not 0.0 <= self.noise_sigma_nt < math.inf:
+            raise ValueError("noise_sigma_nt must be >= 0 and finite")
+        if not 0.0 <= self.quantization_step_nt < math.inf:
+            raise ValueError("quantization_step_nt must be >= 0 and finite")
         if not self.sample_rate_hz > 0.0:
             raise ValueError("sample_rate_hz must be > 0")
 
@@ -109,24 +95,6 @@ def sensor_noise(spec: SensorSpec, rng: np.random.Generator, n: int) -> np.ndarr
     return np.full(n, -0.0)
 
 
-def sense(spec: SensorSpec, true_field_nt: float, noise_nt: float) -> float:
-    """One magnetometer reading of a true field, nT.
-
-    Adds the reading's noise (one element of sensor_noise) then rounds
-    half-to-even to the quantization step; a zero step means no
-    quantization.
-    """
-    v = true_field_nt + noise_nt
-    q = spec.quantization_step_nt
-    if q > 0.0:
-        r = v / q
-        # round-half-even, like the sensor's fixed LSB.  round() returns an
-        # int, so copysign restores the -0.0 of a negative value below q/2;
-        # it rejects a non-finite r, which stays q * r.
-        v = math.copysign(q * round(r), v) if math.isfinite(r) else q * r
-    return v
-
-
 @dataclass(frozen=True)
 class DisturbanceSpec:
     """Environmental field disturbance: DC offset, AC tones, and seeded
@@ -139,13 +107,17 @@ class DisturbanceSpec:
 
     def __post_init__(self):
         # written so that NaN fails too
-        for amp, freq, _phase in self.ac_components:
-            if not amp >= 0.0:
-                raise ValueError("AC amplitudes must be >= 0")
-            if not freq > 0.0:
-                raise ValueError("AC frequencies must be > 0")
-        if not self.gaussian_sigma_nt >= 0.0:
-            raise ValueError("gaussian_sigma_nt must be >= 0")
+        if not math.isfinite(self.dc_offset_nt):
+            raise ValueError("dc_offset_nt must be finite")
+        for amp, freq, phase in self.ac_components:
+            if not 0.0 <= amp < math.inf:
+                raise ValueError("AC amplitudes must be >= 0 and finite")
+            if not 0.0 < freq < math.inf:
+                raise ValueError("AC frequencies must be > 0 and finite")
+            if not math.isfinite(phase):
+                raise ValueError("AC phases must be finite")
+        if not 0.0 <= self.gaussian_sigma_nt < math.inf:
+            raise ValueError("gaussian_sigma_nt must be >= 0 and finite")
 
 
 def disturbance_series(spec: DisturbanceSpec, times) -> np.ndarray:

@@ -4,27 +4,37 @@ The field oracle integrates the line-integral law dB = N*mu0*I (dl x r)/(4pi |r|
 directly by the midpoint rule; `onaxis_field` is the textbook on-axis closed
 form of a square loop pair, and `second_derivative_center_fd` a finite
 difference of it.  None of them shares code with the package's closed forms.
-Three groups are exceptions, kept as references for bit-for-bit behaviour
+Five groups are exceptions, kept as references for bit-for-bit behaviour
 rather than as independent oracles: `segment_field_scalar`, a per-point
 reference for the array kernel; the `run_*_batch_ref` runners, batch
 filters in their plainest form (one step at a time into whole error
 arrays, each dot product a loop over the taps in plain order) that
-`coilsim.control.run_laws_batch` must reproduce; and `sysid_signals_ref`, the
+`coilsim.control.run_laws_batch` must reproduce; `sysid_signals_ref`, the
 one-trial-at-a-time draw from `SeedSequence.spawn` children that the
-blocked draw in `coilsim.experiments` must reproduce.  All of them lay
-signals out time-major, x (n_iters, order, trials) and d (n_iters,
-trials).  `run_keeping_errors` collects the error blocks of a one-law
-`coilsim.control.run_laws_batch` run into whole arrays to compare with
-them.
+blocked draw in `coilsim.experiments` must reproduce; the scalar closed
+loop, `step_response_ref`, built from one call per step of the scalar
+controller steps (`filter_step`, `convex_step` and their states) and
+plant functions (`inverse_drive`, `drive`, `sense`), which the inline
+loop of `coilsim.experiments.run_step_response` must reproduce; and
+`reach_time_ref`, the sample-by-sample reach-time scan that
+`coilsim.experiments.compute_metrics` must reproduce.  The batch
+references lay signals out time-major, x (n_iters, order, trials) and d
+(n_iters, trials).  `run_keeping_errors` collects the error blocks of a
+one-law `coilsim.control.run_laws_batch` run into whole arrays to compare
+with them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
-from coilsim.control import run_laws_batch
+from coilsim.control import ConvexParams, NonFiniteInput, atlms_rate, lms_rate, run_laws_batch, svs_rate
+from coilsim.experiments import DIAGNOSTICS_COLUMNS, DWELL_S
+from coilsim.plant import PlantModel, SensorSpec, disturbance_series, sensor_noise
 
 MU0 = 4.0e-7 * np.pi
 
@@ -185,7 +195,7 @@ def run_atlms_batch_ref(w0, alpha: float, beta: float, m: float, n_scale: float,
 
 def run_convex_batch_ref(w0, params, x: np.ndarray, d: np.ndarray):
     """Vectorized convex combination trials from b = 0; same update order as
-    convex_step."""
+    convex_step below."""
     n_iters, order, trials = x.shape
     w1 = np.tile(np.asarray(w0, dtype=float)[:, None], (1, trials))
     w2 = w1.copy()
@@ -251,3 +261,270 @@ def sysid_signals_ref(scn, sigma, reinject=True, burst_scale=50.0, burst_len=10)
         lo = scn.noise_reinjection_at
         eps[lo : lo + burst_len] *= burst_scale
     return x, _dot(scn.true_weights, x.transpose(1, 0, 2)) + eps, eps
+
+
+# ---------------------------------------------------------------------------
+# scalar controller steps, plant functions and closed loop
+# ---------------------------------------------------------------------------
+
+
+class DimensionMismatch(ValueError):
+    """Input vector length does not match the filter order."""
+
+
+def _inv1pexp(arg: float) -> float:
+    # 1 / (1 + exp(arg)), guarded against overflow
+    if arg > 700.0:
+        return 0.0
+    if arg < -700.0:
+        return 1.0
+    return 1.0 / (1.0 + math.exp(arg))
+
+
+def logistic(u: float) -> float:
+    """1 / (1 + exp(-u)); maps any finite u into (0, 1)."""
+    return _inv1pexp(-u)
+
+
+def _sign(v: float) -> float:
+    if v > 0.0:
+        return 1.0
+    if v < 0.0:
+        return -1.0
+    return 0.0
+
+
+@dataclass(slots=True)
+class ConvexState:
+    """Mutable state of the convex combination controller.
+
+    gamma is kept equal to logistic(b) after every step.  y1 ... mu1 are
+    the last step's values (e = gamma * e1 + (1 - gamma) * e2 with that
+    step's gamma); e1 also feeds the next step's rate.
+    """
+
+    w1: list[float]
+    w2: list[float]
+    b: float = 0.0
+    gamma: float = field(default=0.5)
+    step_index: int = 0
+    y1: float = 0.0
+    y2: float = 0.0
+    e: float = 0.0
+    e1: float = 0.0
+    e2: float = 0.0
+    mu1: float = 0.0
+
+    @classmethod
+    def initial(cls, w1: Sequence[float], w2: Sequence[float] | None = None, b: float = 0.0) -> "ConvexState":
+        w1 = [float(v) for v in w1]
+        w2 = w1[:] if w2 is None else [float(v) for v in w2]
+        if len(w1) != len(w2):
+            raise DimensionMismatch("w1 and w2 must have the same length")
+        return cls(w1=w1, w2=w2, b=b, gamma=logistic(b))
+
+
+@dataclass(slots=True)
+class FilterState:
+    """State of a single-filter baseline controller: its weights and its
+    step-size law, which maps the step's error e to the rate mu(e), and the
+    last step's e and mu."""
+
+    w: list[float]
+    rate: Callable[[float], float]
+    step_index: int = 0
+    e: float = 0.0
+    mu: float = 0.0
+
+    @classmethod
+    def initial(cls, w: Sequence[float], rate: Callable[[float], float]) -> "FilterState":
+        return cls(w=[float(v) for v in w], rate=rate)
+
+
+def convex_step(state: ConvexState, params: ConvexParams, x: Sequence[float], d: float) -> float:
+    """Advance the convex combination controller by one sample and return
+    its control signal y = gamma * y1 + (1 - gamma) * y2.
+
+    Executes, in order: output combination, error estimation, learning-rate
+    update, weight updates, conditional weight transfer, and update-factor /
+    gamma refresh.  The state is mutated in place.
+    """
+    w1, w2, order = state.w1, state.w2, len(state.w1)
+    if len(x) != order:
+        raise DimensionMismatch(f"input length {len(x)} != filter order {order}")
+    g = state.gamma
+
+    y1 = 0.0
+    y2 = 0.0
+    xx = 0.0
+    for i in range(order):
+        xi = x[i]
+        if not math.isfinite(xi):
+            raise NonFiniteInput(f"non-finite input sample {xi!r}")
+        y1 += w1[i] * xi
+        y2 += w2[i] * xi
+        xx += xi * xi
+    if not math.isfinite(d):
+        raise NonFiniteInput(f"non-finite target {d!r}")
+    y = g * y1 + (1.0 - g) * y2
+
+    e1 = d - y1
+    e2 = d - y2
+    e = d - y
+
+    # adaptive rate of the slow branch, clamped to [0, beta/2]
+    arg = -params.alpha * abs(e1 * state.e1) + params.sigma * abs(e1)
+    mu1 = params.beta * (_inv1pexp(arg) - 0.5)
+    if mu1 < 0.0:
+        mu1 = 0.0
+    elif mu1 > 0.5 * params.beta:
+        mu1 = 0.5 * params.beta
+
+    k1 = 2.0 * mu1 * e1 / (params.phi + xx)
+    k2 = params.c * e2
+    for i in range(order):
+        w1[i] += k1 * x[i]
+        w2[i] += k2 * x[i]
+
+    if g > params.gamma_o and state.step_index % params.t_o == 0:
+        state.w2 = w1[:]
+
+    state.b += params.mu_b * _sign(e) * (y1 - y2) * g * (1.0 - g)
+    state.gamma = logistic(state.b)
+    state.step_index += 1
+    state.y1, state.y2, state.e, state.e1, state.e2, state.mu1 = y1, y2, e, e1, e2, mu1
+    return y
+
+
+def filter_step(state: FilterState, x: Sequence[float], d: float) -> float:
+    """Advance a single-filter baseline by one sample and return y = w.x:
+    e = d - y, then w <- w + mu(e) * e * x with the state's step-size law."""
+    w, order = state.w, len(state.w)
+    if len(x) != order:
+        raise DimensionMismatch(f"input length {len(x)} != filter order {order}")
+    y = 0.0
+    for i in range(order):
+        xi = x[i]
+        if not math.isfinite(xi):
+            raise NonFiniteInput(f"non-finite input sample {xi!r}")
+        y += w[i] * xi
+    if not math.isfinite(d):
+        raise NonFiniteInput(f"non-finite target {d!r}")
+    e = d - y
+    mu = state.rate(e)
+    k = mu * e
+    for i in range(order):
+        w[i] += k * x[i]
+    state.step_index += 1
+    state.e, state.mu = e, mu
+    return y
+
+
+class DegenerateFit(ValueError):
+    """Raised when the voltage/field fit slope is ~zero and cannot be
+    inverted."""
+
+
+def drive(plant: PlantModel, voltage: float) -> float:
+    """Field produced for a drive voltage, nT.  Voltage is clamped to the
+    actuation range; clamping is the contract, not an error."""
+    v = min(max(voltage, plant.v_min), plant.v_max)
+    return (plant.fit_k * v + plant.fit_b) * 1000.0
+
+
+def inverse_drive(plant: PlantModel, target_field_nt: float) -> float:
+    """Voltage that produces the target field, clamped to the actuation
+    range.  The round trip rounds six times: for reachable f,
+    |drive(inverse_drive(f)) - f| <= 5 * 2**-52 * max(|f| at either clamp
+    end, 1000 * |fit_b|) (first-order bound; at most 2.6 seen).  Over the
+    ascending fit's +/-3 V that is <= 4.4e-11 nT, 1.5 ulp of the largest
+    reachable |f|, and 19.5% of uniform reachable f come back inexact."""
+    if abs(plant.fit_k) < 1e-12:
+        raise DegenerateFit("fit slope ~0; voltage cannot be inferred")
+    v = (target_field_nt / 1000.0 - plant.fit_b) / plant.fit_k
+    return min(max(v, plant.v_min), plant.v_max)
+
+
+def sense(spec: SensorSpec, true_field_nt: float, noise_nt: float) -> float:
+    """One magnetometer reading of a true field, nT.
+
+    Adds the reading's noise (one element of sensor_noise) then rounds
+    half-to-even to the quantization step; a zero step means no
+    quantization.
+    """
+    v = true_field_nt + noise_nt
+    q = spec.quantization_step_nt
+    if q > 0.0:
+        r = v / q
+        # round-half-even, like the sensor's fixed LSB.  round() returns an
+        # int, so copysign restores the -0.0 of a negative value below q/2;
+        # it rejects a non-finite r, which stays q * r.
+        v = math.copysign(q * round(r), v) if math.isfinite(r) else q * r
+    return v
+
+
+def step_response_ref(scn) -> dict[str, np.ndarray]:
+    """The closed loop of a StepScenario, one scalar call per controller
+    step, inverse drive, drive and reading: the record columns that
+    coilsim.experiments.run_step_response must return."""
+    plant = scn.resolved_plant()
+    n_total = scn.n_steps()
+    convex = scn.method == "convex"
+    if convex:
+        params = scn.params if isinstance(scn.params, ConvexParams) else ConvexParams(**scn.params)
+        state = ConvexState.initial(scn.init_weights)
+    else:
+        rate = {"lms": lms_rate, "svs": svs_rate, "atlms": atlms_rate}[scn.method](**scn.params)
+        state = FilterState.initial(scn.init_weights, rate)
+    steps = np.arange(n_total)
+    times = steps * (1.0 / scn.sensor.sample_rate_hz)
+    targets = scn.profile.target_at(times)
+    disturbance = disturbance_series(scn.disturbance, times)
+    noise = sensor_noise(scn.sensor, np.random.default_rng((scn.seed, 1)), n_total)
+
+    unit = scn.ctrl_unit_nt
+    ambient_est_nt = 0.0
+    rows = []
+    for target_nt, dist_nt, noise_nt in zip(targets.tolist(), disturbance.tolist(), noise.tolist()):
+        x = (1.0, ambient_est_nt / scn.x_scale_nt)
+        d_ctrl = (target_nt - ambient_est_nt) / unit
+        y = convex_step(state, params, x, d_ctrl) if convex else filter_step(state, x, d_ctrl)
+        v = inverse_drive(plant, y * unit)
+        coil_nt = drive(plant, v)
+        meas_nt = sense(scn.sensor, coil_nt + dist_nt, noise_nt)
+        ambient_est_nt = meas_nt - coil_nt
+        row = [v, coil_nt, meas_nt]
+        if convex:
+            row += [y, state.y1, state.y2, state.e, state.e1, state.e2, state.gamma, state.b, state.mu1]
+        rows.append(row)
+
+    volts, coil, measured, *diagnostics = np.array(rows).T
+    columns = {"t_s": times, "target_nT": targets, "measured_nT": measured, "control_V": volts,
+               "true_nT": coil + disturbance, "disturbance_nT": disturbance}
+    if convex:
+        columns.update(zip(DIAGNOSTICS_COLUMNS, (steps, *diagnostics)))
+    return columns
+
+
+def reach_time_ref(times, inside) -> float:
+    """times[i] - times[0] for the first i at which inside[i] holds and
+    keeps holding over every sample up to times[i] + DWELL_S, scanned
+    sample by sample; NaN if the scan meets no such i before an inside
+    sample whose dwell ends after the record."""
+    t = np.asarray(times, dtype=float)
+    for i in range(t.size):
+        if not inside[i]:
+            continue
+        t_end = t[i] + DWELL_S
+        if t[-1] < t_end:
+            break  # cannot confirm the dwell within the record
+        j = i
+        ok = True
+        while j < t.size and t[j] <= t_end:
+            if not inside[j]:
+                ok = False
+                break
+            j += 1
+        if ok:
+            return float(t[i] - t[0])
+    return math.nan

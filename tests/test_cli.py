@@ -492,13 +492,47 @@ EXIT_CODES = {
                                                 + "[sensor]\nsample_rate_hz = 1e300\n"), EXIT_USAGE),
     "sysid-snr-minus-inf": (["sysid", "--config", "{cfg}", "--out-dir", "{out}"],
                             edited_preset("table4-30db", "sysid", "snr_db", "-inf"), EXIT_USAGE),
-    # NaN used to switch a noise term off, and a negative value to exit 2
-    **{f"step-{section}-sigma-{name}": (["step", "--config", "{cfg}", "--method", "lms", "--out-dir", "{out}"],
-                                       config_text(MINIMAL_STEP + f"[{section}]\n{key} = {value}\n"), EXIT_USAGE)
-       for section, key in (("sensor", "noise_sigma_nt"), ("disturbance", "gaussian_sigma_nt"))
-       for name, value in (("nan", "nan"), ("negative", "-1"))},
+    # NaN used to switch a noise term off, and a negative or infinite value
+    # to exit 2
+    **{f"step-{section}-{short}-{name}": (["step", "--config", "{cfg}", "--method", "lms", "--out-dir", "{out}"],
+                                         config_text(MINIMAL_STEP + f"[{section}]\n{key} = {value}\n"), EXIT_USAGE)
+       for section, key, short in (("sensor", "noise_sigma_nt", "sigma"), ("disturbance", "gaussian_sigma_nt", "sigma"),
+                                   ("sensor", "quantization_step_nt", "quantization"))
+       for name, value in (("nan", "nan"), ("negative", "-1"), ("inf", "inf"))},
     "step-v-max-nan": (["step", "--config", "{cfg}", "--method", "lms", "--out-dir", "{out}"],
                        edited_preset("table7-up", "plant", "v_max_v", "nan"), EXIT_USAGE),
+    # the loop runs two taps: a wrong count exited 2 from a per-step length
+    # check, and a NaN weight from the per-step non-finite check
+    **{f"step-convex-init-weights-{name}": (["step", "--config", "{cfg}", "--method", "convex", "--out-dir", "{out}"],
+                                            edited_preset("table7-up", "method.convex", "init_weights", value),
+                                            EXIT_USAGE)
+       for name, value in (("three", "0.8,0.5,0.1"), ("one", "0.8"), ("nan", "nan,0.5"))},
+    # non-finite config values that passed --validate-only, then exited 2
+    # from the loop's non-finite check, or exited 0 on a NaN or zero band,
+    # a negative settling time or an infinite control unit
+    **{f"step-{name}": (["step", "--config", "{cfg}", "--method", method, "--out-dir", "{out}"],
+                        edited_preset("table7-up", section, key, value), EXIT_USAGE)
+       for name, method, section, key, value in (
+           ("lms-mu-nan", "lms", "method.lms", "mu", "nan"),
+           ("svs-alpha-nan", "svs", "method.svs", "alpha", "nan"),
+           ("atlms-beta-nan", "atlms", "method.atlms", "beta", "nan"),
+           ("convex-alpha-nan", "convex", "method.convex", "alpha", "nan"),
+           ("level-nan", "lms", "step", "level_nt", "nan"),
+           ("band-fraction-nan", "lms", "step", "band_fraction", "nan"),
+           ("band-fraction-0", "lms", "step", "band_fraction", "0"),
+           ("settle-time-negative", "lms", "step", "settle_time_s", "-1"),
+           ("ctrl-unit-inf", "lms", "step", "ctrl_unit_nt", "inf"),
+       )},
+    **{f"step-{name}": (["step", "--config", "{cfg}", "--method", "lms", "--out-dir", "{out}"],
+                        config_text(MINIMAL_STEP + f"[disturbance]\n{line}\n"), EXIT_USAGE)
+       for name, line in (("dc-offset-nan", "dc_offset_nt = nan"), ("ac-phase-nan", "ac_components = 500:0.5:nan"),
+                          ("ac-amplitude-inf", "ac_components = inf:0.5:0"),
+                          ("ac-frequency-inf", "ac_components = 500:inf:0"))},
+    # sysid wrote final_mse = nan and exited 0
+    **{f"sysid-{name}": (["sysid", "--config", "{cfg}", "--methods", method, "--out-dir", "{out}"],
+                         edited_preset("table4-30db", f"method.{method}", key, "nan"), EXIT_USAGE)
+       for name, method, key in (("lms-mu-nan", "lms", "mu"), ("svs-beta-nan", "svs", "beta"),
+                                 ("atlms-n-scale-nan", "atlms", "n_scale"))},
 }
 # commands that take --validate-only; it runs the command's own checks, not
 # only the schema's, so every case of theirs that exits 1 exits 1 with the
@@ -553,9 +587,14 @@ def test_missing_method_key_exits_1_and_names_it(tmp_path, capsys, argv, preset,
         (["sysid"], "table4-30db", "sysid", "snr_db", "-inf", "snr_db must be finite"),
         (["step", "--method", "lms"], "table7-up", "disturbance", "gaussian_sigma_nt", "nan",
          "gaussian_sigma_nt must be >= 0"),
+        (["step", "--method", "lms"], "table7-up", "plant", "v_max_v", "nan", "v_min_v must be < v_max_v"),
+        (["step", "--method", "convex"], "table7-up", "method.convex", "init_weights", "0.8",
+         "init_weights must be two finite values"),
+        (["sysid", "--methods", "lms"], "table4-30db", "method.lms", "mu", "nan", "mu must be finite"),
     ],
     ids=["sysid-trials", "sysid-reinjection", "step-duration", "sysid-seed", "step-seed", "step-duration-inf",
-         "sysid-snr-minus-inf", "disturbance-gaussian-sigma-nan"],
+         "sysid-snr-minus-inf", "disturbance-gaussian-sigma-nan", "plant-v-max-nan", "convex-init-weights",
+         "lms-mu-nan"],
 )
 def test_scenario_value_error_exits_1_and_names_the_section(tmp_path, capsys, argv, preset, section, key,
                                                               value, message):

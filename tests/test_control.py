@@ -14,20 +14,15 @@ from coilsim.config import load_preset
 from coilsim.control import (
     ERROR_BLOCK,
     ConvexParams,
-    ConvexState,
-    DimensionMismatch,
-    FilterState,
     NonFiniteInput,
     atlms_rate,
     check_convergence_condition,
-    convex_step,
-    filter_step,
     lms_rate,
-    logistic,
     run_laws_batch,
     svs_rate,
 )
 from coilsim.experiments import run_step_response
+from oracles import ConvexState, DimensionMismatch, FilterState, convex_step, filter_step, logistic
 
 PARAMS = ConvexParams(alpha=500.0, beta=0.01, sigma=0.0, phi=1.0, c=0.1,
                       mu_b=0.1, gamma_o=0.55, t_o=2)
@@ -201,6 +196,9 @@ class TestConvexStep:
         for key in ("beta", "phi", "c"):
             with pytest.raises(ValueError, match=f"^{key} must be"):
                 ConvexParams(**{"alpha": 1.0, "beta": 0.1, key: math.nan})
+        for key in ("alpha", "sigma", "mu_b"):
+            with pytest.raises(ValueError, match="^alpha, sigma and mu_b must be finite$"):
+                ConvexParams(**{"alpha": 1.0, "beta": 0.1, key: math.inf})
 
 
 class TestBaselines:

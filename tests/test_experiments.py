@@ -5,13 +5,15 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 import oracles
 from coilsim import experiments
 from coilsim._table import write_repr_csv
 from coilsim.config import load_preset
-from coilsim.plant import SensorSpec, TargetProfile, drive, sense, sensor_noise, snr_to_sigma
-from coilsim.control import run_laws_batch
+from coilsim.plant import SensorSpec, TargetProfile, sensor_noise, snr_to_sigma
+from coilsim.control import ConvexParams, NonFiniteInput, run_laws_batch
 from coilsim.experiments import (
     ActuatorSaturationWarning,
     StepScenario,
@@ -21,6 +23,7 @@ from coilsim.experiments import (
     run_sysid,
     write_mse_curves_csv,
 )
+from oracles import drive, sense
 
 
 def small_scenario(**kw) -> SysIdScenario:
@@ -143,6 +146,85 @@ class TestStepRecord:
             e, e1, e2 = cols["e"], cols["e1"], cols["e2"]
             scale = np.abs(cols["y1"]) + np.abs(cols["y2"]) + np.abs(e)
             assert np.max(np.abs(e - (gamma * e1 + (1.0 - gamma) * e2)) / scale) <= 1e-15
+
+
+class TestInlineLoop:
+    """The inline time loop of run_step_response returns the record of the
+    scalar reference loop in tests/oracles.py, one call per step of the
+    controller step, inverse drive, drive and reading, bit for bit."""
+
+    # convex rates under which the closed loop transfers weights and clamps
+    # mu1 at both ends; with HUGE_MU_B, b passes the logistic's +-700 guard
+    STRONG = ConvexParams(alpha=1e5, beta=0.3, sigma=11.0, phi=0.1, c=0.1, mu_b=2.0, gamma_o=0.55, t_o=3)
+    HUGE_MU_B = replace(STRONG, mu_b=5e4)
+
+    @staticmethod
+    def _assert_same_record(scn):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ActuatorSaturationWarning)
+            got = run_step_response(scn).columns
+        want = oracles.step_response_ref(scn)
+        assert got.keys() == want.keys()
+        for name, column in want.items():
+            np.testing.assert_array_equal(bits(got[name]), bits(column), err_msg=name)
+        return want
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+    @pytest.mark.parametrize("method", experiments.METHODS)
+    @pytest.mark.parametrize("preset", ["table7-up", "table7-down", "location-field"])
+    def test_presets(self, preset, method, seed):
+        self._assert_same_record(load_preset(preset).step_scenario(method, seed_override=seed))
+
+    @pytest.mark.parametrize("method", experiments.METHODS)
+    def test_noiseless_sensor_without_quantizer(self, method):
+        scn = load_preset("table7-up").step_scenario(method)
+        self._assert_same_record(replace(scn, sensor=SensorSpec(sample_rate_hz=75.0)))
+
+    @pytest.mark.parametrize("method", experiments.METHODS)
+    def test_ambient_tap_in_play(self, method):
+        # x_scale_nt near the disturbance puts the ambient tap x1 near 1,
+        # where the shipped 1e6 keeps it near 1e-3
+        self._assert_same_record(replace(load_preset("table7-up").step_scenario(method), x_scale_nt=3000.0))
+
+    @pytest.mark.parametrize("method", experiments.METHODS)
+    def test_signed_zero_weights(self, method):
+        # each dot product starts from +0.0, so y1 is +0.0 on the first
+        # step, where -0.0 * 1 + -0.5 * 0.0 alone would be -0.0
+        scn = replace(load_preset("table7-up").step_scenario(method), init_weights=(-0.0, -0.5))
+        want = self._assert_same_record(scn)
+        if method == "convex":
+            assert bits(want["y1"][:1]) == bits([0.0])
+
+    @pytest.mark.parametrize("method", experiments.METHODS)
+    def test_drive_pinned_at_the_clamp(self, method):
+        # 10 mT is far beyond the 141 uT the coil reaches at v_max
+        scn = load_preset("table7-up").step_scenario(method)
+        want = self._assert_same_record(replace(scn, profile=TargetProfile.step_up(1e7, switch_time_s=0.5)))
+        assert np.count_nonzero(want["control_V"] == scn.v_max_v) > 0.5 * scn.n_steps()
+
+    def test_convex_weight_transfers_and_clamps(self):
+        p = self.STRONG
+        want = self._assert_same_record(replace(load_preset("table7-up").step_scenario("convex"), params=p))
+        gamma = np.concatenate(([0.5], want["gamma"][:-1]))  # the gamma each step used
+        assert np.any((gamma > p.gamma_o) & (want["n"] % p.t_o == 0))
+        assert np.any(want["mu1"] == 0.5 * p.beta) and np.any(want["mu1"] == 0.0)
+
+    def test_convex_gamma_guard(self):
+        want = self._assert_same_record(replace(load_preset("table7-up").step_scenario("convex"),
+                                                params=self.HUGE_MU_B))
+        assert np.any(want["b"] < -700.0) and np.any(want["gamma"] == 0.0)
+
+    @pytest.mark.parametrize("key, message", [("x_scale_nt", "^non-finite input sample -?inf$"),
+                                              ("ctrl_unit_nt", "^non-finite target -?inf$")])
+    @pytest.mark.parametrize("method", experiments.METHODS)
+    def test_non_finite_mid_run(self, method, key, message):
+        # a tiny scale turns the second step's input or target infinite
+        scn = replace(load_preset("table7-up").step_scenario(method), **{key: 1e-310})
+        with pytest.raises(NonFiniteInput, match=message) as got:
+            run_step_response(scn)
+        with pytest.raises(NonFiniteInput) as want:
+            oracles.step_response_ref(scn)
+        assert str(got.value) == str(want.value)
 
 
 class TestStepScenarioChecks:
@@ -364,6 +446,26 @@ class TestComputeMetrics:
                   rep.fluct_min_nt, rep.fluct_max_nt)
         assert [type(f) for f in fields] == [float] * 5
         assert (rep.reach_target_time_s == 1.0) if level == 1.0 else np.isnan(rep.reach_target_time_s)
+
+
+# (inside the band, time since the previous sample) per sample
+samples = hst.lists(hst.tuples(hst.booleans(), hst.sampled_from([0.0, 0.01, 0.05, 0.1, 0.2]) | hst.floats(0.0, 0.3)),
+                    min_size=1, max_size=80)
+
+
+class TestReachTime:
+    @settings(max_examples=300, deadline=None)
+    @given(steps=samples, start=hst.floats(-5.0, 5.0))
+    @example(steps=[(False, 0.01)] * 50, start=0.0)  # never inside
+    @example(steps=[(True, 0.01)] * 20, start=0.0)  # inside, but the dwell runs past the record
+    @example(steps=[(False, 0.01)] * 5 + [(True, 0.01)] * 30 + [(False, 0.01)] + [(True, 0.01)] * 30, start=1.0)
+    def test_vectorized_scan_is_the_sample_scan(self, steps, start):
+        inside = np.array([s[0] for s in steps])
+        t = start + np.cumsum([s[1] for s in steps])
+        v = np.where(inside, 1.0, 2.0)  # the band is +-0.5 around 1.0
+        rep = compute_metrics(t, v, 1.0, settle_time_s=-1.0, band_fraction=0.5, step_magnitude=1.0)
+        want = oracles.reach_time_ref(t, inside)
+        np.testing.assert_array_equal(bits([rep.reach_target_time_s]), bits([want]))
 
 
 class TestCsvWriters:

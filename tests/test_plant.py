@@ -16,18 +16,15 @@ from coilsim.plant import (
     HMC5883L,
     IDEAL_SENSOR,
     RM3100,
-    DegenerateFit,
     DisturbanceSpec,
     PlantModel,
     SensorSpec,
     TargetProfile,
     disturbance_series,
-    drive,
-    inverse_drive,
-    sense,
     sensor_noise,
     snr_to_sigma,
 )
+from oracles import DegenerateFit, drive, inverse_drive, sense
 
 
 class TestDrive:
