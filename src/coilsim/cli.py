@@ -91,13 +91,29 @@ def _positive(text: str) -> float:
     return value
 
 
+# The coil sides `optimize` takes, mm: 1 um to 100 m, far beyond any coil
+# built, yet clear of the tiny sides whose spacing cubed underflows in the
+# curvature and of the huge ones whose --csv scan would not fit in memory.
+SIDE_MM = (0.001, 100_000.0)
+
+
+def _side_mm(text: str) -> float:
+    """An argparse type: a coil side in mm, within SIDE_MM."""
+    value = _positive(text)
+    lo, hi = SIDE_MM
+    if not lo <= value <= hi:
+        raise argparse.ArgumentTypeError(f"must be within {lo:g} to {hi:g} mm, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="coilsim",
                      description="Square-Helmholtz field testbed simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("optimize", help="solve the optimal side/spacing ratio")
-    p.add_argument("--side-mm", type=float, required=True, help="coil side length, mm")
+    p.add_argument("--side-mm", type=_side_mm, required=True,
+                   help=f"coil side length, mm, {SIDE_MM[0]:g} to {SIDE_MM[1]:g}")
     p.add_argument("--csv", type=Path, help="also write uniformity vs +x position CSV")
     p.add_argument("--out-dir", type=Path, default=Path("coilsim_out"))
 
@@ -134,8 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_optimize(args) -> int:
-    if args.side_mm <= 0:
-        return _Parser.exit_with("--side-mm must be > 0")
     result = coilopt.solve_optimal_ratio()
     side_m = args.side_mm / 1000.0
     spacing_m = side_m / result.n
@@ -144,12 +158,14 @@ def cmd_optimize(args) -> int:
     if args.csv is not None:
         args.out_dir.mkdir(parents=True, exist_ok=True)
         path = args.csv if args.csv.is_absolute() else args.out_dir / args.csv
-        positions = list(coilopt.scan_positions(0.0, 1e-3, 0.8 * spacing_m))
+        last = 0.8 * spacing_m
+        # SIDE_MM keeps this under 44,000 positions, where the additions'
+        # rounding drifts by far less than a step: one slot to spare holds them
+        positions = coilopt.scan_positions(0.0, 1e-3, last, int(last / 1e-3) + 2)
         pts = np.zeros((len(positions), 3))
         pts[:, 0] = positions
-        h = magnetics.uniformity(pair, pts).tolist()
-        write_repr_csv(path, ("pos_over_d", "uniformity_pct"),
-                       [([r / spacing_m for r in positions], h)])
+        h = magnetics.uniformity(pair, pts)
+        write_repr_csv(path, ("pos_over_d", "uniformity_pct"), [(positions / spacing_m, h)])
     print(f"optimal ratio n*      : {result.n:.6f}")
     print(f"polynomial residual   : {result.residual:.3e}  ({result.iterations} bisections)")
     print(f"side length           : {args.side_mm:.1f} mm")

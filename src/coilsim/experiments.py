@@ -182,6 +182,8 @@ class SysIdScenario:
             raise ValueError("n_iters must exceed noise_reinjection_at")
         if len(self.true_weights) != self.order:
             raise ValueError("true_weights length must equal order")
+        if not all(map(math.isfinite, self.true_weights)):
+            raise ValueError("true_weights must be finite")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:

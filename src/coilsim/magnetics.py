@@ -240,7 +240,12 @@ def _first_on_wire(segments: np.ndarray, rest: np.ndarray, hit: PointOnWire) -> 
 
 
 def _center_ref(pair: HelmholtzPair) -> float:
-    ref = abs(pair_field(pair, np.zeros((1, 3)))[0, 2])
+    return _reference(pair_field(pair, np.zeros((1, 3)))[0, 2])
+
+
+def _reference(bz0: float) -> float:
+    # |bz| at the center, the reference of every uniformity value
+    ref = abs(bz0)
     if ref < 1e-15:
         raise ZeroCenterField("center field magnitude below 1e-15 T")
     return ref
@@ -254,10 +259,15 @@ def uniformity(pair: HelmholtzPair, points) -> np.ndarray:
     """Relative deviation of |bz| at each of `points` (N, 3) from the center
     value, in percent; returns (N,).
 
-    Raises ZeroCenterField if the center reference is below 1e-15 T.
+    The points and the center go through one pair_field call, the center as
+    an extra first row.  The points are validated before it is added, so a
+    malformed or non-finite point raises ValueError, then a point on a wire
+    PointOnWire, and only then a center reference below 1e-15 T
+    ZeroCenterField.
     """
-    bz = pair_field(pair, points)[:, 2]
-    return _uniformity_pct(bz, _center_ref(pair))
+    pts = _as_points(points)
+    bz = pair_field(pair, np.concatenate((np.zeros((1, 3)), pts)))[:, 2]
+    return _uniformity_pct(bz[1:], _reference(bz[0]))
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,12 @@ def snr_to_sigma(signal_power: float, snr_db: float) -> float:
     return math.sqrt(signal_power / (10.0 ** (snr_db / 10.0)))
 
 
+# Largest target level, nT (1 T): some 20,000 times the geomagnetic field,
+# and small enough that a run's squared errors stay far inside the float
+# range.
+LEVEL_MAX_NT = 1e9
+
+
 @dataclass(frozen=True)
 class TargetProfile:
     """Target field over time, nT.
@@ -167,8 +173,8 @@ class TargetProfile:
         # plain floats, so targets print as floats in trace CSVs
         object.__setattr__(self, "levels", tuple(map(float, self.levels)))
         for v in self.levels:
-            if not math.isfinite(v):
-                raise ValueError("profile levels must be finite")
+            if not abs(v) <= LEVEL_MAX_NT:
+                raise ValueError(f"profile levels must be finite and within +/-{LEVEL_MAX_NT:g} nT")
         if self.kind in ("step_up", "step_down") and len(self.levels) != 2:
             raise ValueError("step profiles need exactly 2 levels")
 

@@ -4,11 +4,13 @@ The field oracle integrates the line-integral law dB = N*mu0*I (dl x r)/(4pi |r|
 directly by the midpoint rule; `onaxis_field` is the textbook on-axis closed
 form of a square loop pair, and `second_derivative_center_fd` a finite
 difference of it.  None of them shares code with the package's closed forms.
-Five groups are exceptions, kept as references for bit-for-bit behaviour
+Six groups are exceptions, kept as references for bit-for-bit behaviour
 rather than as independent oracles: `segment_field_scalar`, a per-point
-reference for the array kernel; the `run_*_batch_ref` runners, batch
-filters in their plainest form (one step at a time into whole error
-arrays, each dot product a loop over the taps in plain order) that
+reference for the array kernel; `scan_positions_ref`, the position walk
+by repeated addition that `coilsim.coilopt.scan_positions` must
+reproduce; the `run_*_batch_ref` runners, batch filters in their
+plainest form (one step at a time into whole error arrays, each dot
+product a loop over the taps in plain order) that
 `coilsim.control.run_laws_batch` must reproduce; `sysid_signals_ref`, the
 one-trial-at-a-time draw from `SeedSequence.spawn` children that the
 blocked draw in `coilsim.experiments` must reproduce; the scalar closed
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -132,6 +134,15 @@ def segment_field_scalar(start, end, current, turns, q):
         scale * ((lz * ax - lx * az) * inv_a),
         scale * ((lx * ay - ly * ax) * inv_a),
     )
+
+
+def scan_positions_ref(first: float, step: float, last: float) -> Iterator[float]:
+    """first, first + step, ... while <= last, by repeated addition, so the
+    n-th position carries the rounding of n additions rather than n * step."""
+    r = first
+    while r <= last:
+        yield r
+        r += step
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import os
 import re
+import resource
 import subprocess
 import sys
 from importlib import resources
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coilsim import cli
+from coilsim import cli, magnetics
 from coilsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from coilsim.config import load_preset, preset_names
 from coilsim.experiments import run_step_response
@@ -55,6 +56,48 @@ class TestMagneticsGoldens:
         assert sha256(tmp_path / "u.csv") == (
             "07b92766c4ac878abea2fbdecfadb9cda5983dd937844a9434f64087460efcb0"
         )
+
+    def test_optimize_csv_is_one_field_call(self, tmp_path, monkeypatch):
+        # the scan's positions and the center, together
+        calls = []
+        real = magnetics.pair_field
+
+        def counted(pair, pts):
+            calls.append(len(pts))
+            return real(pair, pts)
+
+        monkeypatch.setattr(magnetics, "pair_field", counted)
+        argv = ["optimize", "--side-mm", "840.4", "--csv", "u.csv", "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        rows = len((tmp_path / "u.csv").read_text().splitlines()) - 1
+        assert rows == 367 and calls == [1 + rows]
+
+    @pytest.mark.parametrize("side_mm, code", [("0.001", EXIT_OK), ("840.4", EXIT_OK), ("100000", EXIT_OK),
+                                               ("1e300", EXIT_USAGE)])
+    def test_optimize_csv_under_a_memory_cap(self, tmp_path, side_mm, code):
+        # --side-mm 1e300 --csv once built a list of every 1 mm position out
+        # to 0.8 spacing until the OS killed it.  Run in a child whose address
+        # space is capped (the cap is set in the child only), a regression
+        # fails here instead of exhausting the machine.  With BLAS on one
+        # thread a run takes about 120 MB of address space at either end of
+        # the side range; the cap leaves four times that.
+        cap = 512 << 20
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        out = tmp_path / "out"
+        argv = [sys.executable, "-m", "coilsim.cli", "optimize", "--side-mm", side_mm, "--csv", "u.csv",
+                "--out-dir", str(out)]
+        done = subprocess.run(argv, env=env, preexec_fn=limit, capture_output=True, timeout=120)
+        assert done.returncode == code, done.stderr.decode()
+        assert b"Traceback" not in done.stderr
+        assert (out / "u.csv").exists() == (code == EXIT_OK)
+        if code != EXIT_OK:
+            assert b"argument --side-mm: must be within 0.001 to 100000 mm" in done.stderr
 
     def test_grid_point_on_wire_exits_2_and_names_it(self, tmp_path, capsys):
         cfg = tmp_path / "wire.cfg"
@@ -468,6 +511,12 @@ EXIT_CODES = {
     "step-diag-csv-without-convex": (["step", "--preset", "table7-up", "--method", "lms",
                                       "--diag-csv", "d.csv", "--out-dir", "{out}"], None, EXIT_USAGE),
     "zero-side": (["optimize", "--side-mm", "0", "--out-dir", "{out}"], None, EXIT_USAGE),
+    # a side outside SIDE_MM: NaN and inf exited 2, 1e-320 ended in a
+    # ZeroDivisionError traceback, and the rest exited 0 (1e300 with a zero
+    # curvature); 1e300 with --csv is test_optimize_csv_under_a_memory_cap
+    **{f"optimize-side-{name}": (["optimize", "--side-mm", value, "--out-dir", "{out}"], None, EXIT_USAGE)
+       for name, value in (("nan", "nan"), ("inf", "inf"), ("1e-320", "1e-320"), ("1e300", "1e300"),
+                           ("below-range", "0.0009"), ("above-range", "100001"))},
     "no-config-source": (["sysid", "--out-dir", "{out}"], None, EXIT_USAGE),
     "check-violation": (["check", "--preset", "table4-30db", "--strict", "--c-scale", "100"],
                         None, EXIT_RUNTIME),
@@ -518,6 +567,9 @@ EXIT_CODES = {
            ("atlms-beta-nan", "atlms", "method.atlms", "beta", "nan"),
            ("convex-alpha-nan", "convex", "method.convex", "alpha", "nan"),
            ("level-nan", "lms", "step", "level_nt", "nan"),
+           # exited 0 with rmse=inf and an overflow warning
+           ("level-1e308", "lms", "step", "level_nt", "1e308"),
+           ("level-beyond-bound", "lms", "step", "level_nt", "-2e9"),
            ("band-fraction-nan", "lms", "step", "band_fraction", "nan"),
            ("band-fraction-0", "lms", "step", "band_fraction", "0"),
            ("settle-time-negative", "lms", "step", "settle_time_s", "-1"),
@@ -529,6 +581,9 @@ EXIT_CODES = {
                           ("ac-amplitude-inf", "ac_components = inf:0.5:0"),
                           ("ac-frequency-inf", "ac_components = 500:inf:0"))},
     # sysid wrote final_mse = nan and exited 0
+    **{f"sysid-true-weights-{name}": (["sysid", "--config", "{cfg}", "--out-dir", "{out}"],
+                                      edited_preset("table4-30db", "sysid", "true_weights", value), EXIT_USAGE)
+       for name, value in (("nan", "nan,0.5"), ("inf", "inf,0.5"))},
     **{f"sysid-{name}": (["sysid", "--config", "{cfg}", "--methods", method, "--out-dir", "{out}"],
                          edited_preset("table4-30db", f"method.{method}", key, "nan"), EXIT_USAGE)
        for name, method, key in (("lms-mu-nan", "lms", "mu"), ("svs-beta-nan", "svs", "beta"),

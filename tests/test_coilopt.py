@@ -1,8 +1,11 @@
 import math
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from coilsim import coilopt
 
@@ -12,13 +15,13 @@ from coilsim.coilopt import (
     UniformRegion,
     optimal_spacing,
     optimality_polynomial,
-    second_derivative_center,
     scan_positions,
+    second_derivative_center,
     solve_optimal_ratio,
     uniform_region,
 )
-from coilsim.magnetics import HelmholtzPair, _center_ref, pair_field, uniformity
-from oracles import second_derivative_center_fd
+from coilsim.magnetics import HelmholtzPair, ZeroCenterField, pair_field, uniformity
+from oracles import scan_positions_ref, second_derivative_center_fd
 
 TABLE2 = HelmholtzPair(side=0.8404, spacing=0.4576, turns=24, current=2.94)
 
@@ -135,7 +138,7 @@ class TestUniformRegion:
     def test_matches_whole_scan_for_any_block(self, monkeypatch, block, threshold):
         # one uniformity call over every position, then the first exceedance
         def whole_scan(axis):
-            positions = list(scan_positions(4e-3, 4e-3, 1.5 * max(TABLE2.spacing, TABLE2.side)))
+            positions = list(scan_positions_ref(4e-3, 4e-3, 1.5 * max(TABLE2.spacing, TABLE2.side)))
             pts = np.zeros((len(positions), 3))
             pts[:, axis] = positions
             over = np.flatnonzero(np.abs(uniformity(TABLE2, pts)) > threshold)
@@ -147,15 +150,41 @@ class TestUniformRegion:
         assert (region.extent_x_over_d, region.extent_y_over_d) == (whole_scan(0), whole_scan(1))
 
     def test_center_reference_taken_once_per_call(self, monkeypatch):
-        calls = []
+        # the origin is the only all-zero row a scan evaluates: its |bz| is
+        # the reference, taken in the first pair_field call of each scan,
+        # whether the edge lies in the second block, at the first position,
+        # nowhere in range, or the range holds no position at all
+        origin_rows = []
 
-        def counted(pair):
-            calls.append(pair)
-            return _center_ref(pair)
+        def counted(pair, pts):
+            origin_rows[-1].append(int((np.asarray(pts) == 0.0).all(axis=1).sum()))
+            return pair_field(pair, pts)
 
-        monkeypatch.setattr(coilopt, "_center_ref", counted)
-        uniform_region(TABLE2, 1.0)
-        assert calls == [TABLE2]
+        monkeypatch.setattr(coilopt, "pair_field", counted)
+        for threshold, resolution in ((1.0, 1e-3), (1e-9, 1e-3), (1e6, 4e-3), (1.0, 10.0)):
+            origin_rows.append([])
+            uniform_region(TABLE2, threshold, resolution)
+        assert origin_rows == [[1, 0], [1], [1, 0], [1]]
+
+    def test_zero_center_field_raised_before_any_extent(self):
+        dead = HelmholtzPair(TABLE2.side, TABLE2.spacing, TABLE2.turns, 0.0)
+        with pytest.raises(ZeroCenterField):
+            uniform_region(dead, 1.0)
+
+    @pytest.mark.parametrize("threshold, calls", [(0.1, [257]), (1.0, [257, 512])])
+    def test_table2_field_calls(self, monkeypatch, threshold, calls):
+        # each block of both axes is one call, the first with the origin: at
+        # SCAN_FIRST_BLOCK = 128 the 0.1% edge (92 positions out) lies in the
+        # first block and the 1% edge (161 out) in the second
+        evaluated = []
+
+        def counted(pair, pts):
+            evaluated.append(len(pts))
+            return pair_field(pair, pts)
+
+        monkeypatch.setattr(coilopt, "pair_field", counted)
+        uniform_region(TABLE2, threshold)
+        assert coilopt.SCAN_FIRST_BLOCK == 128 and evaluated == calls
 
     def test_scan_stops_near_the_edge(self, monkeypatch):
         # a whole-range scan evaluates 1,260 positions per axis to find an
@@ -170,7 +199,7 @@ class TestUniformRegion:
         region = uniform_region(TABLE2, 0.1)
         extents = (region.extent_x_over_d, region.extent_y_over_d)
         edge = sum(round(e * TABLE2.spacing / 1e-3) + 1 for e in extents)
-        assert sum(evaluated) < 4 * edge
+        assert evaluated and sum(evaluated) < 4 * edge
 
     def test_memory_bounded_at_fine_resolution(self):
         # 1.8 million positions at 1 um; a whole-scan list of them alone
@@ -185,3 +214,28 @@ class TestUniformRegion:
             tracemalloc.stop()
         assert 0.0 < region.extent_x_over_d < 1.5
         assert peak < 8e6
+
+
+class TestScanPositions:
+    @settings(max_examples=200, deadline=None)
+    @given(first=hst.floats(0.0, 1.0), step=hst.floats(1e-6, 0.1), n=hst.integers(0, 3000),
+           beyond=hst.floats(0.0, 0.999), count=hst.integers(0, 3100))
+    @example(first=0.0, step=1e-6, n=10_000, beyond=0.0, count=10_001)
+    @example(first=1e-3, step=1e-3, n=1259, beyond=0.5, count=4097)
+    def test_bits_of_repeated_addition(self, first, step, n, beyond, count):
+        last = first + (n + beyond) * step
+        ref = np.array(list(islice(scan_positions_ref(first, step, last), count)), dtype=float)
+        got = scan_positions(first, step, last, count)
+        assert got.dtype == np.float64
+        assert got.view(np.uint64).tolist() == ref.view(np.uint64).tolist()
+
+    def test_blocks_continue_the_walk(self):
+        # a block started from the last position reached, as uniform_region
+        # walks, carries on the same additions as one walk over the range
+        whole = scan_positions(0.0, 1e-3, 1.26, 2000)
+        parts, reached = [], 0.0
+        for size in (64, 128, 256, 512, 1024):
+            walk = scan_positions(reached, 1e-3, 1.26, size + 1)
+            parts.append(walk[1:])
+            reached = walk[-1]
+        assert np.concatenate(parts).view(np.uint64).tolist() == whole[1:].view(np.uint64).tolist()

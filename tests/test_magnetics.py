@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coilsim import magnetics
 from coilsim.magnetics import (
     KERNEL_CHUNK,
     MAP_BLOCK,
@@ -304,6 +305,46 @@ class TestUniformity:
         dead = HelmholtzPair(TABLE2.side, TABLE2.spacing, TABLE2.turns, 0.0)
         with pytest.raises(ZeroCenterField):
             uniformity(dead, pt(0.1, 0, 0))
+
+    def test_points_and_center_in_one_call(self, monkeypatch):
+        calls = []
+        real = magnetics.pair_field
+
+        def counted(pair, pts):
+            calls.append(np.array(pts))
+            return real(pair, pts)
+
+        monkeypatch.setattr(magnetics, "pair_field", counted)
+        q = np.array([[0.1, 0.05, 0.02], [-0.2, 0.0, 0.1]])
+        h = uniformity(TABLE2, q)
+        assert len(calls) == 1 and calls[0].tolist() == [[0.0, 0.0, 0.0], *q.tolist()]
+        # the same bits as the points and the center evaluated apart
+        center = abs(real(TABLE2, pt(0, 0, 0))[0, 2])
+        assert h.tolist() == (100.0 * (np.abs(real(TABLE2, q)[:, 2]) - center) / center).tolist()
+
+    # (N, 3) inputs that pair_field rejects: uniformity raises what
+    # pair_field raises on them alone, checked before the center field, so a
+    # zero-current pair reports the bad point rather than ZeroCenterField
+    BAD_POINTS = {
+        "nan-row": np.array([[0.1, 0.0, 0.0], [math.nan, 0.0, 0.0]]),
+        "wrong-shape": np.zeros((4, 2)),
+        "flat": np.zeros(3),
+        "on-wire": np.array([[0.1, 0.0, 0.0], [0.4202, 0.05, 0.2288], [-0.4202, 0.0, -0.2288]]),
+    }
+
+    @pytest.mark.parametrize("current", [2.94, 0.0], ids=["live", "zero-current"])
+    @pytest.mark.parametrize("case", list(BAD_POINTS))
+    def test_bad_points_raise_what_pair_field_raises(self, case, current):
+        pair = HelmholtzPair(TABLE2.side, TABLE2.spacing, TABLE2.turns, current)
+        q = self.BAD_POINTS[case]
+        with pytest.raises(ValueError) as want:
+            pair_field(pair, q)
+        with pytest.raises(ValueError) as got:
+            uniformity(pair, q)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+        assert isinstance(got.value, PointOnWire) == (case == "on-wire")
+        if case == "on-wire":
+            assert (got.value.point, got.value.segment) == (want.value.point, want.value.segment)
 
 
 class TestFieldMap:
