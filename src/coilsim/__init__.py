@@ -16,14 +16,7 @@ from .coilopt import (
     solve_optimal_ratio,
     uniform_region,
 )
-from .control import (
-    ConditionReport,
-    ConvexParams,
-    atlms_rate,
-    check_convergence_condition,
-    lms_rate,
-    svs_rate,
-)
+from .control import ConditionReport, ConvexParams, check_convergence_condition
 from .experiments import (
     MetricsReport,
     StepScenario,

@@ -31,6 +31,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
+OUT_DIR = Path("coilsim_out")
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; the CLI contract wants 1
@@ -50,8 +52,7 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     src.add_argument("--preset", help="shipped preset name (see `coilsim presets`)")
     p.add_argument("--validate-only", action="store_true",
                    help="parse and validate the config, run nothing")
-    p.add_argument("--out-dir", type=Path, default=Path("coilsim_out"),
-                   help="output directory (default: coilsim_out)")
+    p.add_argument("--out-dir", type=Path, default=OUT_DIR, help="output directory (default: %(default)s)")
 
 
 def _load(args) -> ScenarioConfig:
@@ -115,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side-mm", type=_side_mm, required=True,
                    help=f"coil side length, mm, {SIDE_MM[0]:g} to {SIDE_MM[1]:g}")
     p.add_argument("--csv", type=Path, help="also write uniformity vs +x position CSV")
-    p.add_argument("--out-dir", type=Path, default=Path("coilsim_out"))
+    p.add_argument("--out-dir", type=Path, default=OUT_DIR)
 
     p = sub.add_parser("field-map", help="evaluate the field over the configured grid")
     _add_config_args(p)
@@ -156,8 +157,8 @@ def cmd_optimize(args) -> int:
     pair = magnetics.HelmholtzPair(side=side_m, spacing=spacing_m, turns=1, current=1.0)
     curvature = coilopt.second_derivative_center(pair)
     if args.csv is not None:
-        args.out_dir.mkdir(parents=True, exist_ok=True)
-        path = args.csv if args.csv.is_absolute() else args.out_dir / args.csv
+        out = _outdir(args)
+        path = args.csv if args.csv.is_absolute() else out / args.csv
         last = 0.8 * spacing_m
         # SIDE_MM keeps this under 44,000 positions, where the additions'
         # rounding drifts by far less than a step: one slot to spare holds them

@@ -55,11 +55,14 @@ class UniformRegion:
     extent_y_over_d: float
 
 
+def _sextic(n2: float) -> float:
+    return ((-5.0 * n2 + 11.0) * n2 + 18.0) * n2 + 6.0
+
+
 def optimality_polynomial(n: float) -> float:
     """-5 n^6 + 11 n^4 + 18 n^2 + 6, whose positive root is the optimal
     side/spacing ratio."""
-    n2 = n * n
-    return ((-5.0 * n2 + 11.0) * n2 + 18.0) * n2 + 6.0
+    return _sextic(n * n)
 
 
 def solve_optimal_ratio(lo: float = 1.0, hi: float = 3.0) -> OptimalityResult:
@@ -111,7 +114,7 @@ def second_derivative_center(pair: HelmholtzPair) -> float:
     if d <= 0.0:
         raise ValueError("spacing must be > 0")
     n2 = (pair.side / d) ** 2
-    poly = ((-5.0 * n2 + 11.0) * n2 + 18.0) * n2 + 6.0
+    poly = _sextic(n2)
     denom_poly = ((((4.0 * n2 + 16.0) * n2 + 25.0) * n2 + 19.0) * n2 + 7.0) * n2 + 1.0
     return (
         64.0

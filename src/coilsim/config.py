@@ -3,6 +3,12 @@ with a strict schema, plus the shipped presets.
 
 Unknown sections or keys are rejected with their location.  All physical
 quantities carry explicit units in their key names.
+
+Config only parses the text and passes the keys a section sets, mm turned
+to m, to the dataclass it builds (HelmholtzPair, GridSpec, SensorSpec,
+DisturbanceSpec, SysIdScenario, StepScenario), which owns every default
+and value check; a value it rejects is a ConfigError naming the section,
+under --validate-only too.
 """
 
 from __future__ import annotations
@@ -133,24 +139,28 @@ class ScenarioConfig:
     # ---- builders -------------------------------------------------------
 
     def pair(self) -> HelmholtzPair:
+        """The [coil] pair, at the optimal spacing unless spacing_mm is set."""
         from .coilopt import optimal_spacing
 
         side = self.require("coil", "side_mm") / 1000.0
         spacing_mm = self.get("coil", "spacing_mm")
-        spacing = spacing_mm / 1000.0 if spacing_mm is not None else optimal_spacing(side)
-        return HelmholtzPair(
+        if spacing_mm is None:
+            spacing = self._build(optimal_spacing, "coil", dict(side=side))
+        else:
+            spacing = spacing_mm / 1000.0
+        return self._build(HelmholtzPair, "coil", dict(
             side=side,
             spacing=spacing,
             turns=self.get("coil", "turns", 1),
             current=self.get("coil", "current_a", 1.0),
-        )
+        ))
 
     def grid(self) -> GridSpec:
         def ax(key):
             lo, hi, n = self.require("grid", key)
             return (lo / 1000.0, hi / 1000.0, n)
 
-        return GridSpec(x=ax("x_mm"), y=ax("y_mm"), z=ax("z_mm"))
+        return self._build(GridSpec, "grid", dict(x=ax("x_mm"), y=ax("y_mm"), z=ax("z_mm")))
 
     def sensor(self) -> SensorSpec:
         """The [sensor] spec: a named model, or one built from the explicit
@@ -168,24 +178,15 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"{self.source}: [sensor] model must be one of {sorted(_SENSOR_MODELS)}"
                 ) from None
-        return self._build(SensorSpec, "sensor", dict(
-            noise_sigma_nt=self.get("sensor", "noise_sigma_nt", 0.0),
-            quantization_step_nt=self.get("sensor", "quantization_step_nt", 0.0),
-            sample_rate_hz=self.get("sensor", "sample_rate_hz", 200.0),
-        ))
+        return self._build(SensorSpec, "sensor", self.data.get("sensor", {}))
 
     def disturbance(self, seed: int) -> DisturbanceSpec:
-        return self._build(DisturbanceSpec, "disturbance", dict(
-            dc_offset_nt=self.get("disturbance", "dc_offset_nt", 0.0),
-            ac_components=self.get("disturbance", "ac_components", ()),
-            gaussian_sigma_nt=self.get("disturbance", "gaussian_sigma_nt", 0.0),
-            seed=seed,
-        ))
+        return self._build(DisturbanceSpec, "disturbance", {**self.data.get("disturbance", {}), "seed": seed})
 
     def target_profile(self) -> TargetProfile:
         kind = self.require("step", "profile")
         level = self.require("step", "level_nt")
-        switch = self.get("step", "switch_time_s", 0.0)
+        switch = self.get("step", "switch_time_s", TargetProfile.switch_time_s)
         if kind in ("step_up", "step_down"):
             return self._build(getattr(TargetProfile, kind), "step", dict(level_nt=level, switch_time_s=switch))
         if kind == "constant":
@@ -218,15 +219,10 @@ class ScenarioConfig:
         naming the section."""
         from .experiments import SysIdScenario
 
-        fields = dict(
-            snr_db=snr_override if snr_override is not None else self.require("sysid", "snr_db"),
-            order=self.get("sysid", "order", 2),
-            n_iters=self.get("sysid", "n_iters", 5000),
-            noise_reinjection_at=self.get("sysid", "reinjection_at", 2500),
-            true_weights=tuple(self.get("sysid", "true_weights", (0.8, 0.5))),
-            trials=self.get("sysid", "trials", 200),
-            seed=self.get("sysid", "seed", 0),
-        )
+        fields = dict(self.data.get("sysid", {}))
+        if "reinjection_at" in fields:
+            fields["noise_reinjection_at"] = fields.pop("reinjection_at")
+        fields["snr_db"] = snr_override if snr_override is not None else self.require("sysid", "snr_db")
         return self._build(SysIdScenario, "sysid", fields)
 
     def step_scenario(self, method: str, seed_override: int | None = None):
@@ -234,23 +230,21 @@ class ScenarioConfig:
         ConfigError naming the section the value came from."""
         from .experiments import StepScenario
 
-        seed = seed_override if seed_override is not None else self.get("step", "seed", 0)
-        v_min, v_max = self.get("plant", "v_min_v", 0.0), self.get("plant", "v_max_v", 3.0)
-        self._build(PlantModel.ascending, "plant", dict(v_min=v_min, v_max=v_max))  # a bad range names [plant]
-        fields = dict(
-            profile=self.target_profile(),
+        plant = self.data.get("plant", {})
+        # a bad range names [plant]
+        self._build(PlantModel.ascending, "plant", {k.removesuffix("_v"): v for k, v in plant.items()})
+        profile = self.target_profile()
+        # the [step] keys that build no profile are StepScenario fields
+        fields = {k: v for k, v in self.data["step"].items() if k not in ("profile", "level_nt", "switch_time_s")}
+        if seed_override is not None:
+            fields["seed"] = seed_override
+        fields.update(
+            plant,
+            profile=profile,
             method=method,
             params=self.method_params(method),
             sensor=self.sensor(),
-            duration_s=self.get("step", "duration_s", 20.0),
-            settle_time_s=self.get("step", "settle_time_s", 1.5),
-            band_fraction=self.get("step", "band_fraction", 0.02),
-            seed=seed,
-            disturbance=self.disturbance(seed),
-            v_min_v=v_min,
-            v_max_v=v_max,
-            ctrl_unit_nt=self.get("step", "ctrl_unit_nt", 1000.0),
-            x_scale_nt=self.get("step", "x_scale_nt", 1e6),
+            disturbance=self.disturbance(fields.get("seed", StepScenario.seed)),
         )
         scn = self._build(StepScenario, "step", fields)
         # [method.convex] init_weights starts convex runs only; the other

@@ -8,18 +8,18 @@ adapted by a signed gradient rule, and the slow branch's weights are
 periodically transferred to the fast branch once gamma exceeds a threshold.
 
 LMS, sigmoid-variable-step (SVS), and arctangent-step (ATLMS) single-filter
-baselines differ only in their step-size law mu(e), built once per run by
-`lms_rate`, `svs_rate` or `atlms_rate` as a closure from the step's error
-to its rate.
+baselines differ only in their step-size law mu(e): LMS a fixed mu, SVS
+beta * (1/(1 + exp(-alpha|e|)) - 0.5), which saturates at beta/2, and ATLMS
+beta * (2/pi) * atan(alpha e^2) * m/(m + n), bounded by beta * m/(m + n).
 
 Each law runs in two places.  The closed loop,
 coilsim.experiments.run_step_response, steps one two-tap controller a
-sample at a time in Python floats, inline in its time loop: a single filter
-calls its rate closure once per step, and the convex update runs there in
-full.  It raises NonFiniteInput on a non-finite tap or target.  The scalar
-steps that loop was written from, `filter_step` and `convex_step` with
-their states, are kept in tests/oracles.py, and the loop is pinned to them
-bit for bit.
+sample at a time in Python floats, inline in its time loop, each law and
+the convex update written out there in full.  It raises NonFiniteInput on
+a non-finite tap or target.  The scalar steps that loop was written from,
+`filter_step` and `convex_step` with their states and the rate closures
+of the single filters, are kept in tests/oracles.py, and the loop is
+pinned to them bit for bit.
 
 One time loop, `run_laws_batch`, runs many independent trials of any set
 of the four laws together, vectorized across trials, over one stacked
@@ -63,15 +63,6 @@ class NonFiniteInput(ValueError):
     """A closed-loop step's tap input or target is NaN or infinite."""
 
 
-def _inv1pexp(arg: float) -> float:
-    # 1 / (1 + exp(arg)), guarded against overflow
-    if arg > 700.0:
-        return 0.0
-    if arg < -700.0:
-        return 1.0
-    return 1.0 / (1.0 + math.exp(arg))
-
-
 @dataclass(frozen=True)
 class ConvexParams:
     """Parameters of the convex combination controller, whose output is
@@ -110,22 +101,6 @@ class ConvexParams:
             raise ValueError("gamma_o must lie in (0, 1)")
         if self.t_o < 1:
             raise ValueError("t_o must be >= 1")
-
-
-def lms_rate(mu: float) -> Callable[[float], float]:
-    """Fixed-step LMS: mu(e) = mu."""
-    return lambda e: mu
-
-
-def svs_rate(alpha: float, beta: float) -> Callable[[float], float]:
-    """Sigmoid variable step: mu(e) grows with |e| and saturates at beta/2."""
-    return lambda e: beta * (_inv1pexp(-alpha * abs(e)) - 0.5)
-
-
-def atlms_rate(alpha: float, beta: float, m: float, n_scale: float) -> Callable[[float], float]:
-    """Arctangent step: mu(e) = beta * (2/pi) * atan(alpha * e^2) * m/(m+n),
-    bounded by beta * m / (m + n)."""
-    return lambda e: beta * (2.0 / math.pi) * math.atan(alpha * e * e) * m / (m + n_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +203,10 @@ def run_laws_batch(
         if m == "lms":
             rate[f] = kw["mu"]
         elif m == "svs":
-            svs_e, svs_rate, svs_u = errs[top + f], rate[f], u[-1]
+            svs_e, svs_mu, svs_u = errs[top + f], rate[f], u[-1]
             svs_a, svs_b = -kw["alpha"], kw["beta"]
         elif m == "atlms":
-            at_e, at_rate, at_a = errs[top + f], rate[f], kw["alpha"]
+            at_e, at_mu, at_a = errs[top + f], rate[f], kw["alpha"]
             at_gain = kw["beta"] * (2.0 / math.pi) * kw["m"] / (kw["m"] + kw["n_scale"])
         else:
             raise ValueError(f"unknown method {m!r}")
@@ -301,11 +276,11 @@ def run_laws_batch(
                     minimum(maximum(rate1, 0.0, out=rate1), half_beta, out=rate1)
                     multiply(rate1, 2.0, out=rate1)
                 if has_svs:
-                    multiply(subtract(svs_u, 0.5, out=svs_rate), svs_b, out=svs_rate)
+                    multiply(subtract(svs_u, 0.5, out=svs_mu), svs_b, out=svs_mu)
                 if has_atlms:
                     e_at = at_e[i]
-                    multiply(multiply(e_at, at_a, out=at_rate), e_at, out=at_rate)
-                    multiply(np.arctan(at_rate, out=at_rate), at_gain, out=at_rate)
+                    multiply(multiply(e_at, at_a, out=at_mu), e_at, out=at_mu)
+                    multiply(np.arctan(at_mu, out=at_mu), at_gain, out=at_mu)
 
                 multiply(rate, e_all[top:], out=k)
                 if convex:

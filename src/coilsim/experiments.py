@@ -27,15 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._table import write_repr_csv
-from .control import (
-    ERROR_BLOCK,
-    ConvexParams,
-    NonFiniteInput,
-    atlms_rate,
-    lms_rate,
-    run_laws_batch,
-    svs_rate,
-)
+from .control import ERROR_BLOCK, ConvexParams, NonFiniteInput, run_laws_batch
 from .plant import (
     DisturbanceSpec,
     PlantModel,
@@ -48,14 +40,11 @@ from .plant import (
 
 METHODS = ("lms", "svs", "atlms", "convex")
 
-# method -> step-size law factory of a single filter in the closed loop
-_RATES = {"lms": lms_rate, "svs": svs_rate, "atlms": atlms_rate}
-
 
 def _keywords(method: str, params) -> dict:
-    """A method's parameters as keywords of its law factory and of its law
-    in control.run_laws_batch; convex takes them as one ConvexParams, built
-    here from a dict."""
+    """A method's parameters as keywords of its law in
+    control.run_laws_batch and in the closed loop; convex takes them as one
+    ConvexParams, built here from a dict."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "convex":
@@ -319,13 +308,13 @@ class StepScenario:
     method: str
     params: Mapping[str, float] | ConvexParams
     sensor: SensorSpec
-    duration_s: float
+    duration_s: float = 20.0
     settle_time_s: float = 1.5
     band_fraction: float = 0.02
     seed: int = 0
     disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
-    v_min_v: float = 0.0
-    v_max_v: float = 3.0
+    v_min_v: float = PlantModel.v_min  # the drive's own range
+    v_max_v: float = PlantModel.v_max
     init_weights: tuple[float, float] = (0.8, 0.5)
     ctrl_unit_nt: float = 1000.0
     x_scale_nt: float = 1e6
@@ -392,10 +381,10 @@ def run_step_response(scn: StepScenario) -> MetricsReport:
     Python floats STEP_BLOCK steps at a time.  Each loop step is one inline
     block of float arithmetic: the controller's law on the taps (1, x1) and
     the target d, the inverse drive and the drive of the plant's voltage
-    fit, and the magnetometer reading.  A single filter calls its rate
-    closure (coilsim.control) once per step; the convex update runs inline
-    in full.  Each operation keeps the order of the scalar functions the
-    loop was written from, `filter_step`, `convex_step`, `inverse_drive`,
+    fit, and the magnetometer reading.  Each step-size law, the single
+    filters' and the convex one's, is written out inline.  Each operation
+    keeps the order of the scalar functions the loop was written from,
+    `filter_step` with its rate closures, `convex_step`, `inverse_drive`,
     `drive` and `sense`, which are kept in tests/oracles.py with the
     reference loop `step_response_ref`, and the record is theirs bit for
     bit.  A non-finite tap x1 or target d raises NonFiniteInput.
@@ -428,8 +417,9 @@ def run_step_response(scn: StepScenario) -> MetricsReport:
         neg_alpha, beta, half_beta, sigma, phi = -p.alpha, p.beta, 0.5 * p.beta, p.sigma, p.phi
         c, mu_b, gamma_o, t_o = p.c, p.mu_b, p.gamma_o, p.t_o
         gamma, b, prev_e1, n = 0.5, 0.0, 0.0, 0  # gamma = logistic(b)
-    else:
-        rate = _RATES[scn.method](**kw)
+    else:  # a single filter: the parameters of its law, None for those it lacks
+        svs, atlms = scn.method == "svs", scn.method == "atlms"
+        mu, alpha, beta, m, n_scale = map(kw.get, ("mu", "alpha", "beta", "m", "n_scale"))
     # a single filter's weights, or the convex fast branch's; u0, u1 are the
     # slow branch's, which the fast one starts as a copy of
     w0, w1 = (float(w) for w in scn.init_weights)
@@ -437,7 +427,7 @@ def run_step_response(scn: StepScenario) -> MetricsReport:
     fit_k, fit_b, v_min, v_max = plant.fit_k, plant.fit_b, plant.v_min, plant.v_max
     q = scn.sensor.quantization_step_nt
     unit, x_scale = scn.ctrl_unit_nt, scn.x_scale_nt
-    exp, copysign, inf = math.exp, math.copysign, math.inf
+    exp, atan, pi, copysign, inf = math.exp, math.atan, math.pi, math.copysign, math.inf
     ambient_est_nt = 0.0
     # one row of doubles per step: volts, coil field, measured field and,
     # for convex, y ... mu1
@@ -485,7 +475,14 @@ def run_step_response(scn: StepScenario) -> MetricsReport:
         else:
             y = 0.0 + w0 + w1 * x1
             e = d - y
-            k = rate(e) * e
+            # k = mu(e) * e, with the exponential of the SVS rate guarded
+            if svs:
+                arg = -alpha * abs(e)
+                k = beta * ((0.0 if arg > 700.0 else 1.0 if arg < -700.0 else 1.0 / (1.0 + exp(arg))) - 0.5) * e
+            elif atlms:
+                k = beta * (2.0 / pi) * atan(alpha * e * e) * m / (m + n_scale) * e
+            else:
+                k = mu * e
             w0 += k
             w1 += k * x1
         # the voltage for the commanded field, clamped, and the coil's field

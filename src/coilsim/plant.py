@@ -79,7 +79,7 @@ class SensorSpec:
 # Table-of-record sensor models for the two magnetometers on the testbed.
 RM3100 = SensorSpec(noise_sigma_nt=15.0, quantization_step_nt=13.0, sample_rate_hz=200.0)
 HMC5883L = SensorSpec(noise_sigma_nt=200.0, quantization_step_nt=435.0, sample_rate_hz=75.0)
-IDEAL_SENSOR = SensorSpec(noise_sigma_nt=0.0, quantization_step_nt=0.0, sample_rate_hz=200.0)
+IDEAL_SENSOR = SensorSpec()
 
 
 def sensor_noise(spec: SensorSpec, rng: np.random.Generator, n: int) -> np.ndarray:

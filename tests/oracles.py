@@ -15,8 +15,9 @@ product a loop over the taps in plain order) that
 one-trial-at-a-time draw from `SeedSequence.spawn` children that the
 blocked draw in `coilsim.experiments` must reproduce; the scalar closed
 loop, `step_response_ref`, built from one call per step of the scalar
-controller steps (`filter_step`, `convex_step` and their states) and
-plant functions (`inverse_drive`, `drive`, `sense`), which the inline
+controller steps (`filter_step` with the single filters' rate closures
+`lms_rate`, `svs_rate` and `atlms_rate`, `convex_step`, and their states)
+and plant functions (`inverse_drive`, `drive`, `sense`), which the inline
 loop of `coilsim.experiments.run_step_response` must reproduce; and
 `reach_time_ref`, the sample-by-sample reach-time scan that
 `coilsim.experiments.compute_metrics` must reproduce.  The batch
@@ -34,7 +35,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from coilsim.control import ConvexParams, NonFiniteInput, atlms_rate, lms_rate, run_laws_batch, svs_rate
+from coilsim.control import ConvexParams, NonFiniteInput, run_laws_batch
 from coilsim.experiments import DIAGNOSTICS_COLUMNS, DWELL_S
 from coilsim.plant import PlantModel, SensorSpec, disturbance_series, sensor_noise
 
@@ -295,6 +296,22 @@ def _inv1pexp(arg: float) -> float:
 def logistic(u: float) -> float:
     """1 / (1 + exp(-u)); maps any finite u into (0, 1)."""
     return _inv1pexp(-u)
+
+
+def lms_rate(mu: float) -> Callable[[float], float]:
+    """Fixed-step LMS: mu(e) = mu."""
+    return lambda e: mu
+
+
+def svs_rate(alpha: float, beta: float) -> Callable[[float], float]:
+    """Sigmoid variable step: mu(e) grows with |e| and saturates at beta/2."""
+    return lambda e: beta * (_inv1pexp(-alpha * abs(e)) - 0.5)
+
+
+def atlms_rate(alpha: float, beta: float, m: float, n_scale: float) -> Callable[[float], float]:
+    """Arctangent step: mu(e) = beta * (2/pi) * atan(alpha * e^2) * m/(m+n),
+    bounded by beta * m / (m + n)."""
+    return lambda e: beta * (2.0 / math.pi) * math.atan(alpha * e * e) * m / (m + n_scale)
 
 
 def _sign(v: float) -> float:

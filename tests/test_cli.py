@@ -143,7 +143,7 @@ class TestMagneticsGoldens:
         assert out.is_dir() and list(out.iterdir()) == []
 
     @pytest.mark.parametrize("side_mm", ["inf", "nan"])
-    def test_nonfinite_side_exits_2(self, tmp_path, capsys, side_mm):
+    def test_nonfinite_side_exits_1(self, tmp_path, capsys, side_mm):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(
             "[meta]\nschema_version = 1\n"
@@ -151,13 +151,13 @@ class TestMagneticsGoldens:
             "[grid]\nx_mm = 0,0,1\ny_mm = 0,0,1\nz_mm = 0,0,1\n"
         )
         rc = main(["field-map", "--config", str(cfg), "--out-dir", str(tmp_path)])
-        assert rc == EXIT_RUNTIME
-        assert "side must be finite" in capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert "[coil] side must be finite" in capsys.readouterr().err
         assert not (tmp_path / "field_map.csv").exists()
 
     @pytest.mark.parametrize("validate_only", [False, True], ids=["run", "validate-only"])
     @pytest.mark.parametrize("x_mm", ["nan,0,1", "0,inf,3"])
-    def test_nonfinite_grid_end_exits_2(self, tmp_path, capsys, x_mm, validate_only):
+    def test_nonfinite_grid_end_exits_1(self, tmp_path, capsys, x_mm, validate_only):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(
             "[meta]\nschema_version = 1\n"
@@ -165,8 +165,8 @@ class TestMagneticsGoldens:
             f"[grid]\nx_mm = {x_mm}\ny_mm = 0,0,1\nz_mm = 0,0,1\n"
         )
         argv = ["field-map", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
-        assert main(argv + ["--validate-only"] * validate_only) == EXIT_RUNTIME
-        assert "x axis ends must be finite" in capsys.readouterr().err
+        assert main(argv + ["--validate-only"] * validate_only) == EXIT_USAGE
+        assert "[grid] x axis ends must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -464,6 +464,19 @@ EXIT_CODES = {
                     config_text(META + "[coil]\nradius_mm = 400\n"), EXIT_USAGE),
     "bad-value": (["field-map", "--config", "{cfg}", "--out-dir", "{out}"],
                   config_text(META + "[coil]\nside_mm = wide\n"), EXIT_USAGE),
+    # a [coil] or [grid] value the pair or grid rejects exited 2 with a bare
+    # error; a side_mm alone takes the optimal spacing, which rejects it first
+    **{f"field-map-{name}": (["field-map", "--config", "{cfg}", "--out-dir", "{out}"],
+                             edited_preset("table2", section, key, value), EXIT_USAGE)
+       for name, section, key, value in (("coil-side-negative", "coil", "side_mm", "-5"),
+                                         ("coil-turns-0", "coil", "turns", "0"),
+                                         ("coil-current-inf", "coil", "current_a", "inf"),
+                                         ("coil-spacing-0", "coil", "spacing_mm", "0"),
+                                         ("grid-axis-count-0", "grid", "z_mm", "-300,300,0"))},
+    "field-map-coil-side-negative-optimal-spacing": (
+        ["field-map", "--config", "{cfg}", "--out-dir", "{out}"],
+        config_text(META + "[coil]\nside_mm = -5\n[grid]\nx_mm = 0,0,1\ny_mm = 0,0,1\nz_mm = 0,0,1\n"),
+        EXIT_USAGE),
     "missing-schema-version": (["field-map", "--config", "{cfg}", "--out-dir", "{out}"],
                                config_text("[coil]\nside_mm = 840.4\n"), EXIT_USAGE),
     "wrong-schema-version": (["field-map", "--config", "{cfg}", "--out-dir", "{out}"],
@@ -646,10 +659,12 @@ def test_missing_method_key_exits_1_and_names_it(tmp_path, capsys, argv, preset,
         (["step", "--method", "convex"], "table7-up", "method.convex", "init_weights", "0.8",
          "init_weights must be two finite values"),
         (["sysid", "--methods", "lms"], "table4-30db", "method.lms", "mu", "nan", "mu must be finite"),
+        (["field-map"], "table2", "coil", "turns", "0", "turns must be a positive integer"),
+        (["field-map"], "table2", "grid", "z_mm", "-300,300,0", "z axis count must be >= 1"),
     ],
     ids=["sysid-trials", "sysid-reinjection", "step-duration", "sysid-seed", "step-seed", "step-duration-inf",
          "sysid-snr-minus-inf", "disturbance-gaussian-sigma-nan", "plant-v-max-nan", "convex-init-weights",
-         "lms-mu-nan"],
+         "lms-mu-nan", "coil-turns-0", "grid-axis-count-0"],
 )
 def test_scenario_value_error_exits_1_and_names_the_section(tmp_path, capsys, argv, preset, section, key,
                                                               value, message):

@@ -1,8 +1,8 @@
 import pytest
 
-from coilsim.config import ConfigError, parse_config
-from coilsim.experiments import StepScenario
-from coilsim.plant import RM3100, SensorSpec
+from coilsim.config import SCHEMA, ConfigError, parse_config
+from coilsim.experiments import StepScenario, SysIdScenario
+from coilsim.plant import RM3100, DisturbanceSpec, SensorSpec, TargetProfile
 
 MINIMAL_STEP = """
 [meta]
@@ -18,14 +18,75 @@ mu = 0.05
 def test_step_scenario_defaults_match_dataclass_defaults():
     scn = parse_config(MINIMAL_STEP).step_scenario("lms")
     default = StepScenario(
-        profile=scn.profile,
+        profile=TargetProfile.step_up(120000.0),
         method="lms",
         params={"mu": 0.05},
-        sensor=scn.sensor,
-        duration_s=scn.duration_s,
+        sensor=SensorSpec(),
     )
     assert scn == default
     assert scn.x_scale_nt == 1e6
+
+
+def config_text(sections) -> str:
+    return "".join(f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+                   for name, keys in sections.items())
+
+
+# a config with the required keys of every builder below
+REQUIRED = {"meta": {"schema_version": "1"}, "step": {"profile": "step_up", "level_nt": "120000"},
+            "method.lms": {"mu": "0.05"}, "sysid": {"snr_db": "30"}}
+# section -> (a builder that reads it, what the builder gives on REQUIRED:
+# its dataclass built from its required fields alone)
+BUILDS = {
+    "sysid": (lambda cfg: cfg.sysid_scenario(), SysIdScenario(snr_db=30.0)),
+    "step": (lambda cfg: cfg.step_scenario("lms"),
+             StepScenario(TargetProfile.step_up(120000.0), "lms", {"mu": 0.05}, SensorSpec())),
+    "sensor": (lambda cfg: cfg.sensor(), SensorSpec()),
+    "disturbance": (lambda cfg: cfg.disturbance(7), DisturbanceSpec(seed=7)),
+}
+BUILDS["plant"] = BUILDS["step"]
+
+
+@pytest.mark.parametrize("section", ["sysid", "sensor", "disturbance"])
+def test_builder_defaults_match_dataclass_defaults(section):
+    build, default = BUILDS[section]
+    assert build(parse_config(config_text(REQUIRED))) == default
+
+
+# section -> key -> a valid value unlike its field's default, as config text;
+# the walk sets every key of a section at once
+NON_DEFAULT = {
+    "sysid": {"snr_db": "12.5", "order": "3", "n_iters": "300", "reinjection_at": "100", "trials": "4",
+              "seed": "9", "true_weights": "0.1,-0.2,0.3"},
+    "step": {"profile": "step_down", "level_nt": "5000", "switch_time_s": "0.25", "duration_s": "3.5",
+             "settle_time_s": "0.75", "band_fraction": "0.05", "x_scale_nt": "2e6", "ctrl_unit_nt": "500",
+             "seed": "4"},
+    "plant": {"v_min_v": "-1.5", "v_max_v": "2.5"},
+    "sensor": {"noise_sigma_nt": "3", "quantization_step_nt": "2", "sample_rate_hz": "50"},
+    "disturbance": {"dc_offset_nt": "-40", "gaussian_sigma_nt": "6", "ac_components": "500:0.5:0.25,20:2:1"},
+}
+# key -> where its value lands, for the keys not named as their field
+LANDS = {
+    "reinjection_at": lambda scn: scn.noise_reinjection_at,
+    "profile": lambda scn: scn.profile.kind,
+    "level_nt": lambda scn: scn.profile.levels[0],
+    "switch_time_s": lambda scn: scn.profile.switch_time_s,
+}
+
+
+@pytest.mark.parametrize("section", list(NON_DEFAULT))
+def test_every_key_reaches_its_field(section):
+    # a new key needs a value here; a sensor model is the other way to set
+    # the sensor (test_sensor_model_alone_is_the_model)
+    assert set(NON_DEFAULT[section]) == set(SCHEMA[section]) - {"model"}
+    build, default = BUILDS[section]
+    built = build(parse_config(config_text({**REQUIRED, section: {**REQUIRED.get(section, {}),
+                                                                   **NON_DEFAULT[section]}})))
+    for key, raw in NON_DEFAULT[section].items():
+        field = LANDS.get(key, lambda obj: getattr(obj, key))
+        assert field(built) == SCHEMA[section][key](raw) != field(default), key
+    if section == "step":  # the step's seed seeds its disturbance too
+        assert built.disturbance.seed == 4
 
 
 SENSOR_MODEL = MINIMAL_STEP + """

@@ -11,18 +11,19 @@ from hypothesis import strategies as hst
 import oracles
 from coilsim.cli import EXIT_OK, main
 from coilsim.config import load_preset
-from coilsim.control import (
-    ERROR_BLOCK,
-    ConvexParams,
-    NonFiniteInput,
+from coilsim.control import ERROR_BLOCK, ConvexParams, NonFiniteInput, check_convergence_condition, run_laws_batch
+from coilsim.experiments import run_step_response
+from oracles import (
+    ConvexState,
+    DimensionMismatch,
+    FilterState,
     atlms_rate,
-    check_convergence_condition,
+    convex_step,
+    filter_step,
     lms_rate,
-    run_laws_batch,
+    logistic,
     svs_rate,
 )
-from coilsim.experiments import run_step_response
-from oracles import ConvexState, DimensionMismatch, FilterState, convex_step, filter_step, logistic
 
 PARAMS = ConvexParams(alpha=500.0, beta=0.01, sigma=0.0, phi=1.0, c=0.1,
                       mu_b=0.1, gamma_o=0.55, t_o=2)
