@@ -16,7 +16,7 @@ from .coilopt import (
     solve_optimal_ratio,
     uniform_region,
 )
-from .control import ConditionReport, ConvexParams, check_convergence_condition
+from .control import AtlmsParams, ConditionReport, ConvexParams, LmsParams, SvsParams, check_convergence_condition
 from .experiments import (
     MetricsReport,
     StepScenario,

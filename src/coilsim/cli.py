@@ -1,6 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime/validation failure.
+A value no run can use, such as a negative rate or a run beyond STEP_MAX
+steps, exits 1, under --validate-only too; a finite config whose filter
+diverges ("non-finite"), or a run out of memory, exits 2.
 Output file names are taken relative to --out-dir, so an absolute --csv,
 --sensor-log or --diag-csv path lands where it names.  Every command is
 deterministic for a given (config, seed), so reruns produce byte-identical
@@ -331,6 +334,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (magnetics.PointOnWire, magnetics.ZeroCenterField, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

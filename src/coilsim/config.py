@@ -6,7 +6,8 @@ quantities carry explicit units in their key names.
 
 Config only parses the text and passes the keys a section sets, mm turned
 to m, to the dataclass it builds (HelmholtzPair, GridSpec, SensorSpec,
-DisturbanceSpec, SysIdScenario, StepScenario), which owns every default
+DisturbanceSpec, SysIdScenario, StepScenario, and control.LAWS[method]
+for [method.<method>], whose keys are its fields), which owns every default
 and value check; a value it rejects is a ConfigError naming the section,
 under --validate-only too.
 """
@@ -14,13 +15,12 @@ under --validate-only too.
 from __future__ import annotations
 
 import configparser
-import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
 from importlib import resources
 from typing import Callable
 
-from .control import ConvexParams
+from .control import LAWS
 from .magnetics import GridSpec, HelmholtzPair
 from .plant import (
     HMC5883L,
@@ -98,21 +98,12 @@ SCHEMA: dict[str, dict[str, Callable]] = {
         "ctrl_unit_nt": float,
         "seed": int,
     },
-    "method.lms": {"mu": float},
-    "method.svs": {"alpha": float, "beta": float},
-    "method.atlms": {"alpha": float, "beta": float, "m": float, "n_scale": float},
-    "method.convex": {
-        "alpha": float,
-        "beta": float,
-        "sigma": float,
-        "phi": float,
-        "c": float,
-        "mu_b": float,
-        "gamma_o": float,
-        "t_o": int,
-        "init_weights": _floats,
-    },
+    # each law's section holds the fields of its parameter class
+    **{f"method.{method}": {f.name: int if f.type in (int, "int") else float for f in fields(cls)}
+       for method, cls in LAWS.items()},
 }
+# the convex run's starting weights, which StepScenario takes
+SCHEMA["method.convex"]["init_weights"] = _floats
 
 _SENSOR_MODELS = {"rm3100": RM3100, "hmc5883l": HMC5883L, "ideal": IDEAL_SENSOR}
 
@@ -191,28 +182,22 @@ class ScenarioConfig:
             return self._build(getattr(TargetProfile, kind), "step", dict(level_nt=level, switch_time_s=switch))
         if kind == "constant":
             return self._build(TargetProfile.constant, "step", dict(level_nt=level))
-        if kind == "ramp_up":
-            return self._build(TargetProfile.ramp_up, "step", dict(level_nt=level, ramp_time_s=switch))
         raise ConfigError(f"{self.source}: [step] profile {kind!r} not recognized")
 
     def method_params(self, method: str):
-        """The [method.<method>] parameters: a dict for the baselines, which
-        need every key of their section, each finite, and a ConvexParams for
-        convex, which needs alpha and beta; a value that fails its checks is
-        a ConfigError naming the section."""
-        section = f"method.{method}"
+        """The [method.<method>] parameters, an instance of
+        control.LAWS[method]: the section must set each of its fields that
+        has no default, and a value that fails its checks is a ConfigError
+        naming the section."""
+        section, cls = f"method.{method}", LAWS[method]
         if not self.has_section(section):
             raise ConfigError(f"{self.source}: missing [{section}] parameters")
-        for key in ("alpha", "beta") if method == "convex" else SCHEMA[section]:
-            self.require(section, key)
+        for f in fields(cls):
+            if f.default is MISSING:
+                self.require(section, f.name)
         params = dict(self.data[section])
-        if method == "convex":
-            params.pop("init_weights", None)
-            return self._build(ConvexParams, section, params)
-        for key, value in params.items():
-            if not math.isfinite(value):
-                raise ConfigError(f"{self.source}: [{section}] {key} must be finite")
-        return params
+        params.pop("init_weights", None)
+        return self._build(cls, section, params)
 
     def sysid_scenario(self, snr_override: float | None = None):
         """The [sysid] scenario; a value its checks reject is a ConfigError

@@ -11,6 +11,8 @@ LMS, sigmoid-variable-step (SVS), and arctangent-step (ATLMS) single-filter
 baselines differ only in their step-size law mu(e): LMS a fixed mu, SVS
 beta * (1/(1 + exp(-alpha|e|)) - 0.5), which saturates at beta/2, and ATLMS
 beta * (2/pi) * atan(alpha e^2) * m/(m + n), bounded by beta * m/(m + n).
+Each law takes its parameters as a frozen dataclass that checks their
+domains, and LAWS maps each method to that class.
 
 Each law runs in two places.  The closed loop,
 coilsim.experiments.run_step_response, steps one two-tap controller a
@@ -63,6 +65,49 @@ class NonFiniteInput(ValueError):
     """A closed-loop step's tap input or target is NaN or infinite."""
 
 
+def _domain(params, *keys: str, above: bool = False) -> None:
+    """Each of `keys` of params must be finite and >= 0, or > 0 if above."""
+    for key in keys:
+        value = getattr(params, key)
+        if not (0.0 < value if above else 0.0 <= value) or value == math.inf:  # NaN fails too
+            raise ValueError(f"{key} must be finite and {'>' if above else '>='} 0")
+
+
+@dataclass(frozen=True)
+class LmsParams:
+    """The LMS filter's fixed rate."""
+
+    mu: float
+
+    def __post_init__(self):
+        _domain(self, "mu")
+
+
+@dataclass(frozen=True)
+class SvsParams:
+    """The SVS filter's rate law, beta * (1/(1 + exp(-alpha|e|)) - 0.5)."""
+
+    alpha: float
+    beta: float
+
+    def __post_init__(self):
+        _domain(self, "alpha", "beta")
+
+
+@dataclass(frozen=True)
+class AtlmsParams:
+    """The ATLMS filter's rate law, beta * (2/pi) * atan(alpha e^2) * m/(m + n_scale)."""
+
+    alpha: float
+    beta: float
+    m: float
+    n_scale: float
+
+    def __post_init__(self):
+        _domain(self, "alpha", "beta", "n_scale")
+        _domain(self, "m", above=True)
+
+
 @dataclass(frozen=True)
 class ConvexParams:
     """Parameters of the convex combination controller, whose output is
@@ -91,16 +136,17 @@ class ConvexParams:
         # written so that NaN fails too
         if not all(map(math.isfinite, (self.alpha, self.sigma, self.mu_b))):
             raise ValueError("alpha, sigma and mu_b must be finite")
-        if not self.beta > 0.0:
-            raise ValueError("beta must be > 0")
+        _domain(self, "beta", above=True)
         if not self.phi >= 0.0:
             raise ValueError("phi must be >= 0")
-        if not self.c > 0.0:
-            raise ValueError("c must be > 0")
+        _domain(self, "c", above=True)
         if not 0.0 < self.gamma_o < 1.0:
             raise ValueError("gamma_o must lie in (0, 1)")
         if self.t_o < 1:
             raise ValueError("t_o must be >= 1")
+
+
+LAWS = {"lms": LmsParams, "svs": SvsParams, "atlms": AtlmsParams, "convex": ConvexParams}
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +207,7 @@ ErrorSink = Callable[[int, np.ndarray], None]
 
 def run_laws_batch(
     w0: Sequence[float],
-    laws: Mapping[str, Mapping],
+    laws: Mapping[str, LmsParams | SvsParams | AtlmsParams | ConvexParams],
     x: np.ndarray,
     d: np.ndarray,
     *,
@@ -171,9 +217,8 @@ def run_laws_batch(
     filter from the weights w0, on time-major inputs of any strides: x has
     shape (n_iters, order, trials), d shape (n_iters, trials).
 
-    `laws` maps each method to the keywords of its law: "lms" to mu, "svs"
-    to alpha and beta, "atlms" to alpha, beta, m and n_scale, and "convex"
-    to params, a ConvexParams run from b = 0.  Each method runs as if
+    `laws` maps each method to the parameters of its law, an instance of
+    LAWS[method]; convex runs from b = 0.  Each method runs as if
     alone: sinks[method] gets its error blocks, and the result holds its
     final state under its name, "w" (trials, order) for a single filter and
     "w1", "w2" (trials, order), "b" and "gamma" (trials,) for convex.
@@ -198,20 +243,20 @@ def run_laws_batch(
     n_log = n_conv + has_svs
     u = np.empty((n_log, trials)) if n_log else None
     for i, m in enumerate(singles):
-        f, kw = n_conv + i, laws[m]
+        f, p = n_conv + i, laws[m]
         rows[m] = slice(top + f, top + f + 1)
         if m == "lms":
-            rate[f] = kw["mu"]
+            rate[f] = p.mu
         elif m == "svs":
             svs_e, svs_mu, svs_u = errs[top + f], rate[f], u[-1]
-            svs_a, svs_b = -kw["alpha"], kw["beta"]
+            svs_a, svs_b = -p.alpha, p.beta
         elif m == "atlms":
-            at_e, at_mu, at_a = errs[top + f], rate[f], kw["alpha"]
-            at_gain = kw["beta"] * (2.0 / math.pi) * kw["m"] / (kw["m"] + kw["n_scale"])
+            at_e, at_mu, at_a = errs[top + f], rate[f], p.alpha
+            at_gain = p.beta * (2.0 / math.pi) * p.m / (p.m + p.n_scale)
         else:
             raise ValueError(f"unknown method {m!r}")
     if convex:
-        p = laws["convex"]["params"]
+        p = laws["convex"]
         rows["convex"] = slice(0, 3)  # e, e1, e2
         w1, w2 = w[:, 0], w[:, 1]
         y_c, y1, y2 = y[0], y[1], y[2]

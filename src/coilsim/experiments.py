@@ -6,7 +6,9 @@ from its own pair of child streams of that seed, SeedSequence(seed,
 spawn_key=(t, k)) with k = 0 for its input and k = 1 for its noise.  Trial
 averages add the trials in index order however the trials and steps are
 blocked, and every dot product adds its taps in plain order with no BLAS
-call, so a scenario gives the same bits on any CPU.
+call, so a scenario gives the same bits on any CPU.  Runs take at most
+STEP_MAX steps, and a filter that diverges gives no report: run_sysid names
+its method in a ValueError, and the closed loop raises NonFiniteInput.
 
 A step-response run returns its metrics together with its per-step record,
 MetricsReport.columns: one array per column name.  The trace, sensor-log
@@ -27,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._table import write_repr_csv
-from .control import ERROR_BLOCK, ConvexParams, NonFiniteInput, run_laws_batch
+from .control import ERROR_BLOCK, LAWS, AtlmsParams, ConvexParams, LmsParams, NonFiniteInput, SvsParams, run_laws_batch
 from .plant import (
     DisturbanceSpec,
     PlantModel,
@@ -38,18 +40,10 @@ from .plant import (
     snr_to_sigma,
 )
 
-METHODS = ("lms", "svs", "atlms", "convex")
+METHODS = tuple(LAWS)
 
-
-def _keywords(method: str, params) -> dict:
-    """A method's parameters as keywords of its law in
-    control.run_laws_batch and in the closed loop; convex takes them as one
-    ConvexParams, built here from a dict."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if method == "convex":
-        return {"params": params if isinstance(params, ConvexParams) else ConvexParams(**params)}
-    return dict(params)
+# the most steps of a run: 14 h at 200 Hz, and ~1.5 GB for a convex step record
+STEP_MAX = 10**7
 
 
 class ActuatorSaturationWarning(UserWarning):
@@ -167,8 +161,8 @@ class SysIdScenario:
             raise ValueError("order must be >= 1")
         if self.noise_reinjection_at < 0:
             raise ValueError("noise_reinjection_at must be >= 0")
-        if not self.n_iters > self.noise_reinjection_at:
-            raise ValueError("n_iters must exceed noise_reinjection_at")
+        if not self.noise_reinjection_at < self.n_iters <= STEP_MAX:
+            raise ValueError(f"n_iters must exceed noise_reinjection_at and be <= STEP_MAX = {STEP_MAX}")
         if len(self.true_weights) != self.order:
             raise ValueError("true_weights length must equal order")
         if not all(map(math.isfinite, self.true_weights)):
@@ -236,29 +230,32 @@ def _smooth_causal(raw: np.ndarray, window: int) -> np.ndarray:
 
 def run_sysid(scn: SysIdScenario, methods: Mapping[str, object]) -> dict[str, MetricsReport]:
     """Trial-averaged identification runs, one report per method of
-    `methods` (method name -> its parameters), all on one draw of the trial
-    signals.
+    `methods` (method name -> its parameters, an instance of
+    control.LAWS[method]), all on one draw of the trial signals.
 
     Each MSE curve is the trial average of e^2 smoothed over a causal
     SMOOTHING_WINDOW-sample window; iters_to_converge is the first iteration
     at which the smoothed curve falls to within THRESHOLD_FACTOR of its tail
     mean, and final_mse is that tail mean.  Every filter starts from zero
-    weights.  The trials are drawn TRIAL_CHUNK at a time, and every method
-    steps through a chunk in one time loop (control.run_laws_batch) before
-    the next chunk is drawn.  The loop hands over the errors a block of
-    steps at a time, and each block is added at once to its method's
-    running sum of e^2, so neither a (trials, n_iters) error array nor more
-    than a chunk of signals is held.
+    weights; a filter that diverged, whose sums of e^2 are not all finite,
+    raises a ValueError naming its method.  The trials are drawn TRIAL_CHUNK
+    at a time, and every method steps through a chunk in one time loop
+    (control.run_laws_batch) before the next chunk is drawn.  The loop hands
+    over the errors a block of steps at a time, and each block is added at
+    once to its method's running sum of e^2, so neither a (trials, n_iters)
+    error array nor more than a chunk of signals is held.
     """
-    laws = {m: _keywords(m, p) for m, p in methods.items()}
     sums = {m: np.zeros(scn.n_iters) for m in methods}
     for first in range(0, scn.trials, TRIAL_CHUNK):
         stop = min(first + TRIAL_CHUNK, scn.trials)
         x, d = _sysid_signals(scn, first, stop)
         rows = np.zeros((1 + stop - first, ERROR_BLOCK))
         sinks = {m: _mean_square_into(s, rows) for m, s in sums.items()}
-        run_laws_batch((0.0,) * scn.order, laws, x, d, sinks=sinks)
+        run_laws_batch((0.0,) * scn.order, methods, x, d, sinks=sinks)
         del x, d  # so that the next chunk is drawn with this one freed
+    for m, s in sums.items():
+        if not np.isfinite(s).all():
+            raise ValueError(f"{m}: non-finite mean-square error; the filter diverged")
     return {m: _mse_report(s / scn.trials) for m, s in sums.items()}
 
 
@@ -297,7 +294,8 @@ class StepScenario:
     The controller works in scaled field units (ctrl_unit_nt per unit) with
     two taps: a constant reference and the previous sample's normalized
     ambient estimate (the sensed field minus the known coil contribution),
-    their weights starting from init_weights, two finite values.  The
+    their weights starting from init_weights, two finite values, and its law
+    taking params, an instance of control.LAWS[method].  The
     commanded field goes through the voltage fit, the ambient disturbance
     adds in, and the magnetometer closes the loop.  switch_time_s of
     pre-switch running lets the controller settle on the initial level
@@ -306,7 +304,7 @@ class StepScenario:
 
     profile: TargetProfile
     method: str
-    params: Mapping[str, float] | ConvexParams
+    params: LmsParams | SvsParams | AtlmsParams | ConvexParams
     sensor: SensorSpec
     duration_s: float = 20.0
     settle_time_s: float = 1.5
@@ -322,9 +320,9 @@ class StepScenario:
     def __post_init__(self):
         switch, rate = self.profile.switch_time_s, self.sensor.sample_rate_hz
         # NaN or inf whenever one of its terms is
-        if not math.isfinite((switch + self.duration_s) * rate):
-            raise ValueError("switch_time_s, duration_s and sample_rate_hz must be finite, "
-                             "as must the run's sample count")
+        if not math.isfinite((switch + self.duration_s) * rate) or self.n_steps() > STEP_MAX:
+            raise ValueError("switch_time_s, duration_s and sample_rate_hz must be finite, as must the run's "
+                             f"sample count, which must be <= STEP_MAX = {STEP_MAX}")
         if not self.duration_s > self.settle_time_s:
             raise ValueError("duration_s must exceed settle_time_s")
         # the steady window of run_step_response's metrics, from the first
@@ -340,6 +338,8 @@ class StepScenario:
             raise ValueError("band_fraction must be > 0 and finite")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if not isinstance(self.params, LAWS[self.method]):
+            raise TypeError(f"{self.method} params must be a {LAWS[self.method].__name__}")
         if not (0.0 < self.ctrl_unit_nt < math.inf and 0.0 < self.x_scale_nt < math.inf):
             raise ValueError("ctrl_unit_nt and x_scale_nt must be > 0 and finite")
         # the loop runs a two-tap controller
@@ -410,16 +410,15 @@ def run_step_response(scn: StepScenario) -> MetricsReport:
     disturbance = disturbance_series(scn.disturbance, times)
     noise = sensor_noise(scn.sensor, np.random.default_rng((scn.seed, 1)), n_total)
 
-    kw = _keywords(scn.method, scn.params)
+    p = scn.params
     convex = scn.method == "convex"
     if convex:
-        p = kw["params"]
         neg_alpha, beta, half_beta, sigma, phi = -p.alpha, p.beta, 0.5 * p.beta, p.sigma, p.phi
         c, mu_b, gamma_o, t_o = p.c, p.mu_b, p.gamma_o, p.t_o
         gamma, b, prev_e1, n = 0.5, 0.0, 0.0, 0  # gamma = logistic(b)
     else:  # a single filter: the parameters of its law, None for those it lacks
         svs, atlms = scn.method == "svs", scn.method == "atlms"
-        mu, alpha, beta, m, n_scale = map(kw.get, ("mu", "alpha", "beta", "m", "n_scale"))
+        mu, alpha, beta, m, n_scale = (getattr(p, name, None) for name in ("mu", "alpha", "beta", "m", "n_scale"))
     # a single filter's weights, or the convex fast branch's; u0, u1 are the
     # slow branch's, which the fast one starts as a copy of
     w0, w1 = (float(w) for w in scn.init_weights)

@@ -95,6 +95,11 @@ def sensor_noise(spec: SensorSpec, rng: np.random.Generator, n: int) -> np.ndarr
     return np.full(n, -0.0)
 
 
+# Largest target level and disturbance term, nT (1 T): some 20,000 times the
+# geomagnetic field, and a run's squared errors stay far inside the float range.
+LEVEL_MAX_NT = 1e9
+
+
 @dataclass(frozen=True)
 class DisturbanceSpec:
     """Environmental field disturbance: DC offset, AC tones, and seeded
@@ -107,17 +112,17 @@ class DisturbanceSpec:
 
     def __post_init__(self):
         # written so that NaN fails too
-        if not math.isfinite(self.dc_offset_nt):
-            raise ValueError("dc_offset_nt must be finite")
+        if not abs(self.dc_offset_nt) <= LEVEL_MAX_NT:
+            raise ValueError(f"dc_offset_nt must be finite and within +/-{LEVEL_MAX_NT:g} nT")
         for amp, freq, phase in self.ac_components:
-            if not 0.0 <= amp < math.inf:
-                raise ValueError("AC amplitudes must be >= 0 and finite")
+            if not 0.0 <= amp <= LEVEL_MAX_NT:
+                raise ValueError(f"AC amplitudes must be >= 0 and at most {LEVEL_MAX_NT:g} nT")
             if not 0.0 < freq < math.inf:
                 raise ValueError("AC frequencies must be > 0 and finite")
             if not math.isfinite(phase):
                 raise ValueError("AC phases must be finite")
-        if not 0.0 <= self.gaussian_sigma_nt < math.inf:
-            raise ValueError("gaussian_sigma_nt must be >= 0 and finite")
+        if not 0.0 <= self.gaussian_sigma_nt <= LEVEL_MAX_NT:
+            raise ValueError(f"gaussian_sigma_nt must be >= 0 and at most {LEVEL_MAX_NT:g} nT")
 
 
 def disturbance_series(spec: DisturbanceSpec, times) -> np.ndarray:
@@ -146,26 +151,19 @@ def snr_to_sigma(signal_power: float, snr_db: float) -> float:
     return math.sqrt(signal_power / (10.0 ** (snr_db / 10.0)))
 
 
-# Largest target level, nT (1 T): some 20,000 times the geomagnetic field,
-# and small enough that a run's squared errors stay far inside the float
-# range.
-LEVEL_MAX_NT = 1e9
-
-
 @dataclass(frozen=True)
 class TargetProfile:
     """Target field over time, nT.
 
     kinds: constant, step_up (levels[0] -> levels[1] at switch_time_s),
-    step_down (same convention), ramp_up (linear 0 -> level over
-    [0, switch_time_s], then hold).
+    step_down (same convention).
     """
 
     kind: str
     levels: tuple[float, ...] = (0.0,)
     switch_time_s: float = 0.0
 
-    _KINDS = ("constant", "step_up", "step_down", "ramp_up")
+    _KINDS = ("constant", "step_up", "step_down")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -175,8 +173,8 @@ class TargetProfile:
         for v in self.levels:
             if not abs(v) <= LEVEL_MAX_NT:
                 raise ValueError(f"profile levels must be finite and within +/-{LEVEL_MAX_NT:g} nT")
-        if self.kind in ("step_up", "step_down") and len(self.levels) != 2:
-            raise ValueError("step profiles need exactly 2 levels")
+        if len(self.levels) != (1 if self.kind == "constant" else 2):
+            raise ValueError("a constant profile needs exactly 1 level, and a step profile 2")
 
     @classmethod
     def constant(cls, level_nt: float) -> "TargetProfile":
@@ -190,30 +188,12 @@ class TargetProfile:
     def step_down(cls, level_nt: float, switch_time_s: float = 0.0) -> "TargetProfile":
         return cls("step_down", (level_nt, 0.0), switch_time_s)
 
-    @classmethod
-    def ramp_up(cls, level_nt: float, ramp_time_s: float) -> "TargetProfile":
-        return cls("ramp_up", (0.0, level_nt), ramp_time_s)
-
     def target_at(self, t):
         """Target at time t, nT: a float for a scalar t, an array of the
         same shape for an array of times, with the same bits at each time."""
         t = np.asarray(t, dtype=float)
-        levels = self.levels
-        if self.kind == "constant":
-            v = np.full(t.shape, levels[0])
-        elif self.kind in ("step_up", "step_down"):
-            v = np.where(t < self.switch_time_s, levels[0], levels[1])
-        else:  # ramp_up
-            ramp = self.switch_time_s
-            if ramp <= 0.0:
-                v = np.full(t.shape, levels[1])
-            else:
-                before = t <= 0.0
-                v = np.where(before, levels[0], levels[1])
-                # divide only inside the ramp (and at NaN), where t / ramp
-                # cannot overflow
-                rising = ~(before | (t >= ramp))
-                v[rising] = levels[1] * (t[rising] / ramp)
+        # a constant profile has one level, so its switch changes nothing
+        v = np.where(t < self.switch_time_s, self.levels[0], self.levels[-1])
         return float(v) if v.ndim == 0 else v
 
     def step_magnitude(self) -> float:

@@ -153,7 +153,7 @@ def scan_positions_ref(first: float, step: float, last: float) -> Iterator[float
 
 def run_keeping_errors(w0, law, x, d):
     """Run run_laws_batch on the one-law mapping `law` (method -> the
-    keywords of its law) with a sink that keeps every error block, and
+    parameters of its law) with a sink that keeps every error block, and
     return the method's final state with the whole (n_iters, trials) error
     arrays added: "e", and "e1" and "e2" for convex."""
     (method,) = law
@@ -499,10 +499,10 @@ def step_response_ref(scn) -> dict[str, np.ndarray]:
     n_total = scn.n_steps()
     convex = scn.method == "convex"
     if convex:
-        params = scn.params if isinstance(scn.params, ConvexParams) else ConvexParams(**scn.params)
+        params = scn.params
         state = ConvexState.initial(scn.init_weights)
     else:
-        rate = {"lms": lms_rate, "svs": svs_rate, "atlms": atlms_rate}[scn.method](**scn.params)
+        rate = {"lms": lms_rate, "svs": svs_rate, "atlms": atlms_rate}[scn.method](**vars(scn.params))
         state = FilterState.initial(scn.init_weights, rate)
     steps = np.arange(n_total)
     times = steps * (1.0 / scn.sensor.sample_rate_hz)

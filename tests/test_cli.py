@@ -22,6 +22,25 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def run_child(*args, env=(), **kwargs):
+    """`python *args` in a child that imports this checkout's coilsim, with
+    env added to its environment and its output captured."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, **dict(env),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, **kwargs)
+
+
+def address_space_cap(nbytes):
+    """A preexec_fn that caps the child's address space, and only its."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (nbytes, nbytes))
+    return limit
+
+
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+
 class TestMagneticsGoldens:
     # digests of the outputs of the per-point implementation the array
     # kernel replaced; the kernel must reproduce them byte for byte
@@ -82,17 +101,9 @@ class TestMagneticsGoldens:
         # thread a run takes about 120 MB of address space at either end of
         # the side range; the cap leaves four times that.
         cap = 512 << 20
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
         out = tmp_path / "out"
-        argv = [sys.executable, "-m", "coilsim.cli", "optimize", "--side-mm", side_mm, "--csv", "u.csv",
-                "--out-dir", str(out)]
-        done = subprocess.run(argv, env=env, preexec_fn=limit, capture_output=True, timeout=120)
+        done = run_child("-m", "coilsim.cli", "optimize", "--side-mm", side_mm, "--csv", "u.csv",
+                         "--out-dir", str(out), env=ONE_THREAD, preexec_fn=address_space_cap(cap), timeout=120)
         assert done.returncode == code, done.stderr.decode()
         assert b"Traceback" not in done.stderr
         assert (out / "u.csv").exists() == (code == EXIT_OK)
@@ -299,6 +310,15 @@ def linked_to_openblas() -> bool:
     return "openblas" in str(blas.get("name", "")).lower()
 
 
+def cpu_features() -> dict:
+    """numpy's CPU features, each True when its dispatch is on."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy before 2.0
+        return {}
+    return __cpu_features__
+
+
 class TestSysidGoldens:
     # captured from the runs whose trials draw from SeedSequence(seed,
     # spawn_key=(t, k)) child streams and whose targets and runners add the
@@ -328,13 +348,48 @@ class TestSysidGoldens:
     @pytest.mark.skipif(not linked_to_openblas(), reason="numpy is not linked to OpenBLAS")
     def test_outputs_under_another_blas_kernel(self, tmp_path):
         # Prescott is OpenBLAS's SSE3 kernel set, with no FMA
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        argv = ["sysid", "--preset", "table4-30db", "--out-dir", str(tmp_path)]
-        subprocess.run([sys.executable, "-m", "coilsim.cli", *argv], env=env, check=True, capture_output=True,
-                       timeout=300)
+        run_child("-m", "coilsim.cli", "sysid", "--preset", "table4-30db", "--out-dir", str(tmp_path),
+                  env={"OPENBLAS_CORETYPE": "Prescott"}, check=True, timeout=300)
         assert {p.name: sha256(p) for p in tmp_path.iterdir()} == self.GOLDENS["table4-30db"]
+
+    @pytest.mark.skipif(not cpu_features().get("X86_V4"), reason="numpy dispatches no X86_V4 kernels here")
+    def test_outputs_under_another_simd_dispatch(self, tmp_path):
+        # exp and arctan take numpy's SIMD kernels, whose bits follow the
+        # dispatch; with X86_V4 off they run the AVX2 ones
+        code = ("import sys; from numpy._core._multiarray_umath import __cpu_features__ as f; "
+                "print(f['AVX512_SKX']); from coilsim.cli import main; sys.exit(main(sys.argv[1:]))")
+        done = run_child("-c", code, "sysid", "--preset", "table4-30db", "--out-dir", str(tmp_path),
+                         env={"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}, timeout=300)
+        assert done.returncode == EXIT_OK, done.stderr.decode()
+        assert done.stdout.startswith(b"False\n")
+        assert {p.name: sha256(p) for p in tmp_path.iterdir()} == self.GOLDENS["table4-30db"]
+
+
+@pytest.mark.parametrize("method, key", [("lms", "mu"), ("svs", "beta"), ("atlms", "beta"), ("convex", "c")])
+def test_sysid_diverged_filter_exits_2_and_names_it(tmp_path, capsys, method, key):
+    # a finite rate far beyond any stable one: sysid wrote final_mse = nan
+    # and exited 0
+    cfg = edited_preset("table4-30db", f"method.{method}", key, "1e300")(tmp_path)
+    cfg.write_text(cfg.read_text().replace("trials = 200\n", "trials = 4\n"))
+    out = tmp_path / "out"
+    argv = ["sysid", "--config", str(cfg), "--methods", method, "--out-dir", str(out)]
+    assert main([*argv, "--validate-only"]) == EXIT_OK
+    assert main(argv) == EXIT_RUNTIME
+    assert capsys.readouterr().err == f"error: {method}: non-finite mean-square error; the filter diverged\n"
+    assert not out.exists()
+
+
+def test_sysid_out_of_memory_exits_2(tmp_path):
+    # n_iters within STEP_MAX, yet 3.2 GB of signals: more than the address
+    # space the child is capped to
+    cfg = edited_preset("table4-30db", "sysid", "n_iters", "2000000")(tmp_path)
+    out = tmp_path / "out"
+    done = run_child("-m", "coilsim.cli", "sysid", "--config", str(cfg), "--methods", "lms", "--out-dir", str(out),
+                     env=ONE_THREAD, preexec_fn=address_space_cap(512 << 20), timeout=120)
+    assert done.returncode == EXIT_RUNTIME, done.stderr.decode()
+    assert done.stderr.startswith(b"error: out of memory: ")
+    assert b"Traceback" not in done.stderr
+    assert not out.exists()
 
 
 def test_sysid_methods_run_together_as_if_alone(tmp_path):
@@ -601,6 +656,26 @@ EXIT_CODES = {
                          edited_preset("table4-30db", f"method.{method}", key, "nan"), EXIT_USAGE)
        for name, method, key in (("lms-mu-nan", "lms", "mu"), ("svs-beta-nan", "svs", "beta"),
                                  ("atlms-n-scale-nan", "atlms", "n_scale"))},
+    # rates no run can use passed --validate-only, then exited 2 from the
+    # loop's non-finite check
+    **{f"step-{method}-{key}-{name}": (["step", "--config", "{cfg}", "--method", method, "--out-dir", "{out}"],
+                                       edited_preset("table7-up", f"method.{method}", key, value), EXIT_USAGE)
+       for method, key, name, value in (("lms", "mu", "negative", "-1"), ("svs", "alpha", "negative", "-1"),
+                                        ("atlms", "alpha", "negative", "-1"), ("atlms", "beta", "negative", "-1"),
+                                        ("atlms", "m", "0", "0"), ("convex", "beta", "inf", "inf"),
+                                        ("convex", "c", "inf", "inf"))},
+    # runs longer than STEP_MAX steps passed --validate-only, then ended in a
+    # MemoryError traceback
+    **{f"step-{name}-1e9": (["step", "--config", "{cfg}", "--method", "lms", "--out-dir", "{out}"],
+                            edited_preset("table7-up", "step", key, "1e9"), EXIT_USAGE)
+       for name, key in (("duration", "duration_s"), ("switch-time", "switch_time_s"))},
+    "sysid-n-iters-1e9": (["sysid", "--config", "{cfg}", "--methods", "lms", "--out-dir", "{out}"],
+                          edited_preset("table4-30db", "sysid", "n_iters", "1000000000"), EXIT_USAGE),
+    # disturbances beyond LEVEL_MAX_NT passed --validate-only, then exited 2
+    **{f"step-{name}-1e300": (["step", "--config", "{cfg}", "--method", "lms", "--out-dir", "{out}"],
+                              config_text(MINIMAL_STEP + f"[disturbance]\n{line}\n"), EXIT_USAGE)
+       for name, line in (("dc-offset", "dc_offset_nt = 1e300"), ("gaussian-sigma", "gaussian_sigma_nt = 1e300"),
+                          ("ac-amplitude", "ac_components = 1e300:0.5:0"))},
 }
 # commands that take --validate-only; it runs the command's own checks, not
 # only the schema's, so every case of theirs that exits 1 exits 1 with the
@@ -661,10 +736,17 @@ def test_missing_method_key_exits_1_and_names_it(tmp_path, capsys, argv, preset,
         (["sysid", "--methods", "lms"], "table4-30db", "method.lms", "mu", "nan", "mu must be finite"),
         (["field-map"], "table2", "coil", "turns", "0", "turns must be a positive integer"),
         (["field-map"], "table2", "grid", "z_mm", "-300,300,0", "z axis count must be >= 1"),
+        (["step", "--method", "lms"], "table7-up", "method.lms", "mu", "-1", "mu must be finite and >= 0"),
+        (["step", "--method", "lms"], "table7-up", "step", "duration_s", "1e9",
+         "switch_time_s, duration_s and sample_rate_hz must be finite, as must the run's sample count, "
+         "which must be <= STEP_MAX = 10000000"),
+        (["sysid"], "table4-30db", "sysid", "n_iters", "1000000000",
+         "n_iters must exceed noise_reinjection_at and be <= STEP_MAX = 10000000"),
     ],
     ids=["sysid-trials", "sysid-reinjection", "step-duration", "sysid-seed", "step-seed", "step-duration-inf",
          "sysid-snr-minus-inf", "disturbance-gaussian-sigma-nan", "plant-v-max-nan", "convex-init-weights",
-         "lms-mu-nan", "coil-turns-0", "grid-axis-count-0"],
+         "lms-mu-nan", "coil-turns-0", "grid-axis-count-0", "lms-mu-negative", "step-duration-1e9",
+         "sysid-n-iters-1e9"],
 )
 def test_scenario_value_error_exits_1_and_names_the_section(tmp_path, capsys, argv, preset, section, key,
                                                               value, message):

@@ -1,6 +1,7 @@
 import pytest
 
-from coilsim.config import SCHEMA, ConfigError, parse_config
+from coilsim.config import SCHEMA, ConfigError, _floats, parse_config
+from coilsim.control import LmsParams
 from coilsim.experiments import StepScenario, SysIdScenario
 from coilsim.plant import RM3100, DisturbanceSpec, SensorSpec, TargetProfile
 
@@ -20,7 +21,7 @@ def test_step_scenario_defaults_match_dataclass_defaults():
     default = StepScenario(
         profile=TargetProfile.step_up(120000.0),
         method="lms",
-        params={"mu": 0.05},
+        params=LmsParams(mu=0.05),
         sensor=SensorSpec(),
     )
     assert scn == default
@@ -40,7 +41,7 @@ REQUIRED = {"meta": {"schema_version": "1"}, "step": {"profile": "step_up", "lev
 BUILDS = {
     "sysid": (lambda cfg: cfg.sysid_scenario(), SysIdScenario(snr_db=30.0)),
     "step": (lambda cfg: cfg.step_scenario("lms"),
-             StepScenario(TargetProfile.step_up(120000.0), "lms", {"mu": 0.05}, SensorSpec())),
+             StepScenario(TargetProfile.step_up(120000.0), "lms", LmsParams(mu=0.05), SensorSpec())),
     "sensor": (lambda cfg: cfg.sensor(), SensorSpec()),
     "disturbance": (lambda cfg: cfg.disturbance(7), DisturbanceSpec(seed=7)),
 }
@@ -118,7 +119,6 @@ def test_sensor_from_explicit_keys():
     ("step_up", (0.0, 120000.0), 0.5),
     ("step_down", (120000.0, 0.0), 0.5),
     ("constant", (120000.0,), 0.0),  # a constant target has no switch
-    ("ramp_up", (0.0, 120000.0), 0.5),  # the switch time is the ramp's length
 ])
 def test_target_profile_kinds(kind, levels, switch):
     text = MINIMAL_STEP.replace("profile = step_up", f"profile = {kind}\nswitch_time_s = 0.5")
@@ -127,6 +127,20 @@ def test_target_profile_kinds(kind, levels, switch):
 
 
 def test_unknown_target_profile_kind_is_rejected():
-    cfg = parse_config(MINIMAL_STEP.replace("profile = step_up", "profile = sawtooth"))
-    with pytest.raises(ConfigError, match="profile 'sawtooth' not recognized"):
-        cfg.target_profile()
+    # ramp_up was a kind, which no preset used
+    for kind in ("sawtooth", "ramp_up"):
+        cfg = parse_config(MINIMAL_STEP.replace("profile = step_up", f"profile = {kind}"))
+        with pytest.raises(ConfigError, match=f"profile '{kind}' not recognized"):
+            cfg.target_profile()
+
+
+def test_method_sections_of_the_schema():
+    # derived from the law parameter classes' fields: the keys, their order
+    # and their parsers of the hand-written sections they replaced
+    assert [(s, list(keys.items())) for s, keys in SCHEMA.items() if s.startswith("method.")] == [
+        ("method.lms", [("mu", float)]),
+        ("method.svs", [("alpha", float), ("beta", float)]),
+        ("method.atlms", [("alpha", float), ("beta", float), ("m", float), ("n_scale", float)]),
+        ("method.convex", [("alpha", float), ("beta", float), ("sigma", float), ("phi", float), ("c", float),
+                           ("mu_b", float), ("gamma_o", float), ("t_o", int), ("init_weights", _floats)]),
+    ]

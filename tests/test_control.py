@@ -11,7 +11,16 @@ from hypothesis import strategies as hst
 import oracles
 from coilsim.cli import EXIT_OK, main
 from coilsim.config import load_preset
-from coilsim.control import ERROR_BLOCK, ConvexParams, NonFiniteInput, check_convergence_condition, run_laws_batch
+from coilsim.control import (
+    ERROR_BLOCK,
+    AtlmsParams,
+    ConvexParams,
+    LmsParams,
+    NonFiniteInput,
+    SvsParams,
+    check_convergence_condition,
+    run_laws_batch,
+)
 from coilsim.experiments import run_step_response
 from oracles import (
     ConvexState,
@@ -30,14 +39,19 @@ PARAMS = ConvexParams(alpha=500.0, beta=0.01, sigma=0.0, phi=1.0, c=0.1,
 # rates at which the SVS and convex exponents cross the +-700 clamp and
 # convex transfers weights
 STRONG = ConvexParams(alpha=1e5, beta=0.3, sigma=11.0, phi=0.1, c=0.1, mu_b=2.0, gamma_o=0.55, t_o=3)
-# method -> (its reference in tests/oracles.py, the keywords of its law in
-# run_laws_batch); a reference takes the same keywords
+# method -> (its reference in tests/oracles.py, the parameters of its law in
+# run_laws_batch); a reference takes them as keywords(law)
 LAWS = {
-    "lms": (oracles.run_lms_batch_ref, {"mu": 0.05}),
-    "svs": (oracles.run_svs_batch_ref, {"alpha": 1e4, "beta": 0.15}),
-    "atlms": (oracles.run_atlms_batch_ref, {"alpha": 500.0, "beta": 0.01, "m": 900.0, "n_scale": 500.0}),
-    "convex": (oracles.run_convex_batch_ref, {"params": STRONG}),
+    "lms": (oracles.run_lms_batch_ref, LmsParams(mu=0.05)),
+    "svs": (oracles.run_svs_batch_ref, SvsParams(alpha=1e4, beta=0.15)),
+    "atlms": (oracles.run_atlms_batch_ref, AtlmsParams(alpha=500.0, beta=0.01, m=900.0, n_scale=500.0)),
+    "convex": (oracles.run_convex_batch_ref, STRONG),
 }
+
+
+def keywords(law):
+    """A law's parameters as the keywords of its reference in tests/oracles.py."""
+    return {"params": law} if isinstance(law, ConvexParams) else vars(law)
 
 
 def random_state(rng, order=2):
@@ -200,9 +214,25 @@ class TestConvexStep:
         for key in ("alpha", "sigma", "mu_b"):
             with pytest.raises(ValueError, match="^alpha, sigma and mu_b must be finite$"):
                 ConvexParams(**{"alpha": 1.0, "beta": 0.1, key: math.inf})
+        for key in ("beta", "c"):  # inf once passed > 0
+            with pytest.raises(ValueError, match=f"^{key} must be finite and > 0$"):
+                ConvexParams(**{"alpha": 1.0, "beta": 0.1, key: math.inf})
 
 
 class TestBaselines:
+    @pytest.mark.parametrize("method", ["lms", "svs", "atlms"])
+    def test_params_validation(self, method):
+        # every rate is finite and >= 0, so a zero rate is allowed; ATLMS's m
+        # is finite and > 0, so that m + n_scale is too
+        params = LAWS[method][1]
+        for key in vars(params):
+            domain, bad = ("> 0", (0.0, -1.0)) if key == "m" else (">= 0", (-1.0, -1e-300))
+            for value in (math.nan, math.inf, -math.inf, *bad):
+                with pytest.raises(ValueError, match=f"^{key} must be finite and {domain}$"):
+                    replace(params, **{key: value})
+            if key != "m":
+                assert getattr(replace(params, **{key: 0.0}), key) == 0.0
+
     def test_lms_hand_computed_step(self):
         st = FilterState.initial([0.0, 0.0], lms_rate(0.5))
         assert filter_step(st, (1.0, 0.0), 1.0) == 0.0
@@ -307,7 +337,7 @@ class TestErrorDecrease:
         n_iters, trials = 1000, 100
         x = tap_delay(rng.standard_normal((n_iters + 1, trials)), 2)
         d = 0.8 * x[:, 0] + 0.5 * x[:, 1] + 0.0316 * rng.standard_normal((n_iters, trials))
-        e = np.abs(oracles.run_keeping_errors([0.0, 0.0], {"convex": {"params": PARAMS}}, x, d)["e"])
+        e = np.abs(oracles.run_keeping_errors([0.0, 0.0], {"convex": PARAMS}, x, d)["e"])
         first = e[: n_iters // 2].mean(axis=0)
         second = e[n_iters // 2 :].mean(axis=0)
         assert np.count_nonzero(second < first) >= 99
@@ -343,14 +373,14 @@ class TestBatchEquivalence:
         for order in (1, 2, 3, 9):
             x, d = self._signals(order, seed=order)
             w0 = np.linspace(-0.3, 0.4, order)
-            res = oracles.run_keeping_errors(w0, {"lms": {"mu": 0.05}}, x, d)
+            res = oracles.run_keeping_errors(w0, {"lms": LmsParams(mu=0.05)}, x, d)
             for t in range(self.TRIALS):
                 e = self._scalar_errors(x, d, t, filter_step, FilterState.initial(w0, lms_rate(0.05)))
                 np.testing.assert_array_equal(bits(e), bits(res["e"][:, t]), err_msg=f"order {order}")
 
     def test_svs_batch_matches_scalar(self):
         x, d = self._signals(seed=5)
-        self._assert_filter_matches({"svs": {"alpha": 4.0, "beta": 0.15}}, svs_rate(4.0, 0.15), x, d)
+        self._assert_filter_matches({"svs": SvsParams(alpha=4.0, beta=0.15)}, svs_rate(4.0, 0.15), x, d)
 
     def test_atlms_batch_matches_scalar(self):
         x, d = self._signals(seed=6)
@@ -358,7 +388,7 @@ class TestBatchEquivalence:
 
     def test_convex_batch_matches_scalar(self):
         x, d = self._signals(seed=7)
-        res = oracles.run_keeping_errors([0.0, 0.0], {"convex": {"params": PARAMS}}, x, d)
+        res = oracles.run_keeping_errors([0.0, 0.0], {"convex": PARAMS}, x, d)
         for t in range(self.TRIALS):
             st = ConvexState.initial([0.0, 0.0])
             for n in range(x.shape[0]):
@@ -437,7 +467,7 @@ class TestBatchRunnersBitwise:
         x, d, xr, dr = self._with_bias(signals, fit)
         w0 = np.linspace(-0.3, 0.4, order)
         ref = oracles.run_lms_batch_ref(w0, 0.05, x, d)
-        assert_bitwise_equal(w0, {"lms": {"mu": 0.05}}, xr, dr, ref)
+        assert_bitwise_equal(w0, {"lms": LmsParams(mu=0.05)}, xr, dr, ref)
 
     @pytest.mark.parametrize("alpha", [4.0, 1e4])
     def test_svs(self, signals, order, fit, alpha):
@@ -446,12 +476,12 @@ class TestBatchRunnersBitwise:
         ref = oracles.run_svs_batch_ref(w0, alpha, 0.15, x, d)
         if alpha > 1e3:  # -alpha * |e| crosses the -700 clamp
             assert np.any(alpha * np.abs(ref["e"]) > 700.0)
-        assert_bitwise_equal(w0, {"svs": {"alpha": alpha, "beta": 0.15}}, xr, dr, ref)
+        assert_bitwise_equal(w0, {"svs": SvsParams(alpha=alpha, beta=0.15)}, xr, dr, ref)
 
     def test_atlms(self, signals, order, fit):
         x, d, xr, dr = self._with_bias(signals, fit)
         w0 = np.linspace(-0.3, 0.4, order)
-        ref = oracles.run_atlms_batch_ref(w0, x=x, d=d, **LAWS["atlms"][1])
+        ref = oracles.run_atlms_batch_ref(w0, x=x, d=d, **keywords(LAWS["atlms"][1]))
         assert_bitwise_equal(w0, {"atlms": LAWS["atlms"][1]}, xr, dr, ref)
 
     @pytest.mark.parametrize("t_o", [1, 2, 3])
@@ -467,7 +497,7 @@ class TestBatchRunnersBitwise:
         assert np.any(-p.alpha * np.abs(e1[:, 1:] * e1[:, :-1]) + p.sigma * np.abs(e1[:, 1:]) < -700.0)
         no_late_transfer = replace(p, t_o=self.N_ITERS)
         assert not np.array_equal(ref["e2"], oracles.run_convex_batch_ref(w0, no_late_transfer, x, d)["e2"])
-        assert_bitwise_equal(w0, {"convex": {"params": p}}, xr, dr, ref)
+        assert_bitwise_equal(w0, {"convex": p}, xr, dr, ref)
 
     def test_convex_gamma_clamp(self):
         # mu_b large enough that b ends below -700 in some trials, where the
@@ -478,12 +508,12 @@ class TestBatchRunnersBitwise:
         p = ConvexParams(alpha=1e5, beta=0.3, sigma=11.0, phi=0.1, c=0.1, mu_b=5e4, gamma_o=0.55, t_o=2)
         ref = oracles.run_convex_batch_ref([0.1, -0.2], p, x, d)
         assert np.any(ref["gamma"] == 1.0 / (1.0 + np.exp(700.0)))
-        assert_bitwise_equal([0.1, -0.2], {"convex": {"params": p}}, x, d, ref)
+        assert_bitwise_equal([0.1, -0.2], {"convex": p}, x, d, ref)
 
     def test_convex_default_rates(self, signals, order):
         x, d, xr, dr = signals
         ref = oracles.run_convex_batch_ref([0.0] * order, PARAMS, x, d)
-        assert_bitwise_equal([0.0] * order, {"convex": {"params": PARAMS}}, xr, dr, ref)
+        assert_bitwise_equal([0.0] * order, {"convex": PARAMS}, xr, dr, ref)
 
 
 class TestErrorBlocks:
@@ -502,13 +532,13 @@ class TestErrorBlocks:
     def test_full_arrays_match_reference(self, signals, method):
         ref, law = LAWS[method]
         x, d = signals
-        assert_bitwise_equal([0.1, -0.2], {method: law}, x, d, ref([0.1, -0.2], x=x, d=d, **law))
+        assert_bitwise_equal([0.1, -0.2], {method: law}, x, d, ref([0.1, -0.2], x=x, d=d, **keywords(law)))
 
     @pytest.mark.parametrize("method", list(LAWS))
     def test_sink_gets_each_block_in_order(self, signals, method):
         ref, law = LAWS[method]
         x, d = signals
-        want = ref([0.1, -0.2], x=x, d=d, **law)
+        want = ref([0.1, -0.2], x=x, d=d, **keywords(law))
         errors = [key for key in ("e", "e1", "e2") if key in want]
         seen = []
 
@@ -560,7 +590,7 @@ class TestOneLoop:
         for m, (ref, law) in LAWS.items():
             blocks = []
             state = run_laws_batch(w0, {m: law}, x, d, sinks={m: self._keeping(blocks)})[m]
-            want = ref(w0, x=np.ascontiguousarray(x), d=d, **law)
+            want = ref(w0, x=np.ascontiguousarray(x), d=d, **keywords(law))
             errors = np.concatenate([b for _, b in blocks], axis=1)
             for key, e in zip(("e", "e1", "e2"), errors):
                 np.testing.assert_array_equal(bits(e), bits(want[key]), err_msg=key)

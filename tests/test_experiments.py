@@ -1,7 +1,7 @@
 import csv
 import tracemalloc
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from coilsim import experiments
 from coilsim._table import write_repr_csv
 from coilsim.config import load_preset
 from coilsim.plant import SensorSpec, TargetProfile, sensor_noise, snr_to_sigma
-from coilsim.control import ConvexParams, NonFiniteInput, run_laws_batch
+from coilsim.control import LAWS, ConvexParams, LmsParams, NonFiniteInput, SvsParams, run_laws_batch
 from coilsim.experiments import (
     ActuatorSaturationWarning,
     StepScenario,
@@ -49,7 +49,7 @@ def test_converged_lms_weight_error_uncorrelated_with_noise():
     wo = np.asarray(scn.true_weights)
 
     def stat(steps):
-        w = run_laws_batch(np.zeros(scn.order), {"lms": {"mu": mu}}, x[:steps], d[:steps],
+        w = run_laws_batch(np.zeros(scn.order), {"lms": LmsParams(mu=mu)}, x[:steps], d[:steps],
                            sinks={"lms": lambda *_: None})["lms"]["w"]
         s = eps[n] * np.sum(x[n] * (wo[:, None] - w.T), axis=0)
         return float(np.mean(s)), float(np.std(s, ddof=1) / np.sqrt(scn.trials))
@@ -230,7 +230,7 @@ class TestInlineLoop:
 class TestStepScenarioChecks:
     @staticmethod
     def _scenario(rate, switch, duration):
-        return StepScenario(profile=TargetProfile.step_up(10000.0, switch), method="lms", params={"mu": 0.05},
+        return StepScenario(profile=TargetProfile.step_up(10000.0, switch), method="lms", params=LmsParams(mu=0.05),
                             sensor=SensorSpec(sample_rate_hz=rate), duration_s=duration, settle_time_s=1.5,
                             v_min_v=-3.0)
 
@@ -257,6 +257,23 @@ class TestStepScenarioChecks:
                 accepted += 1
         assert accepted and rejected
 
+    def test_sample_count_is_capped(self):
+        # 0.5 s before the switch and 9.5 s after, at STEP_MAX / 10 Hz
+        rate = experiments.STEP_MAX / 10.0
+        assert self._scenario(rate, 0.5, 9.5).n_steps() == experiments.STEP_MAX
+        with pytest.raises(ValueError, match="the run's sample count, which must be <= STEP_MAX = 10000000$"):
+            self._scenario(rate, 0.5, 9.5 + 2.0 / rate)
+
+    @pytest.mark.parametrize("method", experiments.METHODS)
+    def test_params_must_be_the_methods_class(self, method):
+        scn = load_preset("table7-up").step_scenario(method)
+        assert type(scn.params) is LAWS[method]
+        other = SvsParams(alpha=1.0, beta=0.1) if method != "svs" else LmsParams(mu=0.05)
+        with pytest.raises(TypeError, match=f"^{method} params must be a {LAWS[method].__name__}$"):
+            replace(scn, params=other)
+        with pytest.raises(TypeError, match="params must be"):
+            replace(scn, params=vars(scn.params))
+
 
 class TestRunSysid:
     def test_draws_signals_once_for_all_methods(self, monkeypatch, table4):
@@ -281,11 +298,17 @@ class TestRunSysid:
             assert alone.final_mse == together[m].final_mse
             np.testing.assert_array_equal(alone.mse_curve, together[m].mse_curve)
 
-    def test_convex_params_may_be_a_dict(self, table4):
-        scn = small_scenario()
-        as_dict = run_sysid(scn, {"convex": asdict(table4["convex"])})["convex"]
-        as_params = run_sysid(scn, {"convex": table4["convex"]})["convex"]
-        np.testing.assert_array_equal(as_dict.mse_curve, as_params.mse_curve)
+    @pytest.mark.parametrize("method, key", [("lms", "mu"), ("svs", "beta"), ("atlms", "beta"), ("convex", "c")])
+    def test_a_diverged_filter_raises_and_names_its_method(self, table4, method, key):
+        # a finite rate far beyond any stable one: the MSE sums overflow
+        laws = {**table4, method: replace(table4[method], **{key: 1e300})}
+        with pytest.raises(ValueError, match=f"^{method}: non-finite mean-square error; the filter diverged$"):
+            run_sysid(small_scenario(), laws)
+
+    def test_n_iters_is_capped(self):
+        small_scenario(n_iters=experiments.STEP_MAX)
+        with pytest.raises(ValueError, match="and be <= STEP_MAX = 10000000$"):
+            small_scenario(n_iters=experiments.STEP_MAX + 1)
 
     @staticmethod
     def _assert_burst_only_at(scn):
@@ -343,7 +366,7 @@ class TestSysidStreaming:
         reports = run_sysid(scn, table4)
         x, d = experiments._sysid_signals(scn)
         for m, params in table4.items():
-            e = oracles.run_keeping_errors((0.0,) * order, {m: experiments._keywords(m, params)}, x, d)["e"]
+            e = oracles.run_keeping_errors((0.0,) * order, {m: params}, x, d)["e"]
             # trial-major, so that the mean adds the trials in index order
             want = experiments._smooth_causal(np.mean(np.ascontiguousarray(e.T) ** 2, axis=0),
                                               experiments.SMOOTHING_WINDOW)
