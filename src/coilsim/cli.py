@@ -70,14 +70,18 @@ def _outdir(args) -> Path:
 
 
 @contextmanager
-def _new_outdir(args):
-    """`_outdir`, with the directories it made removed again, if still
-    empty, when the body raises."""
+def _new_outdir(args, written=()):
+    """`_outdir`, with the files listed in `written` by the time the body
+    raises, and then the directories it made, if empty, removed again when
+    it does."""
     made = [p for p in (args.out_dir, *args.out_dir.parents) if not p.exists()]
     out = _outdir(args)
     try:
         yield out
     except BaseException:
+        for p in written:
+            with suppress(OSError):
+                p.unlink()
         for p in made:
             with suppress(OSError):
                 p.rmdir()
@@ -243,21 +247,31 @@ def cmd_step(args) -> int:
     if args.validate_only:
         print("config OK")
         return EXIT_OK
-    out = _outdir(args)
     single = len(methods) == 1
-    rows = []
-    for m, scn in scenarios.items():
-        report = experiments.run_step_response(scn)
-        cols = report.columns
-        _write_columns(out / ("trace.csv" if single else f"trace_{m}.csv"), TRACE_COLUMNS, cols)
-        if args.sensor_log:
-            log = args.sensor_log if single else args.sensor_log.with_stem(f"{args.sensor_log.stem}_{m}")
-            _write_columns(out / log, SENSOR_LOG_COLUMNS, cols)
-        if args.diag_csv and m == "convex":
-            _write_columns(out / args.diag_csv, DIAGNOSTICS_COLUMNS, cols)
-        report.columns = None  # written; only the summary is kept for metrics.csv
-        rows.append((m, report))
-    experiments.write_metrics_csv(out / "metrics.csv", rows)
+    rows, written = [], []
+
+    def write(path, names, cols):
+        written.append(path)
+        _write_columns(path, names, cols)
+
+    # a method that fails takes the files of those run before it with it
+    with _new_outdir(args, written) as out:
+        for m, scn in scenarios.items():
+            try:
+                report = experiments.run_step_response(scn)
+            except ValueError as err:
+                raise ValueError(f"{m}: {err}") from err
+            cols = report.columns
+            write(out / ("trace.csv" if single else f"trace_{m}.csv"), TRACE_COLUMNS, cols)
+            if args.sensor_log:
+                log = args.sensor_log if single else args.sensor_log.with_stem(f"{args.sensor_log.stem}_{m}")
+                write(out / log, SENSOR_LOG_COLUMNS, cols)
+            if args.diag_csv and m == "convex":
+                write(out / args.diag_csv, DIAGNOSTICS_COLUMNS, cols)
+            report.columns = None  # written; only the summary is kept for metrics.csv
+            rows.append((m, report))
+        written.append(out / "metrics.csv")
+        experiments.write_metrics_csv(written[-1], rows)
     for m, report in rows:
         reach = report.reach_target_time_s
         reach_txt = "never" if math.isnan(reach) else f"{reach:.3f}s"

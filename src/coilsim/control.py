@@ -27,23 +27,28 @@ One time loop, `run_laws_batch`, runs many independent trials of any set
 of the four laws together, vectorized across trials, over one stacked
 (order, filters, trials) weight array: the convex w1 and w2 first, then
 each single filter.  It exists for experiment-harness speed and is pinned
-to the scalar steps by equivalence tests.  The work every law shares runs
-once per step for all filters: w.x, d - y, k = rate * e and w += k * x,
-with one row of `rate` per filter (mu for LMS, c for the fast branch,
-2 * mu1 for the slow one, whose k alone is then divided by phi + x.x, and
-the SVS and ATLMS rates as their laws write them), and the logistics of
-mu1, gamma and the SVS rate share one pass.  Each element keeps the
-operation order of the scalar step, so a law gives the same bits whichever
-laws run beside it.  Each dot product adds its taps in plain order,
-w0*x0 + w1*x1 + ..., so the bits do not depend on a BLAS kernel.
+to the scalar steps by equivalence tests.  It takes its signals as an
+iterable of time-major (x, d) blocks of consecutive steps, a whole run
+being one block, so a caller can draw them as the loop goes and hold one
+block at a time; the loop counts the steps across blocks, for the weight
+transfer's n % t_o and the sinks' start, and any split of a run gives the
+bits of the whole.  The work every law shares runs once per step for all
+filters: w.x, d - y, k = rate * e and w += k * x, with one row of `rate`
+per filter (mu for LMS, c for the fast branch, 2 * mu1 for the slow one,
+whose k alone is then divided by phi + x.x, and the SVS and ATLMS rates as
+their laws write them), and the logistics of mu1, gamma and the SVS rate
+share one pass.  Each element keeps the operation order of the scalar
+step, so a law gives the same bits whichever laws run beside it.  Each dot
+product adds its taps in plain order, w0*x0 + w1*x1 + ..., so the bits do
+not depend on a BLAS kernel.
 
 Each step writes its errors into one row of a time-major
 (rows, ERROR_BLOCK, trials) buffer, the convex e first and then each
-filter's, and every ERROR_BLOCK steps (fewer at the end) the loop calls
-each method's `sink(start, block)` with a view of its filled rows:
-block[0] holds e and, for convex, block[1] and block[2] hold e1 and e2,
-each (steps, trials) for the steps from `start` on.  The buffer is reused,
-so a sink copies what it keeps.  The sinks are required and are the
+filter's, and every ERROR_BLOCK steps (fewer at the end of a signal block)
+the loop calls each method's `sink(start, block)` with a view of its
+filled rows: block[0] holds e and, for convex, block[1] and block[2] hold
+e1 and e2, each (steps, trials) for the steps from `start` on.  The buffer
+is reused, so a sink copies what it keeps.  The sinks are required and are the
 errors' only way out: the loop returns just each method's final state, so
 no (trials, n_iters) error array exists unless a sink builds one.
 
@@ -54,9 +59,10 @@ closed form.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -208,14 +214,17 @@ ErrorSink = Callable[[int, np.ndarray], None]
 def run_laws_batch(
     w0: Sequence[float],
     laws: Mapping[str, LmsParams | SvsParams | AtlmsParams | ConvexParams],
-    x: np.ndarray,
-    d: np.ndarray,
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]],
     *,
     sinks: Mapping[str, ErrorSink],
 ) -> dict[str, dict]:
     """Run independent trials of several update laws in one time loop, every
-    filter from the weights w0, on time-major inputs of any strides: x has
-    shape (n_iters, order, trials), d shape (n_iters, trials).
+    filter from the weights w0, on time-major inputs of any strides that
+    come a block of steps at a time: each of `blocks` is a pair x (steps,
+    order, trials), d (steps, trials) of the steps that follow the blocks
+    before it, and a whole run in one block is [(x, d)].  The loop is done
+    with a block before it takes the next, so a block may reuse the memory
+    of the one before.
 
     `laws` maps each method to the parameters of its law, an instance of
     LAWS[method]; convex runs from b = 0.  Each method runs as if
@@ -223,14 +232,17 @@ def run_laws_batch(
     final state under its name, "w" (trials, order) for a single filter and
     "w1", "w2" (trials, order), "b" and "gamma" (trials,) for convex.
     """
-    n_iters, order, trials = x.shape
+    blocks = iter(blocks)
+    first = next(blocks, None)
+    if first is None:
+        raise ValueError("no block of signals")
+    _, order, trials = first[0].shape
     singles = [m for m in laws if m != "convex"]
     convex = "convex" in laws
     top = int(convex)  # error row 0 holds the convex e
     n_conv = 2 * top  # filters 0 and 1 are the convex w1 and w2
     n_f = n_conv + len(singles)
     w = np.tile(np.asarray(w0, dtype=float)[:, None, None], (1, n_f, trials))
-    xb = x[:, :, None]  # each step's taps, broadcast over the filters
     y = np.empty((top + n_f, trials))  # the convex y, then each filter's w.x
     y_f = y[top:]
     errs = np.empty((top + n_f, ERROR_BLOCK, trials))  # the rows of y, as d - y
@@ -273,16 +285,16 @@ def run_laws_batch(
     maximum, minimum, absolute, copyto = np.maximum, np.minimum, np.absolute, np.copyto
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n_iters, ERROR_BLOCK):
-            stop = min(start + ERROR_BLOCK, n_iters)
+        for start, x, d in _error_spans(itertools.chain([first], blocks), order, trials):
+            steps = len(x)
             if convex:
-                xs = x[start:stop]
-                den = np.multiply(xs[:, 0], xs[:, 0], out=dens[: stop - start])
+                den = np.multiply(x[:, 0], x[:, 0], out=dens[:steps])
                 for j in range(1, order):  # in plain tap order
-                    den += xs[:, j] * xs[:, j]
+                    den += x[:, j] * x[:, j]
                 den += p.phi
-            for n in range(start, stop):
-                x_n, i = xb[n], n - start
+            xb = x[:, :, None]  # each step's taps, broadcast over the filters
+            for i in range(steps):
+                x_n = xb[i]
                 multiply(w, x_n, out=xw)
                 if order == 1:
                     copyto(y_f, xw[0])
@@ -295,7 +307,7 @@ def run_laws_batch(
                     multiply(gamma, y1, out=y_c)
                     add(y_c, multiply(g1, y2, out=tmp), out=y_c)
                 e_all = errs[:, i]
-                subtract(d[n], y, out=e_all)
+                subtract(d[i], y, out=e_all)
 
                 if convex:
                     e, e1 = e_all[0], e_all[1]
@@ -307,7 +319,7 @@ def run_laws_batch(
                     multiply(tmp, subtract(y1, y2, out=dy), out=tmp)
                     multiply(multiply(tmp, gamma, out=tmp), g1, out=tmp)
                     add(b, tmp, out=b)
-                    moves = n % t_o == 0  # a weight-transfer step
+                    moves = (start + i) % t_o == 0  # a weight-transfer step
                     if moves:
                         np.greater(gamma, p.gamma_o, out=transfer)
                     np.negative(b, out=gamma)  # clamp(-b) == -clamp(b) exactly
@@ -336,9 +348,23 @@ def run_laws_batch(
                         copyto(w2, w1, where=transfer)
                     abs_e1, prev_abs_e1 = prev_abs_e1, abs_e1
             for m, r in rows.items():
-                sinks[m](start, errs[r, : stop - start])
+                sinks[m](start, errs[r, :steps])
 
     res = {m: {"w": w[:, n_conv + i].T.copy()} for i, m in enumerate(singles)}
     if convex:
         res["convex"] = {"w1": w1.T.copy(), "w2": w2.T.copy(), "b": b, "gamma": gamma.copy()}
     return res
+
+
+def _error_spans(blocks, order: int, trials: int):
+    """The blocks' steps as (start, x, d), at most ERROR_BLOCK steps each,
+    start the global index of the first; no span crosses a block's edge."""
+    start = 0
+    for x, d in blocks:
+        steps = len(x)
+        if x.shape[1:] != (order, trials) or d.shape != (steps, trials):
+            raise ValueError(f"a block of shapes {x.shape} and {d.shape} in a run of "
+                             f"{order} taps and {trials} trials")
+        for i in range(0, steps, ERROR_BLOCK):
+            yield start + i, x[i : i + ERROR_BLOCK], d[i : i + ERROR_BLOCK]
+        start += steps

@@ -3,12 +3,18 @@ closed-loop step-response study, plus the metric computations they share.
 
 Every run is reproducible: scenarios carry a seed, and sysid trial t draws
 from its own pair of child streams of that seed, SeedSequence(seed,
-spawn_key=(t, k)) with k = 0 for its input and k = 1 for its noise.  Trial
+spawn_key=(t, k)) with k = 0 for its input and k = 1 for its noise.  A
+sysid run draws its signals a block of steps at a time as its loop steps
+through them, so its memory does not grow with the signals.  Trial
 averages add the trials in index order however the trials and steps are
 blocked, and every dot product adds its taps in plain order with no BLAS
-call, so a scenario gives the same bits on any CPU.  Runs take at most
-STEP_MAX steps, and a filter that diverges gives no report: run_sysid names
-its method in a ValueError, and the closed loop raises NonFiniteInput.
+call, so the bits do not depend on the BLAS kernel or the blocking.  The
+sysid laws call np.exp and np.arctan, whose bits follow numpy's SIMD
+dispatch; the sysid goldens are checked under two dispatches (AVX-512 and
+AVX2 on x86-64), not proven for every CPU.  The closed loop uses math.exp
+and math.atan.  Runs take at most STEP_MAX steps, and a filter that
+diverges gives no report: run_sysid names its method in a ValueError, and
+the closed loop raises NonFiniteInput.
 
 A step-response run returns its metrics together with its per-step record,
 MetricsReport.columns: one array per column name.  The trace, sensor-log
@@ -24,7 +30,7 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -129,11 +135,12 @@ def compute_metrics(
 # the noise burst: REINJECTION_LEN samples at REINJECTION_SCALE times the noise
 REINJECTION_SCALE = 50.0
 REINJECTION_LEN = 10
-# sysid trials drawn per block of the signal arrays
-TRIAL_BLOCK = 16
 # sysid trials drawn and run at a time: enough trials per step to spread
-# numpy's per-call cost, and at 5,000 steps ~80 MB of signals
+# numpy's per-call cost, and a bound on the 2 * TRIAL_CHUNK Generators and
+# the (TRIAL_CHUNK, SIGNAL_BLOCK) signal buffers held at once
 TRIAL_CHUNK = 1024
+# sysid steps drawn at a time, a whole number of error blocks
+SIGNAL_BLOCK = 4 * ERROR_BLOCK
 # MSE curve smoothing window, and the convergence test against the curve's tail
 SMOOTHING_WINDOW = 20
 TAIL_FRACTION = 0.1
@@ -173,50 +180,62 @@ class SysIdScenario:
             raise ValueError("seed must be >= 0")
 
 
-def _sysid_signals(scn: SysIdScenario, first: int = 0,
-                   stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Tap inputs x (n_iters, order, trials) and noisy targets d (n_iters,
-    trials) of trials first to stop (all of them by default), time-major:
-    the layout the batch runners step through.
+def _sysid_blocks(scn: SysIdScenario, first: int = 0,
+                  stop: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The tap inputs x (steps, order, trials) and noisy targets d (steps,
+    trials) of trials first to stop (all of them by default), time-major,
+    the layout the batch runner steps through, SIGNAL_BLOCK steps at a time
+    (fewer at the end).  Each block is a view of buffers that the next one
+    reuses, so a caller that keeps a block copies it.
 
     Trial t draws its input from SeedSequence(seed, spawn_key=(t, 0)) and
     its noise from spawn_key=(t, 1): the streams of
     SeedSequence(seed).spawn(trials)[t].spawn(2), each reachable by its
-    index alone.  The input samples are held once, newest first, in one
-    (n_iters + order - 1, trials) array s, and x is a zero-copy tap-delay
-    view of it: x[n, j] is the sample j steps before step n's newest, tap 0
-    the newest, and each step's taps x[n] are one contiguous block of s,
-    which keeps the runners' multiplies on numpy's fast path.  Trials are
-    drawn TRIAL_BLOCK at a time; a block's clean targets are multiply-adds
-    in plain tap order, x0*w0 + x1*w1 + ..., to which its scaled and
-    reinjected noise is added."""
+    index alone.  Each stream's Generator is made once and draws a block's
+    samples into one row of a buffer, and a stream drawn in parts gives
+    the bits of one draw of the whole.  A block's input samples are held
+    once, newest first, in one (steps + order - 1, trials) array s, whose
+    first order - 1 samples the next block takes over, and x is a
+    zero-copy tap-delay view of it: x[n, j] is the sample j steps before
+    step n's newest, tap 0 the newest, and each step's taps x[n] are one
+    contiguous block of s, which keeps the runner's multiplies on numpy's
+    fast path.  The clean targets are multiply-adds in plain tap order,
+    x0*w0 + x1*w1 + ..., to which the scaled noise, times
+    REINJECTION_SCALE over the burst's steps in the block, is added."""
     n_iters, order = scn.n_iters, scn.order
     stop = scn.trials if stop is None else stop
     trials = stop - first
-    n_samples = n_iters + order - 1
     wo = np.asarray(scn.true_weights, dtype=float)
     sigma = snr_to_sigma(1.0, scn.snr_db)  # the inputs are unit-variance
-    burst = slice(scn.noise_reinjection_at, scn.noise_reinjection_at + REINJECTION_LEN)
-    s = np.empty((n_samples, trials))
-    d = np.empty((n_iters, trials))
-    for t0 in range(0, trials, TRIAL_BLOCK):
-        t1 = min(t0 + TRIAL_BLOCK, trials)
-        u = np.empty((t1 - t0, n_samples))
-        noise = np.empty((t1 - t0, n_iters))
-        for i in range(t1 - t0):
-            for k, out in enumerate((u[i], noise[i])):
-                stream = np.random.SeedSequence(scn.seed, spawn_key=(first + t0 + i, k))
-                np.random.default_rng(stream).standard_normal(out=out)
-        noise *= sigma
-        noise[:, burst] *= REINJECTION_SCALE
-        targets = u[:, order - 1 : n_samples] * wo[0]
+    lo = scn.noise_reinjection_at
+    inputs, noises = ([np.random.default_rng(np.random.SeedSequence(scn.seed, spawn_key=(t, k)))
+                       for t in range(first, stop)] for k in (0, 1))
+    block = min(SIGNAL_BLOCK, n_iters)
+    # trial-major, as the streams draw them: each trial's input samples,
+    # oldest first, and its noise
+    u = np.empty((trials, block + order - 1))
+    noise = np.empty((trials, block))
+    s = np.empty((block + order - 1, trials))
+    d = np.empty((block, trials))
+    term = np.empty_like(d) if order > 1 else None  # a tap's share of the targets
+    for n0 in range(0, n_iters, block):
+        steps = min(block, n_iters - n0)
+        carry = order - 1 if n0 else 0  # the last block's newest samples, which this one's taps reach
+        u[:, :carry] = u[:, block : block + carry]
+        for t in range(trials):
+            inputs[t].standard_normal(out=u[t, carry : order - 1 + steps])
+            noises[t].standard_normal(out=noise[t, :steps])
+        eps = noise[:, :steps]
+        eps *= sigma
+        eps[:, max(lo - n0, 0) : max(lo + REINJECTION_LEN - n0, 0)] *= REINJECTION_SCALE
+        sb, db = s[: steps + order - 1], d[:steps]
+        sb[...] = u[:, steps + order - 2 :: -1].T
+        x = np.lib.stride_tricks.sliding_window_view(sb, order, axis=0)[::-1].transpose(0, 2, 1)
+        np.multiply(x[:, 0], wo[0], out=db)
         for j in range(1, order):
-            targets += u[:, order - 1 - j : n_samples - j] * wo[j]
-        targets += noise
-        s[:, t0:t1] = u[:, ::-1].T
-        d[:, t0:t1] = targets.T
-    x = np.lib.stride_tricks.sliding_window_view(s, order, axis=0)[::-1].transpose(0, 2, 1)
-    return x, d
+            db += np.multiply(x[:, j], wo[j], out=term[:steps])
+        db += eps.T
+        yield x, db
 
 
 def _smooth_causal(raw: np.ndarray, window: int) -> np.ndarray:
@@ -238,21 +257,21 @@ def run_sysid(scn: SysIdScenario, methods: Mapping[str, object]) -> dict[str, Me
     at which the smoothed curve falls to within THRESHOLD_FACTOR of its tail
     mean, and final_mse is that tail mean.  Every filter starts from zero
     weights; a filter that diverged, whose sums of e^2 are not all finite,
-    raises a ValueError naming its method.  The trials are drawn TRIAL_CHUNK
-    at a time, and every method steps through a chunk in one time loop
-    (control.run_laws_batch) before the next chunk is drawn.  The loop hands
-    over the errors a block of steps at a time, and each block is added at
-    once to its method's running sum of e^2, so neither a (trials, n_iters)
-    error array nor more than a chunk of signals is held.
+    raises a ValueError naming its method.  The trials run TRIAL_CHUNK at a
+    time, and every method steps through a chunk in one time loop
+    (control.run_laws_batch), whose signals are drawn SIGNAL_BLOCK steps at
+    a time, each block when the loop asks for it.  The loop hands over the
+    errors a block of steps at a time, and each block is added at once to
+    its method's running sum of e^2.  So a run holds no (trials, n_iters)
+    array, and the memory it needs grows with n_iters only by the per-step
+    sums and curves, a few doubles per step and method.
     """
     sums = {m: np.zeros(scn.n_iters) for m in methods}
     for first in range(0, scn.trials, TRIAL_CHUNK):
         stop = min(first + TRIAL_CHUNK, scn.trials)
-        x, d = _sysid_signals(scn, first, stop)
         rows = np.zeros((1 + stop - first, ERROR_BLOCK))
         sinks = {m: _mean_square_into(s, rows) for m, s in sums.items()}
-        run_laws_batch((0.0,) * scn.order, methods, x, d, sinks=sinks)
-        del x, d  # so that the next chunk is drawn with this one freed
+        run_laws_batch((0.0,) * scn.order, methods, _sysid_blocks(scn, first, stop), sinks=sinks)
     for m, s in sums.items():
         if not np.isfinite(s).all():
             raise ValueError(f"{m}: non-finite mean-square error; the filter diverged")

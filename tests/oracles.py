@@ -163,7 +163,7 @@ def run_keeping_errors(w0, law, x, d):
         assert start == sum(b.shape[1] for b in blocks)
         blocks.append(block.copy())  # the runner reuses its buffer
 
-    res = run_laws_batch(w0, law, x, d, sinks={method: keep})[method]
+    res = run_laws_batch(w0, law, [(x, d)], sinks={method: keep})[method]
     return {**res, **dict(zip(("e", "e1", "e2"), np.concatenate(blocks, axis=1)))}
 
 

@@ -15,7 +15,7 @@ import pytest
 from coilsim import cli, magnetics
 from coilsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from coilsim.config import load_preset, preset_names
-from coilsim.experiments import run_step_response
+from coilsim.experiments import STEP_MAX, TRIAL_CHUNK, run_step_response
 
 
 def sha256(path) -> str:
@@ -379,17 +379,51 @@ def test_sysid_diverged_filter_exits_2_and_names_it(tmp_path, capsys, method, ke
     assert not out.exists()
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out-dir", "existing-out-dir"])
+def test_step_failure_names_the_method_and_removes_its_files(tmp_path, capsys, existing):
+    # svs runs and writes its trace and sensor log before lms diverges: step
+    # left them behind, and its message did not say which method failed
+    cfg = edited_preset("table7-up", "method.lms", "mu", "1e300")(tmp_path)
+    out = tmp_path / "out" / "deeper"
+    if existing:
+        out.mkdir(parents=True)
+        (out / "other.txt").write_text("kept")
+    log = tmp_path / "log.csv"  # an absolute path, outside --out-dir
+    argv = ["step", "--config", str(cfg), "--method", "svs,lms", "--out-dir", str(out), "--sensor-log", str(log)]
+    assert main(argv) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "error: lms: non-finite input sample nan\n"
+    assert not (tmp_path / "log_svs.csv").exists()
+    if existing:
+        assert list(out.iterdir()) == [out / "other.txt"]
+    else:
+        assert not (tmp_path / "out").exists()
+
+
 def test_sysid_out_of_memory_exits_2(tmp_path):
-    # n_iters within STEP_MAX, yet 3.2 GB of signals: more than the address
-    # space the child is capped to
-    cfg = edited_preset("table4-30db", "sysid", "n_iters", "2000000")(tmp_path)
+    # n_iters = STEP_MAX: the four methods' per-step sums of e^2 alone are
+    # 320 MB, more than the address space the child is capped to
+    cfg = edited_preset("table4-30db", "sysid", "n_iters", str(STEP_MAX))(tmp_path)
     out = tmp_path / "out"
-    done = run_child("-m", "coilsim.cli", "sysid", "--config", str(cfg), "--methods", "lms", "--out-dir", str(out),
-                     env=ONE_THREAD, preexec_fn=address_space_cap(512 << 20), timeout=120)
+    done = run_child("-m", "coilsim.cli", "sysid", "--config", str(cfg), "--out-dir", str(out),
+                     env=ONE_THREAD, preexec_fn=address_space_cap(256 << 20), timeout=120)
     assert done.returncode == EXIT_RUNTIME, done.stderr.decode()
     assert done.stderr.startswith(b"error: out of memory: ")
     assert b"Traceback" not in done.stderr
     assert not out.exists()
+
+
+def test_sysid_signals_beyond_the_memory_cap_run(tmp_path):
+    # one chunk of TRIAL_CHUNK trials over 40,000 steps: 655 MB of signals
+    # were the run to hold them whole, 2.5 times the child's address space
+    cfg = edited_preset("table4-30db", "sysid", "n_iters", "40000")(tmp_path)
+    cfg.write_text(cfg.read_text().replace("trials = 200\n", f"trials = {TRIAL_CHUNK}\n"))
+    assert 16 * TRIAL_CHUNK * 40000 >= 2 * (256 << 20)
+    out = tmp_path / "out"
+    done = run_child("-m", "coilsim.cli", "sysid", "--config", str(cfg), "--methods", "lms", "--out-dir", str(out),
+                     env=ONE_THREAD, preexec_fn=address_space_cap(256 << 20), timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr.decode()
+    with open(out / "mse_curve.csv", newline="") as fh:
+        assert sum(1 for _ in fh) == 1 + 40000
 
 
 def test_sysid_methods_run_together_as_if_alone(tmp_path):

@@ -547,7 +547,7 @@ class TestErrorBlocks:
             for k, key in enumerate(errors):
                 np.testing.assert_array_equal(block[k], want[key][start : start + block.shape[1]])
 
-        got = run_laws_batch([0.1, -0.2], {method: law}, x, d, sinks={method: sink})
+        got = run_laws_batch([0.1, -0.2], {method: law}, [(x, d)], sinks={method: sink})
         assert got[method].keys() == want.keys() - set(errors)
         kinds = len(errors)
         assert seen == [(0, (kinds, ERROR_BLOCK, self.TRIALS)), (ERROR_BLOCK, (kinds, ERROR_BLOCK, self.TRIALS)),
@@ -556,7 +556,72 @@ class TestErrorBlocks:
     @pytest.mark.parametrize("method", list(LAWS))
     def test_sink_is_required(self, signals, method):
         with pytest.raises(TypeError, match="sinks"):
-            run_laws_batch([0.1, -0.2], {method: LAWS[method][1]}, *signals)
+            run_laws_batch([0.1, -0.2], {method: LAWS[method][1]}, [signals])
+
+
+class TestSplitBlocks:
+    """run_laws_batch takes its signals a block at a time: any split of a
+    run gives, bit for bit, the errors and final states of the run in one
+    block, each sink call starting at its global step index."""
+
+    TRIALS, N_ITERS = 6, 3 * ERROR_BLOCK + 2
+    EDGES = {  # where the run is split
+        "error-block-minus-1": [ERROR_BLOCK - 1],
+        "error-block-plus-1": [ERROR_BLOCK + 1],
+        "both": [ERROR_BLOCK - 1, ERROR_BLOCK + 1],
+        "ragged": [1, 2, ERROR_BLOCK + 1, ERROR_BLOCK + 1, 2 * ERROR_BLOCK - 1, 3 * ERROR_BLOCK + 1],
+        "every-step": list(range(1, N_ITERS)),
+    }
+
+    @staticmethod
+    def _run(w0, laws, blocks):
+        kept = {m: [] for m in laws}
+
+        def keeping(m):
+            def sink(start, block):
+                assert start == sum(b.shape[1] for b in kept[m])  # every step once, in order
+                kept[m].append(block.copy())  # the loop reuses its buffer
+            return sink
+
+        state = run_laws_batch(w0, laws, blocks, sinks={m: keeping(m) for m in laws})
+        return {m: (np.concatenate(kept[m], axis=1), state[m]) for m in laws}
+
+    @pytest.mark.parametrize("edges", list(EDGES), ids=str)
+    @pytest.mark.parametrize("order", [1, 2, 3, 9])
+    @pytest.mark.parametrize("t_o", [3, 5])
+    def test_split_is_the_whole_run(self, order, edges, t_o):
+        rng = np.random.default_rng(order * 10 + t_o)
+        samples = rng.standard_normal((self.N_ITERS + order - 1, self.TRIALS))
+        x = np.lib.stride_tricks.sliding_window_view(samples, order, axis=0)[::-1].transpose(0, 2, 1)
+        d = rng.standard_normal((self.N_ITERS, self.TRIALS))
+        w0 = np.linspace(-0.3, 0.4, order)
+        # STRONG transfers weights, every t_o steps, at steps whose index
+        # within a block differs from their index in the run
+        laws = {**{m: law for m, (_, law) in LAWS.items()}, "convex": replace(STRONG, t_o=t_o)}
+        whole = self._run(w0, laws, [(x, d)])
+        cuts = self.EDGES[edges]
+        split = self._run(w0, laws, list(zip(np.split(x, cuts), np.split(d, cuts))))
+        for m, (errors, state) in whole.items():
+            np.testing.assert_array_equal(bits(split[m][0]), bits(errors), err_msg=m)
+            assert split[m][1].keys() == state.keys()
+            for key, v in state.items():
+                np.testing.assert_array_equal(bits(split[m][1][key]), bits(v), err_msg=f"{m} {key}")
+        # the transfers move the run: the fast branch's errors differ
+        # without the late ones
+        no_late = self._run(w0, {"convex": replace(STRONG, t_o=self.N_ITERS)}, [(x, d)])
+        assert not np.array_equal(no_late["convex"][0][2], whole["convex"][0][2])
+
+    def test_no_block_is_rejected(self):
+        with pytest.raises(ValueError, match="no block of signals"):
+            run_laws_batch([0.0], {"lms": LmsParams(mu=0.1)}, [], sinks={"lms": lambda *_: None})
+
+    @pytest.mark.parametrize("shapes", [((4, 2, 3), (4, 2)), ((4, 1, 3), (4, 3)), ((4, 2, 3), (5, 3))],
+                             ids=["trials", "order", "steps"])
+    def test_a_block_of_other_shapes_is_rejected(self, shapes):
+        first = (np.zeros((4, 2, 3)), np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="in a run of 2 taps and 3 trials"):
+            run_laws_batch([0.0, 0.0], {"lms": LmsParams(mu=0.1)}, [first, tuple(map(np.zeros, shapes))],
+                           sinks={"lms": lambda *_: None})
 
 
 # every non-empty subset of the laws, as listed and reversed
@@ -589,7 +654,7 @@ class TestOneLoop:
         runs = {}
         for m, (ref, law) in LAWS.items():
             blocks = []
-            state = run_laws_batch(w0, {m: law}, x, d, sinks={m: self._keeping(blocks)})[m]
+            state = run_laws_batch(w0, {m: law}, [(x, d)], sinks={m: self._keeping(blocks)})[m]
             want = ref(w0, x=np.ascontiguousarray(x), d=d, **keywords(law))
             errors = np.concatenate([b for _, b in blocks], axis=1)
             for key, e in zip(("e", "e1", "e2"), errors):
@@ -603,7 +668,7 @@ class TestOneLoop:
     def test_each_law_as_if_alone(self, alone, methods):
         w0, x, d, runs = alone
         blocks = {m: [] for m in methods}
-        got = run_laws_batch(w0, {m: LAWS[m][1] for m in methods}, x, d,
+        got = run_laws_batch(w0, {m: LAWS[m][1] for m in methods}, [(x, d)],
                              sinks={m: self._keeping(blocks[m]) for m in methods})
         assert set(got) == set(methods)
         for m in methods:
@@ -618,4 +683,4 @@ class TestOneLoop:
     def test_unknown_law_is_rejected(self):
         x, d = np.zeros((4, 2, 3)), np.zeros((4, 3))
         with pytest.raises(ValueError, match="unknown method 'nlms'"):
-            run_laws_batch([0.0, 0.0], {"nlms": {}}, x, d, sinks={"nlms": lambda *_: None})
+            run_laws_batch([0.0, 0.0], {"nlms": {}}, [(x, d)], sinks={"nlms": lambda *_: None})

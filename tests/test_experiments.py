@@ -12,7 +12,7 @@ import oracles
 from coilsim import experiments
 from coilsim._table import write_repr_csv
 from coilsim.config import load_preset
-from coilsim.plant import SensorSpec, TargetProfile, sensor_noise, snr_to_sigma
+from coilsim.plant import DisturbanceSpec, SensorSpec, TargetProfile, sensor_noise, snr_to_sigma
 from coilsim.control import LAWS, ConvexParams, LmsParams, NonFiniteInput, SvsParams, run_laws_batch
 from coilsim.experiments import (
     ActuatorSaturationWarning,
@@ -29,6 +29,13 @@ from oracles import drive, sense
 def small_scenario(**kw) -> SysIdScenario:
     return SysIdScenario(**{"snr_db": 30.0, "n_iters": 600, "noise_reinjection_at": 300,
                             "trials": 20, "seed": 3, **kw})
+
+
+def joined_signals(scn: SysIdScenario, first: int = 0, stop: int | None = None):
+    """The whole-run x (n_iters, order, trials) and d (n_iters, trials) of
+    trials first to stop, joined from the blocks the sysid harness draws."""
+    xs, ds = zip(*((x.copy(), d.copy()) for x, d in experiments._sysid_blocks(scn, first, stop)))
+    return np.concatenate(xs), np.concatenate(ds)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +56,7 @@ def test_converged_lms_weight_error_uncorrelated_with_noise():
     wo = np.asarray(scn.true_weights)
 
     def stat(steps):
-        w = run_laws_batch(np.zeros(scn.order), {"lms": LmsParams(mu=mu)}, x[:steps], d[:steps],
+        w = run_laws_batch(np.zeros(scn.order), {"lms": LmsParams(mu=mu)}, [(x[:steps], d[:steps])],
                            sinks={"lms": lambda *_: None})["lms"]["w"]
         s = eps[n] * np.sum(x[n] * (wo[:, None] - w.T), axis=0)
         return float(np.mean(s)), float(np.std(s, ddof=1) / np.sqrt(scn.trials))
@@ -58,6 +65,51 @@ def test_converged_lms_weight_error_uncorrelated_with_noise():
     assert abs(mean) <= 3.0 * se
     mean, se = stat(n + 1)
     assert abs(mean) > 3.0 * se
+
+
+class TestLmsClosedForm:
+    """The table7-up LMS loop against its closed forms.  With the ambient
+    tap x1 ~ 1e-3 the loop learns nothing from it, so the coil field is w0,
+    an exponential average with factor mu of the targets less the last
+    ambient estimate a, which holds the disturbance, the sensor noise and
+    the quantization error: white, of variance s2 = sigma_d^2 + sigma_n^2 +
+    q^2/12.  The steady error is then a_n less the average of the a before
+    it, of mean square s2 * (1 + mu / (2 - mu)), and without noise the
+    step's error shrinks by 1 - mu a step, so it enters the band after
+    ln(band) / ln(1 - mu) steps."""
+
+    SEEDS = 128
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        cfg = load_preset("table7-up")
+        reports = [run_step_response(cfg.step_scenario("lms", seed_override=s)) for s in range(self.SEEDS)]
+        return cfg.step_scenario("lms"), reports
+
+    def test_steady_rmse(self, runs):
+        scn, reports = runs
+        mu, sensor = scn.params.mu, scn.sensor
+        s2 = scn.disturbance.gaussian_sigma_nt ** 2 + sensor.noise_sigma_nt ** 2 + sensor.quantization_step_nt ** 2 / 12
+        want = s2 * (1.0 + mu / (2.0 - mu))
+        ms = np.array([r.rmse_steady_nt for r in reports]) ** 2
+        # the seeds' mean square, within three of its standard errors: 0.9%
+        # of it, about 4 nT of the 845 nT RMS
+        assert abs(ms.mean() - want) <= 3.0 * ms.std(ddof=1) / np.sqrt(self.SEEDS)
+
+    def test_reach_time(self, runs):
+        scn, reports = runs
+        mu, rate = scn.params.mu, scn.sensor.sample_rate_hz
+        bound = np.log(scn.band_fraction) / np.log(1.0 - mu) / rate
+        # without noise the error enters the band at the first sample past
+        # the bound, and stays
+        quiet = replace(scn, sensor=replace(scn.sensor, noise_sigma_nt=0.0, quantization_step_nt=0.0),
+                        disturbance=DisturbanceSpec())
+        reach = run_step_response(quiet).reach_target_time_s
+        assert bound <= reach < bound + 1.0 / rate
+        # noise that must stay inside the band for DWELL_S delays the reach:
+        # the seeds' mean is not below the bound, within three standard errors
+        times = np.array([r.reach_target_time_s for r in reports])
+        assert times.mean() >= bound - 3.0 * times.std(ddof=1) / np.sqrt(self.SEEDS)
 
 
 class TestStepResponse:
@@ -278,13 +330,13 @@ class TestStepScenarioChecks:
 class TestRunSysid:
     def test_draws_signals_once_for_all_methods(self, monkeypatch, table4):
         calls = []
-        draw = experiments._sysid_signals
+        draw = experiments._sysid_blocks
 
         def counting(*args, **kwargs):
             calls.append(args)
             return draw(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "_sysid_signals", counting)
+        monkeypatch.setattr(experiments, "_sysid_blocks", counting)
         reports = run_sysid(small_scenario(), table4)
         assert len(calls) == 1
         assert list(reports) == list(experiments.METHODS)
@@ -314,7 +366,7 @@ class TestRunSysid:
     def _assert_burst_only_at(scn):
         # outside the burst, the targets have the bits of the per-trial draw
         # without reinjection; inside it, those of the reinjected draw
-        d = experiments._sysid_signals(scn)[1]
+        d = joined_signals(scn)[1]
         sigma = snr_to_sigma(1.0, scn.snr_db)
         d_off = oracles.sysid_signals_ref(scn, sigma, reinject=False)[1]
         want = oracles.sysid_signals_ref(scn, sigma, True, experiments.REINJECTION_SCALE,
@@ -337,15 +389,29 @@ class TestRunSysid:
     def test_reinjection_at_zero_bursts_the_first_samples(self):
         self._assert_burst_only_at(small_scenario(noise_reinjection_at=0))
 
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_burst_across_a_signal_block_edge(self, order):
+        edge = experiments.SIGNAL_BLOCK
+        scn = small_scenario(n_iters=edge + 50, noise_reinjection_at=edge - 4, order=order,
+                             true_weights=(0.8, 0.5, -0.3)[:order])
+        self._assert_burst_only_at(scn)
+
     def test_signal_views_are_time_major(self):
         scn = small_scenario(order=3, true_weights=(0.8, 0.5, -0.3))
-        x, d = experiments._sysid_signals(scn)
-        assert x.shape == (scn.n_iters, scn.order, scn.trials)
-        assert d.shape == (scn.n_iters, scn.trials) and d.flags.c_contiguous
-        # each step's taps are one block of a sample array that holds each
-        # input sample once: step n's tap 1 is step n - 1's tap 0
-        assert all(x[n].flags.c_contiguous for n in range(scn.n_iters))
-        assert np.shares_memory(x[1, 1], x[0, 0])
+        lengths = []
+        for x, d in experiments._sysid_blocks(scn):
+            steps = len(x)
+            lengths.append(steps)
+            assert x.shape == (steps, scn.order, scn.trials)
+            assert d.shape == (steps, scn.trials) and d.flags.c_contiguous
+            # each step's taps are one block of a sample array that holds
+            # each of the block's input samples once: step n's tap 1 is step
+            # n - 1's tap 0
+            assert all(x[n].flags.c_contiguous for n in range(steps))
+            assert np.shares_memory(x[1, 1], x[0, 0])
+        block = experiments.SIGNAL_BLOCK
+        assert block % experiments.ERROR_BLOCK == 0
+        assert lengths == [block] * (scn.n_iters // block) + [scn.n_iters % block]
 
 
 def bits(a):
@@ -358,13 +424,13 @@ class TestSysidStreaming:
     each law's full error arrays, and no such array may be held."""
 
     @pytest.mark.parametrize("order", [1, 2, 3, 9])
-    @pytest.mark.parametrize("n_iters", [100, 256, 257, 1000])
+    @pytest.mark.parametrize("n_iters", [100, 256, 257, 1000, experiments.SIGNAL_BLOCK + 1])
     def test_curve_matches_full_error_arrays(self, table4, n_iters, order):
         weights = tuple(np.linspace(0.8, -0.4, order))
         scn = small_scenario(n_iters=n_iters, noise_reinjection_at=n_iters // 2,
                              order=order, true_weights=weights)
         reports = run_sysid(scn, table4)
-        x, d = experiments._sysid_signals(scn)
+        x, d = joined_signals(scn)
         for m, params in table4.items():
             e = oracles.run_keeping_errors((0.0,) * order, {m: params}, x, d)["e"]
             # trial-major, so that the mean adds the trials in index order
@@ -383,20 +449,23 @@ class TestSysidStreaming:
             want = want + e[0, 0, t] ** 2
         np.testing.assert_array_equal(bits(total), bits(want))
 
-    def test_peak_memory_is_the_signals(self, table4):
-        scn = small_scenario(n_iters=3000, noise_reinjection_at=1500, trials=200)
-        # the input samples, each held once, and the targets
-        signals = scn.trials * (2 * scn.n_iters + scn.order - 1) * 8
-        # an untraced first call, so the trace holds only what every call allocates
-        run_sysid(scn, table4)
-        tracemalloc.start()
-        try:
-            run_sysid(scn, table4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # one more (n_iters, trials) array would add half of the signals
-        assert signals <= peak <= 1.25 * signals
+    def test_peak_memory_does_not_grow_with_steps(self, table4):
+        lms = {"lms": table4["lms"]}  # one law: the loop's cost per step, not its memory, grows with more
+        scenarios = {n: small_scenario(n_iters=n, noise_reinjection_at=n // 2, trials=50) for n in (3000, 12000)}
+        run_sysid(small_scenario(), lms)  # untraced, so the trace holds only what every call allocates
+        peaks = {}
+        for n, scn in scenarios.items():
+            tracemalloc.start()
+            try:
+                run_sysid(scn, lms)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # what grows with the steps is a few doubles per step: the per-step
+        # sums (72 kB more), and the report's curve and its temporaries.
+        # The 9,000 more steps' signals, 16 bytes per trial-step, would add
+        # 7.2 MB.
+        assert peaks[12000] - peaks[3000] <= 9000 * 4 * 8
 
 
 class TestSysidChunks:
@@ -427,32 +496,53 @@ class TestSysidChunks:
                 peaks[chunks] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        # one chunk's signals are 38 kB; all the trials held at once would add 77 kB
+        # one chunk's signal buffers are 100 kB; all the trials' buffers
+        # held at once would add 200 kB
         assert peaks[4] <= 1.05 * peaks[2]
 
     def test_a_trial_range_draws_those_trials(self):
         scn = small_scenario(trials=37)
-        whole = experiments._sysid_signals(scn)
-        for got, want in zip(experiments._sysid_signals(scn, 5, 30), whole):
+        whole = joined_signals(scn)
+        for got, want in zip(joined_signals(scn, 5, 30), whole):
             np.testing.assert_array_equal(bits(got), bits(want[..., 5:30]))
 
 
 class TestSysidSignals:
-    @pytest.mark.parametrize("trials", [1, experiments.TRIAL_BLOCK, 37])
+    @pytest.mark.parametrize("trials", [1, 16, 37])
     @pytest.mark.parametrize("order", [1, 3])
     def test_blocks_match_per_trial_draw(self, trials, order):
+        # 600 steps: a whole signal block and part of the next
         scn = small_scenario(trials=trials, order=order, true_weights=(0.8, 0.5, -0.3)[:order])
         want = oracles.sysid_signals_ref(scn, snr_to_sigma(1.0, scn.snr_db), True,
                                          experiments.REINJECTION_SCALE, experiments.REINJECTION_LEN)
-        got = experiments._sysid_signals(scn)
+        got = joined_signals(scn)
         assert len(got) == 2
         for g, w in zip(got, want):
             np.testing.assert_array_equal(bits(g), bits(w))
 
+    @pytest.mark.parametrize("block", [1, experiments.ERROR_BLOCK - 1, experiments.ERROR_BLOCK + 1,
+                                       2 * experiments.ERROR_BLOCK])
+    @pytest.mark.parametrize("order", [1, 2, 3, 9])
+    def test_signal_block_size_keeps_the_bits(self, table4, monkeypatch, order, block):
+        # n_iters = SIGNAL_BLOCK runs in one block by default; the burst
+        # straddles the second edge of the smaller blocks, and order 9 carries
+        # 8 samples over edges that blocks of 1 step cross 8 at a time
+        n_iters = experiments.SIGNAL_BLOCK
+        at = max(2 * block - 4, 0)
+        scn = small_scenario(n_iters=n_iters, noise_reinjection_at=at, order=order,
+                             true_weights=tuple(np.linspace(0.8, -0.4, order)))
+        whole, signals = run_sysid(scn, table4), joined_signals(scn)
+        monkeypatch.setattr(experiments, "SIGNAL_BLOCK", block)
+        got = run_sysid(scn, table4)
+        for want, joined in zip(signals, joined_signals(scn)):
+            np.testing.assert_array_equal(bits(joined), bits(want))
+        for m, report in got.items():
+            np.testing.assert_array_equal(bits(report.mse_curve), bits(whole[m].mse_curve), err_msg=m)
+
     def test_adjacent_seeds_share_no_trial(self):
         # under seed XOR t, seed 1's trial 0 was seed 0's trial 1
         def columns(seed):
-            x, d = experiments._sysid_signals(small_scenario(seed=seed, trials=8))
+            x, d = joined_signals(small_scenario(seed=seed, trials=8))
             return [{a[:, t].tobytes() for t in range(8)} for a in (x[:, 0], d)]
 
         for a, b in zip(columns(0), columns(1)):
