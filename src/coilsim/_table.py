@@ -10,24 +10,27 @@ cell, np.float64 included, is the `repr` of the Python float.
 
 Float cells are formatted as arrays.  The float columns of the rows being
 written (a sequence of floats is first converted to float64, exactly) are
-pooled and deduplicated by bit pattern, so a grid coordinate repeated down
-the rows is formatted once.  Each distinct normal value gets its shortest
-round-trip decimal digits from Schubfach (R. Giulietti, "The Schubfach way
-to render doubles", 2020; the algorithm behind JDK 19's
-`Double.toString`), computed in uint64 arithmetic with 128-bit products
-built from 32-bit limbs.  These are the digits `repr` picks: the fewest
-that read back as the same double, the closest of those to it, ties to
-even.  They are laid out by `repr`'s rules: exponent form when the decimal
-point position decpt is <= -4 or > 16, ".0" on an integral value, at least
-two exponent digits and a leading "-".  Each value's text fills a fixed
-row of a uint8 matrix, with a NUL wherever it has no character; the rows'
-cells, commas and line ends form one matrix whose NULs are dropped when it
-is written.
+pooled and deduplicated by magnitude: every repr but a NaN's is "-" and the
+repr of the magnitude when the sign bit is set, so x and -x are formatted
+once and each cell writes its own "-".  A column given as Levels, a few
+distinct values and a per-row index into them (a grid axis), skips the
+pool: each level is formatted once and its text gathered down the rows.
+Each distinct normal magnitude gets its shortest round-trip decimal digits
+from Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020;
+the algorithm behind JDK 19's `Double.toString`), computed in uint64
+arithmetic with 128-bit products built from 32-bit limbs.  These are the
+digits `repr` picks: the fewest that read back as the same double, the
+closest of those to it, ties to even.  They are laid out by `repr`'s
+rules: exponent form when the decimal point position decpt is <= -4 or
+> 16, ".0" on an integral value, at least two exponent digits and a
+leading "-".  Each value's text fills a fixed row of a uint8 matrix, with a
+NUL wherever it has no character; the rows' cells, commas and line ends
+form one matrix whose NULs are dropped when it is written.
 
-`repr` itself still formats zero, subnormal, infinite and NaN cells, and
-every cell of rows with fewer than KERNEL_MIN float cells: the kernel
-costs some hundred array operations per call, which such rows do not
-repay.
+`repr` itself still formats zero, subnormal, infinite and NaN magnitudes,
+the levels of a Levels column, and every cell of rows with fewer than
+KERNEL_MIN float cells (a Levels column's count): the kernel costs some
+hundred array operations per call, which such rows do not repay.
 
 WRITE_ROWS and KERNEL_CHUNK bound the writer's own memory whatever the
 size of the table: about 0.1 kB per cell of the rows being written and
@@ -53,12 +56,15 @@ _M32 = 0xFFFFFFFF
 _FRACTION = (1 << 52) - 1
 _HIDDEN = 1 << 52
 _SIGN = np.uint64(1 << 63)
+_NEG_MAX = np.uint64(0x7FF << 52)  # the bits of inf: -inf is SIGN + _NEG_MAX
+_MINUS = np.uint8(ord("-"))
 _POW10 = np.array([10**i for i in range(20)], np.uint64)
 # The three interval points 4c - 2, 4c and 4c + 2, as wrapping uint64 offsets.
 _OFFSETS = np.array([[2**64 - 2], [0], [2]], np.uint64)
-# The kernel's output rows: a sign, "0." and up to three zeros after it,
-# 17 digits and a point, then "e", the exponent's sign and three digits.
-_WIDTH = 29
+# The kernel's output rows: a sign, then either "0." and up to three zeros
+# and 17 digits (fixed notation), or 17 digits and a point and "e", the
+# exponent's sign and three digits (exponent notation).
+_WIDTH = 24
 _DIGIT_ROWS = np.arange(18, dtype=np.uint8)[:, None]
 _POSITIONS = _DIGIT_ROWS + np.uint8(1)  # 1-based digit positions
 _THREE = np.arange(3, dtype=np.uint8)[:, None]
@@ -95,9 +101,9 @@ def _ascii4() -> np.ndarray:
     return table
 
 
-def _mul(a0, a1, b0, b1):
-    """The high and low 64 bits of (a1 2^32 + a0)(b1 2^32 + b0), all limbs
-    below 2^32."""
+def _mul(a0, a1, b0, b1, low: bool = True):
+    """The high and (if `low`) low 64 bits of (a1 2^32 + a0)(b1 2^32 + b0),
+    all limbs below 2^32."""
     p00 = a0 * b0
     p01 = a0 * b1
     p10 = a1 * b0
@@ -108,6 +114,8 @@ def _mul(a0, a1, b0, b1):
     hi += p01 >> 32
     hi += p10 >> 32
     hi += mid >> 32
+    if not low:
+        return hi, None
     mid <<= 32
     mid |= p00 & _M32
     return hi, mid
@@ -130,7 +138,7 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cp <<= h
     # round to odd: floor(cp g / 2^128), with its low bit set if inexact
     a0, a1 = cp & _M32, cp >> 32
-    x_hi, _ = _mul(a0, a1, g0, g1)
+    x_hi, _ = _mul(a0, a1, g0, g1, low=False)
     y_hi, y_lo = _mul(a0, a1, g2, g3)
     y_lo += x_hi
     y_hi += y_lo < x_hi
@@ -140,7 +148,8 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lower = vbl + odd
     upper = vbr - odd
     s = vb >> 2
-    s40 = s // 10 * 40
+    s10 = s // 10
+    s40 = s10 * 40
     # one digit fewer: at most one of s40 and s40 + 40 lies in the interval
     up_in = lower <= s40
     wp_in = s40 + 40 <= upper
@@ -150,7 +159,7 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w_in = s4 + 4 <= upper
     mid = s4 + 2
     nearest = (vb > mid) | ((vb == mid) & (s & 1).astype(bool))
-    d = np.where(short, s40 // 40 + wp_in, s + np.where(u_in != w_in, w_in, nearest))
+    d = np.where(short, s10 + wp_in, s + np.where(u_in != w_in, w_in, nearest))
     return d, k + short
 
 
@@ -181,16 +190,27 @@ def _layout(bits: np.ndarray, out: np.ndarray) -> None:
     out[2] = below_one * ord(".")
     np.multiply(_THREE < (below_one * -decpt).astype(np.uint8), np.uint8(ord("0")), out=out[3:6])
     kept = digits * (_DIGIT_ROWS < keep)
-    body = out[6:24]
-    np.multiply(kept, _DIGIT_ROWS < point, out=body)
+    body = kept * (_DIGIT_ROWS < point)
     body += (_DIGIT_ROWS == point) * np.uint8(ord("."))
     body[1:] += kept[:17] * (_DIGIT_ROWS[1:] > point)
+    # a fixed value's digits follow its "0.000" in rows 6-23; an exponent
+    # form's follow the sign in rows 1-18, and its exponent fills 19-23
+    np.multiply(body, fixed, out=out[6:24])
+    out[1:19] += body * sci
     e = decpt - 1
     ae = np.abs(e)
-    out[24] = sci * ord("e")
-    out[25] = sci * (ord("+") + (e < 0) * (ord("-") - ord("+")))
-    np.multiply(ascii4[ae].view(np.uint8).reshape(n, 4).T[1:], sci, out=out[26:29])
-    out[26] *= ae >= 100
+    exponent = np.empty((5, n), np.uint8)
+    exponent[0] = sci * ord("e")
+    exponent[1] = sci * (ord("+") + (e < 0) * (ord("-") - ord("+")))
+    np.multiply(ascii4[ae].view(np.uint8).reshape(n, 4).T[1:], sci, out=exponent[2:])
+    exponent[2] *= ae >= 100
+    out[19:24] += exponent
+
+
+def _text_matrix(texts) -> np.ndarray:
+    """Each of `texts`, one NUL-padded row of bytes each."""
+    text = np.array(texts, dtype=np.bytes_)
+    return text.view(np.uint8).reshape(len(text), -1)
 
 
 def _repr_matrix(values) -> np.ndarray:
@@ -198,12 +218,12 @@ def _repr_matrix(values) -> np.ndarray:
     NUL-padded row of bytes each."""
     if isinstance(values, np.ndarray):
         values = values.tolist()
-    text = np.array(list(map(repr, values)), dtype=np.bytes_)
-    return text.view(np.uint8).reshape(len(text), -1)
+    return _text_matrix(list(map(repr, values)))
 
 
 def _format(bits: np.ndarray) -> np.ndarray:
-    """The repr of each double in `bits`, one NUL-padded row each."""
+    """The repr of each double in `bits`, one NUL-padded row each whose
+    column 0 holds the "-" of a negative value and is NUL otherwise."""
     normal = ((bits >> 52) & 0x7FF) - 1 < 0x7FE  # biased exponent in 1..2046
     normals = bits[normal]
     text = np.empty((_WIDTH, len(normals)), np.uint8)
@@ -212,16 +232,47 @@ def _format(bits: np.ndarray) -> np.ndarray:
     table = np.zeros((len(bits), _WIDTH), np.uint8)
     table[normal] = text.T
     if len(normals) < len(bits):
-        specials = _repr_matrix(bits[~normal].view(np.float64))
+        reprs = map(repr, bits[~normal].view(np.float64).tolist())
+        specials = _text_matrix([r if r[0] == "-" else "\0" + r for r in reprs])
         table[~normal, :specials.shape[1]] = specials
     return table
 
 
+class Levels:
+    """A float column given as its distinct values and each row's index
+    into them: row i holds levels[index[i]].  A grid axis has a few levels
+    repeated down many rows, and the writer formats each level once."""
+
+    __slots__ = ("levels", "index")
+
+    def __init__(self, levels: np.ndarray, index: np.ndarray):
+        self.levels = levels
+        self.index = index
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, rows: slice) -> "Levels":
+        return Levels(self.levels, self.index[rows])
+
+
 def _is_float(column) -> bool:
     """Whether every cell of `column` is a float (np.float64 included)."""
+    if isinstance(column, Levels):
+        return True
     if isinstance(column, np.ndarray):
         return column.dtype == np.float64
     return set(map(type, column)) <= {float, np.float64}
+
+
+def _reprs(column, is_float: bool) -> list[str]:
+    """The repr of each cell of `column`, a float cell's as a Python float's."""
+    if isinstance(column, Levels):
+        texts = list(map(float.__repr__, np.asarray(column.levels, dtype=np.float64).tolist()))
+        return [texts[i] for i in column.index.tolist()]
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
+    return list(map(float.__repr__ if is_float else repr, column))
 
 
 def _rows(columns: list) -> bytes:
@@ -229,19 +280,28 @@ def _rows(columns: list) -> bytes:
     n = len(columns[0])
     floats = [_is_float(c) for c in columns]
     if n * sum(floats) < KERNEL_MIN:
-        cells = [list(map(float.__repr__ if f else repr, c.tolist() if isinstance(c, np.ndarray) else c))
-                 for c, f in zip(columns, floats)]
+        cells = [_reprs(c, f) for c, f in zip(columns, floats)]
         return ("\r\n".join(map(",".join, zip(*cells))) + "\r\n").encode()
-    bits = [np.asarray(c, dtype=np.float64).view(np.uint64) for c, f in zip(columns, floats) if f]
-    distinct, inverse = np.unique(np.concatenate(bits), return_inverse=True)
-    table = _format(distinct)
-    inverse = iter(inverse.reshape(len(bits), n))
-    others = [None if f else _repr_matrix(c) for c, f in zip(columns, floats)]
-    widths = [table.shape[1] if m is None else m.shape[1] for m in others]
+    plain = [np.asarray(c, dtype=np.float64).view(np.uint64) for c, f in zip(columns, floats)
+             if f and not isinstance(c, Levels)]
+    if plain:
+        bits = np.concatenate(plain)
+        # -x prints as "-" + repr(x) for every x but NaN, whose repr has no sign
+        minus = iter((bits - _SIGN <= _NEG_MAX).reshape(-1, n))
+        distinct, inverse = np.unique(bits & ~_SIGN, return_inverse=True)
+        table = _format(distinct)
+        inverse = iter(inverse.reshape(-1, n))
+    matrices = [_repr_matrix(np.asarray(c.levels, dtype=np.float64)) if isinstance(c, Levels)
+                else None if f else _repr_matrix(c) for c, f in zip(columns, floats)]
+    widths = [table.shape[1] if m is None else m.shape[1] for m in matrices]
     text = np.empty((n, sum(widths) + len(widths) + 1), np.uint8)
     at = 0
-    for m, w in zip(others, widths):
-        text[:, at:at + w] = table[next(inverse)] if m is None else m
+    for c, m, w in zip(columns, matrices, widths):
+        if m is None:
+            text[:, at:at + w] = table[next(inverse)]
+            np.multiply(next(minus), _MINUS, out=text[:, at])
+        else:
+            text[:, at:at + w] = m[c.index] if isinstance(c, Levels) else m
         text[:, at + w] = ord(",")
         at += w + 1
     text[:, -2:] = (ord("\r"), ord("\n"))  # in place of the last comma
@@ -252,12 +312,13 @@ def write_repr_csv(path, header: Sequence[str], blocks: Iterable[Iterable[Sequen
     """Write the header, then each block of equal-length columns as one line
     per row of `repr`'d cells, ending lines with "\\r\\n" as csv.writer does.
 
-    Columns are float64 arrays, or sequences of Python ints or floats:
-    their reprs round-trip and never need csv quoting.  A column whose cells
-    are all floats (np.float64 scalars included) prints them as Python
-    floats, through the array kernel once the rows written together hold
-    KERNEL_MIN float cells; any other column prints each cell's own `repr`.
-    The writer holds WRITE_ROWS rows of text at a time.
+    Columns are float64 arrays, Levels, or sequences of Python ints or
+    floats: their reprs round-trip and never need csv quoting.  A column
+    whose cells are all floats (np.float64 scalars included) prints them as
+    Python floats, through the array kernel once the rows written together
+    hold KERNEL_MIN float cells; a Levels column prints as the float column
+    levels[index]; any other column prints each cell's own `repr`.  The
+    writer holds WRITE_ROWS rows of text at a time.
     """
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())

@@ -193,7 +193,7 @@ def cmd_field_map(args) -> int:
         return EXIT_OK
     with _new_outdir(args) as out_dir:
         out = out_dir / "field_map.csv"
-        magnetics.write_field_map_csv(out, magnetics.field_map_blocks(pair, grid))
+        magnetics.write_field_map_csv(out, pair, grid)
     center = magnetics.pair_field(pair, np.zeros((1, 3)))[0, 2]
     print(f"{grid.size} grid points; center bz = {center * 1e6:.2f} uT")
     print(f"wrote {out}")

@@ -211,6 +211,14 @@ ERROR_BLOCK = 128
 ErrorSink = Callable[[int, np.ndarray], None]
 
 
+def _f64(value: float) -> np.ndarray:
+    # the ufuncs of run_laws_batch's loop take their scalar operands as 0-d
+    # float64 arrays and `out` by position (by keyword for maximum and
+    # minimum, where numpy deprecates it by position): a Python float is
+    # converted on every call, and keywords are parsed
+    return np.array(value, dtype=np.float64)
+
+
 def run_laws_batch(
     w0: Sequence[float],
     laws: Mapping[str, LmsParams | SvsParams | AtlmsParams | ConvexParams],
@@ -261,10 +269,10 @@ def run_laws_batch(
             rate[f] = p.mu
         elif m == "svs":
             svs_e, svs_mu, svs_u = errs[top + f], rate[f], u[-1]
-            svs_a, svs_b = -p.alpha, p.beta
+            svs_a, svs_b = _f64(-p.alpha), _f64(p.beta)
         elif m == "atlms":
-            at_e, at_mu, at_a = errs[top + f], rate[f], p.alpha
-            at_gain = p.beta * (2.0 / math.pi) * p.m / (p.m + p.n_scale)
+            at_e, at_mu, at_a = errs[top + f], rate[f], _f64(p.alpha)
+            at_gain = _f64(p.beta * (2.0 / math.pi) * p.m / (p.m + p.n_scale))
         else:
             raise ValueError(f"unknown method {m!r}")
     if convex:
@@ -279,8 +287,9 @@ def run_laws_batch(
         gamma[:] = 0.5  # logistic(0)
         transfer = np.empty(trials, dtype=bool)
         dens = np.empty((ERROR_BLOCK, trials))  # phi + x.x, a block of steps at a time
-        neg_alpha, sigma, mu_b, t_o = -p.alpha, p.sigma, p.mu_b, p.t_o
-        beta, half_beta = p.beta, 0.5 * p.beta
+        neg_alpha, sigma, mu_b, gamma_o = map(_f64, (-p.alpha, p.sigma, p.mu_b, p.gamma_o))
+        beta, half_beta, t_o = _f64(p.beta), _f64(0.5 * p.beta), p.t_o
+    zero, half, one, two, low, high = map(_f64, (0.0, 0.5, 1.0, 2.0, -700.0, 700.0))
     multiply, add, subtract, divide, exp = np.multiply, np.add, np.subtract, np.divide, np.exp
     maximum, minimum, absolute, copyto = np.maximum, np.minimum, np.absolute, np.copyto
 
@@ -288,61 +297,61 @@ def run_laws_batch(
         for start, x, d in _error_spans(itertools.chain([first], blocks), order, trials):
             steps = len(x)
             if convex:
-                den = np.multiply(x[:, 0], x[:, 0], out=dens[:steps])
+                den = np.multiply(x[:, 0], x[:, 0], dens[:steps])
                 for j in range(1, order):  # in plain tap order
                     den += x[:, j] * x[:, j]
                 den += p.phi
             xb = x[:, :, None]  # each step's taps, broadcast over the filters
             for i in range(steps):
                 x_n = xb[i]
-                multiply(w, x_n, out=xw)
+                multiply(w, x_n, xw)
                 if order == 1:
                     copyto(y_f, xw[0])
                 else:
-                    add(xw[0], xw[1], out=y_f)  # the taps in plain order
+                    add(xw[0], xw[1], y_f)  # the taps in plain order
                     for j in range(2, order):
-                        add(y_f, xw[j], out=y_f)
+                        add(y_f, xw[j], y_f)
                 if convex:
-                    subtract(1.0, gamma, out=g1)
-                    multiply(gamma, y1, out=y_c)
-                    add(y_c, multiply(g1, y2, out=tmp), out=y_c)
+                    subtract(one, gamma, g1)
+                    multiply(gamma, y1, y_c)
+                    add(y_c, multiply(g1, y2, tmp), y_c)
                 e_all = errs[:, i]
-                subtract(d[i], y, out=e_all)
+                subtract(d[i], y, e_all)
 
                 if convex:
                     e, e1 = e_all[0], e_all[1]
-                    absolute(e1, out=abs_e1)  # |e1 * prev_e1| == |e1| * |prev_e1| exactly
-                    multiply(multiply(abs_e1, prev_abs_e1, out=mu_u), neg_alpha, out=mu_u)
-                    add(mu_u, multiply(abs_e1, sigma, out=tmp), out=mu_u)
+                    absolute(e1, abs_e1)  # |e1 * prev_e1| == |e1| * |prev_e1| exactly
+                    multiply(multiply(abs_e1, prev_abs_e1, mu_u), neg_alpha, mu_u)
+                    add(mu_u, multiply(abs_e1, sigma, tmp), mu_u)
                     # b first (the weight updates leave its inputs alone)
-                    multiply(np.sign(e, out=tmp), mu_b, out=tmp)
-                    multiply(tmp, subtract(y1, y2, out=dy), out=tmp)
-                    multiply(multiply(tmp, gamma, out=tmp), g1, out=tmp)
-                    add(b, tmp, out=b)
+                    multiply(np.sign(e, tmp), mu_b, tmp)
+                    multiply(tmp, subtract(y1, y2, dy), tmp)
+                    multiply(multiply(tmp, gamma, tmp), g1, tmp)
+                    add(b, tmp, b)
                     moves = (start + i) % t_o == 0  # a weight-transfer step
                     if moves:
-                        np.greater(gamma, p.gamma_o, out=transfer)
-                    np.negative(b, out=gamma)  # clamp(-b) == -clamp(b) exactly
+                        np.greater(gamma, gamma_o, transfer)
+                    np.negative(b, gamma)  # clamp(-b) == -clamp(b) exactly
                 if has_svs:
-                    multiply(absolute(svs_e[i], out=svs_u), svs_a, out=svs_u)
+                    multiply(absolute(svs_e[i], svs_u), svs_a, svs_u)
                 if u is not None:  # 1 / (1 + exp(clamp(u))), row by row
-                    minimum(maximum(u, -700.0, out=u), 700.0, out=u)
-                    divide(1.0, add(exp(u, out=u), 1.0, out=u), out=u)
+                    minimum(maximum(u, low, out=u), high, out=u)
+                    divide(one, add(exp(u, u), one, u), u)
                 if convex:  # 2 * mu1, mu1 clamped to [0, beta/2]
-                    multiply(subtract(mu_u, 0.5, out=rate1), beta, out=rate1)
-                    minimum(maximum(rate1, 0.0, out=rate1), half_beta, out=rate1)
-                    multiply(rate1, 2.0, out=rate1)
+                    multiply(subtract(mu_u, half, rate1), beta, rate1)
+                    minimum(maximum(rate1, zero, out=rate1), half_beta, out=rate1)
+                    multiply(rate1, two, rate1)
                 if has_svs:
-                    multiply(subtract(svs_u, 0.5, out=svs_mu), svs_b, out=svs_mu)
+                    multiply(subtract(svs_u, half, svs_mu), svs_b, svs_mu)
                 if has_atlms:
                     e_at = at_e[i]
-                    multiply(multiply(e_at, at_a, out=at_mu), e_at, out=at_mu)
-                    multiply(np.arctan(at_mu, out=at_mu), at_gain, out=at_mu)
+                    multiply(multiply(e_at, at_a, at_mu), e_at, at_mu)
+                    multiply(np.arctan(at_mu, at_mu), at_gain, at_mu)
 
-                multiply(rate, e_all[top:], out=k)
+                multiply(rate, e_all[top:], k)
                 if convex:
-                    divide(k1, den[i], out=k1)
-                add(w, multiply(k, x_n, out=xw), out=w)
+                    divide(k1, den[i], k1)
+                add(w, multiply(k, x_n, xw), w)
                 if convex:
                     if moves:
                         copyto(w2, w1, where=transfer)

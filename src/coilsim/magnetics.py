@@ -10,15 +10,22 @@ and return one result row per point: an (N, 3) array of (bx, by, bz) from
 `segment_field` and `pair_field`, an (N,) array from `uniformity`.  There is
 no per-point path.  Grid maps go through the same kernel in consecutive
 blocks of at most MAP_BLOCK points (`field_map_blocks`), so their memory
-stays bounded at any grid size; `field_map` joins the blocks.
+stays bounded at any grid size; `field_map` joins the blocks, and
+`write_field_map_csv` streams them to CSV, the coordinates as grid levels
+with per-row level indices so the writer formats each level once.
 
 The Biot-Savart segment law is written once, in one kernel over
-(segments x points): each segment is a row of a table (canonical endpoints,
-unit direction, length, signed gain N*mu0*I) whose columns broadcast as
-(k, 1) against the (n,) point coordinates.  `segment_field` is its k = 1
-case.  `pair_field` validates the points once and evaluates all eight sides
-in one kernel call per chunk of at most KERNEL_CHUNK points, which bounds
-each temporary at 8 * KERNEL_CHUNK values.
+(wires x points): a wire table lists corners and, for each straight wire
+between two of them, its canonical endpoints (as corner indices), unit
+direction, length and signed gain N*mu0*I, as (k, 1) columns that
+broadcast against the (n,) point coordinates.  The kernel computes each
+corner's offset to every point and its distance once, and both wires that
+meet at the corner take them from there.  `segment_field` is the case of
+one wire between two corners; a pair is eight sides between eight
+corners, its table built once per HelmholtzPair.  `pair_field` validates
+the points once and evaluates all eight sides in one kernel call per chunk
+of at most KERNEL_CHUNK points, which bounds each temporary at
+8 * KERNEL_CHUNK values.
 
 Every output is bit-for-bit what a per-point, per-segment evaluation of the
 same closed form gives, so shipped CSVs do not change when the batch, chunk
@@ -26,21 +33,24 @@ or block size does.  That fixes the operation order: the kernel works
 elementwise per component, with the projection t1 = r1x*lx + r1y*ly + r1z*lz
 written out rather than as a matrix product, the gain multiplied left to
 right, and each loop summed side by side from zero (so 0 + -0.0 gives 0.0)
-before the two loops are added.  A point on a wire is reported as that
-order would meet it: the first offending point of the first offending side.
+before the two loops are added.  Sharing a corner's terms keeps that order:
+they are the same expressions on the same floats.  A point on a wire is
+reported as that order would meet it: the first offending point of the
+first offending side.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from ._table import write_repr_csv
+from ._table import Levels, write_repr_csv
 
 MU0 = 4.0e-7 * math.pi  # vacuum permeability, T*m/A (exact in SI-2019 sense)
 
@@ -96,6 +106,16 @@ class HelmholtzPair:
         if not math.isfinite(self.current):
             raise ValueError("current must be finite")
 
+    @functools.cached_property
+    def _wires(self) -> "_Wires":
+        # the eight sides in loop order: the loop at +spacing/2, then the one
+        # at -spacing/2, each counterclockwise from +z
+        s = 0.5 * self.side
+        h = 0.5 * self.spacing
+        corners = [(x, y, z) for z in (+h, -h) for x, y in ((s, -s), (s, s), (-s, s), (-s, -s))]
+        sides = [(4 * lp + i, 4 * lp + (i + 1) % 4) for lp in range(2) for i in range(4)]
+        return _wire_table(corners, sides, self.turns, self.current)
+
 
 def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
@@ -107,36 +127,70 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def _segment_row(start, end, turns: int, current: float) -> list[float]:
-    # one row of the kernel's segment table: the endpoints in canonical
-    # order, so that reversing start/end negates the field bit-for-bit, the
-    # unit direction, the length and the signed gain N*mu0*I
-    sign = 1.0
-    if tuple(end) < tuple(start):
-        start, end = end, start
-        sign = -1.0
-    sx, sy, sz = start
-    ex, ey, ez = end
-    dx = ex - sx
-    dy = ey - sy
-    dz = ez - sz
-    length = math.sqrt(dx * dx + dy * dy + dz * dz)
-    return [sx, sy, sz, ex, ey, ez, dx / length, dy / length, dz / length, length,
-            sign * turns * MU0 * current]
+class _Wires(NamedTuple):
+    """The kernel's wire table: k straight wires between m corners.
 
-
-def _segments_field(segments: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Field of each row of the segment table `segments` (k, 11) at each of
-    `pts` (n, 3); returns (k, n, 3).
-
-    Raises PointOnWire naming the first point within WIRE_GUARD_M of the
-    first such segment's line; its `segment` is that segment's row.
+    Each wire's endpoints are in canonical order, so that reversing start
+    and end negates its field bit-for-bit; `start` and `end` index them in
+    `corners`, (cx, cy, cz) as (m, 1) columns.  lx, ly, lz (the unit
+    direction), length and gain (the signed N*mu0*I) are (k, 1) columns.
     """
-    sx, sy, sz, ex, ey, ez, lx, ly, lz, length, gain = segments.T[:, :, None]
+
+    corners: tuple[np.ndarray, np.ndarray, np.ndarray]
+    start: np.ndarray
+    end: np.ndarray
+    lx: np.ndarray
+    ly: np.ndarray
+    lz: np.ndarray
+    length: np.ndarray
+    gain: np.ndarray
+
+    def first(self, k: int) -> "_Wires":
+        """The table of wires 0..k-1."""
+        return _Wires(self.corners, *(column[:k] for column in self[1:]))
+
+
+def _wire_table(corners, sides, turns: int, current: float) -> _Wires:
+    """The table of wires carrying `current` from corners[i] to corners[j]
+    for each (i, j) of `sides`."""
+    index, rows = [], []
+    for i, j in sides:
+        sign = 1.0
+        if tuple(corners[j]) < tuple(corners[i]):
+            i, j = j, i
+            sign = -1.0
+        (sx, sy, sz), (ex, ey, ez) = corners[i], corners[j]
+        dx = ex - sx
+        dy = ey - sy
+        dz = ez - sz
+        length = math.sqrt(dx * dx + dy * dy + dz * dz)
+        index.append((i, j))
+        rows.append((dx / length, dy / length, dz / length, length, sign * turns * MU0 * current))
+    start, end = np.array(index).T
+    return _Wires(tuple(np.array(corners, dtype=float).T[:, :, None]), start, end,
+                  *np.array(rows).T[:, :, None])
+
+
+def _wires_field(wires: _Wires, pts: np.ndarray) -> np.ndarray:
+    """Field of each wire of `wires` at each of `pts` (n, 3); returns
+    (3, k, n): bx, by and bz of each wire at each point.
+
+    Each corner's offset to every point and distance from it is computed
+    once, for both wires that meet there.  Raises PointOnWire naming the
+    first point within WIRE_GUARD_M of the first such wire's line; its
+    `segment` is that wire's row.
+    """
     x, y, z = pts.T
-    r1x = x - sx
-    r1y = y - sy
-    r1z = z - sz
+    cx, cy, cz = wires.corners
+    corner = np.empty((4, len(cx), len(pts)))
+    rx, ry, rz, dist = corner
+    np.subtract(x, cx, out=rx)
+    np.subtract(y, cy, out=ry)
+    np.subtract(z, cz, out=rz)
+    np.sqrt(rx * rx + ry * ry + rz * rz, out=dist)
+    r1x, r1y, r1z, d1 = corner[:, wires.start]  # q - start, and its length
+    d2 = dist[wires.end]  # the length of q - end
+    lx, ly, lz = wires.lx, wires.ly, wires.lz
     # signed projection of q-start onto the wire direction
     t1 = r1x * lx + r1y * ly + r1z * lz
     ax = r1x - t1 * lx
@@ -148,22 +202,17 @@ def _segments_field(segments: np.ndarray, pts: np.ndarray) -> np.ndarray:
         k = int(np.argmax(on_wire.any(axis=1)))
         raise PointOnWire(tuple(pts[np.argmax(on_wire[k])].tolist()), segment=k)
 
-    d1 = np.sqrt(r1x * r1x + r1y * r1y + r1z * r1z)
-    r2x = x - ex
-    r2y = y - ey
-    r2z = z - ez
-    d2 = np.sqrt(r2x * r2x + r2y * r2y + r2z * r2z)
-
     cos1 = t1 / d1
-    cos2 = (length - t1) / d2
-    scale = gain / (4.0 * math.pi * a) * (cos1 + cos2)
+    cos2 = (wires.length - t1) / d2
+    scale = wires.gain / (4.0 * math.pi * a) * (cos1 + cos2)
 
     # unit vector along l_hat x a_hat
     inv_a = 1.0 / a
-    px = (ly * az - lz * ay) * inv_a
-    py = (lz * ax - lx * az) * inv_a
-    pz = (lx * ay - ly * ax) * inv_a
-    return np.stack((scale * px, scale * py, scale * pz), axis=-1)
+    b = np.empty((3, *a.shape))
+    np.multiply(scale, (ly * az - lz * ay) * inv_a, out=b[0])
+    np.multiply(scale, (lz * ax - lx * az) * inv_a, out=b[1])
+    np.multiply(scale, (lx * ay - ly * ax) * inv_a, out=b[2])
+    return b
 
 
 def segment_field(start, end, current: float, points, turns: int = 1) -> np.ndarray:
@@ -186,21 +235,8 @@ def segment_field(start, end, current: float, points, turns: int = 1) -> np.ndar
         raise ValueError(f"non-finite segment endpoint: {tuple(start)} -> {tuple(end)}")
     if tuple(start) == tuple(end):
         raise ValueError("segment endpoints coincide")
-    segment = np.array([_segment_row(start, end, turns, current)])
-    return _segments_field(segment, _as_points(points))[0]
-
-
-def _pair_segments(pair: HelmholtzPair) -> np.ndarray:
-    # the eight sides in loop order: the loop at +spacing/2, then the one at
-    # -spacing/2, each counterclockwise from +z
-    s = 0.5 * pair.side
-    h = 0.5 * pair.spacing
-    rows = []
-    for z in (+h, -h):
-        corners = ((s, -s, z), (s, s, z), (-s, s, z), (-s, -s, z))
-        rows += [_segment_row(corners[i], corners[(i + 1) % 4], pair.turns, pair.current)
-                 for i in range(4)]
-    return np.array(rows)
+    wire = _wire_table((tuple(start), tuple(end)), [(0, 1)], turns, current)
+    return _wires_field(wire, _as_points(points))[:, 0].T
 
 
 def pair_field(pair: HelmholtzPair, points) -> np.ndarray:
@@ -210,30 +246,30 @@ def pair_field(pair: HelmholtzPair, points) -> np.ndarray:
     each the sum of its four sides traversed counterclockwise from +z.
     """
     pts = _as_points(points)
-    segments = _pair_segments(pair)
-    out = np.empty(pts.shape)
+    wires = pair._wires
+    out = np.empty((3, len(pts)))
     for start in range(0, len(pts), KERNEL_CHUNK):
         stop = start + KERNEL_CHUNK
         try:
-            sides = _segments_field(segments, pts[start:stop])
+            sides = _wires_field(wires, pts[start:stop])
         except PointOnWire as hit:
-            raise _first_on_wire(segments, pts[stop:], hit) from None
-        loops = np.zeros((2, *sides.shape[1:]))
+            raise _first_on_wire(wires, pts[stop:], hit) from None
+        loops = np.zeros((3, 2, sides.shape[2]))
         for i in range(4):
-            loops += sides[i::4]  # side i of both loops
-        out[start:stop] = loops[0] + loops[1]
-    return out
+            loops += sides[:, i::4]  # side i of both loops
+        np.add(loops[:, 0], loops[:, 1], out=out[:, start:stop])
+    return out.T
 
 
-def _first_on_wire(segments: np.ndarray, rest: np.ndarray, hit: PointOnWire) -> PointOnWire:
+def _first_on_wire(wires: _Wires, rest: np.ndarray, hit: PointOnWire) -> PointOnWire:
     # `hit` is the first on-wire point of one chunk; a later chunk can still
-    # hold a point on an earlier segment, which a per-segment evaluation of
-    # all points would report first
+    # hold a point on an earlier wire, which a per-wire evaluation of all
+    # points would report first
     for start in range(0, len(rest), KERNEL_CHUNK):
         if hit.segment == 0:
             break
         try:
-            _segments_field(segments[:hit.segment], rest[start:start + KERNEL_CHUNK])
+            _wires_field(wires.first(hit.segment), rest[start:start + KERNEL_CHUNK])
         except PointOnWire as earlier:
             hit = earlier
     return hit
@@ -306,12 +342,31 @@ class GridSpec:
     def size(self) -> int:
         return math.prod(self.shape)
 
+    def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The x, y and z levels of the grid."""
+        return self._axis(*self.x), self._axis(*self.y), self._axis(*self.z)
+
+    def index(self, start: int = 0, stop: int | None = None) -> tuple[np.ndarray, ...]:
+        """The x, y and z level indices of grid points start..stop-1 in
+        row-major order (all of them by default)."""
+        return np.unravel_index(np.arange(start, self.size if stop is None else stop), self.shape)
+
     def points(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Grid points start..stop-1 in row-major order (all of them by
         default) as an (n, 3) array."""
-        axes = (self._axis(*self.x), self._axis(*self.y), self._axis(*self.z))
-        index = np.unravel_index(np.arange(start, self.size if stop is None else stop), self.shape)
-        return np.stack([a[i] for a, i in zip(axes, index)], axis=1)
+        return np.stack([a[i] for a, i in zip(self.axes(), self.index(start, stop))], axis=1)
+
+
+def _map_blocks(pair: HelmholtzPair, grid: GridSpec):
+    """(level indices, points, field, uniformity_pct) of each block of
+    `field_map_blocks`."""
+    ref = _center_ref(pair)
+    axes = grid.axes()
+    for start in range(0, grid.size, MAP_BLOCK):
+        index = grid.index(start, min(start + MAP_BLOCK, grid.size))
+        pts = np.stack([a[i] for a, i in zip(axes, index)], axis=1)
+        b = pair_field(pair, pts)
+        yield index, pts, b, _uniformity_pct(b[:, 2], ref)
 
 
 def field_map_blocks(pair: HelmholtzPair, grid: GridSpec
@@ -324,11 +379,8 @@ def field_map_blocks(pair: HelmholtzPair, grid: GridSpec
     center field raises ZeroCenterField before any block; a grid point on a
     wire line raises PointOnWire naming the point when its block is reached.
     """
-    ref = _center_ref(pair)
-    for start in range(0, grid.size, MAP_BLOCK):
-        pts = grid.points(start, min(start + MAP_BLOCK, grid.size))
-        b = pair_field(pair, pts)
-        yield pts, b, _uniformity_pct(b[:, 2], ref)
+    for _, pts, b, h in _map_blocks(pair, grid):
+        yield pts, b, h
 
 
 def field_map(pair: HelmholtzPair, grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -345,19 +397,22 @@ def field_map(pair: HelmholtzPair, grid: GridSpec) -> tuple[np.ndarray, np.ndarr
 FIELD_MAP_HEADER = ("x_m", "y_m", "z_m", "bx_T", "by_T", "bz_T", "uniformity_pct")
 
 
-def write_field_map_csv(path, blocks) -> None:
-    """Write field-map blocks of (points, field, uniformity_pct), as
-    `field_map_blocks` yields them, as CSV with round-trip decimal
-    formatting.
+def write_field_map_csv(path, pair: HelmholtzPair, grid: GridSpec) -> None:
+    """Write the field map of `pair` over `grid`, the rows of
+    `field_map_blocks`, as CSV with round-trip decimal formatting.
 
-    The rows go to `<path>.part`, which replaces `path` only once every
-    block is written: an error in a later block (a grid point on a wire)
-    leaves neither a partial map nor the temporary file behind.
+    The coordinates go to the writer as grid levels and per-row level
+    indices, so each level is formatted once.  The rows go to
+    `<path>.part`, which replaces `path` only once every block is written:
+    an error in a later block (a grid point on a wire) leaves neither a
+    partial map nor the temporary file behind.
     """
     path = Path(path)
     part = path.with_name(path.name + ".part")
+    axes = grid.axes()
     try:
-        write_repr_csv(part, FIELD_MAP_HEADER, ((*p.T, *b.T, h) for p, b, h in blocks))
+        write_repr_csv(part, FIELD_MAP_HEADER, ((*map(Levels, axes, index), *b.T, h)
+                                                for index, _, b, h in _map_blocks(pair, grid)))
         os.replace(part, path)
     except BaseException:
         part.unlink(missing_ok=True)

@@ -4,9 +4,12 @@ The field oracle integrates the line-integral law dB = N*mu0*I (dl x r)/(4pi |r|
 directly by the midpoint rule; `onaxis_field` is the textbook on-axis closed
 form of a square loop pair, and `second_derivative_center_fd` a finite
 difference of it.  None of them shares code with the package's closed forms.
-Six groups are exceptions, kept as references for bit-for-bit behaviour
+Seven groups are exceptions, kept as references for bit-for-bit behaviour
 rather than as independent oracles: `segment_field_scalar`, a per-point
-reference for the array kernel; `scan_positions_ref`, the position walk
+reference for the array kernel; `pair_field_ref`, the segment kernel in
+its per-side form (each side's offsets and distances computed from its own
+endpoints) over all points at once, which `coilsim.magnetics.pair_field`
+must reproduce, on-wire errors included; `scan_positions_ref`, the position walk
 by repeated addition that `coilsim.coilopt.scan_positions` must
 reproduce; the `run_*_batch_ref` runners, batch filters in their
 plainest form (one step at a time into whole error arrays, each dot
@@ -37,6 +40,7 @@ import numpy as np
 
 from coilsim.control import ConvexParams, NonFiniteInput, run_laws_batch
 from coilsim.experiments import DIAGNOSTICS_COLUMNS, DWELL_S
+from coilsim.magnetics import PointOnWire
 from coilsim.plant import PlantModel, SensorSpec, disturbance_series, sensor_noise
 
 MU0 = 4.0e-7 * np.pi
@@ -135,6 +139,74 @@ def segment_field_scalar(start, end, current, turns, q):
         scale * ((lz * ax - lx * az) * inv_a),
         scale * ((lx * ay - ly * ax) * inv_a),
     )
+
+
+def _segment_row_ref(start, end, turns: int, current: float) -> list[float]:
+    # canonical endpoints, unit direction, length and signed gain N*mu0*I
+    sign = 1.0
+    if tuple(end) < tuple(start):
+        start, end = end, start
+        sign = -1.0
+    sx, sy, sz = start
+    ex, ey, ez = end
+    dx = ex - sx
+    dy = ey - sy
+    dz = ez - sz
+    length = math.sqrt(dx * dx + dy * dy + dz * dz)
+    return [sx, sy, sz, ex, ey, ez, dx / length, dy / length, dz / length, length,
+            sign * turns * MU0 * current]
+
+
+def segments_field_ref(segments: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Field of each row of the segment table `segments` (k, 11) at each of
+    `pts` (n, 3), (k, n, 3); each side computes its own offsets and
+    distances.  Raises PointOnWire for the first point within the guard of
+    the first such segment's line."""
+    sx, sy, sz, ex, ey, ez, lx, ly, lz, length, gain = segments.T[:, :, None]
+    x, y, z = pts.T
+    r1x = x - sx
+    r1y = y - sy
+    r1z = z - sz
+    t1 = r1x * lx + r1y * ly + r1z * lz
+    ax = r1x - t1 * lx
+    ay = r1y - t1 * ly
+    az = r1z - t1 * lz
+    a = np.sqrt(ax * ax + ay * ay + az * az)
+    on_wire = a <= 1e-12
+    if on_wire.any():
+        k = int(np.argmax(on_wire.any(axis=1)))
+        raise PointOnWire(tuple(pts[np.argmax(on_wire[k])].tolist()), segment=k)
+    d1 = np.sqrt(r1x * r1x + r1y * r1y + r1z * r1z)
+    r2x = x - ex
+    r2y = y - ey
+    r2z = z - ez
+    d2 = np.sqrt(r2x * r2x + r2y * r2y + r2z * r2z)
+    cos1 = t1 / d1
+    cos2 = (length - t1) / d2
+    scale = gain / (4.0 * math.pi * a) * (cos1 + cos2)
+    inv_a = 1.0 / a
+    px = (ly * az - lz * ay) * inv_a
+    py = (lz * ax - lx * az) * inv_a
+    pz = (lx * ay - ly * ax) * inv_a
+    return np.stack((scale * px, scale * py, scale * pz), axis=-1)
+
+
+def pair_field_ref(pair, points) -> np.ndarray:
+    """The pair's field at each of `points` (N, 3) from one per-side kernel
+    call over all points: the loop at +spacing/2, then the other, each side
+    counterclockwise from +z, each loop summed side by side from zero."""
+    s = 0.5 * pair.side
+    h = 0.5 * pair.spacing
+    rows = []
+    for z in (+h, -h):
+        corners = ((s, -s, z), (s, s, z), (-s, s, z), (-s, -s, z))
+        rows += [_segment_row_ref(corners[i], corners[(i + 1) % 4], pair.turns, pair.current)
+                 for i in range(4)]
+    sides = segments_field_ref(np.array(rows), np.asarray(points, dtype=float))
+    loops = np.zeros((2, *sides.shape[1:]))
+    for i in range(4):
+        loops += sides[i::4]
+    return loops[0] + loops[1]
 
 
 def scan_positions_ref(first: float, step: float, last: float) -> Iterator[float]:

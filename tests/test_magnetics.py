@@ -25,6 +25,7 @@ from coilsim.magnetics import (
 from oracles import (
     onaxis_field,
     pair_field_numeric,
+    pair_field_ref,
     segment_field_scalar,
     square_loop_field_numeric,
     wire_field_numeric,
@@ -253,6 +254,79 @@ class TestFieldProperties:
             assert pair_field(pair, q * flip)[:, 2] == pytest.approx(bz, rel=1e-12)
 
 
+def symmetry_plane_points(pair: HelmholtzPair, n: int, seed: int) -> np.ndarray:
+    """n points inside and around the pair, many of them on its symmetry
+    planes (x = 0, y = 0, z = 0, x = +-y) and in its loop planes, with
+    signed zero coordinates, where the sides' terms cancel to signed zeros."""
+    rng = np.random.default_rng(seed)
+    s, h = 0.5 * pair.side, 0.5 * pair.spacing
+    q = rng.uniform(-1.2, 1.2, (n, 3)) * (s, s, h)
+    q[::7] = 0.0
+    q[1::7, 0] = -0.0
+    q[2::7, 1] = 0.0
+    q[3::7, 2] = -0.0
+    q[4::7, 1] = q[4::7, 0]
+    q[5::7, 1] = -q[5::7, 0]
+    q[6::7, 2] = rng.choice([h, -h], len(q[6::7]))
+    q[::11, :2] = -0.0
+    return q
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestKernelReference:
+    """pair_field, which computes each corner's offsets and distances once,
+    against the per-side kernel in tests/oracles.py, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 7, KERNEL_CHUNK - 1, KERNEL_CHUNK, KERNEL_CHUNK + 1, 3 * KERNEL_CHUNK + 5])
+    def test_symmetry_planes_and_chunk_edges(self, n):
+        q = symmetry_plane_points(TABLE2, n, n)
+        assert_same_bits(pair_field(TABLE2, q), pair_field_ref(TABLE2, q))
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=pairs, n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_any_pair(self, pair, n, seed):
+        q = symmetry_plane_points(pair, n, seed)
+        assert_same_bits(pair_field(pair, q), pair_field_ref(pair, q))
+
+    def test_negative_current_and_one_turn(self):
+        pair = HelmholtzPair(0.3, 0.7, 1, -1.25)
+        q = symmetry_plane_points(pair, 200, 5)
+        assert_same_bits(pair_field(pair, q), pair_field_ref(pair, q))
+
+    @pytest.mark.parametrize("side", range(8))
+    @pytest.mark.parametrize("where", [0, 5, KERNEL_CHUNK + 3], ids=["first", "same-chunk", "later-chunk"])
+    def test_point_on_wire_order(self, side, where):
+        # a point on the line of `side` at row `where`, and one on each
+        # later side's line in the rows just before it (wrapping to the last
+        # chunk): both name the point on `side`
+        s, h = 0.5 * TABLE2.side, 0.5 * TABLE2.spacing
+        on_side = [(s, 0.1, h), (-0.1, s, h), (-s, -0.1, h), (0.1, -s, h),
+                   (s, -0.1, -h), (0.1, s, -h), (-s, 0.1, -h), (-0.1, -s, -h)]
+        q = symmetry_plane_points(TABLE2, 2 * KERNEL_CHUNK, side)
+        q[where] = on_side[side]
+        for k in range(side + 1, 8):
+            q[where - k] = on_side[k]
+        with pytest.raises(PointOnWire) as want:
+            pair_field_ref(TABLE2, q)
+        with pytest.raises(PointOnWire) as got:
+            pair_field(TABLE2, q)
+        assert (got.value.point, got.value.segment) == (want.value.point, want.value.segment)
+
+    def test_wire_table_is_built_once_per_pair(self, monkeypatch):
+        pair = HelmholtzPair(TABLE2.side, TABLE2.spacing, TABLE2.turns, TABLE2.current)
+        calls = []
+        build = magnetics._wire_table
+        monkeypatch.setattr(magnetics, "_wire_table", lambda *a: calls.append(1) or build(*a))
+        for _ in range(3):
+            pair_field(pair, pt(0.1, 0.0, 0.0))
+        uniformity(pair, pt(0.0, 0.1, 0.0))
+        assert len(calls) == 1
+
+
 class TestOnAxis:
     """The on-axis closed form in tests/oracles.py against the package's
     segment kernel and the brute-force integral."""
@@ -416,7 +490,7 @@ class TestFieldMap:
     def test_single_point_axis_keeps_negative_zero(self, tmp_path):
         grid = GridSpec(x=(-0.0, -0.0, 1), y=(-0.1, 0.1, 3), z=(0.0, 0.0, 1))
         path = tmp_path / "map.csv"
-        write_field_map_csv(path, field_map_blocks(TABLE2, grid))
+        write_field_map_csv(path, TABLE2, grid)
         rows = path.read_text().splitlines()[1:]
         assert [r.split(",")[:3] for r in rows] == [
             ["-0.0", "-0.1", "0.0"], ["-0.0", "0.0", "0.0"], ["-0.0", "0.1", "0.0"]
@@ -426,7 +500,7 @@ class TestFieldMap:
         grid = GridSpec(x=(0, 0, 1), y=(0, 0, 1), z=(-0.1, 0.1, 5))
         points, field, h = field_map(TABLE2, grid)
         path = tmp_path / "map.csv"
-        write_field_map_csv(path, [(points, field, h)])
+        write_field_map_csv(path, TABLE2, grid)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x_m,y_m,z_m,bx_T,by_T,bz_T,uniformity_pct"
         assert len(lines) == 6

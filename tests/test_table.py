@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coilsim import _table
-from coilsim._table import KERNEL_CHUNK, KERNEL_MIN, WRITE_ROWS, write_repr_csv
+from coilsim._table import KERNEL_CHUNK, KERNEL_MIN, WRITE_ROWS, Levels, write_repr_csv
 from coilsim.magnetics import MAP_BLOCK
 
 
@@ -178,3 +178,76 @@ def test_numpy_float_scalars_print_as_floats(tmp_path, n):
     cells = [np.float64(0.1), 2.5, np.float64(-1e-7)] * (n // 3 + 1)
     got = write_and_read(tmp_path, ["v"], [cells])
     assert got.splitlines()[1:4] == [b"0.1", b"2.5", b"-1e-07"]
+
+
+# -- deduplication on magnitude ----------------------------------------------
+
+# cells whose sign repr prints, or does not: signed zeros, subnormals and
+# infinities print "-" + repr(-x); a NaN prints "nan" whatever its sign bit
+SIGNED_SPECIALS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, -2.2250738585072009e-308,
+    float("inf"), float("-inf"), float("nan"),
+    *_bits(0xFFF8000000000000, 0xFFF0000000000001, 0x7FF8000000000001),
+]
+
+
+@pytest.mark.parametrize(
+    "n_magnitudes, n_cells",
+    [(300, KERNEL_MIN - 1), (300, KERNEL_MIN), (300, KERNEL_MIN + 1),
+     *((m, 2 * m + len(SIGNED_SPECIALS)) for m in (KERNEL_CHUNK - 1, KERNEL_CHUNK, KERNEL_CHUNK + 1))],
+)
+def test_both_signs_of_a_magnitude_print_as_repr(tmp_path, monkeypatch, n_magnitudes, n_cells):
+    # each normal magnitude appears with both signs in one write, and the
+    # write holds n_magnitudes of them: the kernel formats each once, in
+    # one chunk or across a KERNEL_CHUNK edge
+    rng = np.random.default_rng(n_cells)
+    magnitudes = np.abs(rng.standard_normal(n_magnitudes)) * 10.0 ** rng.integers(-30, 30, n_magnitudes)
+    pool = np.concatenate([magnitudes, -magnitudes, SIGNED_SPECIALS])
+    cells = rng.permutation(np.resize(pool, max(n_cells, len(pool))))[:n_cells]
+    formatted = []
+    format_ = _table._format
+
+    def recording(bits):
+        formatted.append(len(bits))
+        return format_(bits)
+
+    monkeypatch.setattr(_table, "_format", recording)
+    monkeypatch.setattr(_table, "WRITE_ROWS", n_cells)  # one write
+    got = write_and_read(tmp_path, ["i", "v"], [range(n_cells), cells])
+    old_writer(tmp_path / "old.csv", ["i", "v"], zip(range(n_cells), cells.tolist()))
+    assert got == (tmp_path / "old.csv").read_bytes()
+    if n_cells >= KERNEL_MIN:
+        magnitude_bits = np.abs(cells).view(np.uint64)
+        assert formatted == [len(np.unique(magnitude_bits))]
+    else:
+        assert formatted == []
+
+
+def test_nan_sign_bit_prints_no_minus(tmp_path):
+    nans = _bits(0xFFF8000000000000, 0x7FF8000000000000, 0xFFFFFFFFFFFFFFFF)
+    cells = np.resize(np.array(nans + [-1.5, 1.5, -0.0]), KERNEL_MIN)
+    got = write_and_read(tmp_path, ["v"], [cells])
+    assert got.splitlines()[1:7] == [b"nan", b"nan", b"nan", b"-1.5", b"1.5", b"-0.0"]
+
+
+# -- level columns ------------------------------------------------------------
+
+LEVEL_CASES = {
+    "repeated": ([-0.2, 0.0, 0.2], lambda n: np.arange(n) // 7 % 3),
+    "reversed": (np.linspace(-1.0, 1.0, 17), lambda n: 16 - np.arange(n) % 17),
+    "single": ([0.375], lambda n: np.zeros(n, dtype=np.intp)),
+    "negative-zero": ([-0.0, 0.0, -5e-324, 1e16], lambda n: np.arange(n) * 5 % 4),
+}
+
+
+@pytest.mark.parametrize("n", [3, KERNEL_MIN // 2, KERNEL_MIN, WRITE_ROWS + 5])
+@pytest.mark.parametrize("case", LEVEL_CASES)
+@pytest.mark.parametrize("with_floats", [True, False], ids=["with-floats", "levels-only"])
+def test_level_column_prints_as_its_expanded_column(tmp_path, n, case, with_floats):
+    levels, index = LEVEL_CASES[case]
+    levels, index = np.array(levels, dtype=np.float64), index(n)
+    floats = [-np.random.default_rng(n).standard_normal(n)] if with_floats else []
+    header = ["l", "m"] + ["f"] * with_floats
+    write_repr_csv(tmp_path / "levels.csv", header, [[Levels(levels, index), Levels(levels[::-1], index), *floats]])
+    write_repr_csv(tmp_path / "cells.csv", header, [[levels[index], levels[::-1][index], *floats]])
+    assert (tmp_path / "levels.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
