@@ -29,8 +29,6 @@ from .magnetics import (
     MU0,
     GridSpec,
     HelmholtzPair,
-    field_map,
-    field_map_blocks,
     pair_field,
     segment_field,
     uniformity,

@@ -1,12 +1,13 @@
-"""The one CSV writer behind every numeric table the package exports.
+"""The one CSV writer behind every table the package exports.
 
 A table arrives as blocks of columns, so a table too large to hold whole
 streams through one block at a time.  Row-built tables (traces, logs,
-diagnostics) pass their rows transposed as a single block.  The writer
-turns WRITE_ROWS rows of a block at a time into one byte string and writes
-it.  Every cell reads as `repr` writes it: an int column's cells, and the
-cells of a column that is not all floats, are their own `repr`s; a float
-cell, np.float64 included, is the `repr` of the Python float.
+diagnostics, metrics) pass their rows transposed as a single block.  The
+writer turns WRITE_ROWS rows of a block at a time into one byte string and
+writes it, the bytes csv.writer writes for the same rows.  A float cell,
+np.float64 included, is the `repr` of the Python float; any other cell is
+as `_cell` gives it: a str itself, None empty, anything else (an int) its
+own `repr`.
 
 Float cells are formatted as arrays.  The float columns of the rows being
 written (a sequence of floats is first converted to float64, exactly) are
@@ -213,12 +214,14 @@ def _text_matrix(texts) -> np.ndarray:
     return text.view(np.uint8).reshape(len(text), -1)
 
 
-def _repr_matrix(values) -> np.ndarray:
-    """The repr of each value (of each Python scalar, for an array), one
-    NUL-padded row of bytes each."""
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    return _text_matrix(list(map(repr, values)))
+def _cell(value) -> str:
+    """The text of a cell: a float's (np.float64's too) is the repr of the
+    Python float, a str is itself, None is empty, anything else its repr."""
+    if isinstance(value, float):
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return value
+    return "" if value is None else repr(value)
 
 
 def _format(bits: np.ndarray) -> np.ndarray:
@@ -265,14 +268,13 @@ def _is_float(column) -> bool:
     return set(map(type, column)) <= {float, np.float64}
 
 
-def _reprs(column, is_float: bool) -> list[str]:
-    """The repr of each cell of `column`, a float cell's as a Python float's."""
+def _cells(column, is_float: bool) -> list[str]:
+    """The text of each cell of `column`, or of each level of a Levels."""
     if isinstance(column, Levels):
-        texts = list(map(float.__repr__, np.asarray(column.levels, dtype=np.float64).tolist()))
-        return [texts[i] for i in column.index.tolist()]
+        column, is_float = np.asarray(column.levels, dtype=np.float64), True
     if isinstance(column, np.ndarray):
         column = column.tolist()
-    return list(map(float.__repr__ if is_float else repr, column))
+    return list(map(float.__repr__ if is_float else _cell, column))
 
 
 def _rows(columns: list) -> bytes:
@@ -280,7 +282,9 @@ def _rows(columns: list) -> bytes:
     n = len(columns[0])
     floats = [_is_float(c) for c in columns]
     if n * sum(floats) < KERNEL_MIN:
-        cells = [_reprs(c, f) for c, f in zip(columns, floats)]
+        cells = [_cells(c, f) for c, f in zip(columns, floats)]
+        cells = [list(map(t.__getitem__, c.index.tolist())) if isinstance(c, Levels) else t
+                 for c, t in zip(columns, cells)]
         return ("\r\n".join(map(",".join, zip(*cells))) + "\r\n").encode()
     plain = [np.asarray(c, dtype=np.float64).view(np.uint64) for c, f in zip(columns, floats)
              if f and not isinstance(c, Levels)]
@@ -291,8 +295,8 @@ def _rows(columns: list) -> bytes:
         distinct, inverse = np.unique(bits & ~_SIGN, return_inverse=True)
         table = _format(distinct)
         inverse = iter(inverse.reshape(-1, n))
-    matrices = [_repr_matrix(np.asarray(c.levels, dtype=np.float64)) if isinstance(c, Levels)
-                else None if f else _repr_matrix(c) for c, f in zip(columns, floats)]
+    matrices = [None if f and not isinstance(c, Levels) else _text_matrix(_cells(c, f))
+                for c, f in zip(columns, floats)]
     widths = [table.shape[1] if m is None else m.shape[1] for m in matrices]
     text = np.empty((n, sum(widths) + len(widths) + 1), np.uint8)
     at = 0
@@ -310,15 +314,16 @@ def _rows(columns: list) -> bytes:
 
 def write_repr_csv(path, header: Sequence[str], blocks: Iterable[Iterable[Sequence]]) -> None:
     """Write the header, then each block of equal-length columns as one line
-    per row of `repr`'d cells, ending lines with "\\r\\n" as csv.writer does.
+    per row, the bytes csv.writer writes for the same rows.
 
-    Columns are float64 arrays, Levels, or sequences of Python ints or
-    floats: their reprs round-trip and never need csv quoting.  A column
+    Columns are float64 arrays, Levels, or sequences of cells.  A column
     whose cells are all floats (np.float64 scalars included) prints them as
     Python floats, through the array kernel once the rows written together
     hold KERNEL_MIN float cells; a Levels column prints as the float column
-    levels[index]; any other column prints each cell's own `repr`.  The
-    writer holds WRITE_ROWS rows of text at a time.
+    levels[index]; any other column prints each cell as `_cell` does.  No
+    cell is quoted, so a str cell must be ASCII and need no csv quoting: no
+    comma, quote or line break.  The writer holds WRITE_ROWS rows of text
+    at a time.
     """
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())

@@ -1,6 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime/validation failure.
+A path that cannot be read or written exits 1 with a one-line error: a
+missing --config or one naming a directory, or an --out-dir or --csv that
+names a file or lies under one.
 A value no run can use, such as a negative rate or a run beyond STEP_MAX
 steps, exits 1, under --validate-only too; a finite config whose filter
 diverges ("non-finite"), or a run out of memory, exits 2.
@@ -193,8 +196,7 @@ def cmd_field_map(args) -> int:
         return EXIT_OK
     with _new_outdir(args) as out_dir:
         out = out_dir / "field_map.csv"
-        magnetics.write_field_map_csv(out, pair, grid)
-    center = magnetics.pair_field(pair, np.zeros((1, 3)))[0, 2]
+        center = magnetics.write_field_map_csv(out, pair, grid)
     print(f"{grid.size} grid points; center bz = {center * 1e6:.2f} uT")
     print(f"wrote {out}")
     return EXIT_OK
@@ -343,7 +345,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as err:
+    except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (magnetics.PointOnWire, magnetics.ZeroCenterField, ValueError) as err:

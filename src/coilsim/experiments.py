@@ -20,11 +20,13 @@ A step-response run returns its metrics together with its per-step record,
 MetricsReport.columns: one array per column name.  The trace, sensor-log
 and convex-diagnostics files of the `step` command are the column lists
 TRACE_COLUMNS, SENSOR_LOG_COLUMNS and DIAGNOSTICS_COLUMNS of that record.
+Those files, the MSE curves and metrics.csv are all written by
+`_table.write_repr_csv`; a metrics row leaves the fields its kind of run
+does not fill empty.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import struct
@@ -560,32 +562,12 @@ METRICS_HEADER = (
 )
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(float(v))  # np.float64 is a float whose repr is np.float64(...)
-    return str(v)
-
-
 def write_metrics_csv(path, rows: Sequence[tuple[str, MetricsReport]]) -> None:
-    """One row per (method, report)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_HEADER)
-        for name, r in rows:
-            writer.writerow(
-                [
-                    name,
-                    _fmt(r.reach_target_time_s),
-                    _fmt(r.mean_steady_nt),
-                    _fmt(r.rmse_steady_nt),
-                    _fmt(r.fluct_min_nt),
-                    _fmt(r.fluct_max_nt),
-                    _fmt(r.iters_to_converge),
-                    _fmt(r.final_mse),
-                ]
-            )
+    """One row per (method, report): the method, then each METRICS_HEADER
+    field of the report, an unused (None) field as an empty cell."""
+    names = [name for name, _ in rows]
+    fields = [[getattr(r, header.lower()) for _, r in rows] for header in METRICS_HEADER[1:]]
+    write_repr_csv(path, METRICS_HEADER, [[names, *fields]])
 
 
 def write_mse_curves_csv(path, curves: Mapping[str, np.ndarray]) -> None:

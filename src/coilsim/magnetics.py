@@ -8,11 +8,12 @@ placements are handled by transforming the query points, not the coils.
 Field functions take the query points as an (N, 3) array of rows (x, y, z)
 and return one result row per point: an (N, 3) array of (bx, by, bz) from
 `segment_field` and `pair_field`, an (N,) array from `uniformity`.  There is
-no per-point path.  Grid maps go through the same kernel in consecutive
-blocks of at most MAP_BLOCK points (`field_map_blocks`), so their memory
-stays bounded at any grid size; `field_map` joins the blocks, and
-`write_field_map_csv` streams them to CSV, the coordinates as grid levels
-with per-row level indices so the writer formats each level once.
+no per-point path.  A grid map has one producer, `write_field_map_csv`: it
+takes the center field once, then runs the grid through the same kernel in
+consecutive blocks of at most MAP_BLOCK points and streams each block to
+CSV, so its memory stays bounded at any grid size.  The coordinates go to
+the writer as grid levels with per-row level indices, so each level is
+formatted once.
 
 The Biot-Savart segment law is written once, in one kernel over
 (wires x points): a wire table lists corners and, for each straight wire
@@ -46,7 +47,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -275,10 +276,6 @@ def _first_on_wire(wires: _Wires, rest: np.ndarray, hit: PointOnWire) -> PointOn
     return hit
 
 
-def _center_ref(pair: HelmholtzPair) -> float:
-    return _reference(pair_field(pair, np.zeros((1, 3)))[0, 2])
-
-
 def _reference(bz0: float) -> float:
     # |bz| at the center, the reference of every uniformity value
     ref = abs(bz0)
@@ -346,74 +343,45 @@ class GridSpec:
         """The x, y and z levels of the grid."""
         return self._axis(*self.x), self._axis(*self.y), self._axis(*self.z)
 
-    def index(self, start: int = 0, stop: int | None = None) -> tuple[np.ndarray, ...]:
-        """The x, y and z level indices of grid points start..stop-1 in
-        row-major order (all of them by default)."""
-        return np.unravel_index(np.arange(start, self.size if stop is None else stop), self.shape)
-
-    def points(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Grid points start..stop-1 in row-major order (all of them by
-        default) as an (n, 3) array."""
-        return np.stack([a[i] for a, i in zip(self.axes(), self.index(start, stop))], axis=1)
-
-
-def _map_blocks(pair: HelmholtzPair, grid: GridSpec):
-    """(level indices, points, field, uniformity_pct) of each block of
-    `field_map_blocks`."""
-    ref = _center_ref(pair)
-    axes = grid.axes()
-    for start in range(0, grid.size, MAP_BLOCK):
-        index = grid.index(start, min(start + MAP_BLOCK, grid.size))
-        pts = np.stack([a[i] for a, i in zip(axes, index)], axis=1)
-        b = pair_field(pair, pts)
-        yield index, pts, b, _uniformity_pct(b[:, 2], ref)
-
-
-def field_map_blocks(pair: HelmholtzPair, grid: GridSpec
-                     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Field and uniformity over a grid in consecutive row-major blocks of
-    at most MAP_BLOCK points.
-
-    Yields (points (n, 3), field (n, 3), uniformity_pct (n,)) per block.
-    The center reference is taken once, before the first block, so a zero
-    center field raises ZeroCenterField before any block; a grid point on a
-    wire line raises PointOnWire naming the point when its block is reached.
-    """
-    for _, pts, b, h in _map_blocks(pair, grid):
-        yield pts, b, h
-
-
-def field_map(pair: HelmholtzPair, grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Field and uniformity over a grid, in deterministic row-major order.
-
-    Returns (points (N, 3), field (N, 3), uniformity_pct (N,)): the blocks
-    of `field_map_blocks` joined, bit-for-bit one pair_field call over all
-    points.  A grid point on a wire line raises PointOnWire naming the point.
-    """
-    blocks = list(field_map_blocks(pair, grid))
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+    def index(self, start: int, stop: int) -> tuple[np.ndarray, ...]:
+        """The x, y and z level indices of the grid points start..stop-1
+        (those of them the grid holds) in row-major order."""
+        return np.unravel_index(np.arange(start, min(stop, self.size)), self.shape)
 
 
 FIELD_MAP_HEADER = ("x_m", "y_m", "z_m", "bx_T", "by_T", "bz_T", "uniformity_pct")
 
 
-def write_field_map_csv(path, pair: HelmholtzPair, grid: GridSpec) -> None:
-    """Write the field map of `pair` over `grid`, the rows of
-    `field_map_blocks`, as CSV with round-trip decimal formatting.
+def write_field_map_csv(path, pair: HelmholtzPair, grid: GridSpec) -> float:
+    """Write the field and uniformity of `pair` over `grid` as CSV, one row
+    per grid point in row-major order, with round-trip decimal formatting;
+    returns the center bz, the reference of the uniformity column.
 
-    The coordinates go to the writer as grid levels and per-row level
-    indices, so each level is formatted once.  The rows go to
-    `<path>.part`, which replaces `path` only once every block is written:
-    an error in a later block (a grid point on a wire) leaves neither a
-    partial map nor the temporary file behind.
+    The center is evaluated first, so a zero center field raises
+    ZeroCenterField before any file is opened.  The grid then goes through
+    pair_field MAP_BLOCK points at a time, each block's coordinates passed
+    as grid levels and per-row level indices, so each level is formatted
+    once.  The rows go to `<path>.part`, which replaces `path` only once
+    every block is written: an error in a later block (a grid point on a
+    wire, named by PointOnWire) leaves neither a partial map nor the
+    temporary file behind.
     """
+    bz0 = float(pair_field(pair, np.zeros((1, 3)))[0, 2])
+    ref = _reference(bz0)
+    axes = grid.axes()
+
+    def blocks():
+        for start in range(0, grid.size, MAP_BLOCK):
+            index = grid.index(start, start + MAP_BLOCK)
+            b = pair_field(pair, np.stack([a[i] for a, i in zip(axes, index)], axis=1))
+            yield (*map(Levels, axes, index), *b.T, _uniformity_pct(b[:, 2], ref))
+
     path = Path(path)
     part = path.with_name(path.name + ".part")
-    axes = grid.axes()
     try:
-        write_repr_csv(part, FIELD_MAP_HEADER, ((*map(Levels, axes, index), *b.T, h)
-                                                for index, _, b, h in _map_blocks(pair, grid)))
+        write_repr_csv(part, FIELD_MAP_HEADER, blocks())
         os.replace(part, path)
     except BaseException:
         part.unlink(missing_ok=True)
         raise
+    return bz0

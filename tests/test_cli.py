@@ -1,6 +1,8 @@
 import csv
+import errno
 import functools
 import hashlib
+import math
 import os
 import re
 import resource
@@ -14,7 +16,7 @@ import pytest
 
 from coilsim import cli, magnetics
 from coilsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from coilsim.config import load_preset, preset_names
+from coilsim.config import load_config, load_preset, preset_names
 from coilsim.experiments import STEP_MAX, TRIAL_CHUNK, run_step_response
 
 
@@ -41,6 +43,14 @@ def address_space_cap(nbytes):
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
+# the table-2 pair over a 21^3 grid: 9,261 points, three field-map blocks
+GRID21 = (
+    "[meta]\nschema_version = 1\n"
+    "[coil]\nside_mm = 840.4\nspacing_mm = 457.6\nturns = 24\ncurrent_a = 2.94\n"
+    "[grid]\nx_mm = -210.5,190.3,21\ny_mm = -200,200,21\nz_mm = -220,220,21\n"
+)
+
+
 class TestMagneticsGoldens:
     # digests of the outputs of the per-point implementation the array
     # kernel replaced; the kernel must reproduce them byte for byte
@@ -59,15 +69,35 @@ class TestMagneticsGoldens:
         # 21^3 = 9,261 rows, three field-map blocks; captured from the map
         # that ran one kernel call over all points and wrote row by row
         cfg = tmp_path / "grid21.cfg"
-        cfg.write_text(
-            "[meta]\nschema_version = 1\n"
-            "[coil]\nside_mm = 840.4\nspacing_mm = 457.6\nturns = 24\ncurrent_a = 2.94\n"
-            "[grid]\nx_mm = -210.5,190.3,21\ny_mm = -200,200,21\nz_mm = -220,220,21\n"
-        )
+        cfg.write_text(GRID21)
         assert main(["field-map", "--config", str(cfg), "--out-dir", str(tmp_path)]) == EXIT_OK
         assert sha256(tmp_path / "field_map.csv") == (
             "5936d6c46114e330e80a94a2b03ce3bba7ab2f3ccf088b6465f65e752e453bcc"
         )
+
+    @pytest.mark.parametrize("source", ["table2", "table2-plane25", "grid21"])
+    def test_field_map_takes_the_center_once(self, tmp_path, capsys, monkeypatch, source):
+        # one center call, then one call per MAP_BLOCK grid points; the
+        # printed center is that first call's bz
+        if source == "grid21":
+            (tmp_path / "grid21.cfg").write_text(GRID21)
+            cfg, argv = load_config(tmp_path / "grid21.cfg"), ["--config", str(tmp_path / "grid21.cfg")]
+        else:
+            cfg, argv = load_preset(source), ["--preset", source]
+        calls = []
+        real = magnetics.pair_field
+
+        def counted(pair, pts):
+            calls.append(len(pts))
+            return real(pair, pts)
+
+        monkeypatch.setattr(magnetics, "pair_field", counted)
+        assert main(["field-map", *argv, "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        n = cfg.grid().size
+        assert len(calls) == 1 + math.ceil(n / magnetics.MAP_BLOCK)
+        assert calls[0] == 1 and sum(calls[1:]) == n
+        center = real(cfg.pair(), np.zeros((1, 3)))[0, 2]
+        assert f"{n} grid points; center bz = {center * 1e6:.2f} uT" in capsys.readouterr().out
 
     def test_optimize_csv(self, tmp_path):
         argv = ["optimize", "--side-mm", "840.4", "--csv", "u.csv", "--out-dir", str(tmp_path)]
@@ -733,6 +763,36 @@ def test_exit_code_contract(tmp_path, case):
         with open(out / "mse_curve.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["iter", "mse_lms", "mse_convex"] and len(rows) == 1 + 10
+
+
+# paths the OS refuses, as (argv with {cfg}, {file} and {out} placeholders,
+# config writer or None, errno); each ended in a traceback
+UNUSABLE_PATHS = {
+    "field-map-out-dir-is-a-file": (["field-map", "--preset", "table2", "--out-dir", "{file}"],
+                                    None, errno.EEXIST),
+    "step-out-dir-is-a-file": (["step", "--config", "{cfg}", "--method", "lms", "--out-dir", "{file}"],
+                               config_text(MINIMAL_STEP), errno.EEXIST),
+    "sysid-out-dir-is-a-file": (["sysid", "--config", "{cfg}", "--methods", "lms", "--out-dir", "{file}"],
+                                SHORT_SYSID, errno.EEXIST),
+    "optimize-csv-under-a-file": (["optimize", "--side-mm", "840.4", "--csv", "{file}/u.csv", "--out-dir", "{out}"],
+                                  None, errno.ENOTDIR),
+    "config-is-a-directory": (["field-map", "--config", "{out}", "--out-dir", "{out}"],
+                              None, errno.EISDIR),
+}
+
+
+@pytest.mark.parametrize("case", list(UNUSABLE_PATHS))
+def test_unusable_path_exits_1_with_one_line(tmp_path, capsys, case):
+    argv, write_cfg, code = UNUSABLE_PATHS[case]
+    cfg = write_cfg(tmp_path) if write_cfg else None
+    file = tmp_path / "file"
+    file.write_text("kept\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([a.format(cfg=cfg, file=file, out=out) for a in argv]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [Errno {code}] {os.strerror(code)}") and err.count("\n") == 1
+    assert file.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize(

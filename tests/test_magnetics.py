@@ -14,8 +14,6 @@ from coilsim.magnetics import (
     HelmholtzPair,
     PointOnWire,
     ZeroCenterField,
-    field_map,
-    field_map_blocks,
     pair_field,
     segment_field,
     uniformity,
@@ -421,20 +419,38 @@ class TestUniformity:
             assert (got.value.point, got.value.segment) == (want.value.point, want.value.segment)
 
 
+def read_map(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(points (N, 3), field (N, 3), uniformity_pct (N,)) read back from a
+    field-map CSV; its cells are reprs, so they parse back to the same bits."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x_m,y_m,z_m,bx_T,by_T,bz_T,uniformity_pct"
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]]).reshape(-1, 7)
+    return rows[:, :3], rows[:, 3:6], rows[:, 6]
+
+
 class TestFieldMap:
-    def test_single_origin_row(self):
+    @pytest.fixture
+    def field_map(self, tmp_path):
+        """Write the map of `pair` over `grid` and read it back."""
+        def run(pair, grid):
+            path = tmp_path / "map.csv"
+            write_field_map_csv(path, pair, grid)
+            return read_map(path)
+        return run
+
+    def test_single_origin_row(self, field_map):
         grid = GridSpec(x=(0, 0, 1), y=(0, 0, 1), z=(0, 0, 1))
         points, _field, h = field_map(TABLE2, grid)
         assert points.tolist() == [[0.0, 0.0, 0.0]]
         assert h.tolist() == [0.0]
 
-    def test_z_line_symmetry(self):
+    def test_z_line_symmetry(self, field_map):
         grid = GridSpec(x=(0, 0, 1), y=(0, 0, 1), z=(-0.1, 0.1, 3))
         points, field, _h = field_map(TABLE2, grid)
         assert len(points) == 3
         assert field[0, 2] == pytest.approx(field[2, 2], rel=1e-12)
 
-    def test_plane_grid_center_is_peak(self):
+    def test_plane_grid_center_is_peak(self, field_map):
         # 25-point plane around the center: bz decreases away from the axis
         ext = 0.45 * TABLE2.spacing
         grid = GridSpec(x=(-ext, ext, 5), y=(-ext, ext, 5), z=(0, 0, 1))
@@ -445,7 +461,7 @@ class TestFieldMap:
         assert field[0, 2] < field[center, 2]
         assert h[0] < 0.0
 
-    def test_points_row_major_x_outermost(self):
+    def test_points_row_major_x_outermost(self, field_map):
         # lo + i*step, not linspace: on this z axis the two differ at hi
         grid = GridSpec(x=(-1.0, 1.0, 3), y=(0.0, 0.5, 2), z=(-0.2, 0.5, 8))
         step = (0.5 - -0.2) / 7
@@ -455,37 +471,58 @@ class TestFieldMap:
             for y in (0.0, 0.5)
             for i in range(8)
         ]
-        assert grid.points().tolist() == expected
+        points, _field, _h = field_map(TABLE2, grid)
+        assert points.tolist() == expected
 
-    def test_wire_point_reported(self):
+    def test_wire_point_reported(self, tmp_path):
         x, z = TABLE2.side / 2, TABLE2.spacing / 2
         grid = GridSpec(x=(x, x, 1), y=(0, 0, 1), z=(z, z, 1))
         with pytest.raises(PointOnWire, match=r"point \(") as err:
-            field_map(TABLE2, grid)
+            write_field_map_csv(tmp_path / "map.csv", TABLE2, grid)
         assert err.value.point == (x, 0.0, z)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "shape", [(1, 1, 1), (16, 16, MAP_BLOCK // 256), (1, 1, MAP_BLOCK + 1)],
         ids=["1", "MAP_BLOCK", "MAP_BLOCK+1"],
     )
-    def test_blocks_join_to_one_kernel_call_bitwise(self, shape):
+    def test_blocks_join_to_one_kernel_call_bitwise(self, field_map, monkeypatch, shape):
         lo_hi = ((-0.15, 0.2), (-0.2, 0.15), (-0.3, 0.3))
         grid = GridSpec(*((lo, hi if n > 1 else lo, n) for (lo, hi), n in zip(lo_hi, shape)))
         axes = [GridSpec._axis(*a) for a in (grid.x, grid.y, grid.z)]
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
         b = pair_field(TABLE2, pts)
         h = uniformity(TABLE2, pts)
-        blocks = list(field_map_blocks(TABLE2, grid))
-        assert [len(p) for p, _, _ in blocks[:-1]] == [MAP_BLOCK] * (len(blocks) - 1)
-        for got, want in zip(field_map(TABLE2, grid), (pts, b, h)):
-            assert got.shape == want.shape
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        calls = []
 
-    def test_zero_center_field_rejected_before_any_block(self):
+        def counted(pair, q):
+            calls.append(len(q))
+            return pair_field(pair, q)
+
+        monkeypatch.setattr(magnetics, "pair_field", counted)
+        got = field_map(TABLE2, grid)
+        # the center, then full blocks and the rest
+        n_full, rest = divmod(len(pts), MAP_BLOCK)
+        assert calls == [1] + [MAP_BLOCK] * n_full + [rest] * (rest > 0)
+        for got_column, want in zip(got, (pts, b, h)):
+            assert got_column.shape == want.shape
+            assert np.array_equal(got_column.view(np.uint64), want.view(np.uint64))
+
+    def test_zero_center_field_rejected_before_any_block(self, tmp_path, monkeypatch):
+        # raised by the center call, before the map or its .part file is opened
         dead = HelmholtzPair(TABLE2.side, TABLE2.spacing, TABLE2.turns, 0.0)
         grid = GridSpec(x=(0, 0, 1), y=(0, 0, 1), z=(-0.1, 0.1, 5))
+        calls = []
+
+        def counted(pair, q):
+            calls.append(len(q))
+            return pair_field(pair, q)
+
+        monkeypatch.setattr(magnetics, "pair_field", counted)
         with pytest.raises(ZeroCenterField):
-            next(field_map_blocks(dead, grid))
+            write_field_map_csv(tmp_path / "field_map.csv", dead, grid)
+        assert calls == [1]
+        assert list(tmp_path.iterdir()) == []
 
     def test_single_point_axis_keeps_negative_zero(self, tmp_path):
         grid = GridSpec(x=(-0.0, -0.0, 1), y=(-0.1, 0.1, 3), z=(0.0, 0.0, 1))
@@ -498,15 +535,15 @@ class TestFieldMap:
 
     def test_csv_round_trip(self, tmp_path):
         grid = GridSpec(x=(0, 0, 1), y=(0, 0, 1), z=(-0.1, 0.1, 5))
-        points, field, h = field_map(TABLE2, grid)
         path = tmp_path / "map.csv"
-        write_field_map_csv(path, TABLE2, grid)
+        center = write_field_map_csv(path, TABLE2, grid)
+        assert center == pair_field(TABLE2, np.zeros((1, 3)))[0, 2]
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x_m,y_m,z_m,bx_T,by_T,bz_T,uniformity_pct"
         assert len(lines) == 6
         parsed = [float(v) for v in lines[3].split(",")]
-        assert parsed[2] == points[2, 2]
-        assert parsed[5] == field[2, 2]  # exact round-trip
+        assert parsed[2] == -0.1 + 2 * 0.05
+        assert parsed[5] == pair_field(TABLE2, [parsed[:3]])[0, 2]  # exact round-trip
 
 
 class TestValidation:

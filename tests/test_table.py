@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -178,6 +179,36 @@ def test_numpy_float_scalars_print_as_floats(tmp_path, n):
     cells = [np.float64(0.1), 2.5, np.float64(-1e-7)] * (n // 3 + 1)
     got = write_and_read(tmp_path, ["v"], [cells])
     assert got.splitlines()[1:4] == [b"0.1", b"2.5", b"-1e-07"]
+
+
+@pytest.mark.parametrize("n", [3, KERNEL_MIN // 2 + 1])
+def test_non_float_cells_print_as_csv_writer_writes_them(tmp_path, monkeypatch, n):
+    # a str as itself, an int as its repr, None as an empty cell and a float
+    # (NaN included) as the Python float's repr, in all-float and mixed
+    # columns alike; two float columns of n rows reach the kernel at
+    # KERNEL_MIN // 2 rows
+    calls = []
+    layout = _table._layout
+
+    def counting(*args):
+        calls.append(1)
+        layout(*args)
+
+    monkeypatch.setattr(_table, "_layout", counting)
+    rng = np.random.default_rng(n)
+    floats = rng.standard_normal(n).tolist()
+    floats[1] = math.nan
+    mixed = [[None, 7, 2.5, "x", math.nan, np.float64(-0.25)][i % 6] for i in range(n)]
+    columns = [[f"m{i}" for i in range(n)], list(range(-1, n - 1)), [None] * n, floats,
+               rng.standard_normal(n) * 1e-7, mixed]
+    header = ["method", "k", "none", "f", "g", "mixed"]
+    got = write_and_read(tmp_path, header, columns)
+    with open(tmp_path / "csv.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+    assert got == (tmp_path / "csv.csv").read_bytes()
+    assert bool(calls) == (2 * n >= KERNEL_MIN)
 
 
 # -- deduplication on magnitude ----------------------------------------------
