@@ -1,4 +1,6 @@
-"""The one CSV writer behind every table the package exports.
+"""The one CSV writer behind every table the package exports, and the one
+place in the package that opens a file for writing.  Its writes are atomic:
+a table is written whole or not at all.
 
 A table arrives as blocks of columns, so a table too large to hold whole
 streams through one block at a time.  Row-built tables (traces, logs,
@@ -42,6 +44,8 @@ size of the table: about 0.1 kB per cell of the rows being written and
 from __future__ import annotations
 
 import functools
+import os
+from contextlib import suppress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -324,10 +328,21 @@ def write_repr_csv(path, header: Sequence[str], blocks: Iterable[Iterable[Sequen
     cell is quoted, so a str cell must be ASCII and need no csv quoting: no
     comma, quote or line break.  The writer holds WRITE_ROWS rows of text
     at a time.
+
+    The write is atomic: the rows go to `<path>.part`, which replaces `path`
+    after the last row; if anything raises first, the blocks included, the
+    part is removed and `path` keeps its previous bytes.
     """
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\r\n").encode())
-        for columns in blocks:
-            columns = list(columns)
-            for start in range(0, len(columns[0]) if columns else 0, WRITE_ROWS):
-                fh.write(_rows([c[start:start + WRITE_ROWS] for c in columns]))
+    part = f"{os.fspath(path)}.part"
+    try:
+        with open(part, "wb") as fh:
+            fh.write((",".join(header) + "\r\n").encode())
+            for columns in blocks:
+                columns = list(columns)
+                for start in range(0, len(columns[0]) if columns else 0, WRITE_ROWS):
+                    fh.write(_rows([c[start:start + WRITE_ROWS] for c in columns]))
+        os.replace(part, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(part)
+        raise

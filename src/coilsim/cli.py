@@ -12,6 +12,8 @@ Output file names are taken relative to --out-dir, so an absolute --csv,
 deterministic for a given (config, seed), so reruns produce byte-identical
 CSV bodies.  A command writes all its files before it prints anything, and
 a reader that closes stdout early ends it quietly with exit 0.
+A failed command removes every file it finished, and then the directories
+it made; the file it was writing keeps its previous bytes.
 """
 
 from __future__ import annotations
@@ -67,20 +69,24 @@ def _load(args) -> ScenarioConfig:
     return load_config(args.config)
 
 
-def _outdir(args) -> Path:
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    return args.out_dir
-
-
 @contextmanager
-def _new_outdir(args, written=()):
-    """`_outdir`, with the files listed in `written` by the time the body
-    raises, and then the directories it made, if empty, removed again when
-    it does."""
+def _outputs(args):
+    """Make --out-dir and yield save(writer, name, *rest), which returns
+    writer(out_dir / name, *rest) and records that file once the writer
+    has returned.  If the body raises, the recorded files, and then the
+    directories made here, if empty, are removed."""
     made = [p for p in (args.out_dir, *args.out_dir.parents) if not p.exists()]
-    out = _outdir(args)
+    written = []
+
+    def save(writer, name, *rest):
+        path = args.out_dir / name
+        result = writer(path, *rest)
+        written.append(path)
+        return result
+
     try:
-        yield out
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        yield save
     except BaseException:
         for p in written:
             with suppress(OSError):
@@ -167,8 +173,6 @@ def cmd_optimize(args) -> int:
     pair = magnetics.HelmholtzPair(side=side_m, spacing=spacing_m, turns=1, current=1.0)
     curvature = coilopt.second_derivative_center(pair)
     if args.csv is not None:
-        out = _outdir(args)
-        path = args.csv if args.csv.is_absolute() else out / args.csv
         last = 0.8 * spacing_m
         # SIDE_MM keeps this under 44,000 positions, where the additions'
         # rounding drifts by far less than a step: one slot to spare holds them
@@ -176,14 +180,15 @@ def cmd_optimize(args) -> int:
         pts = np.zeros((len(positions), 3))
         pts[:, 0] = positions
         h = magnetics.uniformity(pair, pts)
-        write_repr_csv(path, ("pos_over_d", "uniformity_pct"), [(positions / spacing_m, h)])
+        with _outputs(args) as save:
+            save(write_repr_csv, args.csv, ("pos_over_d", "uniformity_pct"), [(positions / spacing_m, h)])
     print(f"optimal ratio n*      : {result.n:.6f}")
     print(f"polynomial residual   : {result.residual:.3e}  ({result.iterations} bisections)")
     print(f"side length           : {args.side_mm:.1f} mm")
     print(f"optimal spacing       : {spacing_m * 1000.0:.1f} mm")
     print(f"center curvature      : {curvature:.3e} T/m^2")
     if args.csv is not None:
-        print(f"wrote {path}")
+        print(f"wrote {args.out_dir / args.csv}")
     return EXIT_OK
 
 
@@ -194,11 +199,10 @@ def cmd_field_map(args) -> int:
     if args.validate_only:
         print("config OK")
         return EXIT_OK
-    with _new_outdir(args) as out_dir:
-        out = out_dir / "field_map.csv"
-        center = magnetics.write_field_map_csv(out, pair, grid)
+    with _outputs(args) as save:
+        center = save(magnetics.write_field_map_csv, "field_map.csv", pair, grid)
     print(f"{grid.size} grid points; center bz = {center * 1e6:.2f} uT")
-    print(f"wrote {out}")
+    print(f"wrote {args.out_dir / 'field_map.csv'}")
     return EXIT_OK
 
 
@@ -225,19 +229,14 @@ def cmd_sysid(args) -> int:
         print("config OK")
         return EXIT_OK
     reports = experiments.run_sysid(scn, params)
-    out = _outdir(args)
-    experiments.write_metrics_csv(out / "metrics.csv", list(reports.items()))
-    experiments.write_mse_curves_csv(out / "mse_curve.csv",
-                                     {m: r.mse_curve for m, r in reports.items()})
+    with _outputs(args) as save:
+        save(experiments.write_metrics_csv, "metrics.csv", list(reports.items()))
+        save(experiments.write_mse_curves_csv, "mse_curve.csv", {m: r.mse_curve for m, r in reports.items()})
     for m, report in reports.items():
         print(f"{m:7s} iters_to_converge={report.iters_to_converge:5d} "
               f"final_mse={report.final_mse:.4e}")
-    print(f"wrote {out / 'metrics.csv'} and {out / 'mse_curve.csv'}")
+    print(f"wrote {args.out_dir / 'metrics.csv'} and {args.out_dir / 'mse_curve.csv'}")
     return EXIT_OK
-
-
-def _write_columns(path, names, columns) -> None:
-    write_repr_csv(path, names, [[columns[n] for n in names]])
 
 
 def cmd_step(args) -> int:
@@ -250,37 +249,32 @@ def cmd_step(args) -> int:
         print("config OK")
         return EXIT_OK
     single = len(methods) == 1
-    rows, written = [], []
-
-    def write(path, names, cols):
-        written.append(path)
-        _write_columns(path, names, cols)
-
+    rows = []
     # a method that fails takes the files of those run before it with it
-    with _new_outdir(args, written) as out:
+    with _outputs(args) as save:
         for m, scn in scenarios.items():
             try:
                 report = experiments.run_step_response(scn)
             except ValueError as err:
                 raise ValueError(f"{m}: {err}") from err
-            cols = report.columns
-            write(out / ("trace.csv" if single else f"trace_{m}.csv"), TRACE_COLUMNS, cols)
+            files = [("trace.csv" if single else f"trace_{m}.csv", TRACE_COLUMNS)]
             if args.sensor_log:
                 log = args.sensor_log if single else args.sensor_log.with_stem(f"{args.sensor_log.stem}_{m}")
-                write(out / log, SENSOR_LOG_COLUMNS, cols)
+                files.append((log, SENSOR_LOG_COLUMNS))
             if args.diag_csv and m == "convex":
-                write(out / args.diag_csv, DIAGNOSTICS_COLUMNS, cols)
+                files.append((args.diag_csv, DIAGNOSTICS_COLUMNS))
+            for name, names in files:
+                save(write_repr_csv, name, names, [[report.columns[n] for n in names]])
             report.columns = None  # written; only the summary is kept for metrics.csv
             rows.append((m, report))
-        written.append(out / "metrics.csv")
-        experiments.write_metrics_csv(written[-1], rows)
+        save(experiments.write_metrics_csv, "metrics.csv", rows)
     for m, report in rows:
         reach = report.reach_target_time_s
         reach_txt = "never" if math.isnan(reach) else f"{reach:.3f}s"
         print(f"{m:7s} reach={reach_txt} mean={report.mean_steady_nt:.1f}nT "
               f"rmse={report.rmse_steady_nt:.1f}nT "
               f"fluct=[{report.fluct_min_nt:.0f}, {report.fluct_max_nt:.0f}]nT")
-    print(f"wrote {out / 'metrics.csv'}")
+    print(f"wrote {args.out_dir / 'metrics.csv'}")
     return EXIT_OK
 
 
@@ -348,7 +342,7 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (magnetics.PointOnWire, magnetics.ZeroCenterField, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
     except MemoryError as err:

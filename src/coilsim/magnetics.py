@@ -44,9 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -361,10 +359,8 @@ def write_field_map_csv(path, pair: HelmholtzPair, grid: GridSpec) -> float:
     ZeroCenterField before any file is opened.  The grid then goes through
     pair_field MAP_BLOCK points at a time, each block's coordinates passed
     as grid levels and per-row level indices, so each level is formatted
-    once.  The rows go to `<path>.part`, which replaces `path` only once
-    every block is written: an error in a later block (a grid point on a
-    wire, named by PointOnWire) leaves neither a partial map nor the
-    temporary file behind.
+    once.  The write is atomic, so an error in a later block (a grid point
+    on a wire, named by PointOnWire) leaves no partial map behind.
     """
     bz0 = float(pair_field(pair, np.zeros((1, 3)))[0, 2])
     ref = _reference(bz0)
@@ -376,12 +372,5 @@ def write_field_map_csv(path, pair: HelmholtzPair, grid: GridSpec) -> float:
             b = pair_field(pair, np.stack([a[i] for a, i in zip(axes, index)], axis=1))
             yield (*map(Levels, axes, index), *b.T, _uniformity_pct(b[:, 2], ref))
 
-    path = Path(path)
-    part = path.with_name(path.name + ".part")
-    try:
-        write_repr_csv(part, FIELD_MAP_HEADER, blocks())
-        os.replace(part, path)
-    except BaseException:
-        part.unlink(missing_ok=True)
-        raise
+    write_repr_csv(path, FIELD_MAP_HEADER, blocks())
     return bz0

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coilsim import cli, magnetics
+from coilsim import _table, cli, magnetics
 from coilsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from coilsim.config import load_config, load_preset, preset_names
 from coilsim.experiments import STEP_MAX, TRIAL_CHUNK, run_step_response
@@ -427,6 +427,56 @@ def test_step_failure_names_the_method_and_removes_its_files(tmp_path, capsys, e
         assert list(out.iterdir()) == [out / "other.txt"]
     else:
         assert not (tmp_path / "out").exists()
+
+
+def test_step_failed_write_removes_finished_files_and_keeps_the_target(tmp_path, capsys, monkeypatch):
+    # the disk fills while lms's trace is written, after svs's is finished:
+    # step truncated that trace, then deleted it with svs's
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "trace_lms.csv").write_text("kept\n")
+    rows, calls = _table._rows, []
+
+    def full_in_the_second_file(columns):
+        # a table7-up trace is under WRITE_ROWS rows: one call per file
+        calls.append(len(columns[0]))
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return rows(columns)
+
+    monkeypatch.setattr(_table, "_rows", full_in_the_second_file)
+    argv = ["step", "--preset", "table7-up", "--method", "svs,lms", "--out-dir", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert len(calls) == 2 and calls[0] < _table.WRITE_ROWS
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert list(out.iterdir()) == [out / "trace_lms.csv"]
+    assert (out / "trace_lms.csv").read_text() == "kept\n"
+
+
+def test_sysid_failed_write_removes_the_files_it_finished(tmp_path, capsys):
+    # mse_curve.csv names a directory, so its write fails after metrics.csv
+    # is finished: sysid exited 1 and left the new metrics.csv behind
+    cfg = SHORT_SYSID(tmp_path)
+    out = tmp_path / "out"
+    (out / "mse_curve.csv").mkdir(parents=True)
+    assert main(["sysid", "--config", str(cfg), "--methods", "lms,convex", "--out-dir", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [Errno {errno.EISDIR}] ") and err.count("\n") == 1
+    assert list(out.iterdir()) == [out / "mse_curve.csv"]
+    assert list((out / "mse_curve.csv").iterdir()) == []
+
+
+def test_optimize_failed_csv_removes_the_directories_it_made(tmp_path, capsys):
+    # an --csv naming a directory: optimize exited 1 and left the new
+    # --out-dir behind
+    target = tmp_path / "target"
+    target.mkdir()
+    argv = ["optimize", "--side-mm", "700", "--csv", str(target), "--out-dir", str(tmp_path / "new" / "deeper")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [Errno {errno.EISDIR}] ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []
 
 
 def test_sysid_out_of_memory_exits_2(tmp_path):

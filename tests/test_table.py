@@ -282,3 +282,29 @@ def test_level_column_prints_as_its_expanded_column(tmp_path, n, case, with_floa
     write_repr_csv(tmp_path / "levels.csv", header, [[Levels(levels, index), Levels(levels[::-1], index), *floats]])
     write_repr_csv(tmp_path / "cells.csv", header, [[levels[index], levels[::-1][index], *floats]])
     assert (tmp_path / "levels.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+# -- atomic writes ------------------------------------------------------------
+
+def test_failed_write_keeps_the_previous_bytes(tmp_path):
+    # the writer truncated the file, then left the rows written before the
+    # error in it
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old\r\n")
+
+    def blocks():
+        yield [np.arange(3.0)]
+        raise RuntimeError("block failed")
+
+    with pytest.raises(RuntimeError, match="block failed"):
+        write_repr_csv(path, ["v"], blocks())
+    assert path.read_bytes() == b"old\r\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_write_leaves_no_part_file(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old\r\n")
+    write_repr_csv(path, ["v"], [[[1.5, 2.5]]])
+    assert path.read_bytes() == b"v\r\n1.5\r\n2.5\r\n"
+    assert list(tmp_path.iterdir()) == [path]
