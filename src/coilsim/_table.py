@@ -316,6 +316,11 @@ def _rows(columns: list) -> bytes:
     return text.tobytes().translate(None, b"\0")
 
 
+def part_path(path) -> str:
+    """The name a table is written under until it is complete."""
+    return f"{os.fspath(path)}.part"
+
+
 def write_repr_csv(path, header: Sequence[str], blocks: Iterable[Iterable[Sequence]]) -> None:
     """Write the header, then each block of equal-length columns as one line
     per row, the bytes csv.writer writes for the same rows.
@@ -329,11 +334,11 @@ def write_repr_csv(path, header: Sequence[str], blocks: Iterable[Iterable[Sequen
     comma, quote or line break.  The writer holds WRITE_ROWS rows of text
     at a time.
 
-    The write is atomic: the rows go to `<path>.part`, which replaces `path`
-    after the last row; if anything raises first, the blocks included, the
-    part is removed and `path` keeps its previous bytes.
+    The write is atomic: the rows go to part_path(path), which replaces
+    `path` after the last row; if anything raises first, the blocks
+    included, the part is removed and `path` keeps its previous bytes.
     """
-    part = f"{os.fspath(path)}.part"
+    part = part_path(path)
     try:
         with open(part, "wb") as fh:
             fh.write((",".join(header) + "\r\n").encode())

@@ -12,13 +12,15 @@ Output file names are taken relative to --out-dir, so an absolute --csv,
 deterministic for a given (config, seed), so reruns produce byte-identical
 CSV bodies.  A command writes all its files before it prints anything, and
 a reader that closes stdout early ends it quietly with exit 0.
-A failed command removes every file it finished, and then the directories
-it made; the file it was writing keeps its previous bytes.
+A failed command leaves every output with its previous bytes and removes
+the directories it made: its files are put in place only once all are
+written.  Two outputs of one command on one path, however spelled, exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import os
@@ -30,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import coilopt, experiments, magnetics
-from ._table import write_repr_csv
+from ._table import part_path, write_repr_csv
 from .config import ConfigError, ScenarioConfig, load_config, load_preset, preset_names
 from .control import check_convergence_condition
 from .experiments import DIAGNOSTICS_COLUMNS, METHODS, SENSOR_LOG_COLUMNS, TRACE_COLUMNS
@@ -72,25 +74,33 @@ def _load(args) -> ScenarioConfig:
 @contextmanager
 def _outputs(args):
     """Make --out-dir and yield save(writer, name, *rest), which returns
-    writer(out_dir / name, *rest) and records that file once the writer
-    has returned.  If the body raises, the recorded files, and then the
-    directories made here, if empty, are removed."""
+    writer(part_path(out_dir / name), *rest); each part replaces its output
+    once the body returns.  If anything raises first, the parts, and then
+    the directories made here, if empty, are removed.  An output on an
+    earlier one's path raises ConfigError, one on a directory EISDIR."""
     made = [p for p in (args.out_dir, *args.out_dir.parents) if not p.exists()]
-    written = []
+    staged = {}  # each output's real path: the output and its part
 
     def save(writer, name, *rest):
         path = args.out_dir / name
-        result = writer(path, *rest)
-        written.append(path)
-        return result
+        real = os.path.realpath(path)
+        if real in staged:
+            raise ConfigError(f"two outputs of one command on one path: {path}")
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        part = part_path(path)
+        staged[real] = path, part
+        return writer(part, *rest)
 
     try:
         args.out_dir.mkdir(parents=True, exist_ok=True)
         yield save
+        for path, part in staged.values():
+            os.replace(part, path)
     except BaseException:
-        for p in written:
+        for _, part in staged.values():
             with suppress(OSError):
-                p.unlink()
+                os.unlink(part)
         for p in made:
             with suppress(OSError):
                 p.rmdir()
@@ -250,7 +260,7 @@ def cmd_step(args) -> int:
         return EXIT_OK
     single = len(methods) == 1
     rows = []
-    # a method that fails takes the files of those run before it with it
+    # a method that fails leaves the files of those run before it unpublished
     with _outputs(args) as save:
         for m, scn in scenarios.items():
             try:

@@ -35,9 +35,12 @@ elementwise per component, with the projection t1 = r1x*lx + r1y*ly + r1z*lz
 written out rather than as a matrix product, the gain multiplied left to
 right, and each loop summed side by side from zero (so 0 + -0.0 gives 0.0)
 before the two loops are added.  Sharing a corner's terms keeps that order:
-they are the same expressions on the same floats.  A point on a wire is
-reported as that order would meet it: the first offending point of the
-first offending side.
+they are the same expressions on the same floats.
+
+A point on a wire is reported in row order: PointOnWire names the first
+point of the call that lies within WIRE_GUARD_M of any wire, and the first
+wire it lies on.  Chunks and blocks run in row order, so the first one that
+raises holds that point.
 """
 
 from __future__ import annotations
@@ -67,10 +70,11 @@ KERNEL_CHUNK = 512
 
 class PointOnWire(ValueError):
     """Raised when a field is requested on (or within the guard distance of)
-    a wire line, where the filament model is singular.  `point` is the first
-    offending (x, y, z), and `segment` the index of its wire in the order the
-    call evaluates them (for a pair: the loop at +spacing/2, then the other,
-    each side by side counterclockwise from +z)."""
+    a wire line, where the filament model is singular.  `point` is the
+    first such (x, y, z) in row order, and `segment` the index of the first
+    wire it lies on, in the order the call evaluates them (for a pair: the
+    loop at +spacing/2, then the other, each side by side counterclockwise
+    from +z)."""
 
     def __init__(self, point: tuple[float, float, float], segment: int = 0):
         super().__init__(f"point {point} is within {WIRE_GUARD_M} m of a wire line")
@@ -144,10 +148,6 @@ class _Wires(NamedTuple):
     length: np.ndarray
     gain: np.ndarray
 
-    def first(self, k: int) -> "_Wires":
-        """The table of wires 0..k-1."""
-        return _Wires(self.corners, *(column[:k] for column in self[1:]))
-
 
 def _wire_table(corners, sides, turns: int, current: float) -> _Wires:
     """The table of wires carrying `current` from corners[i] to corners[j]
@@ -176,8 +176,8 @@ def _wires_field(wires: _Wires, pts: np.ndarray) -> np.ndarray:
 
     Each corner's offset to every point and distance from it is computed
     once, for both wires that meet there.  Raises PointOnWire naming the
-    first point within WIRE_GUARD_M of the first such wire's line; its
-    `segment` is that wire's row.
+    first point, in row order, within WIRE_GUARD_M of any wire's line; its
+    `segment` is the row of the first such wire.
     """
     x, y, z = pts.T
     cx, cy, cz = wires.corners
@@ -198,8 +198,8 @@ def _wires_field(wires: _Wires, pts: np.ndarray) -> np.ndarray:
     a = np.sqrt(ax * ax + ay * ay + az * az)
     on_wire = a <= WIRE_GUARD_M
     if on_wire.any():
-        k = int(np.argmax(on_wire.any(axis=1)))
-        raise PointOnWire(tuple(pts[np.argmax(on_wire[k])].tolist()), segment=k)
+        i = int(np.argmax(on_wire.any(axis=0)))
+        raise PointOnWire(tuple(pts[i].tolist()), segment=int(np.argmax(on_wire[:, i])))
 
     cos1 = t1 / d1
     cos2 = (wires.length - t1) / d2
@@ -249,29 +249,12 @@ def pair_field(pair: HelmholtzPair, points) -> np.ndarray:
     out = np.empty((3, len(pts)))
     for start in range(0, len(pts), KERNEL_CHUNK):
         stop = start + KERNEL_CHUNK
-        try:
-            sides = _wires_field(wires, pts[start:stop])
-        except PointOnWire as hit:
-            raise _first_on_wire(wires, pts[stop:], hit) from None
+        sides = _wires_field(wires, pts[start:stop])
         loops = np.zeros((3, 2, sides.shape[2]))
         for i in range(4):
             loops += sides[:, i::4]  # side i of both loops
         np.add(loops[:, 0], loops[:, 1], out=out[:, start:stop])
     return out.T
-
-
-def _first_on_wire(wires: _Wires, rest: np.ndarray, hit: PointOnWire) -> PointOnWire:
-    # `hit` is the first on-wire point of one chunk; a later chunk can still
-    # hold a point on an earlier wire, which a per-wire evaluation of all
-    # points would report first
-    for start in range(0, len(rest), KERNEL_CHUNK):
-        if hit.segment == 0:
-            break
-        try:
-            _wires_field(wires.first(hit.segment), rest[start:start + KERNEL_CHUNK])
-        except PointOnWire as earlier:
-            hit = earlier
-    return hit
 
 
 def _reference(bz0: float) -> float:

@@ -160,8 +160,8 @@ def _segment_row_ref(start, end, turns: int, current: float) -> list[float]:
 def segments_field_ref(segments: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Field of each row of the segment table `segments` (k, 11) at each of
     `pts` (n, 3), (k, n, 3); each side computes its own offsets and
-    distances.  Raises PointOnWire for the first point within the guard of
-    the first such segment's line."""
+    distances.  Raises PointOnWire for the first point, in row order, within
+    the guard of any segment's line, naming the first such segment."""
     sx, sy, sz, ex, ey, ez, lx, ly, lz, length, gain = segments.T[:, :, None]
     x, y, z = pts.T
     r1x = x - sx
@@ -174,8 +174,8 @@ def segments_field_ref(segments: np.ndarray, pts: np.ndarray) -> np.ndarray:
     a = np.sqrt(ax * ax + ay * ay + az * az)
     on_wire = a <= 1e-12
     if on_wire.any():
-        k = int(np.argmax(on_wire.any(axis=1)))
-        raise PointOnWire(tuple(pts[np.argmax(on_wire[k])].tolist()), segment=k)
+        i = int(np.argmax(on_wire.any(axis=0)))
+        raise PointOnWire(tuple(pts[i].tolist()), segment=int(np.argmax(on_wire[:, i])))
     d1 = np.sqrt(r1x * r1x + r1y * r1y + r1z * r1z)
     r2x = x - ex
     r2y = y - ey

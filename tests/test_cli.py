@@ -153,6 +153,24 @@ class TestMagneticsGoldens:
         assert f"point {point}" in capsys.readouterr().err
         assert not (tmp_path / "field_map.csv").exists()
 
+    def test_grid_points_on_wires_name_the_first_row(self, tmp_path, capsys):
+        # every grid point lies on a side at x = -/+ side/2: row 0 on the
+        # lower loop's, row 7 first on the upper loop's first side; the map
+        # named row 7, the point a per-side evaluation met first
+        cfg = tmp_path / "wire.cfg"
+        cfg.write_text(
+            "[meta]\nschema_version = 1\n"
+            "[coil]\nside_mm = 840.4\nspacing_mm = 457.6\nturns = 24\ncurrent_a = 2.94\n"
+            "[grid]\nx_mm = -420.2,420.2,2\ny_mm = -100,100,3\nz_mm = -228.8,228.8,2\n"
+        )
+        out = tmp_path / "out"
+        rc = main(["field-map", "--config", str(cfg), "--out-dir", str(out / "new")])
+        assert rc == EXIT_RUNTIME
+        point = (-420.2 / 1000.0, -100 / 1000.0, -228.8 / 1000.0)
+        err = capsys.readouterr().err
+        assert err == f"error: point {point} is within {magnetics.WIRE_GUARD_M} m of a wire line\n"
+        assert not out.exists()
+
     def test_wire_point_in_second_block_leaves_no_file(self, tmp_path, capsys):
         # the 5,000 points of the x = 0 plane fill the first block; row 5,000,
         # the first point of the x = side/2 plane, lies on the wire and in
@@ -477,6 +495,60 @@ def test_optimize_failed_csv_removes_the_directories_it_made(tmp_path, capsys):
     assert err.startswith(f"error: [Errno {errno.EISDIR}] ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == [target]
     assert list(target.iterdir()) == []
+
+
+def test_failed_step_rerun_keeps_the_previous_run(tmp_path, capsys):
+    # svs writes its trace before lms diverges: the rerun left the previous
+    # metrics.csv and trace_lms.csv, and removed trace_svs.csv
+    out = tmp_path / "q"
+    assert main(["step", "--preset", "table7-up", "--method", "svs,lms", "--out-dir", str(out)]) == EXIT_OK
+    before = {p.name: sha256(p) for p in out.iterdir()}
+    assert sorted(before) == ["metrics.csv", "trace_lms.csv", "trace_svs.csv"]
+    cfg = edited_preset("table7-up", "method.lms", "mu", "1e300")(tmp_path)
+    capsys.readouterr()
+    assert main(["step", "--config", str(cfg), "--method", "svs,lms", "--out-dir", str(out)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "error: lms: non-finite input sample nan\n"
+    assert {p.name: sha256(p) for p in out.iterdir()} == before
+
+
+def test_failed_sysid_rerun_keeps_the_previous_run(tmp_path, capsys):
+    # mse_curve.csv made a directory after a good run: the rerun exited 1
+    # and removed the good metrics.csv
+    cfg = SHORT_SYSID(tmp_path)
+    out = tmp_path / "q"
+    argv = ["sysid", "--config", str(cfg), "--methods", "lms,convex", "--out-dir", str(out)]
+    assert main(argv) == EXIT_OK
+    metrics = sha256(out / "metrics.csv")
+    (out / "mse_curve.csv").unlink()
+    (out / "mse_curve.csv").mkdir()
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    assert sorted(p.name for p in out.iterdir()) == ["metrics.csv", "mse_curve.csv"]
+    assert sha256(out / "metrics.csv") == metrics
+    assert list((out / "mse_curve.csv").iterdir()) == []
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{out / 'mse_curve.csv'}'\n"
+
+
+# step options that put two of its outputs on one path, as (options, the
+# path named); each replaced one output with the other and exited 0
+ONE_PATH = {
+    "diag-csv-on-the-trace": (["--method", "convex", "--diag-csv", "trace.csv"], "trace.csv"),
+    "sensor-log-on-the-metrics": (["--method", "lms", "--sensor-log", "metrics.csv"], "metrics.csv"),
+    "sensor-logs-on-the-traces": (["--method", "lms,svs", "--sensor-log", "trace.csv"], "trace_lms.csv"),
+    "absolute-sensor-log-on-the-metrics": (["--method", "lms", "--sensor-log", "{cwd}/out/metrics.csv"],
+                                           "metrics.csv"),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_PATH))
+def test_two_outputs_on_one_path_exit_1_and_publish_nothing(tmp_path, capsys, monkeypatch, case):
+    options, name = ONE_PATH[case]
+    monkeypatch.chdir(tmp_path)
+    argv = ["step", "--preset", "table7-up", *(o.format(cwd=tmp_path) for o in options), "--out-dir", "out"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"config error: two outputs of one command on one path: out/{name}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sysid_out_of_memory_exits_2(tmp_path):
@@ -843,6 +915,17 @@ def test_unusable_path_exits_1_with_one_line(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(f"error: [Errno {code}] {os.strerror(code)}") and err.count("\n") == 1
     assert file.read_text() == "kept\n"
+
+
+def test_output_in_a_symlink_loop_exits_1_with_one_line(tmp_path, capsys):
+    (tmp_path / "a").symlink_to(tmp_path / "b")
+    (tmp_path / "b").symlink_to(tmp_path / "a")
+    argv = ["step", "--preset", "table7-up", "--method", "lms", "--sensor-log", str(tmp_path / "a" / "log.csv"),
+            "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
 
 
 @pytest.mark.parametrize(

@@ -174,18 +174,16 @@ class TestPairField:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("later", [5, 2 * KERNEL_CHUNK + 88], ids=["same-chunk", "later-chunk"])
-    def test_point_on_wire_named_in_per_segment_order(self, later):
+    def test_point_on_wire_named_in_row_order(self, later):
         # row 0 lies on the fourth side of the upper loop, row `later` on the
-        # first: a per-segment evaluation meets the first side's point first
+        # first: the first offending row is named, with the wire it lies on
         s, h = 0.5 * TABLE2.side, 0.5 * TABLE2.spacing
         q = np.full((later + 40, 3), 0.01)
         q[0] = (0.0, -s, h)
         q[later] = (s, 0.0, h)
-        with pytest.raises(PointOnWire) as want:
-            loop_field(TABLE2.side, +h, TABLE2.current, TABLE2.turns, q)
         with pytest.raises(PointOnWire) as got:
             pair_field(TABLE2, q)
-        assert got.value.point == want.value.point == (s, 0.0, h)
+        assert (got.value.point, got.value.segment) == ((0.0, -s, h), 3)
 
     def test_linearity_in_current(self):
         # relative to the vector norm: transverse components nearly cancel
@@ -300,7 +298,7 @@ class TestKernelReference:
     def test_point_on_wire_order(self, side, where):
         # a point on the line of `side` at row `where`, and one on each
         # later side's line in the rows just before it (wrapping to the last
-        # chunk): both name the point on `side`
+        # chunk): both name the first of them in row order
         s, h = 0.5 * TABLE2.side, 0.5 * TABLE2.spacing
         on_side = [(s, 0.1, h), (-0.1, s, h), (-s, -0.1, h), (0.1, -s, h),
                    (s, -0.1, -h), (0.1, s, -h), (-s, 0.1, -h), (-0.1, -s, -h)]
