@@ -14,7 +14,7 @@ CSV bodies.  A command writes all its files before it prints anything, and
 a reader that closes stdout early ends it quietly with exit 0.
 A failed command leaves every output with its previous bytes and removes
 the directories it made: its files are put in place only once all are
-written.  Two outputs of one command on one path, however spelled, exit 1.
+written.  Two outputs on one path, however spelled, exit 1 before any run.
 """
 
 from __future__ import annotations
@@ -72,33 +72,35 @@ def _load(args) -> ScenarioConfig:
 
 
 @contextmanager
-def _outputs(args):
-    """Make --out-dir and yield save(writer, name, *rest), which returns
-    writer(part_path(out_dir / name), *rest); each part replaces its output
-    once the body returns.  If anything raises first, the parts, and then
-    the directories made here, if empty, are removed.  An output on an
-    earlier one's path raises ConfigError, one on a directory EISDIR."""
-    made = [p for p in (args.out_dir, *args.out_dir.parents) if not p.exists()]
-    staged = {}  # each output's real path: the output and its part
-
-    def save(writer, name, *rest):
+def _outputs(args, *names):
+    """Check a command's output names, make --out-dir and yield
+    save(writer, name, *rest), which returns writer(part_path(out_dir /
+    name), *rest); each part replaces its output once the body returns.
+    Before any work, an output on an earlier one's path raises ConfigError,
+    one on a directory EISDIR.  If anything after the checks raises, the
+    parts, and then the directories made here, if empty, are removed."""
+    reals, parts = set(), {}  # the outputs' real paths; each output: its part
+    for name in names:
         path = args.out_dir / name
         real = os.path.realpath(path)
-        if real in staged:
+        if real in reals:
             raise ConfigError(f"two outputs of one command on one path: {path}")
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        part = part_path(path)
-        staged[real] = path, part
-        return writer(part, *rest)
+        reals.add(real)
+        parts[path] = part_path(path)
+    made = [p for p in (args.out_dir, *args.out_dir.parents) if not p.exists()]
+
+    def save(writer, name, *rest):
+        return writer(parts[args.out_dir / name], *rest)
 
     try:
         args.out_dir.mkdir(parents=True, exist_ok=True)
         yield save
-        for path, part in staged.values():
+        for path, part in parts.items():
             os.replace(part, path)
     except BaseException:
-        for _, part in staged.values():
+        for part in parts.values():
             with suppress(OSError):
                 os.unlink(part)
         for p in made:
@@ -190,7 +192,7 @@ def cmd_optimize(args) -> int:
         pts = np.zeros((len(positions), 3))
         pts[:, 0] = positions
         h = magnetics.uniformity(pair, pts)
-        with _outputs(args) as save:
+        with _outputs(args, args.csv) as save:
             save(write_repr_csv, args.csv, ("pos_over_d", "uniformity_pct"), [(positions / spacing_m, h)])
     print(f"optimal ratio n*      : {result.n:.6f}")
     print(f"polynomial residual   : {result.residual:.3e}  ({result.iterations} bisections)")
@@ -209,7 +211,7 @@ def cmd_field_map(args) -> int:
     if args.validate_only:
         print("config OK")
         return EXIT_OK
-    with _outputs(args) as save:
+    with _outputs(args, "field_map.csv") as save:
         center = save(magnetics.write_field_map_csv, "field_map.csv", pair, grid)
     print(f"{grid.size} grid points; center bz = {center * 1e6:.2f} uT")
     print(f"wrote {args.out_dir / 'field_map.csv'}")
@@ -238,8 +240,8 @@ def cmd_sysid(args) -> int:
     if args.validate_only:
         print("config OK")
         return EXIT_OK
-    reports = experiments.run_sysid(scn, params)
-    with _outputs(args) as save:
+    with _outputs(args, "metrics.csv", "mse_curve.csv") as save:
+        reports = experiments.run_sysid(scn, params)
         save(experiments.write_metrics_csv, "metrics.csv", list(reports.items()))
         save(experiments.write_mse_curves_csv, "mse_curve.csv", {m: r.mse_curve for m, r in reports.items()})
     for m, report in reports.items():
@@ -259,21 +261,22 @@ def cmd_step(args) -> int:
         print("config OK")
         return EXIT_OK
     single = len(methods) == 1
+    # method -> the (name, columns) of each file its run writes
+    files = {m: [("trace.csv" if single else f"trace_{m}.csv", TRACE_COLUMNS)] for m in methods}
+    for m in methods if args.sensor_log else ():
+        log = args.sensor_log if single else args.sensor_log.with_stem(f"{args.sensor_log.stem}_{m}")
+        files[m].append((log, SENSOR_LOG_COLUMNS))
+    if args.diag_csv:  # convex runs, as checked above
+        files["convex"].append((args.diag_csv, DIAGNOSTICS_COLUMNS))
     rows = []
     # a method that fails leaves the files of those run before it unpublished
-    with _outputs(args) as save:
+    with _outputs(args, *(name for f in files.values() for name, _ in f), "metrics.csv") as save:
         for m, scn in scenarios.items():
             try:
                 report = experiments.run_step_response(scn)
             except ValueError as err:
                 raise ValueError(f"{m}: {err}") from err
-            files = [("trace.csv" if single else f"trace_{m}.csv", TRACE_COLUMNS)]
-            if args.sensor_log:
-                log = args.sensor_log if single else args.sensor_log.with_stem(f"{args.sensor_log.stem}_{m}")
-                files.append((log, SENSOR_LOG_COLUMNS))
-            if args.diag_csv and m == "convex":
-                files.append((args.diag_csv, DIAGNOSTICS_COLUMNS))
-            for name, names in files:
+            for name, names in files[m]:
                 save(write_repr_csv, name, names, [[report.columns[n] for n in names]])
             report.columns = None  # written; only the summary is kept for metrics.csv
             rows.append((m, report))

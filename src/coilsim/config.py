@@ -20,7 +20,9 @@ from functools import partial
 from importlib import resources
 from typing import Callable
 
+from .coilopt import optimal_spacing
 from .control import LAWS
+from .experiments import StepScenario, SysIdScenario
 from .magnetics import GridSpec, HelmholtzPair
 from .plant import (
     HMC5883L,
@@ -131,8 +133,6 @@ class ScenarioConfig:
 
     def pair(self) -> HelmholtzPair:
         """The [coil] pair, at the optimal spacing unless spacing_mm is set."""
-        from .coilopt import optimal_spacing
-
         side = self.require("coil", "side_mm") / 1000.0
         spacing_mm = self.get("coil", "spacing_mm")
         if spacing_mm is None:
@@ -171,8 +171,8 @@ class ScenarioConfig:
                 ) from None
         return self._build(SensorSpec, "sensor", self.data.get("sensor", {}))
 
-    def disturbance(self, seed: int) -> DisturbanceSpec:
-        return self._build(DisturbanceSpec, "disturbance", {**self.data.get("disturbance", {}), "seed": seed})
+    def disturbance(self) -> DisturbanceSpec:
+        return self._build(DisturbanceSpec, "disturbance", self.data.get("disturbance", {}))
 
     def target_profile(self) -> TargetProfile:
         kind = self.require("step", "profile")
@@ -199,22 +199,19 @@ class ScenarioConfig:
         params.pop("init_weights", None)
         return self._build(cls, section, params)
 
-    def sysid_scenario(self, snr_override: float | None = None):
+    def sysid_scenario(self, snr_override: float | None = None) -> SysIdScenario:
         """The [sysid] scenario; a value its checks reject is a ConfigError
         naming the section."""
-        from .experiments import SysIdScenario
-
         fields = dict(self.data.get("sysid", {}))
         if "reinjection_at" in fields:
             fields["noise_reinjection_at"] = fields.pop("reinjection_at")
         fields["snr_db"] = snr_override if snr_override is not None else self.require("sysid", "snr_db")
         return self._build(SysIdScenario, "sysid", fields)
 
-    def step_scenario(self, method: str, seed_override: int | None = None):
-        """The [step] scenario for `method`; a value its checks reject is a
-        ConfigError naming the section the value came from."""
-        from .experiments import StepScenario
-
+    def step_scenario(self, method: str, seed_override: int | None = None) -> StepScenario:
+        """The [step] scenario for `method`, whose [method.<method>]
+        parameters name its law; a value its checks reject is a ConfigError
+        naming the section the value came from."""
         plant = self.data.get("plant", {})
         # a bad range names [plant]
         self._build(PlantModel.ascending, "plant", {k.removesuffix("_v"): v for k, v in plant.items()})
@@ -226,10 +223,9 @@ class ScenarioConfig:
         fields.update(
             plant,
             profile=profile,
-            method=method,
             params=self.method_params(method),
             sensor=self.sensor(),
-            disturbance=self.disturbance(fields.get("seed", StepScenario.seed)),
+            disturbance=self.disturbance(),
         )
         scn = self._build(StepScenario, "step", fields)
         # [method.convex] init_weights starts convex runs only; the other

@@ -1,20 +1,23 @@
 """Experiment harness: the system-identification convergence study and the
 closed-loop step-response study, plus the metric computations they share.
 
-Every run is reproducible: scenarios carry a seed, and sysid trial t draws
-from its own pair of child streams of that seed, SeedSequence(seed,
-spawn_key=(t, k)) with k = 0 for its input and k = 1 for its noise.  A
-sysid run draws its signals a block of steps at a time as its loop steps
-through them, so its memory does not grow with the signals.  Trial
-averages add the trials in index order however the trials and steps are
-blocked, and every dot product adds its taps in plain order with no BLAS
-call, so the bits do not depend on the BLAS kernel or the blocking.  The
-sysid laws call np.exp and np.arctan, whose bits follow numpy's SIMD
-dispatch; the sysid goldens are checked under two dispatches (AVX-512 and
-AVX2 on x86-64), not proven for every CPU.  The closed loop uses math.exp
-and math.atan.  Runs take at most STEP_MAX steps, and a filter that
-diverges gives no report: run_sysid names its method in a ValueError, and
-the closed loop raises NonFiniteInput.
+Every run is reproducible: a scenario's one seed keys every stream of its
+run.  A step run draws its sensor noise and Gaussian disturbance from
+streams 1 and 2 of it (keyed in coilsim.plant), and the class of its
+params names its law.  Sysid trial t draws from its own pair of child
+streams of the seed, SeedSequence(seed, spawn_key=(t, k)) with k = 0 for
+its input and k = 1 for its noise.  A sysid run draws its signals a block
+of steps at a time as its loop steps through them, so its memory does not
+grow with the signals.  Trial averages add the trials in index order
+however the trials and steps are blocked, and every dot product adds its
+taps in plain order with no BLAS call, so the bits do not depend on the
+BLAS kernel or the blocking.  The sysid laws call np.exp and np.arctan,
+whose bits follow numpy's SIMD dispatch; the sysid goldens are checked
+under two dispatches (AVX-512 and AVX2 on x86-64), not proven for every
+CPU.  The closed loop uses math.exp and math.atan.  Runs take at most
+STEP_MAX steps, and a filter that diverges gives no report: run_sysid
+names its method in a ValueError, and the closed loop raises
+NonFiniteInput.
 
 A step-response run returns its metrics together with its per-step record,
 MetricsReport.columns: one array per column name.  The trace, sensor-log
@@ -315,16 +318,16 @@ class StepScenario:
     The controller works in scaled field units (ctrl_unit_nt per unit) with
     two taps: a constant reference and the previous sample's normalized
     ambient estimate (the sensed field minus the known coil contribution),
-    their weights starting from init_weights, two finite values, and its law
-    taking params, an instance of control.LAWS[method].  The
+    their weights starting from init_weights, two finite values; params, an
+    instance of a control.LAWS class, names the law by its class.  The
     commanded field goes through the voltage fit, the ambient disturbance
     adds in, and the magnetometer closes the loop.  switch_time_s of
     pre-switch running lets the controller settle on the initial level
-    first.
+    first.  The sensor noise and the disturbance's Gaussian term are
+    streams 1 and 2 of seed, the run's one seed (see coilsim.plant).
     """
 
     profile: TargetProfile
-    method: str
     params: LmsParams | SvsParams | AtlmsParams | ConvexParams
     sensor: SensorSpec
     duration_s: float = 20.0
@@ -357,10 +360,8 @@ class StepScenario:
             raise ValueError("settle_time_s must be >= 0")
         if not 0.0 < self.band_fraction < math.inf:
             raise ValueError("band_fraction must be > 0 and finite")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if not isinstance(self.params, LAWS[self.method]):
-            raise TypeError(f"{self.method} params must be a {LAWS[self.method].__name__}")
+        if not isinstance(self.params, tuple(LAWS.values())):
+            raise TypeError(f"params must be an instance of a control.LAWS class, not {type(self.params).__name__}")
         if not (0.0 < self.ctrl_unit_nt < math.inf and 0.0 < self.x_scale_nt < math.inf):
             raise ValueError("ctrl_unit_nt and x_scale_nt must be > 0 and finite")
         # the loop runs a two-tap controller
@@ -397,8 +398,8 @@ def run_step_response(scn: StepScenario) -> MetricsReport:
     metrics on the post-switch measured field.
 
     The targets, the disturbance and the sensor noise are computed for the
-    whole run before the loop starts, the last two from the seed's two
-    independent streams (see coilsim.plant), and the loop takes them as
+    whole run before the loop starts, the last two from streams 1 and 2 of
+    the run's seed (see coilsim.plant), and the loop takes them as
     Python floats STEP_BLOCK steps at a time.  Each loop step is one inline
     block of float arithmetic: the controller's law on the taps (1, x1) and
     the target d, the inverse drive and the drive of the plant's voltage
@@ -428,17 +429,17 @@ def run_step_response(scn: StepScenario) -> MetricsReport:
     steps = np.arange(n_total)
     times = steps * (1.0 / scn.sensor.sample_rate_hz)
     targets = scn.profile.target_at(times)
-    disturbance = disturbance_series(scn.disturbance, times)
-    noise = sensor_noise(scn.sensor, np.random.default_rng((scn.seed, 1)), n_total)
+    disturbance = disturbance_series(scn.disturbance, times, scn.seed)
+    noise = sensor_noise(scn.sensor, scn.seed, n_total)
 
     p = scn.params
-    convex = scn.method == "convex"
+    convex = isinstance(p, ConvexParams)
     if convex:
         neg_alpha, beta, half_beta, sigma, phi = -p.alpha, p.beta, 0.5 * p.beta, p.sigma, p.phi
         c, mu_b, gamma_o, t_o = p.c, p.mu_b, p.gamma_o, p.t_o
         gamma, b, prev_e1, n = 0.5, 0.0, 0.0, 0  # gamma = logistic(b)
     else:  # a single filter: the parameters of its law, None for those it lacks
-        svs, atlms = scn.method == "svs", scn.method == "atlms"
+        svs, atlms = isinstance(p, SvsParams), isinstance(p, AtlmsParams)
         mu, alpha, beta, m, n_scale = (getattr(p, name, None) for name in ("mu", "alpha", "beta", "m", "n_scale"))
     # a single filter's weights, or the convex fast branch's; u0, u1 are the
     # slow branch's, which the fast one starts as a copy of

@@ -13,9 +13,9 @@ bit for bit.
 
 Random quantities are drawn a run at a time, not a sample at a time: a run
 with seed s takes its sensor noise from the stream default_rng((s, 1)) and
-its Gaussian disturbance from default_rng((s, 2)).  Each stream is
-prefix-stable (sample i always gets draw i, whatever the run length), and
-the two are independent of each other.
+its Gaussian disturbance from default_rng((s, 2)), keys spelled here only.
+Each stream is prefix-stable (sample i always gets draw i, whatever the
+run length), and the two are independent of each other.
 """
 
 from __future__ import annotations
@@ -82,16 +82,16 @@ HMC5883L = SensorSpec(noise_sigma_nt=200.0, quantization_step_nt=435.0, sample_r
 IDEAL_SENSOR = SensorSpec()
 
 
-def sensor_noise(spec: SensorSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """The additive noise of n consecutive magnetometer readings, nT.
+def sensor_noise(spec: SensorSpec, seed: int, n: int) -> np.ndarray:
+    """The additive noise of a run's n consecutive magnetometer readings, nT.
 
-    Draws one block of n standard normals from rng, so the i-th reading gets
-    the i-th draw of the stream and a longer run extends a shorter one.  A
-    noiseless sensor draws nothing and returns -0.0, the exact additive
-    identity (x + -0.0 == x bitwise, -0.0 included).
+    One block of n standard normals from the stream keyed (seed, 1), so the
+    i-th reading gets the i-th draw and a longer run extends a shorter one.
+    A noiseless sensor makes no Generator and returns -0.0, the exact
+    additive identity (x + -0.0 == x bitwise, -0.0 included).
     """
     if spec.noise_sigma_nt > 0.0:
-        return spec.noise_sigma_nt * rng.standard_normal(n)
+        return spec.noise_sigma_nt * np.random.default_rng((seed, 1)).standard_normal(n)
     return np.full(n, -0.0)
 
 
@@ -102,13 +102,13 @@ LEVEL_MAX_NT = 1e9
 
 @dataclass(frozen=True)
 class DisturbanceSpec:
-    """Environmental field disturbance: DC offset, AC tones, and seeded
-    Gaussian noise (amplitudes in nT, frequencies in Hz, phases in rad)."""
+    """Environmental field disturbance: DC offset, AC tones, and Gaussian
+    noise drawn from the seed of the run it disturbs (amplitudes in nT,
+    frequencies in Hz, phases in rad)."""
 
     dc_offset_nt: float = 0.0
     ac_components: tuple[tuple[float, float, float], ...] = ()
     gaussian_sigma_nt: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         # written so that NaN fails too
@@ -125,22 +125,21 @@ class DisturbanceSpec:
             raise ValueError(f"gaussian_sigma_nt must be >= 0 and at most {LEVEL_MAX_NT:g} nT")
 
 
-def disturbance_series(spec: DisturbanceSpec, times) -> np.ndarray:
-    """Disturbance field at each of the sample times, nT.
+def disturbance_series(spec: DisturbanceSpec, times, seed: int) -> np.ndarray:
+    """Disturbance field at each of a run's sample times, nT.
 
-    The Gaussian term of the i-th sample is the i-th draw of one stream per
-    seed, keyed (seed, 2): the same spec reproduces the same series, a
-    longer series extends a shorter one, and the stream is independent of
-    the sensor's (seed, 1) noise stream.  It depends on the sample index,
-    not on the time value.
+    The Gaussian term of the i-th sample is the i-th draw of the run's
+    stream keyed (seed, 2), made only if the term is there: the same spec
+    and seed reproduce the same series, a longer series extends a shorter
+    one, and the stream is independent of the sensor's (seed, 1) noise
+    stream.  It depends on the sample index, not on the time value.
     """
     t = np.asarray(times, dtype=float)
     v = np.full(t.shape, spec.dc_offset_nt, dtype=float)
     for amp, freq, phase in spec.ac_components:
         v += amp * np.sin(2.0 * math.pi * freq * t + phase)
     if spec.gaussian_sigma_nt > 0.0:
-        rng = np.random.default_rng((spec.seed, 2))
-        v += spec.gaussian_sigma_nt * rng.standard_normal(t.shape)
+        v += spec.gaussian_sigma_nt * np.random.default_rng((seed, 2)).standard_normal(t.shape)
     return v
 
 

@@ -38,7 +38,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from coilsim.control import ConvexParams, NonFiniteInput, run_laws_batch
+from coilsim.control import AtlmsParams, ConvexParams, LmsParams, NonFiniteInput, SvsParams, run_laws_batch
 from coilsim.experiments import DIAGNOSTICS_COLUMNS, DWELL_S
 from coilsim.magnetics import PointOnWire
 from coilsim.plant import PlantModel, SensorSpec, disturbance_series, sensor_noise
@@ -569,18 +569,18 @@ def step_response_ref(scn) -> dict[str, np.ndarray]:
     coilsim.experiments.run_step_response must return."""
     plant = scn.resolved_plant()
     n_total = scn.n_steps()
-    convex = scn.method == "convex"
+    params = scn.params
+    convex = type(params) is ConvexParams
     if convex:
-        params = scn.params
         state = ConvexState.initial(scn.init_weights)
     else:
-        rate = {"lms": lms_rate, "svs": svs_rate, "atlms": atlms_rate}[scn.method](**vars(scn.params))
+        rate = {LmsParams: lms_rate, SvsParams: svs_rate, AtlmsParams: atlms_rate}[type(params)](**vars(params))
         state = FilterState.initial(scn.init_weights, rate)
     steps = np.arange(n_total)
     times = steps * (1.0 / scn.sensor.sample_rate_hz)
     targets = scn.profile.target_at(times)
-    disturbance = disturbance_series(scn.disturbance, times)
-    noise = sensor_noise(scn.sensor, np.random.default_rng((scn.seed, 1)), n_total)
+    disturbance = disturbance_series(scn.disturbance, times, scn.seed)
+    noise = sensor_noise(scn.sensor, scn.seed, n_total)
 
     unit = scn.ctrl_unit_nt
     ambient_est_nt = 0.0

@@ -551,6 +551,30 @@ def test_two_outputs_on_one_path_exit_1_and_publish_nothing(tmp_path, capsys, mo
     assert list(tmp_path.iterdir()) == []
 
 
+def test_two_outputs_on_one_path_exit_before_any_run(tmp_path, capsys, monkeypatch):
+    # every method ran, and its files were staged, before the last one,
+    # metrics.csv, met the diagnostics on its path
+    calls = []
+    monkeypatch.setattr(cli.experiments, "run_step_response", lambda scn: calls.append(scn))
+    argv = ["step", "--preset", "location-field", "--method", "all", "--diag-csv", "metrics.csv",
+            "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"config error: two outputs of one command on one path: {tmp_path / 'out' / 'metrics.csv'}\n"
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sysid_output_on_a_directory_exits_before_the_run(tmp_path, capsys, monkeypatch):
+    # the directory was found only once every trial had run
+    calls = []
+    monkeypatch.setattr(cli.experiments, "run_sysid", lambda *args: calls.append(args))
+    (tmp_path / "mse_curve.csv").mkdir()
+    assert main(["sysid", "--preset", "table4-30db", "--out-dir", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: [Errno {errno.EISDIR}] ")
+    assert calls == []
+
+
 def test_sysid_out_of_memory_exits_2(tmp_path):
     # n_iters = STEP_MAX: the four methods' per-step sums of e^2 alone are
     # 320 MB, more than the address space the child is capped to

@@ -20,7 +20,6 @@ def test_step_scenario_defaults_match_dataclass_defaults():
     scn = parse_config(MINIMAL_STEP).step_scenario("lms")
     default = StepScenario(
         profile=TargetProfile.step_up(120000.0),
-        method="lms",
         params=LmsParams(mu=0.05),
         sensor=SensorSpec(),
     )
@@ -41,9 +40,9 @@ REQUIRED = {"meta": {"schema_version": "1"}, "step": {"profile": "step_up", "lev
 BUILDS = {
     "sysid": (lambda cfg: cfg.sysid_scenario(), SysIdScenario(snr_db=30.0)),
     "step": (lambda cfg: cfg.step_scenario("lms"),
-             StepScenario(TargetProfile.step_up(120000.0), "lms", LmsParams(mu=0.05), SensorSpec())),
+             StepScenario(TargetProfile.step_up(120000.0), LmsParams(mu=0.05), SensorSpec())),
     "sensor": (lambda cfg: cfg.sensor(), SensorSpec()),
-    "disturbance": (lambda cfg: cfg.disturbance(7), DisturbanceSpec(seed=7)),
+    "disturbance": (lambda cfg: cfg.disturbance(), DisturbanceSpec()),
 }
 BUILDS["plant"] = BUILDS["step"]
 
@@ -86,8 +85,6 @@ def test_every_key_reaches_its_field(section):
     for key, raw in NON_DEFAULT[section].items():
         field = LANDS.get(key, lambda obj: getattr(obj, key))
         assert field(built) == SCHEMA[section][key](raw) != field(default), key
-    if section == "step":  # the step's seed seeds its disturbance too
-        assert built.disturbance.seed == 4
 
 
 SENSOR_MODEL = MINIMAL_STEP + """

@@ -13,7 +13,7 @@ from coilsim import experiments
 from coilsim._table import write_repr_csv
 from coilsim.config import load_preset
 from coilsim.plant import DisturbanceSpec, SensorSpec, TargetProfile, sensor_noise, snr_to_sigma
-from coilsim.control import LAWS, ConvexParams, LmsParams, NonFiniteInput, SvsParams, run_laws_batch
+from coilsim.control import LAWS, ConvexParams, LmsParams, NonFiniteInput, run_laws_batch
 from coilsim.experiments import (
     ActuatorSaturationWarning,
     StepScenario,
@@ -187,7 +187,7 @@ class TestStepRecord:
         volts, dist, true = (cols[k].tolist() for k in ("control_V", "disturbance_nT", "true_nT"))
         want = [drive(plant, v) + d for v, d in zip(volts, dist)]
         np.testing.assert_array_equal(bits(cols["true_nT"]), bits(want))
-        noise = sensor_noise(scn.sensor, np.random.default_rng((scn.seed, 1)), steps).tolist()
+        noise = sensor_noise(scn.sensor, scn.seed, steps).tolist()
         want = [sense(scn.sensor, t, z) for t, z in zip(true, noise)]
         np.testing.assert_array_equal(bits(cols["measured_nT"]), bits(want))
 
@@ -282,7 +282,7 @@ class TestInlineLoop:
 class TestStepScenarioChecks:
     @staticmethod
     def _scenario(rate, switch, duration):
-        return StepScenario(profile=TargetProfile.step_up(10000.0, switch), method="lms", params=LmsParams(mu=0.05),
+        return StepScenario(profile=TargetProfile.step_up(10000.0, switch), params=LmsParams(mu=0.05),
                             sensor=SensorSpec(sample_rate_hz=rate), duration_s=duration, settle_time_s=1.5,
                             v_min_v=-3.0)
 
@@ -316,15 +316,52 @@ class TestStepScenarioChecks:
         with pytest.raises(ValueError, match="the run's sample count, which must be <= STEP_MAX = 10000000$"):
             self._scenario(rate, 0.5, 9.5 + 2.0 / rate)
 
+    @pytest.mark.parametrize("params", [{"mu": 0.05}, ("lms", LmsParams(mu=0.05)), None],
+                             ids=["dict", "tuple", "None"])
+    def test_params_must_be_a_law_class(self, params):
+        scn = load_preset("table7-up").step_scenario("lms")
+        with pytest.raises(TypeError, match="^params must be an instance of a control.LAWS class, not "):
+            replace(scn, params=params)
+
     @pytest.mark.parametrize("method", experiments.METHODS)
-    def test_params_must_be_the_methods_class(self, method):
+    def test_params_name_the_law(self, method):
+        # the params alone pick the law: another law's params run that law
         scn = load_preset("table7-up").step_scenario(method)
         assert type(scn.params) is LAWS[method]
-        other = SvsParams(alpha=1.0, beta=0.1) if method != "svs" else LmsParams(mu=0.05)
-        with pytest.raises(TypeError, match=f"^{method} params must be a {LAWS[method].__name__}$"):
-            replace(scn, params=other)
-        with pytest.raises(TypeError, match="params must be"):
-            replace(scn, params=vars(scn.params))
+        other = load_preset("table7-up").step_scenario("svs" if method != "svs" else "lms")
+        swapped = run_step_response(replace(scn, params=other.params)).columns
+        want = run_step_response(other).columns
+        assert swapped.keys() == want.keys()
+        for name, column in want.items():
+            np.testing.assert_array_equal(bits(swapped[name]), bits(column), err_msg=name)
+
+
+class TestStepSeed:
+    """A step run's one seed keys its every random stream."""
+
+    def test_seed_redraws_the_disturbance(self):
+        scn = load_preset("table7-up").step_scenario("lms")
+        assert scn.disturbance.gaussian_sigma_nt > 0.0
+        one, two = (run_step_response(replace(scn, seed=s)).columns["disturbance_nT"] for s in (1, 2))
+        assert np.all(one != two)
+
+    @pytest.mark.parametrize("quiet", [False, True])
+    def test_two_streams_keyed_by_the_seed(self, monkeypatch, quiet):
+        # a quiet run, with neither sensor noise nor a Gaussian term, makes none
+        scn = replace(load_preset("table7-up").step_scenario("convex"), seed=77)
+        assert scn.sensor.noise_sigma_nt > 0.0 and scn.disturbance.gaussian_sigma_nt > 0.0
+        if quiet:
+            scn = replace(scn, sensor=replace(scn.sensor, noise_sigma_nt=0.0), disturbance=DisturbanceSpec())
+        keys = []
+        default_rng = np.random.default_rng
+
+        def recording(seed=None):
+            keys.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        run_step_response(scn)
+        assert sorted(keys) == ([] if quiet else [(77, 1), (77, 2)])
 
 
 class TestRunSysid:

@@ -99,8 +99,7 @@ def quantize_reference(q: float, v: float) -> float:
 
 class TestSensor:
     def test_identity_without_noise_or_quantization(self):
-        rng = np.random.default_rng(0)
-        (noise,) = sensor_noise(IDEAL_SENSOR, rng, 1).tolist()
+        (noise,) = sensor_noise(IDEAL_SENSOR, 0, 1).tolist()
         assert sense(IDEAL_SENSOR, 12345.678, noise) == 12345.678
 
     def test_quantization_multiples(self):
@@ -115,24 +114,23 @@ class TestSensor:
         assert sense(spec, 5.0, 0.0) == 4.0  # 2.5 LSB -> 2 LSB
 
     def test_noise_sigma_estimate(self):
-        rng = np.random.default_rng(3)
-        vals = np.array([sense(RM3100, 1000.0, e) for e in sensor_noise(RM3100, rng, 10_000).tolist()])
+        vals = np.array([sense(RM3100, 1000.0, e) for e in sensor_noise(RM3100, 3, 10_000).tolist()])
         # quantization at 13 nT adds ~uniform(step^2/12) on top of 15 nT noise
         expected = math.sqrt(15.0**2 + 13.0**2 / 12.0)
         assert np.std(vals) == pytest.approx(expected, rel=0.05)
 
     @pytest.mark.parametrize("seed", [0, 1, 42, 2**31 - 1])
     def test_block_equals_per_reading_draws(self, seed):
-        block = sensor_noise(HMC5883L, np.random.default_rng((seed, 1)), 2000)
+        block = sensor_noise(HMC5883L, seed, 2000)
         rng = np.random.default_rng((seed, 1))
         per_reading = [HMC5883L.noise_sigma_nt * rng.standard_normal() for _ in range(2000)]
         assert [bits(v) for v in block.tolist()] == [bits(v) for v in per_reading]
 
-    def test_noiseless_sensor_draws_nothing(self):
-        rng = np.random.default_rng(5)
-        before = rng.bit_generator.state
-        noise = sensor_noise(SensorSpec(quantization_step_nt=13.0), rng, 100)
-        assert rng.bit_generator.state == before
+    def test_noiseless_sensor_draws_nothing(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: made.append(args))
+        noise = sensor_noise(SensorSpec(quantization_step_nt=13.0), 5, 100)
+        assert made == []
         assert all(bits(v) == bits(-0.0) for v in noise.tolist())
         assert bits(sense(IDEAL_SENSOR, -0.0, noise.tolist()[0])) == bits(-0.0)
 
@@ -154,7 +152,7 @@ class TestSensor:
         if half:
             v = (k + 0.5) * q
         spec = SensorSpec(quantization_step_nt=q)
-        (noise,) = sensor_noise(spec, np.random.default_rng(0), 1).tolist()
+        (noise,) = sensor_noise(spec, 0, 1).tolist()
         assert bits(sense(spec, v, noise)) == bits(quantize_reference(q, v))
 
     def test_table_sensor_models(self):
@@ -167,48 +165,47 @@ class TestSensor:
 class TestDisturbance:
     def test_all_zero_spec(self):
         spec = DisturbanceSpec()
-        assert disturbance_series(spec, [0.0, 0.1, 2.7]).tolist() == [0.0, 0.0, 0.0]
+        assert disturbance_series(spec, [0.0, 0.1, 2.7], 0).tolist() == [0.0, 0.0, 0.0]
 
     def test_dc_only(self):
         spec = DisturbanceSpec(dc_offset_nt=512.0)
-        assert disturbance_series(spec, [0.0, 1.0, 9.9]).tolist() == [512.0] * 3
+        assert disturbance_series(spec, [0.0, 1.0, 9.9], 0).tolist() == [512.0] * 3
 
     def test_ac_component(self):
         spec = DisturbanceSpec(ac_components=((100.0, 2.0, 0.0),))
-        v = disturbance_series(spec, [0.0, 0.125])
+        v = disturbance_series(spec, [0.0, 0.125], 0)
         assert v[0] == pytest.approx(0.0, abs=1e-12)
         assert v[1] == pytest.approx(100.0, rel=1e-12)
 
     def test_gaussian_sigma_estimate(self):
-        spec = DisturbanceSpec(gaussian_sigma_nt=50.0, seed=7)
-        vals = disturbance_series(spec, np.arange(100_000) * 1e-3)
+        spec = DisturbanceSpec(gaussian_sigma_nt=50.0)
+        vals = disturbance_series(spec, np.arange(100_000) * 1e-3, 7)
         assert np.std(vals) == pytest.approx(50.0, rel=0.02)
 
     def test_deterministic_per_time(self):
-        spec = DisturbanceSpec(gaussian_sigma_nt=50.0, seed=7)
+        spec = DisturbanceSpec(gaussian_sigma_nt=50.0)
         ts = np.arange(50) / 200.0
-        a = disturbance_series(spec, ts)
-        assert a.tolist() == disturbance_series(spec, ts).tolist()
+        a = disturbance_series(spec, ts, 7)
+        assert a.tolist() == disturbance_series(spec, ts, 7).tolist()
         assert np.all(np.diff(a) != 0.0)
-        other = DisturbanceSpec(gaussian_sigma_nt=50.0, seed=8)
-        assert np.all(a != disturbance_series(other, ts))
+        assert np.all(a != disturbance_series(spec, ts, 8))
 
     def test_gaussian_term_is_the_seed_stream(self):
-        spec = DisturbanceSpec(dc_offset_nt=10.0, gaussian_sigma_nt=50.0, seed=7)
+        spec = DisturbanceSpec(dc_offset_nt=10.0, gaussian_sigma_nt=50.0)
         rng = np.random.default_rng((7, 2))
         expected = [10.0 + 50.0 * rng.standard_normal() for _ in range(500)]
-        assert disturbance_series(spec, np.arange(500) * 0.01).tolist() == expected
+        assert disturbance_series(spec, np.arange(500) * 0.01, 7).tolist() == expected
 
     def test_prefix_stable(self):
-        spec = DisturbanceSpec(ac_components=((30.0, 1.5, 0.2),), gaussian_sigma_nt=50.0, seed=3)
+        spec = DisturbanceSpec(ac_components=((30.0, 1.5, 0.2),), gaussian_sigma_nt=50.0)
         ts = np.arange(3000) / 75.0
-        full = disturbance_series(spec, ts)
-        assert disturbance_series(spec, ts[:1725]).tolist() == full[:1725].tolist()
+        full = disturbance_series(spec, ts, 3)
+        assert disturbance_series(spec, ts[:1725], 3).tolist() == full[:1725].tolist()
 
     def test_independent_of_sensor_stream(self):
         n = 20_000
-        dist = disturbance_series(DisturbanceSpec(gaussian_sigma_nt=1.0, seed=42), np.zeros(n))
-        noise = sensor_noise(SensorSpec(noise_sigma_nt=1.0), np.random.default_rng((42, 1)), n)
+        dist = disturbance_series(DisturbanceSpec(gaussian_sigma_nt=1.0), np.zeros(n), 42)
+        noise = sensor_noise(SensorSpec(noise_sigma_nt=1.0), 42, n)
         assert not np.any(dist == noise)
         assert abs(np.corrcoef(dist, noise)[0, 1]) < 4.0 / math.sqrt(n)
 
