@@ -14,7 +14,8 @@ CSV bodies.  A command writes all its files before it prints anything, and
 a reader that closes stdout early ends it quietly with exit 0.
 A failed command leaves every output with its previous bytes and removes
 the directories it made: its files are put in place only once all are
-written.  Two outputs on one path, however spelled, exit 1 before any run.
+written.  Two outputs on one path, however spelled, or one that names a
+directory, exit 1 before any run, under --validate-only too.
 """
 
 from __future__ import annotations
@@ -71,15 +72,10 @@ def _load(args) -> ScenarioConfig:
     return load_config(args.config)
 
 
-@contextmanager
-def _outputs(args, *names):
-    """Check a command's output names, make --out-dir and yield
-    save(writer, name, *rest), which returns writer(part_path(out_dir /
-    name), *rest); each part replaces its output once the body returns.
-    Before any work, an output on an earlier one's path raises ConfigError,
-    one on a directory EISDIR.  If anything after the checks raises, the
-    parts, and then the directories made here, if empty, are removed."""
-    reals, parts = set(), {}  # the outputs' real paths; each output: its part
+def _output_paths(args, names) -> list[Path]:
+    """The paths of a command's outputs under --out-dir.  An output on an
+    earlier one's path raises ConfigError, one on a directory EISDIR."""
+    reals, paths = set(), []  # the outputs' real paths; each output's path
     for name in names:
         path = args.out_dir / name
         real = os.path.realpath(path)
@@ -88,7 +84,25 @@ def _outputs(args, *names):
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         reals.add(real)
-        parts[path] = part_path(path)
+        paths.append(path)
+    return paths
+
+
+def _validated(args, *names) -> int:
+    """--validate-only: check the output names as a run would, make nothing."""
+    _output_paths(args, names)
+    print("config OK")
+    return EXIT_OK
+
+
+@contextmanager
+def _outputs(args, *names):
+    """Check a command's output names (_output_paths), make --out-dir and
+    yield save(writer, name, *rest), which returns writer(part_path(out_dir
+    / name), *rest); each part replaces its output once the body returns.
+    If anything after the checks raises, the parts, and then the
+    directories made here, if empty, are removed."""
+    parts = {path: part_path(path) for path in _output_paths(args, names)}
     made = [p for p in (args.out_dir, *args.out_dir.parents) if not p.exists()]
 
     def save(writer, name, *rest):
@@ -209,8 +223,7 @@ def cmd_field_map(args) -> int:
     pair = cfg.pair()
     grid = cfg.grid()
     if args.validate_only:
-        print("config OK")
-        return EXIT_OK
+        return _validated(args, "field_map.csv")
     with _outputs(args, "field_map.csv") as save:
         center = save(magnetics.write_field_map_csv, "field_map.csv", pair, grid)
     print(f"{grid.size} grid points; center bz = {center * 1e6:.2f} uT")
@@ -238,8 +251,7 @@ def cmd_sysid(args) -> int:
     scn = cfg.sysid_scenario(snr_override=args.snr_db)
     params = {m: cfg.method_params(m) for m in methods}
     if args.validate_only:
-        print("config OK")
-        return EXIT_OK
+        return _validated(args, "metrics.csv", "mse_curve.csv")
     with _outputs(args, "metrics.csv", "mse_curve.csv") as save:
         reports = experiments.run_sysid(scn, params)
         save(experiments.write_metrics_csv, "metrics.csv", list(reports.items()))
@@ -257,9 +269,6 @@ def cmd_step(args) -> int:
     if args.diag_csv and "convex" not in methods:
         return _Parser.exit_with("--diag-csv needs the convex method among those run")
     scenarios = {m: cfg.step_scenario(m, seed_override=args.seed) for m in methods}
-    if args.validate_only:
-        print("config OK")
-        return EXIT_OK
     single = len(methods) == 1
     # method -> the (name, columns) of each file its run writes
     files = {m: [("trace.csv" if single else f"trace_{m}.csv", TRACE_COLUMNS)] for m in methods}
@@ -268,9 +277,12 @@ def cmd_step(args) -> int:
         files[m].append((log, SENSOR_LOG_COLUMNS))
     if args.diag_csv:  # convex runs, as checked above
         files["convex"].append((args.diag_csv, DIAGNOSTICS_COLUMNS))
+    names = [*(name for f in files.values() for name, _ in f), "metrics.csv"]
+    if args.validate_only:
+        return _validated(args, *names)
     rows = []
     # a method that fails leaves the files of those run before it unpublished
-    with _outputs(args, *(name for f in files.values() for name, _ in f), "metrics.csv") as save:
+    with _outputs(args, *names) as save:
         for m, scn in scenarios.items():
             try:
                 report = experiments.run_step_response(scn)
@@ -296,8 +308,7 @@ def cmd_check(args) -> int:
     params = cfg.method_params("convex")
     params = replace(params, beta=params.beta * args.beta_scale, c=params.c * args.c_scale)
     if args.validate_only:
-        print("config OK")
-        return EXIT_OK
+        return _validated(args)
     report = check_convergence_condition(params)
     print(f"lambda_max            : {report.lambda_max:.6f}")
     print(f"rate bound 2/lambda   : {report.mu_max_bound:.6f}")

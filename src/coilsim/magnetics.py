@@ -16,26 +16,29 @@ the writer as grid levels with per-row level indices, so each level is
 formatted once.
 
 The Biot-Savart segment law is written once, in one kernel over
-(wires x points): a wire table lists corners and, for each straight wire
-between two of them, its canonical endpoints (as corner indices), unit
-direction, length and signed gain N*mu0*I, as (k, 1) columns that
-broadcast against the (n,) point coordinates.  The kernel computes each
-corner's offset to every point and its distance once, and both wires that
-meet at the corner take them from there.  `segment_field` is the case of
-one wire between two corners; a pair is eight sides between eight
-corners, its table built once per HelmholtzPair.  `pair_field` validates
-the points once and evaluates all eight sides in one kernel call per chunk
-of at most KERNEL_CHUNK points, which bounds each temporary at
-8 * KERNEL_CHUNK values.
+(wires x points), for wires parallel to a coordinate axis, the only ones
+the package builds: a wire table lists corners and, for each straight wire
+between two of them, its canonical endpoints (as corner indices), its axis
+and its length and signed gain N*mu0*I as (k, 1) columns.  The kernel
+computes each corner's offsets to every point, their squares and its
+distance once, for both wires that meet at the corner.  `segment_field` is
+the case of one wire between two corners; a pair is eight sides between
+eight corners, its table built once per HelmholtzPair.  `pair_field`
+validates the points once and evaluates all eight sides in one kernel
+call per chunk of at most KERNEL_CHUNK points.
 
-Every output is bit-for-bit what a per-point, per-segment evaluation of the
-same closed form gives, so shipped CSVs do not change when the batch, chunk
-or block size does.  That fixes the operation order: the kernel works
-elementwise per component, with the projection t1 = r1x*lx + r1y*ly + r1z*lz
-written out rather than as a matrix product, the gain multiplied left to
-right, and each loop summed side by side from zero (so 0 + -0.0 gives 0.0)
-before the two loops are added.  Sharing a corner's terms keeps that order:
-they are the same expressions on the same floats.
+Every pair field is bit-for-bit what a per-point, per-segment evaluation
+of the general (oblique) closed form gives, so shipped CSVs do not change
+when the batch, chunk or block size does.  On a wire along +axis that
+form's length sqrt(d*d) is d, and its unit direction exactly 1 along the
+axis and +0 across it, so every term the kernel drops is an exact +-0: the
+projection t1 is the offset along the axis, a^2 the sum of the two
+across-wire squares, and the cross product (0, -r_v, r_u) / a in the
+(axis, u, v) frame.  Where those terms are nonzero they are the same
+floats, in the same operation order; elsewhere only the sign of an exact
+zero can differ.  Each loop is summed side by side from +0.0 before the
+two loops are added, and adding +-0 to such a sum never changes its bits.
+`segment_field` may differ from the general form in the sign of a zero.
 
 A point on a wire is reported in row order: PointOnWire names the first
 point of the call that lies within WIRE_GUARD_M of any wire, and the first
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -63,8 +67,9 @@ WIRE_GUARD_M = 1e-12
 # whatever the grid size.
 MAP_BLOCK = 4096
 
-# Points per segment-kernel call in pair_field: with the eight sides of a
-# pair, each (segments x points) temporary holds 8 * 512 = 4,096 values.
+# Points per segment-kernel call in pair_field: with the eight corners and
+# sides of a pair, the corner offsets, their squares and the result each
+# hold 3 * 8 * 512 = 12,288 values, and each per-side term 8 * 512.
 KERNEL_CHUNK = 512
 
 
@@ -104,10 +109,7 @@ class HelmholtzPair:
             raise ValueError("side must be finite and > 0")
         if not (math.isfinite(self.spacing) and self.spacing > 0.0):
             raise ValueError("spacing must be finite and > 0")
-        if self.turns < 1:
-            raise ValueError("turns must be a positive integer")
-        if not math.isfinite(self.current):
-            raise ValueError("current must be finite")
+        _check_drive(self.turns, self.current)
 
     @functools.cached_property
     def _wires(self) -> "_Wires":
@@ -118,6 +120,13 @@ class HelmholtzPair:
         corners = [(x, y, z) for z in (+h, -h) for x, y in ((s, -s), (s, s), (-s, s), (-s, -s))]
         sides = [(4 * lp + i, 4 * lp + (i + 1) % 4) for lp in range(2) for i in range(4)]
         return _wire_table(corners, sides, self.turns, self.current)
+
+
+def _check_drive(turns, current) -> None:
+    if not (isinstance(turns, numbers.Integral) and turns >= 1):
+        raise ValueError("turns must be a positive integer")
+    if not math.isfinite(current):
+        raise ValueError("current must be finite")
 
 
 def _as_points(points) -> np.ndarray:
@@ -133,40 +142,35 @@ def _as_points(points) -> np.ndarray:
 class _Wires(NamedTuple):
     """The kernel's wire table: k straight wires between m corners.
 
-    Each wire's endpoints are in canonical order, so that reversing start
-    and end negates its field bit-for-bit; `start` and `end` index them in
-    `corners`, (cx, cy, cz) as (m, 1) columns.  lx, ly, lz (the unit
-    direction), length and gain (the signed N*mu0*I) are (k, 1) columns.
+    Each wire runs along +axis (0, 1 or 2 for x, y or z), its endpoints in
+    canonical order, so that reversing start and end negates its field
+    bit-for-bit; `start`, `end` and `axis` are (k,) indices, the first two
+    into `corners`, a (3, m, 1) array of x, y and z columns.  length and
+    gain (the signed N*mu0*I) are (k, 1) columns.
     """
 
-    corners: tuple[np.ndarray, np.ndarray, np.ndarray]
+    corners: np.ndarray
     start: np.ndarray
     end: np.ndarray
-    lx: np.ndarray
-    ly: np.ndarray
-    lz: np.ndarray
+    axis: np.ndarray
     length: np.ndarray
     gain: np.ndarray
 
 
 def _wire_table(corners, sides, turns: int, current: float) -> _Wires:
     """The table of wires carrying `current` from corners[i] to corners[j]
-    for each (i, j) of `sides`."""
+    for each (i, j) of `sides`.  Raises ValueError for a wire whose
+    endpoints differ in more than one coordinate."""
     index, rows = [], []
     for i, j in sides:
-        sign = 1.0
-        if tuple(corners[j]) < tuple(corners[i]):
-            i, j = j, i
-            sign = -1.0
-        (sx, sy, sz), (ex, ey, ez) = corners[i], corners[j]
-        dx = ex - sx
-        dy = ey - sy
-        dz = ez - sz
-        length = math.sqrt(dx * dx + dy * dy + dz * dz)
-        index.append((i, j))
-        rows.append((dx / length, dy / length, dz / length, length, sign * turns * MU0 * current))
-    start, end = np.array(index).T
-    return _Wires(tuple(np.array(corners, dtype=float).T[:, :, None]), start, end,
+        along = [k for k in range(3) if corners[i][k] != corners[j][k]]
+        if len(along) != 1:
+            raise ValueError(f"segment {tuple(corners[i])} -> {tuple(corners[j])} is not parallel to an axis")
+        k = along[0]
+        i, j, sign = (i, j, 1.0) if corners[i][k] < corners[j][k] else (j, i, -1.0)
+        index.append((i, j, k))
+        rows.append((corners[j][k] - corners[i][k], sign * turns * MU0 * current))
+    return _Wires(np.array(corners, dtype=float).T[:, :, None], *np.array(index).T,
                   *np.array(rows).T[:, :, None])
 
 
@@ -174,49 +178,41 @@ def _wires_field(wires: _Wires, pts: np.ndarray) -> np.ndarray:
     """Field of each wire of `wires` at each of `pts` (n, 3); returns
     (3, k, n): bx, by and bz of each wire at each point.
 
-    Each corner's offset to every point and distance from it is computed
-    once, for both wires that meet there.  Raises PointOnWire naming the
-    first point, in row order, within WIRE_GUARD_M of any wire's line; its
-    `segment` is the row of the first such wire.
+    Each corner's offsets to every point, their squares and its distance
+    are computed once, for both wires that meet there.  Raises PointOnWire
+    naming the first point, in row order, within WIRE_GUARD_M of any wire's
+    line; its `segment` is the row of the first such wire.
     """
-    x, y, z = pts.T
-    cx, cy, cz = wires.corners
-    corner = np.empty((4, len(cx), len(pts)))
-    rx, ry, rz, dist = corner
-    np.subtract(x, cx, out=rx)
-    np.subtract(y, cy, out=ry)
-    np.subtract(z, cz, out=rz)
-    np.sqrt(rx * rx + ry * ry + rz * rz, out=dist)
-    r1x, r1y, r1z, d1 = corner[:, wires.start]  # q - start, and its length
-    d2 = dist[wires.end]  # the length of q - end
-    lx, ly, lz = wires.lx, wires.ly, wires.lz
-    # signed projection of q-start onto the wire direction
-    t1 = r1x * lx + r1y * ly + r1z * lz
-    ax = r1x - t1 * lx
-    ay = r1y - t1 * ly
-    az = r1z - t1 * lz
-    a = np.sqrt(ax * ax + ay * ay + az * az)
+    offset = np.empty((*wires.corners.shape[:2], len(pts)))  # q - corner
+    np.subtract(pts.T[:, None, :], wires.corners, out=offset)
+    sq = offset * offset
+    dist = np.sqrt(sq[0] + sq[1] + sq[2])
+    axis, start = wires.axis, wires.start
+    u, v = (axis + 1) % 3, (axis + 2) % 3  # the across-wire axes
+    t1 = offset[axis, start]  # q - start along the wire
+    a = np.sqrt(sq[u, start] + sq[v, start])  # and its distance from the line
     on_wire = a <= WIRE_GUARD_M
     if on_wire.any():
         i = int(np.argmax(on_wire.any(axis=0)))
         raise PointOnWire(tuple(pts[i].tolist()), segment=int(np.argmax(on_wire[:, i])))
 
-    cos1 = t1 / d1
-    cos2 = (wires.length - t1) / d2
+    cos1 = t1 / dist[start]
+    cos2 = (wires.length - t1) / dist[wires.end]
     scale = wires.gain / (4.0 * math.pi * a) * (cos1 + cos2)
 
-    # unit vector along l_hat x a_hat
+    # along axis x a_hat, the unit vector (-r_v, r_u) / a across the wire
     inv_a = 1.0 / a
-    b = np.empty((3, *a.shape))
-    np.multiply(scale, (ly * az - lz * ay) * inv_a, out=b[0])
-    np.multiply(scale, (lz * ax - lx * az) * inv_a, out=b[1])
-    np.multiply(scale, (lx * ay - ly * ax) * inv_a, out=b[2])
+    b = np.zeros((3, *a.shape))
+    wire = np.arange(len(axis))
+    b[u, wire] = scale * (-offset[v, start] * inv_a)
+    b[v, wire] = scale * (offset[u, start] * inv_a)
     return b
 
 
 def segment_field(start, end, current: float, points, turns: int = 1) -> np.ndarray:
-    """Field at each of `points` (N, 3) of a straight filament carrying
-    `current` from `start` to `end` (x, y, z); returns (N, 3).
+    """Field at each of `points` (N, 3) of a straight filament parallel to a
+    coordinate axis, carrying `current` from `start` to `end` (x, y, z);
+    returns (N, 3).
 
     Closed form N*mu0*I/(4*pi*a) * (cos(theta2) + cos(theta1)) along the
     direction perpendicular to the wire-point plane, where a is the
@@ -224,12 +220,12 @@ def segment_field(start, end, current: float, points, turns: int = 1) -> np.ndar
     are the end angles.  The sign follows the right-hand rule around the
     start->end direction, and `turns` models N coincident filaments.
 
-    Raises ValueError for coincident endpoints, turns < 1, or a non-finite
-    endpoint or point, and PointOnWire if a point lies within WIRE_GUARD_M of
-    the wire line.
+    Raises ValueError for coincident endpoints or ones that differ in more
+    than one coordinate, turns not a positive integer, or a non-finite
+    current, endpoint or point, and PointOnWire if a point lies within
+    WIRE_GUARD_M of the wire line.
     """
-    if turns < 1:
-        raise ValueError("turns must be a positive integer")
+    _check_drive(turns, current)
     if not all(math.isfinite(v) for v in (*start, *end)):
         raise ValueError(f"non-finite segment endpoint: {tuple(start)} -> {tuple(end)}")
     if tuple(start) == tuple(end):

@@ -6,10 +6,12 @@ form of a square loop pair, and `second_derivative_center_fd` a finite
 difference of it.  None of them shares code with the package's closed forms.
 Seven groups are exceptions, kept as references for bit-for-bit behaviour
 rather than as independent oracles: `segment_field_scalar`, a per-point
-reference for the array kernel; `pair_field_ref`, the segment kernel in
-its per-side form (each side's offsets and distances computed from its own
-endpoints) over all points at once, which `coilsim.magnetics.pair_field`
-must reproduce, on-wire errors included; `scan_positions_ref`, the position walk
+evaluation of the general (oblique) segment form, which the package's
+axis-parallel kernel must match value for value; `pair_field_ref`, that
+general form per side (each side's offsets and distances computed from
+its own endpoints, `segments_field_ref`) over all points at once, which
+`coilsim.magnetics.pair_field` must reproduce bit for bit, on-wire errors
+included; `scan_positions_ref`, the position walk
 by repeated addition that `coilsim.coilopt.scan_positions` must
 reproduce; the `run_*_batch_ref` runners, batch filters in their
 plainest form (one step at a time into whole error arrays, each dot
@@ -111,11 +113,12 @@ def second_derivative_center_fd(pair, rel_step=1e-4):
 
 
 def segment_field_scalar(start, end, current, turns, q):
-    """Per-point evaluation of the package's segment closed form, in plain
-    Python floats and the same operation order.
+    """Per-point evaluation of the general (oblique) segment closed form,
+    in plain Python floats and the package's operation order.
 
-    Not an independent oracle: it is the reference that the array kernel
-    must match bit-for-bit at every point.
+    Not an independent oracle: it is the reference that the axis-parallel
+    array kernel must match value for value at every point, where the two
+    can differ only in the sign of an exact zero.
     """
     sign = 1.0
     if tuple(end) < tuple(start):

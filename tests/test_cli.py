@@ -575,6 +575,44 @@ def test_sysid_output_on_a_directory_exits_before_the_run(tmp_path, capsys, monk
     assert calls == []
 
 
+# commands whose output names no run can use, as (argv, the output made a
+# directory first or None); each printed "config OK" under --validate-only
+# and exited 0
+BAD_NAMES = {
+    "step-diag-csv-on-the-metrics": (["step", "--preset", "location-field", "--method", "convex",
+                                      "--diag-csv", "metrics.csv"], None),
+    "sysid-metrics-on-a-directory": (["sysid", "--preset", "table4-30db"], "metrics.csv"),
+    "field-map-on-a-directory": (["field-map", "--preset", "table2"], "field_map.csv"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_NAMES))
+def test_validate_only_checks_output_names(tmp_path, capsys, monkeypatch, case):
+    argv, directory = BAD_NAMES[case]
+    monkeypatch.chdir(tmp_path)
+    if directory:
+        (tmp_path / "out" / directory).mkdir(parents=True)
+    argv = [*argv, "--out-dir", "out"]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert main([*argv, "--validate-only"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", err)
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == (
+        ["out", f"out/{directory}"] if directory else [])
+
+
+@pytest.mark.parametrize("argv", [
+    ["field-map", "--preset", "table2"],
+    ["sysid", "--preset", "table4-30db"],
+    ["step", "--preset", "location-field", "--method", "all", "--diag-csv", "diag.csv", "--sensor-log", "log.csv"],
+    ["check", "--preset", "table4-30db"],
+], ids=lambda argv: argv[0])
+def test_validate_only_makes_nothing(tmp_path, capsys, argv):
+    assert main([*argv, "--out-dir", str(tmp_path / "a" / "out"), "--validate-only"]) == EXIT_OK
+    assert capsys.readouterr().out == "config OK\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sysid_out_of_memory_exits_2(tmp_path):
     # n_iters = STEP_MAX: the four methods' per-step sums of e^2 alone are
     # 320 MB, more than the address space the child is capped to

@@ -133,6 +133,15 @@ class TestUniformRegion:
         with pytest.raises(ValueError):
             uniform_region(TABLE2, 5.0, resolution=0.0)
 
+    def test_rejects_nan_threshold(self):
+        with pytest.raises(ValueError, match="threshold"):
+            uniform_region(TABLE2, math.nan)
+
+    @pytest.mark.parametrize("resolution", [math.nan, math.inf])
+    def test_rejects_nonfinite_resolution(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be finite"):
+            uniform_region(TABLE2, 5.0, resolution=resolution)
+
     @pytest.mark.parametrize("block", [1, 7, 4096])
     @pytest.mark.parametrize("threshold", [0.01, 0.5, 5.0, 1e6])
     def test_matches_whole_scan_for_any_block(self, monkeypatch, block, threshold):

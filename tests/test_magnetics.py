@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,18 @@ def loop_field(side, z_offset, current, turns, points) -> np.ndarray:
     return b
 
 
+def axis_segments(rng) -> list[tuple[tuple, tuple]]:
+    """A random segment along each axis in each direction, as (start, end)."""
+    segments = []
+    for axis in range(3):
+        for sign in (1.0, -1.0):
+            p0 = rng.uniform(-1, 1, 3)
+            p1 = p0.copy()
+            p1[axis] += sign * rng.uniform(0.1, 1.0)
+            segments.append((tuple(p0.tolist()), tuple(p1.tolist())))
+    return segments
+
+
 class TestSegmentField:
     def test_infinite_wire_limit(self):
         # point at perpendicular distance a from the midpoint of a segment
@@ -60,31 +73,32 @@ class TestSegmentField:
         assert abs(np.linalg.norm(b_long) - expected) / expected < 1e-9
 
     def test_reversal_negates_exactly(self):
-        start, end = (0.1, -0.4, 0.2), (-0.3, 0.5, -0.1)
         q = np.array([[0.25, 0.1, -0.3], [-0.7, 0.2, 0.05]])
-        b = segment_field(start, end, 1.7, q, turns=3)
-        br = segment_field(end, start, 1.7, q, turns=3)
-        assert np.array_equal(br, -b)
+        for start, end in axis_segments(np.random.default_rng(3)):
+            b = segment_field(start, end, 1.7, q, turns=3)
+            br = segment_field(end, start, 1.7, q, turns=3)
+            assert np.array_equal(br, -b)
 
     def test_matches_line_integral_oracle(self):
         rng = np.random.default_rng(7)
-        for _ in range(5):
-            p0 = rng.uniform(-1, 1, 3)
-            p1 = rng.uniform(-1, 1, 3)
+        for p0, p1 in axis_segments(rng):
             q = rng.uniform(-1, 1, 3)
             b = segment_field(p0, p1, 2.5, q[None, :], turns=2)[0]
             ref = wire_field_numeric(p0, p1, q, 2.5, turns=2, subdivisions=200_000)
             assert np.linalg.norm(b - ref) / np.linalg.norm(ref) < 1e-6
 
     def test_matches_per_point_evaluation_bitwise(self):
+        # against the general (oblique) form, value for value
         rng = np.random.default_rng(17)
-        for _ in range(4):
-            p0 = tuple(rng.uniform(-1, 1, 3).tolist())
-            p1 = tuple(rng.uniform(-1, 1, 3).tolist())
+        for p0, p1 in axis_segments(rng):
             q = rng.uniform(-1, 1, (50, 3))
             b = segment_field(p0, p1, 2.94, q, turns=24)
             ref = [list(segment_field_scalar(p0, p1, 2.94, 24, row)) for row in q.tolist()]
             assert b.tolist() == ref
+
+    def test_oblique_segment_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("(0.0, 0.0, 0.0) -> (1.0, 1.0, 0.0) is not parallel")):
+            segment_field((0.0, 0.0, 0.0), (1.0, 1.0, 0.0), 1.0, pt(0, 0, 1))
 
     def test_point_on_wire_rejected(self):
         q = np.array([[0.3, 0.0, 0.0], [0.0, 0.5, 0.0]])
@@ -252,8 +266,10 @@ class TestFieldProperties:
 
 def symmetry_plane_points(pair: HelmholtzPair, n: int, seed: int) -> np.ndarray:
     """n points inside and around the pair, many of them on its symmetry
-    planes (x = 0, y = 0, z = 0, x = +-y) and in its loop planes, with
-    signed zero coordinates, where the sides' terms cancel to signed zeros."""
+    planes (x = 0, y = 0, z = 0, x = +-y), in its loop planes and on its
+    side planes (x = +-s, y = +-s) off the wires, with signed zero
+    coordinates, where the sides' terms cancel to signed zeros and a
+    wire's across-wire offset is an exact zero."""
     rng = np.random.default_rng(seed)
     s, h = 0.5 * pair.side, 0.5 * pair.spacing
     q = rng.uniform(-1.2, 1.2, (n, 3)) * (s, s, h)
@@ -265,6 +281,10 @@ def symmetry_plane_points(pair: HelmholtzPair, n: int, seed: int) -> np.ndarray:
     q[5::7, 1] = -q[5::7, 0]
     q[6::7, 2] = rng.choice([h, -h], len(q[6::7]))
     q[::11, :2] = -0.0
+    q[2::14, 0] = rng.choice([s, -s], len(q[2::14]))
+    q[5::14, 1] = rng.choice([s, -s], len(q[5::14]))
+    q[12::14, 0] = rng.choice([s, -s], len(q[12::14]))
+    q[3::14, :2] = rng.choice([s, -s], (len(q[3::14]), 2))
     return q
 
 
@@ -550,6 +570,17 @@ class TestValidation:
             segment_field((0, 0, 0), (0, 0, 0), 1.0, pt(1, 0, 0))
         with pytest.raises(ValueError, match="turns"):
             segment_field((0, 0, 0), (1, 0, 0), 1.0, pt(0, 1, 0), turns=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_segment_current_rejected(self, bad):
+        with pytest.raises(ValueError, match="current must be finite"):
+            segment_field((0, 0, 0), (1, 0, 0), bad, pt(0, 1, 0))
+
+    def test_fractional_turns_rejected(self):
+        with pytest.raises(ValueError, match="turns must be a positive integer"):
+            segment_field((0, 0, 0), (1, 0, 0), 1.0, pt(0, 1, 0), turns=1.5)
+        with pytest.raises(ValueError, match="turns must be a positive integer"):
+            HelmholtzPair(side=1.0, spacing=1.0, turns=1.5, current=1.0)
 
     def test_nonfinite_endpoint_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
