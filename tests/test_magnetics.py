@@ -280,11 +280,12 @@ def symmetry_plane_points(pair: HelmholtzPair, n: int, seed: int) -> np.ndarray:
     q[4::7, 1] = q[4::7, 0]
     q[5::7, 1] = -q[5::7, 0]
     q[6::7, 2] = rng.choice([h, -h], len(q[6::7]))
+    # every other row of x = -0, y = 0 and z = -0 also on a side plane,
+    # keeping its own zero coordinate and leaving the rows before it as they are
+    q[8::14, 1] = rng.choice([s, -s], len(q[8::14]))
+    q[9::14, 0] = rng.choice([s, -s], len(q[9::14]))
+    q[10::14, :2] = rng.choice([s, -s], (len(q[10::14]), 2))
     q[::11, :2] = -0.0
-    q[2::14, 0] = rng.choice([s, -s], len(q[2::14]))
-    q[5::14, 1] = rng.choice([s, -s], len(q[5::14]))
-    q[12::14, 0] = rng.choice([s, -s], len(q[12::14]))
-    q[3::14, :2] = rng.choice([s, -s], (len(q[3::14]), 2))
     return q
 
 
@@ -296,6 +297,20 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
 class TestKernelReference:
     """pair_field, which computes each corner's offsets and distances once,
     against the per-side kernel in tests/oracles.py, bit for bit."""
+
+    def test_rows_cover_every_plane(self):
+        # each plane the rows name holds points off the other planes' lines
+        q = symmetry_plane_points(TABLE2, 200, 0)
+        x, y, z = q.T
+        s, h = 0.5 * TABLE2.side, 0.5 * TABLE2.spacing
+        free = (x != 0) & (abs(x) != s) & (abs(y) != s)
+        for plane in (np.signbit(x) & (x == 0) & (y != 0) & (abs(y) != s),
+                      free & (y == 0), free & np.signbit(z) & (z == 0),
+                      free & (y == x), free & (y == -x), free & (abs(z) == h),
+                      (abs(x) == s) & (abs(y) != s), (abs(y) == s) & (abs(x) != s),
+                      (abs(x) == s) & (abs(y) == s)):
+            assert plane.sum() >= 5
+        assert not ((abs(x) == s) | (abs(y) == s))[abs(z) == h].any()
 
     @pytest.mark.parametrize("n", [1, 7, KERNEL_CHUNK - 1, KERNEL_CHUNK, KERNEL_CHUNK + 1, 3 * KERNEL_CHUNK + 5])
     def test_symmetry_planes_and_chunk_edges(self, n):
