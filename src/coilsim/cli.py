@@ -14,8 +14,9 @@ CSV bodies.  A command writes all its files before it prints anything, and
 a reader that closes stdout early ends it quietly with exit 0.
 A failed command leaves every output with its previous bytes and removes
 the directories it made: its files are put in place only once all are
-written.  Two outputs on one path, however spelled, or one that names a
-directory, exit 1 before any run, under --validate-only too.
+written.  Two outputs on one path, however spelled, one that names a
+directory, or an --out-dir that names a file or lies under one, exit 1
+before any run, under --validate-only too.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     src.add_argument("--config", type=Path, help="scenario config file")
     src.add_argument("--preset", help="shipped preset name (see `coilsim presets`)")
     p.add_argument("--validate-only", action="store_true",
-                   help="parse and validate the config, run nothing")
+                   help="parse and validate the config, check --out-dir and the output names "
+                        "as a run would, and run or make nothing")
     p.add_argument("--out-dir", type=Path, default=OUT_DIR, help="output directory (default: %(default)s)")
 
 
@@ -73,8 +75,15 @@ def _load(args) -> ScenarioConfig:
 
 
 def _output_paths(args, names) -> list[Path]:
-    """The paths of a command's outputs under --out-dir.  An output on an
-    earlier one's path raises ConfigError, one on a directory EISDIR."""
+    """The paths of a command's outputs under --out-dir.  An --out-dir that
+    is a file raises EEXIST, one under a file ENOTDIR, as making it would;
+    an output on an earlier one's path raises ConfigError, one on a
+    directory EISDIR."""
+    # the nearest of --out-dir and its parents that exists
+    found = next((p for p in (args.out_dir, *args.out_dir.parents) if p.exists()), None)
+    if found is not None and not found.is_dir():
+        code = errno.EEXIST if found == args.out_dir else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(args.out_dir))
     reals, paths = set(), []  # the outputs' real paths; each output's path
     for name in names:
         path = args.out_dir / name
@@ -306,7 +315,12 @@ def cmd_step(args) -> int:
 def cmd_check(args) -> int:
     cfg = _load(args)
     params = cfg.method_params("convex")
-    params = replace(params, beta=params.beta * args.beta_scale, c=params.c * args.c_scale)
+    for key in ("beta", "c"):
+        scale = getattr(args, f"{key}_scale")
+        try:
+            params = replace(params, **{key: getattr(params, key) * scale})
+        except ValueError as err:  # the product left the rate's domain
+            return _Parser.exit_with(f"--{key}-scale {scale:g}: {err}")
     if args.validate_only:
         return _validated(args)
     report = check_convergence_condition(params)

@@ -4,12 +4,18 @@ with a strict schema, plus the shipped presets.
 Unknown sections or keys are rejected with their location.  All physical
 quantities carry explicit units in their key names.
 
-Config only parses the text and passes the keys a section sets, mm turned
-to m, to the dataclass it builds (HelmholtzPair, GridSpec, SensorSpec,
-DisturbanceSpec, SysIdScenario, StepScenario, and control.LAWS[method]
-for [method.<method>], whose keys are its fields), which owns every default
-and value check; a value it rejects is a ConfigError naming the section,
-under --validate-only too.
+A key is a field of the dataclass its section builds, and the field's
+annotation picks the key's parser: [sensor] is SensorSpec's fields beside
+model, [disturbance] DisturbanceSpec's, [sysid] SysIdScenario's and
+[method.<method>] control.LAWS[method]'s.  StepScenario's fields are set in
+three places: the drive's range in [plant], the starting weights of convex
+runs in [method.convex], and the rest in [step], beside the profile keys.
+[meta], the profile keys and [coil]/[grid] are written by hand, as the
+last two give mm where their dataclasses take m.
+
+Config only parses the text and passes the keys a section sets to the
+dataclass it builds, which owns every default and value check; a value it
+rejects is a ConfigError naming the section, under --validate-only too.
 """
 
 from __future__ import annotations
@@ -63,49 +69,36 @@ def _ac_components(raw: str) -> tuple[tuple[float, float, float], ...]:
     return tuple(comps)
 
 
+# a field's annotation -> its key's parser; a field of any other type (a
+# nested spec, the law params) is no key
+_PARSERS = {"float": float, "int": int, "tuple[float, ...]": _floats, "tuple[float, float]": _floats,
+            "tuple[tuple[float, float, float], ...]": _ac_components}
+
+
+def _keys(cls) -> dict[str, Callable]:
+    """The keys of cls's fields, with their parsers."""
+    return {f.name: _PARSERS[f.type] for f in fields(cls) if f.type in _PARSERS}
+
+
+# StepScenario's keys: the drive's range is [plant]'s and the starting
+# weights [method.convex]'s; the rest follow [step]'s profile keys
+_STEP = _keys(StepScenario)
+_PLANT = {key: _STEP.pop(key) for key in ("v_min_v", "v_max_v")}
+_INIT_WEIGHTS = _STEP.pop("init_weights")
+
 # section -> key -> value parser
 SCHEMA: dict[str, dict[str, Callable]] = {
     "meta": {"schema_version": int},
     "coil": {"side_mm": float, "spacing_mm": float, "turns": int, "current_a": float},
     "grid": {"x_mm": _axis, "y_mm": _axis, "z_mm": _axis},
-    "plant": {"v_min_v": float, "v_max_v": float},
-    "sensor": {
-        "model": str,
-        "noise_sigma_nt": float,
-        "quantization_step_nt": float,
-        "sample_rate_hz": float,
-    },
-    "disturbance": {
-        "dc_offset_nt": float,
-        "gaussian_sigma_nt": float,
-        "ac_components": _ac_components,
-    },
-    "sysid": {
-        "snr_db": float,
-        "order": int,
-        "n_iters": int,
-        "reinjection_at": int,
-        "trials": int,
-        "seed": int,
-        "true_weights": _floats,
-    },
-    "step": {
-        "profile": str,
-        "level_nt": float,
-        "switch_time_s": float,
-        "duration_s": float,
-        "settle_time_s": float,
-        "band_fraction": float,
-        "x_scale_nt": float,
-        "ctrl_unit_nt": float,
-        "seed": int,
-    },
-    # each law's section holds the fields of its parameter class
-    **{f"method.{method}": {f.name: int if f.type in (int, "int") else float for f in fields(cls)}
-       for method, cls in LAWS.items()},
+    "plant": _PLANT,
+    "sensor": {"model": str, **_keys(SensorSpec)},
+    "disturbance": _keys(DisturbanceSpec),
+    "sysid": _keys(SysIdScenario),
+    "step": {"profile": str, "level_nt": float, "switch_time_s": float, **_STEP},
+    **{f"method.{method}": _keys(cls) for method, cls in LAWS.items()},
 }
-# the convex run's starting weights, which StepScenario takes
-SCHEMA["method.convex"]["init_weights"] = _floats
+SCHEMA["method.convex"]["init_weights"] = _INIT_WEIGHTS
 
 _SENSOR_MODELS = {"rm3100": RM3100, "hmc5883l": HMC5883L, "ideal": IDEAL_SENSOR}
 
@@ -203,8 +196,6 @@ class ScenarioConfig:
         """The [sysid] scenario; a value its checks reject is a ConfigError
         naming the section."""
         fields = dict(self.data.get("sysid", {}))
-        if "reinjection_at" in fields:
-            fields["noise_reinjection_at"] = fields.pop("reinjection_at")
         fields["snr_db"] = snr_override if snr_override is not None else self.require("sysid", "snr_db")
         return self._build(SysIdScenario, "sysid", fields)
 

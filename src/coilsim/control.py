@@ -143,8 +143,7 @@ class ConvexParams:
         if not all(map(math.isfinite, (self.alpha, self.sigma, self.mu_b))):
             raise ValueError("alpha, sigma and mu_b must be finite")
         _domain(self, "beta", above=True)
-        if not self.phi >= 0.0:
-            raise ValueError("phi must be >= 0")
+        _domain(self, "phi")
         _domain(self, "c", above=True)
         if not 0.0 < self.gamma_o < 1.0:
             raise ValueError("gamma_o must lie in (0, 1)")

@@ -160,7 +160,7 @@ class SysIdScenario:
     snr_db: float
     order: int = 2
     n_iters: int = 5000
-    noise_reinjection_at: int = 2500
+    reinjection_at: int = 2500
     true_weights: tuple[float, ...] = (0.8, 0.5)
     trials: int = 200
     seed: int = 0
@@ -171,10 +171,10 @@ class SysIdScenario:
             raise ValueError("snr_db must be finite and within +/-3000 dB")
         if self.order < 1:
             raise ValueError("order must be >= 1")
-        if self.noise_reinjection_at < 0:
-            raise ValueError("noise_reinjection_at must be >= 0")
-        if not self.noise_reinjection_at < self.n_iters <= STEP_MAX:
-            raise ValueError(f"n_iters must exceed noise_reinjection_at and be <= STEP_MAX = {STEP_MAX}")
+        if self.reinjection_at < 0:
+            raise ValueError("reinjection_at must be >= 0")
+        if not self.reinjection_at < self.n_iters <= STEP_MAX:
+            raise ValueError(f"n_iters must exceed reinjection_at and be <= STEP_MAX = {STEP_MAX}")
         if len(self.true_weights) != self.order:
             raise ValueError("true_weights length must equal order")
         if not all(map(math.isfinite, self.true_weights)):
@@ -212,7 +212,7 @@ def _sysid_blocks(scn: SysIdScenario, first: int = 0,
     trials = stop - first
     wo = np.asarray(scn.true_weights, dtype=float)
     sigma = snr_to_sigma(1.0, scn.snr_db)  # the inputs are unit-variance
-    lo = scn.noise_reinjection_at
+    lo = scn.reinjection_at
     inputs, noises = ([np.random.default_rng(np.random.SeedSequence(scn.seed, spawn_key=(t, k)))
                        for t in range(first, stop)] for k in (0, 1))
     block = min(SIGNAL_BLOCK, n_iters)

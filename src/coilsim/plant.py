@@ -44,8 +44,9 @@ class PlantModel:
     v_max: float = 3.0
 
     def __post_init__(self):
-        if not self.v_min < self.v_max:
-            raise ValueError("v_min_v must be < v_max_v")  # named with their unit, as [plant] keys are
+        # named with their unit, as [plant] keys are; NaN fails too
+        if not -math.inf < self.v_min < self.v_max < math.inf:
+            raise ValueError("v_min_v and v_max_v must be finite, with v_min_v < v_max_v")
 
     @classmethod
     def ascending(cls, **kwargs) -> "PlantModel":
@@ -72,8 +73,8 @@ class SensorSpec:
             raise ValueError("noise_sigma_nt must be >= 0 and finite")
         if not 0.0 <= self.quantization_step_nt < math.inf:
             raise ValueError("quantization_step_nt must be >= 0 and finite")
-        if not self.sample_rate_hz > 0.0:
-            raise ValueError("sample_rate_hz must be > 0")
+        if not 0.0 < self.sample_rate_hz < math.inf:
+            raise ValueError("sample_rate_hz must be > 0 and finite")
 
 
 # Table-of-record sensor models for the two magnetometers on the testbed.

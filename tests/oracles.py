@@ -333,7 +333,7 @@ def sysid_signals_ref(scn, sigma, reinject=True, burst_scale=50.0, burst_len=10)
     (n_iters, order, trials), noise eps (n_iters, trials), and targets
     d = x0*w0 + x1*w1 + ... + eps, with eps scaled by sigma and, when
     reinjecting, by burst_scale over the burst_len samples from
-    scn.noise_reinjection_at."""
+    scn.reinjection_at."""
     n_iters, order = scn.n_iters, scn.order
     x = np.empty((n_iters, order, scn.trials))
     eps = np.empty((n_iters, scn.trials))
@@ -345,7 +345,7 @@ def sysid_signals_ref(scn, sigma, reinject=True, burst_scale=50.0, burst_len=10)
         eps[:, t] = noise.standard_normal(n_iters)
     eps *= sigma
     if reinject:
-        lo = scn.noise_reinjection_at
+        lo = scn.reinjection_at
         eps[lo : lo + burst_len] *= burst_scale
     return x, _dot(scn.true_weights, x.transpose(1, 0, 2)) + eps, eps
 

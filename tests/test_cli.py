@@ -1,3 +1,4 @@
+import configparser
 import csv
 import errno
 import functools
@@ -16,7 +17,7 @@ import pytest
 
 from coilsim import _table, cli, magnetics
 from coilsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from coilsim.config import load_config, load_preset, preset_names
+from coilsim.config import SCHEMA, load_config, load_preset, preset_names
 from coilsim.experiments import STEP_MAX, TRIAL_CHUNK, run_step_response
 
 
@@ -840,6 +841,9 @@ EXIT_CODES = {
                            None, EXIT_USAGE),
     "check-c-scale-nan": (["check", "--preset", "table4-30db", "--c-scale", "nan", "--out-dir", "{out}"],
                           None, EXIT_USAGE),
+    # a finite scale whose product overflowed exited 2 with a bare error
+    "check-beta-scale-overflow": (["check", "--config", "{cfg}", "--beta-scale", "1e308", "--out-dir", "{out}"],
+                                  edited_preset("table4-30db", "method.convex", "beta", "2"), EXIT_USAGE),
     "step-sensor-model-with-rate": (["step", "--config", "{cfg}", "--method", "lms", "--out-dir", "{out}"],
                                     SENSOR_MODEL_WITH_RATE, EXIT_USAGE),
     "sysid-shorter-than-smoothing-window": (["sysid", "--config", "{cfg}", "--methods", "lms,convex",
@@ -950,7 +954,8 @@ def test_exit_code_contract(tmp_path, case):
 
 
 # paths the OS refuses, as (argv with {cfg}, {file} and {out} placeholders,
-# config writer or None, errno); each ended in a traceback
+# config writer or None, errno); each ended in a traceback, and an --out-dir
+# that names a file or lies under one passed --validate-only
 UNUSABLE_PATHS = {
     "field-map-out-dir-is-a-file": (["field-map", "--preset", "table2", "--out-dir", "{file}"],
                                     None, errno.EEXIST),
@@ -958,11 +963,17 @@ UNUSABLE_PATHS = {
                                config_text(MINIMAL_STEP), errno.EEXIST),
     "sysid-out-dir-is-a-file": (["sysid", "--config", "{cfg}", "--methods", "lms", "--out-dir", "{file}"],
                                 SHORT_SYSID, errno.EEXIST),
+    "step-out-dir-under-a-file": (["step", "--config", "{cfg}", "--method", "lms", "--out-dir", "{file}/sub"],
+                                  config_text(MINIMAL_STEP), errno.ENOTDIR),
     "optimize-csv-under-a-file": (["optimize", "--side-mm", "840.4", "--csv", "{file}/u.csv", "--out-dir", "{out}"],
                                   None, errno.ENOTDIR),
     "config-is-a-directory": (["field-map", "--config", "{out}", "--out-dir", "{out}"],
                               None, errno.EISDIR),
 }
+UNUSABLE_PATHS.update({
+    f"{argv[0]}-validate-only-{name.removeprefix(argv[0] + '-')}": ([*argv, "--validate-only"], cfg, code)
+    for name, (argv, cfg, code) in list(UNUSABLE_PATHS.items()) if argv[0] in VALIDATING
+})
 
 
 @pytest.mark.parametrize("case", list(UNUSABLE_PATHS))
@@ -1009,7 +1020,7 @@ def test_missing_method_key_exits_1_and_names_it(tmp_path, capsys, argv, preset,
     "argv, preset, section, key, value, message",
     [
         (["sysid"], "table4-30db", "sysid", "trials", "0", "trials must be >= 1"),
-        (["sysid"], "table4-30db", "sysid", "reinjection_at", "-20", "noise_reinjection_at must be >= 0"),
+        (["sysid"], "table4-30db", "sysid", "reinjection_at", "-20", "reinjection_at must be >= 0"),
         (["step", "--method", "lms"], "table7-up", "step", "duration_s", "1.0",
          "duration_s must exceed settle_time_s"),
         (["sysid"], "table4-30db", "sysid", "seed", "-1", "seed must be >= 0"),
@@ -1019,7 +1030,8 @@ def test_missing_method_key_exits_1_and_names_it(tmp_path, capsys, argv, preset,
         (["sysid"], "table4-30db", "sysid", "snr_db", "-inf", "snr_db must be finite"),
         (["step", "--method", "lms"], "table7-up", "disturbance", "gaussian_sigma_nt", "nan",
          "gaussian_sigma_nt must be >= 0"),
-        (["step", "--method", "lms"], "table7-up", "plant", "v_max_v", "nan", "v_min_v must be < v_max_v"),
+        (["step", "--method", "lms"], "table7-up", "plant", "v_max_v", "nan",
+         "v_min_v and v_max_v must be finite, with v_min_v < v_max_v"),
         (["step", "--method", "convex"], "table7-up", "method.convex", "init_weights", "0.8",
          "init_weights must be two finite values"),
         (["sysid", "--methods", "lms"], "table4-30db", "method.lms", "mu", "nan", "mu must be finite"),
@@ -1030,7 +1042,7 @@ def test_missing_method_key_exits_1_and_names_it(tmp_path, capsys, argv, preset,
          "switch_time_s, duration_s and sample_rate_hz must be finite, as must the run's sample count, "
          "which must be <= STEP_MAX = 10000000"),
         (["sysid"], "table4-30db", "sysid", "n_iters", "1000000000",
-         "n_iters must exceed noise_reinjection_at and be <= STEP_MAX = 10000000"),
+         "n_iters must exceed reinjection_at and be <= STEP_MAX = 10000000"),
     ],
     ids=["sysid-trials", "sysid-reinjection", "step-duration", "sysid-seed", "step-seed", "step-duration-inf",
          "sysid-snr-minus-inf", "disturbance-gaussian-sigma-nan", "plant-v-max-nan", "convex-init-weights",
@@ -1042,6 +1054,50 @@ def test_scenario_value_error_exits_1_and_names_the_section(tmp_path, capsys, ar
     cfg = edited_preset(preset, section, key, value)(tmp_path)
     assert main([*argv, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
     assert f"[{section}] {message}" in capsys.readouterr().err
+
+
+def preset_text(name):
+    return resources.files("coilsim").joinpath("presets", f"{name}.cfg").read_text()
+
+
+# the commands that read each section (method for [method.*]), and the
+# config each runs on; a sensor model would reject the sensor's own keys
+READERS = {"coil": ["field-map"], "grid": ["field-map"], "sysid": ["sysid"], "plant": ["step"], "sensor": ["step"],
+           "disturbance": ["step"], "step": ["step"], "method": ["step", "sysid"]}
+READER_CONFIGS = {"field-map": preset_text("table2"), "sysid": preset_text("table4-30db"),
+                  "step": preset_text("table7-up").replace("model = hmc5883l\n", "")}
+FLOAT_KEYS = [(command, section, key) for section, keys in SCHEMA.items() for key, parse in keys.items()
+              if parse is float for command in READERS[section.partition(".")[0]]]
+
+
+@pytest.mark.parametrize("command, section, key", FLOAT_KEYS, ids=["-".join(case) for case in FLOAT_KEYS])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nonfinite_float_key_exits_1_with_one_line(tmp_path, capsys, command, section, key, value):
+    # [method.convex] phi = inf and [plant] v_min_v = -inf or v_max_v = inf
+    # passed --validate-only, and their runs exited 0
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(READER_CONFIGS[command])
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser[section][key] = value
+    cfg = tmp_path / "case.cfg"
+    with open(cfg, "w") as fh:
+        parser.write(fh)
+    argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+    for flags in ([], ["--validate-only"]):
+        assert main([*argv, *flags]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: ") and err.count("\n") == 1
+        assert f"[{section}] " in err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["beta", "c"])
+def test_check_scale_beyond_the_float_range_exits_1_and_names_it(tmp_path, capsys, key):
+    cfg = edited_preset("table4-30db", "method.convex", key, "2")(tmp_path)
+    for flags in ([], ["--validate-only"]):
+        assert main(["check", "--config", str(cfg), f"--{key}-scale", "1e308", *flags]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: --{key}-scale 1e+308: {key} must be finite and > 0\n")
 
 
 # every preset with [method.convex] -> its slow (beta/phi) and fast (c) rates

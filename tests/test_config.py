@@ -1,7 +1,9 @@
+from dataclasses import fields
+
 import pytest
 
-from coilsim.config import SCHEMA, ConfigError, _floats, parse_config
-from coilsim.control import LmsParams
+from coilsim.config import SCHEMA, ConfigError, _ac_components, _axis, _floats, parse_config
+from coilsim.control import LAWS, LmsParams
 from coilsim.experiments import StepScenario, SysIdScenario
 from coilsim.plant import RM3100, DisturbanceSpec, SensorSpec, TargetProfile
 
@@ -67,7 +69,6 @@ NON_DEFAULT = {
 }
 # key -> where its value lands, for the keys not named as their field
 LANDS = {
-    "reinjection_at": lambda scn: scn.noise_reinjection_at,
     "profile": lambda scn: scn.profile.kind,
     "level_nt": lambda scn: scn.profile.levels[0],
     "switch_time_s": lambda scn: scn.profile.switch_time_s,
@@ -132,8 +133,23 @@ def test_unknown_target_profile_kind_is_rejected():
 
 
 def test_method_sections_of_the_schema():
-    # derived from the law parameter classes' fields: the keys, their order
-    # and their parsers of the hand-written sections they replaced
+    # derived from the dataclasses' fields: the keys and parsers of the
+    # hand-written sections they replaced, and for the law parameter
+    # classes their order too
+    assert SCHEMA == {
+        "meta": {"schema_version": int},
+        "coil": {"side_mm": float, "spacing_mm": float, "turns": int, "current_a": float},
+        "grid": {"x_mm": _axis, "y_mm": _axis, "z_mm": _axis},
+        "plant": {"v_min_v": float, "v_max_v": float},
+        "sensor": {"model": str, "noise_sigma_nt": float, "quantization_step_nt": float, "sample_rate_hz": float},
+        "disturbance": {"dc_offset_nt": float, "gaussian_sigma_nt": float, "ac_components": _ac_components},
+        "sysid": {"snr_db": float, "order": int, "n_iters": int, "reinjection_at": int, "trials": int, "seed": int,
+                  "true_weights": _floats},
+        "step": {"profile": str, "level_nt": float, "switch_time_s": float, "duration_s": float,
+                 "settle_time_s": float, "band_fraction": float, "x_scale_nt": float, "ctrl_unit_nt": float,
+                 "seed": int},
+        **{s: SCHEMA[s] for s in SCHEMA if s.startswith("method.")},
+    }
     assert [(s, list(keys.items())) for s, keys in SCHEMA.items() if s.startswith("method.")] == [
         ("method.lms", [("mu", float)]),
         ("method.svs", [("alpha", float), ("beta", float)]),
@@ -141,3 +157,21 @@ def test_method_sections_of_the_schema():
         ("method.convex", [("alpha", float), ("beta", float), ("sigma", float), ("phi", float), ("c", float),
                            ("mu_b", float), ("gamma_o", float), ("t_o", int), ("init_weights", _floats)]),
     ]
+
+
+# section -> the dataclass it builds, each of whose fields is one of its keys
+FIELD_SECTIONS = {"sensor": SensorSpec, "disturbance": DisturbanceSpec, "sysid": SysIdScenario,
+                  **{f"method.{method}": cls for method, cls in LAWS.items()}}
+
+
+@pytest.mark.parametrize("section", list(FIELD_SECTIONS))
+def test_every_field_is_a_key_of_its_section(section):
+    # a field whose annotation has no parser would silently be no key
+    assert {f.name for f in fields(FIELD_SECTIONS[section])} <= set(SCHEMA[section])
+
+
+def test_step_scenario_fields_are_the_keys_of_three_sections():
+    # [step]'s profile keys build the profile field
+    assert {f.name for f in fields(StepScenario)} == (
+        set(SCHEMA["step"]) - {"profile", "level_nt", "switch_time_s"} | set(SCHEMA["plant"]) | {"init_weights"}
+        | {"profile", "params", "sensor", "disturbance"})

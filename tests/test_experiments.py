@@ -27,7 +27,7 @@ from oracles import drive, sense
 
 
 def small_scenario(**kw) -> SysIdScenario:
-    return SysIdScenario(**{"snr_db": 30.0, "n_iters": 600, "noise_reinjection_at": 300,
+    return SysIdScenario(**{"snr_db": 30.0, "n_iters": 600, "reinjection_at": 300,
                             "trials": 20, "seed": 3, **kw})
 
 
@@ -50,7 +50,7 @@ def test_converged_lms_weight_error_uncorrelated_with_noise():
     # 3 standard errors of 0.  w_{n+1} has taken in mu * e_n * x_n, which
     # biases the same statistic by about -mu * sigma^2 * E[x^T x]; the trials
     # are enough for that bias to fail the test.
-    scn = small_scenario(n_iters=400, noise_reinjection_at=399, trials=2000, seed=0)
+    scn = small_scenario(n_iters=400, reinjection_at=399, trials=2000, seed=0)
     mu, n = 0.05, 300  # LMS settles within ~1 / mu steps
     x, d, eps = oracles.sysid_signals_ref(scn, snr_to_sigma(1.0, scn.snr_db), reinject=False)
     wo = np.asarray(scn.true_weights)
@@ -409,7 +409,7 @@ class TestRunSysid:
         want = oracles.sysid_signals_ref(scn, sigma, True, experiments.REINJECTION_SCALE,
                                          experiments.REINJECTION_LEN)[1]
         burst = np.zeros(scn.n_iters, bool)
-        burst[scn.noise_reinjection_at : scn.noise_reinjection_at + experiments.REINJECTION_LEN] = True
+        burst[scn.reinjection_at : scn.reinjection_at + experiments.REINJECTION_LEN] = True
         np.testing.assert_array_equal(bits(d[~burst]), bits(d_off[~burst]))
         np.testing.assert_array_equal(bits(d[burst]), bits(want[burst]))
         assert not np.any(d[burst] == d_off[burst])
@@ -420,16 +420,16 @@ class TestRunSysid:
     @pytest.mark.parametrize("at", [-1, -20])
     def test_negative_reinjection_index_rejected(self, at):
         # a negative index would slice the burst from the end of the run
-        with pytest.raises(ValueError, match="noise_reinjection_at must be >= 0"):
-            small_scenario(noise_reinjection_at=at)
+        with pytest.raises(ValueError, match="reinjection_at must be >= 0"):
+            small_scenario(reinjection_at=at)
 
     def test_reinjection_at_zero_bursts_the_first_samples(self):
-        self._assert_burst_only_at(small_scenario(noise_reinjection_at=0))
+        self._assert_burst_only_at(small_scenario(reinjection_at=0))
 
     @pytest.mark.parametrize("order", [1, 3])
     def test_burst_across_a_signal_block_edge(self, order):
         edge = experiments.SIGNAL_BLOCK
-        scn = small_scenario(n_iters=edge + 50, noise_reinjection_at=edge - 4, order=order,
+        scn = small_scenario(n_iters=edge + 50, reinjection_at=edge - 4, order=order,
                              true_weights=(0.8, 0.5, -0.3)[:order])
         self._assert_burst_only_at(scn)
 
@@ -464,7 +464,7 @@ class TestSysidStreaming:
     @pytest.mark.parametrize("n_iters", [100, 256, 257, 1000, experiments.SIGNAL_BLOCK + 1])
     def test_curve_matches_full_error_arrays(self, table4, n_iters, order):
         weights = tuple(np.linspace(0.8, -0.4, order))
-        scn = small_scenario(n_iters=n_iters, noise_reinjection_at=n_iters // 2,
+        scn = small_scenario(n_iters=n_iters, reinjection_at=n_iters // 2,
                              order=order, true_weights=weights)
         reports = run_sysid(scn, table4)
         x, d = joined_signals(scn)
@@ -488,7 +488,7 @@ class TestSysidStreaming:
 
     def test_peak_memory_does_not_grow_with_steps(self, table4):
         lms = {"lms": table4["lms"]}  # one law: the loop's cost per step, not its memory, grows with more
-        scenarios = {n: small_scenario(n_iters=n, noise_reinjection_at=n // 2, trials=50) for n in (3000, 12000)}
+        scenarios = {n: small_scenario(n_iters=n, reinjection_at=n // 2, trials=50) for n in (3000, 12000)}
         run_sysid(small_scenario(), lms)  # untraced, so the trace holds only what every call allocates
         peaks = {}
         for n, scn in scenarios.items():
@@ -512,7 +512,7 @@ class TestSysidChunks:
 
     def test_chunks_keep_the_bits(self, table4, monkeypatch):
         scn = small_scenario(trials=37, n_iters=2 * experiments.ERROR_BLOCK + 1,
-                             noise_reinjection_at=100)
+                             reinjection_at=100)
         whole = run_sysid(scn, table4)
         monkeypatch.setattr(experiments, "TRIAL_CHUNK", 8)  # five chunks, the last of 5 trials
         for m, report in run_sysid(scn, table4).items():
@@ -522,7 +522,7 @@ class TestSysidChunks:
 
     def test_peak_memory_does_not_grow_with_trials(self, table4, monkeypatch):
         monkeypatch.setattr(experiments, "TRIAL_CHUNK", 8)
-        scenarios = {chunks: small_scenario(trials=8 * chunks, n_iters=300, noise_reinjection_at=150)
+        scenarios = {chunks: small_scenario(trials=8 * chunks, n_iters=300, reinjection_at=150)
                      for chunks in (2, 4)}
         run_sysid(scenarios[2], table4)  # untraced, so the trace holds only what every call allocates
         peaks = {}
@@ -566,7 +566,7 @@ class TestSysidSignals:
         # 8 samples over edges that blocks of 1 step cross 8 at a time
         n_iters = experiments.SIGNAL_BLOCK
         at = max(2 * block - 4, 0)
-        scn = small_scenario(n_iters=n_iters, noise_reinjection_at=at, order=order,
+        scn = small_scenario(n_iters=n_iters, reinjection_at=at, order=order,
                              true_weights=tuple(np.linspace(0.8, -0.4, order)))
         whole, signals = run_sysid(scn, table4), joined_signals(scn)
         monkeypatch.setattr(experiments, "SIGNAL_BLOCK", block)
