@@ -4,9 +4,9 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime/validation failure.
 A path that cannot be read or written exits 1 with a one-line error: a
 missing --config or one naming a directory, or an --out-dir or --csv that
 names a file or lies under one.
-A value no run can use, such as a negative rate or a run beyond STEP_MAX
-steps, exits 1, under --validate-only too; a finite config whose filter
-diverges ("non-finite"), or a run out of memory, exits 2.
+A value no run can use, such as a negative rate, a run beyond STEP_MAX
+steps or a coil whose center field is ~0, exits 1, under --validate-only
+too; only a run exits 2, on the finite values each command's --help names.
 Output file names are taken relative to --out-dir, so an absolute --csv,
 --sensor-log or --diag-csv path lands where it names.  Every command is
 deterministic for a given (config, seed), so reruns produce byte-identical
@@ -58,7 +58,9 @@ class _Parser(argparse.ArgumentParser):
         return EXIT_USAGE
 
 
-def _add_config_args(p: argparse.ArgumentParser) -> None:
+def _add_config_args(p: argparse.ArgumentParser, exit_2: str) -> None:
+    p.epilog = (f"Exit status: 0 on success; 2 from a run {exit_2}; 1 on any other bad option, config value "
+                "or path, under --validate-only too.")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--config", type=Path, help="scenario config file")
     src.add_argument("--preset", help="shipped preset name (see `coilsim presets`)")
@@ -170,15 +172,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", type=Path, default=OUT_DIR)
 
     p = sub.add_parser("field-map", help="evaluate the field over the configured grid")
-    _add_config_args(p)
+    _add_config_args(p, "on a [grid] point on a wire or a [grid] count too large for memory")
 
     p = sub.add_parser("sysid", help="run the identification study for all methods")
-    _add_config_args(p)
+    _add_config_args(p, "on a [method.*] rate whose filter diverges, [sysid] true_weights whose error "
+                        "overflows, or an n_iters or order too large for memory")
     p.add_argument("--snr-db", type=float, help="override the configured SNR")
     p.add_argument("--methods", default="all", help="comma list of distinct methods, or 'all'")
 
     p = sub.add_parser("step", help="run the closed-loop step response")
-    _add_config_args(p)
+    _add_config_args(p, "on a [method.*] rate whose filter diverges, a [step] x_scale_nt or ctrl_unit_nt "
+                        "that makes a sample non-finite, or a [step] duration_s, switch_time_s or [sensor] "
+                        "sample_rate_hz whose run is too long for memory")
     p.add_argument("--method", default="all", help="comma list of distinct methods, or 'all'")
     p.add_argument("--seed", type=int, help="override the configured seed")
     p.add_argument("--diag-csv", type=Path,
@@ -192,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Check the [method.convex] rates against the LMS bound 2/lambda_max for white, "
                     "unit-variance input: R = I, so lambda_max = 1 and the bound is 2.  The slow rate is "
                     "at most beta/phi (inf when phi = 0), the fast rate is c.  Nothing is sampled.")
-    _add_config_args(p)
+    _add_config_args(p, "under --strict when a rate is beyond its bound, and never without it")
     p.add_argument("--strict", action="store_true", help="nonzero exit on violation")
     p.add_argument("--beta-scale", type=_positive, default=1.0, help="multiply beta before the check")
     p.add_argument("--c-scale", type=_positive, default=1.0, help="multiply c before the check")
@@ -231,10 +236,14 @@ def cmd_field_map(args) -> int:
     cfg = _load(args)
     pair = cfg.pair()
     grid = cfg.grid()
-    if args.validate_only:
-        return _validated(args, "field_map.csv")
-    with _outputs(args, "field_map.csv") as save:
-        center = save(magnetics.write_field_map_csv, "field_map.csv", pair, grid)
+    try:  # a center field of ~0 is no uniformity reference: no map takes the coil
+        if args.validate_only:
+            magnetics.uniformity(pair, np.zeros((0, 3)))  # the run's center check
+            return _validated(args, "field_map.csv")
+        with _outputs(args, "field_map.csv") as save:
+            center = save(magnetics.write_field_map_csv, "field_map.csv", pair, grid)
+    except magnetics.ZeroCenterField as err:
+        raise ConfigError(f"{cfg.source}: [coil] {err}") from None
     print(f"{grid.size} grid points; center bz = {center * 1e6:.2f} uT")
     print(f"wrote {args.out_dir / 'field_map.csv'}")
     return EXIT_OK

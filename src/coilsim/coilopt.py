@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .magnetics import MU0, HelmholtzPair, _reference, _uniformity_pct, pair_field
+from .magnetics import MU0, HelmholtzPair, uniformity
 
 
-# Positions per axis in each pair_field call of uniform_region: the scan's
+# Positions per axis in each uniformity call of uniform_region: the scan's
 # blocks start at SCAN_FIRST_BLOCK positions and double up to SCAN_BLOCK,
 # which bounds its memory.  A call holds the block on every axis whose edge
-# is still to be found, and the first call the origin too.  An axis whose
+# is still to be found, and uniformity adds the origin.  An axis whose
 # edge lies k positions out costs fewer than 2k + SCAN_FIRST_BLOCK
 # evaluations, and the scan about log2(k / SCAN_FIRST_BLOCK) + 1 calls.
 # A call costs some 50 us before its first point and about 0.2 us a point
@@ -111,8 +111,6 @@ def second_derivative_center(pair: HelmholtzPair) -> float:
     finite-difference estimate from an independent on-axis closed form.
     """
     d = pair.spacing
-    if d <= 0.0:
-        raise ValueError("spacing must be > 0")
     n2 = (pair.side / d) ** 2
     poly = _sextic(n2)
     denom_poly = ((((4.0 * n2 + 16.0) * n2 + 25.0) * n2 + 19.0) * n2 + 7.0) * n2 + 1.0
@@ -143,10 +141,11 @@ def uniform_region(
 
     `resolution` is the scan step in meters (default 1 mm); the positions
     are those of `scan_positions`.  Both axes step through the same blocks
-    of positions, and each block of both is one pair_field call.  The first
-    call also holds the origin, whose |bz| is the uniformity reference, so
-    a zero center field raises ZeroCenterField before any extent is known.
-    An axis drops out of the blocks once one holds its first exceedance.
+    of positions, and each block of both is one `uniformity` call, which
+    takes the origin's |bz| as its reference.  The first call is made even
+    when the range holds no position, so a zero center field raises
+    ZeroCenterField before any extent is known.  An axis drops out of the
+    blocks once one holds its first exceedance.
     """
     if not threshold > 0.0:
         raise ValueError("threshold must be > 0")
@@ -157,22 +156,18 @@ def uniform_region(
     last = 1.5 * max(d, pair.side)
     axes = [0, 1]  # axes whose edge is not yet found
     ends = {}  # axis -> the last position before its first exceedance
-    head = np.zeros((1, 3))  # the origin, evaluated with the first block
     reached = 0.0  # the last position evaluated
     size = SCAN_FIRST_BLOCK
     while axes:
         # `reached`, then the block
         walk = scan_positions(reached, resolution, last, min(size, SCAN_BLOCK) + 1)
         block = walk[1:]
-        if not (block.size or head.size):
+        if not block.size and size > SCAN_FIRST_BLOCK:
             break
         pts = np.zeros((len(axes), block.size, 3))
         for rows, axis in zip(pts, axes):
             rows[:, axis] = block
-        bz = pair_field(pair, np.concatenate((head, pts.reshape(-1, 3))))[:, 2]
-        if head.size:
-            ref, head, bz = _reference(bz[0]), head[:0], bz[1:]
-        over = np.abs(_uniformity_pct(bz, ref)).reshape(len(axes), -1) > threshold
+        over = np.abs(uniformity(pair, pts.reshape(-1, 3))).reshape(len(axes), -1) > threshold
         for axis, hit in zip(axes, over):
             if hit.any():
                 ends[axis] = float(walk[hit.argmax()])

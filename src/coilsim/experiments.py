@@ -15,9 +15,9 @@ BLAS kernel or the blocking.  The sysid laws call np.exp and np.arctan,
 whose bits follow numpy's SIMD dispatch; the sysid goldens are checked
 under two dispatches (AVX-512 and AVX2 on x86-64), not proven for every
 CPU.  The closed loop uses math.exp and math.atan.  Runs take at most
-STEP_MAX steps, and a filter that diverges gives no report: run_sysid
-names its method in a ValueError, and the closed loop raises
-NonFiniteInput.
+STEP_MAX steps, a sysid at most STEP_MAX trials, and a filter that
+diverges gives no report: run_sysid names its method in a ValueError,
+and the closed loop raises NonFiniteInput.
 
 A step-response run returns its metrics together with its per-step record,
 MetricsReport.columns: one array per column name.  The trace, sensor-log
@@ -179,8 +179,8 @@ class SysIdScenario:
             raise ValueError("true_weights length must equal order")
         if not all(map(math.isfinite, self.true_weights)):
             raise ValueError("true_weights must be finite")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not 1 <= self.trials <= STEP_MAX:  # a trial is at least one step
+            raise ValueError(f"trials must be >= 1 and <= STEP_MAX = {STEP_MAX}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

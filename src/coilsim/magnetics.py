@@ -10,10 +10,9 @@ and return one result row per point: an (N, 3) array of (bx, by, bz) from
 `segment_field` and `pair_field`, an (N,) array from `uniformity`.  There is
 no per-point path.  A grid map has one producer, `write_field_map_csv`: it
 takes the center field once, then runs the grid through the same kernel in
-consecutive blocks of at most MAP_BLOCK points and streams each block to
-CSV, so its memory stays bounded at any grid size.  The coordinates go to
-the writer as grid levels with per-row level indices, so each level is
-formatted once.
+the CSV writer's own blocks of rows and streams each to it, so its memory
+stays bounded at any grid size.  The coordinates go to the writer as grid
+levels with per-row level indices, so each level is formatted once.
 
 The Biot-Savart segment law is written once, in one kernel over
 (wires x points), for wires parallel to a coordinate axis, the only ones
@@ -56,16 +55,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._table import Levels, write_repr_csv
+from . import _table
 
 MU0 = 4.0e-7 * math.pi  # vacuum permeability, T*m/A (exact in SI-2019 sense)
 
 # Query points closer than this to a wire line are treated as singular.
 WIRE_GUARD_M = 1e-12
-
-# Points per pair_field call in a field map: bounds the map's memory,
-# whatever the grid size.
-MAP_BLOCK = 4096
 
 # Points per segment-kernel call in pair_field: with the eight corners and
 # sides of a pair, the corner offsets, their squares and the result each
@@ -123,8 +118,8 @@ class HelmholtzPair:
 
 
 def _check_drive(turns, current) -> None:
-    if not (isinstance(turns, numbers.Integral) and turns >= 1):
-        raise ValueError("turns must be a positive integer")
+    if not (isinstance(turns, numbers.Integral) and 1 <= turns < 2**1024):
+        raise ValueError("turns must be a positive integer within the float range")
     if not math.isfinite(current):
         raise ValueError("current must be finite")
 
@@ -185,7 +180,8 @@ def _wires_field(wires: _Wires, pts: np.ndarray) -> np.ndarray:
     """
     offset = np.empty((*wires.corners.shape[:2], len(pts)))  # q - corner
     np.subtract(pts.T[:, None, :], wires.corners, out=offset)
-    sq = offset * offset
+    with np.errstate(over="ignore"):  # inf beyond 1e154 m, where a shorter wire's field is 0
+        sq = offset * offset
     dist = np.sqrt(sq[0] + sq[1] + sq[2])
     axis, start = wires.axis, wires.start
     u, v = (axis + 1) % 3, (axis + 2) % 3  # the across-wire axes
@@ -221,9 +217,9 @@ def segment_field(start, end, current: float, points, turns: int = 1) -> np.ndar
     start->end direction, and `turns` models N coincident filaments.
 
     Raises ValueError for coincident endpoints or ones that differ in more
-    than one coordinate, turns not a positive integer, or a non-finite
-    current, endpoint or point, and PointOnWire if a point lies within
-    WIRE_GUARD_M of the wire line.
+    than one coordinate, turns not a positive integer within the float
+    range, or a non-finite current, endpoint or point, and PointOnWire if a
+    point lies within WIRE_GUARD_M of the wire line.
     """
     _check_drive(turns, current)
     if not all(math.isfinite(v) for v in (*start, *end)):
@@ -253,15 +249,11 @@ def pair_field(pair: HelmholtzPair, points) -> np.ndarray:
     return out.T
 
 
-def _reference(bz0: float) -> float:
-    # |bz| at the center, the reference of every uniformity value
+def _uniformity_pct(bz: np.ndarray, bz0: float) -> np.ndarray:
+    # relative to |bz0|, the center's, the reference of every uniformity value
     ref = abs(bz0)
     if ref < 1e-15:
         raise ZeroCenterField("center field magnitude below 1e-15 T")
-    return ref
-
-
-def _uniformity_pct(bz: np.ndarray, ref: float) -> np.ndarray:
     return 100.0 * (np.abs(bz) - ref) / ref
 
 
@@ -277,7 +269,7 @@ def uniformity(pair: HelmholtzPair, points) -> np.ndarray:
     """
     pts = _as_points(points)
     bz = pair_field(pair, np.concatenate((np.zeros((1, 3)), pts)))[:, 2]
-    return _uniformity_pct(bz[1:], _reference(bz[0]))
+    return _uniformity_pct(bz[1:], bz[0])
 
 
 @dataclass(frozen=True)
@@ -300,6 +292,8 @@ class GridSpec:
                 raise ValueError(f"{name} axis count must be >= 1")
             if n == 1 and lo != hi:
                 raise ValueError(f"{name} axis with n=1 requires lo == hi")
+        if self.size > np.iinfo(np.intp).max // 8:  # no array holds 8-byte indices of its points
+            raise ValueError("grid has more points than an array can hold")
 
     @staticmethod
     def _axis(lo: float, hi: float, n: int) -> np.ndarray:
@@ -336,20 +330,21 @@ def write_field_map_csv(path, pair: HelmholtzPair, grid: GridSpec) -> float:
 
     The center is evaluated first, so a zero center field raises
     ZeroCenterField before any file is opened.  The grid then goes through
-    pair_field MAP_BLOCK points at a time, each block's coordinates passed
-    as grid levels and per-row level indices, so each level is formatted
-    once.  The write is atomic, so an error in a later block (a grid point
-    on a wire, named by PointOnWire) leaves no partial map behind.
+    pair_field _table.WRITE_ROWS points at a time, one write of the CSV
+    writer each, its coordinates passed as grid levels and per-row level
+    indices, so each level is formatted once.  The write is atomic, so an
+    error in a later block (a grid point on a wire, named by PointOnWire)
+    leaves no partial map behind.
     """
     bz0 = float(pair_field(pair, np.zeros((1, 3)))[0, 2])
-    ref = _reference(bz0)
+    _uniformity_pct(np.zeros(0), bz0)  # a zero center raises before any file is opened
     axes = grid.axes()
 
     def blocks():
-        for start in range(0, grid.size, MAP_BLOCK):
-            index = grid.index(start, start + MAP_BLOCK)
+        for start in range(0, grid.size, _table.WRITE_ROWS):
+            index = grid.index(start, start + _table.WRITE_ROWS)
             b = pair_field(pair, np.stack([a[i] for a, i in zip(axes, index)], axis=1))
-            yield (*map(Levels, axes, index), *b.T, _uniformity_pct(b[:, 2], ref))
+            yield (*map(_table.Levels, axes, index), *b.T, _uniformity_pct(b[:, 2], bz0))
 
-    write_repr_csv(path, FIELD_MAP_HEADER, blocks())
+    _table.write_repr_csv(path, FIELD_MAP_HEADER, blocks())
     return bz0

@@ -3,19 +3,23 @@ import csv
 import errno
 import functools
 import hashlib
+import io
 import math
 import os
 import re
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout, suppress
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coilsim import _table, cli, magnetics
+from coilsim import _table, cli, coilopt, magnetics
 from coilsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from coilsim.config import SCHEMA, load_config, load_preset, preset_names
 from coilsim.experiments import STEP_MAX, TRIAL_CHUNK, run_step_response
@@ -44,12 +48,21 @@ def address_space_cap(nbytes):
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
-# the table-2 pair over a 21^3 grid: 9,261 points, three field-map blocks
+# the table-2 pair over a 21^3 grid: 9,261 points, five field-map blocks
 GRID21 = (
     "[meta]\nschema_version = 1\n"
     "[coil]\nside_mm = 840.4\nspacing_mm = 457.6\nturns = 24\ncurrent_a = 2.94\n"
     "[grid]\nx_mm = -210.5,190.3,21\ny_mm = -200,200,21\nz_mm = -220,220,21\n"
 )
+
+# the table-2 pair over 21^3 points, and over lines of WRITE_ROWS - 1 to
+# 2 * WRITE_ROWS + 1 points, on either side of the CSV writer's write edges
+GRIDS = {
+    "grid21": GRID21,
+    **{f"{name}-points": GRID21.split("[grid]")[0] + f"[grid]\nx_mm = 0,0,1\ny_mm = 50,50,1\nz_mm = -220,220,{n}\n"
+       for name, n in (("WRITE_ROWS-1", _table.WRITE_ROWS - 1), ("WRITE_ROWS", _table.WRITE_ROWS),
+                       ("WRITE_ROWS+1", _table.WRITE_ROWS + 1), ("2*WRITE_ROWS+1", 2 * _table.WRITE_ROWS + 1))},
+}
 
 
 class TestMagneticsGoldens:
@@ -67,7 +80,7 @@ class TestMagneticsGoldens:
         assert sha256(tmp_path / "field_map.csv") == digest
 
     def test_multi_block_field_map_csv(self, tmp_path):
-        # 21^3 = 9,261 rows, three field-map blocks; captured from the map
+        # 21^3 = 9,261 rows, five field-map blocks; captured from the map
         # that ran one kernel call over all points and wrote row by row
         cfg = tmp_path / "grid21.cfg"
         cfg.write_text(GRID21)
@@ -76,13 +89,14 @@ class TestMagneticsGoldens:
             "5936d6c46114e330e80a94a2b03ce3bba7ab2f3ccf088b6465f65e752e453bcc"
         )
 
-    @pytest.mark.parametrize("source", ["table2", "table2-plane25", "grid21"])
+    @pytest.mark.parametrize("source", ["table2", "table2-plane25", *GRIDS])
     def test_field_map_takes_the_center_once(self, tmp_path, capsys, monkeypatch, source):
-        # one center call, then one call per MAP_BLOCK grid points; the
-        # printed center is that first call's bz
-        if source == "grid21":
-            (tmp_path / "grid21.cfg").write_text(GRID21)
-            cfg, argv = load_config(tmp_path / "grid21.cfg"), ["--config", str(tmp_path / "grid21.cfg")]
+        # one center call, then one call per write of the CSV writer, whose
+        # bytes are those of the map in one block; the printed center is
+        # that first call's bz
+        if source in GRIDS:
+            (tmp_path / "grid.cfg").write_text(GRIDS[source])
+            cfg, argv = load_config(tmp_path / "grid.cfg"), ["--config", str(tmp_path / "grid.cfg")]
         else:
             cfg, argv = load_preset(source), ["--preset", source]
         calls = []
@@ -95,10 +109,13 @@ class TestMagneticsGoldens:
         monkeypatch.setattr(magnetics, "pair_field", counted)
         assert main(["field-map", *argv, "--out-dir", str(tmp_path / "out")]) == EXIT_OK
         n = cfg.grid().size
-        assert len(calls) == 1 + math.ceil(n / magnetics.MAP_BLOCK)
-        assert calls[0] == 1 and sum(calls[1:]) == n
+        n_full, rest = divmod(n, _table.WRITE_ROWS)
+        assert calls == [1] + [_table.WRITE_ROWS] * n_full + [rest] * (rest > 0)
         center = real(cfg.pair(), np.zeros((1, 3)))[0, 2]
         assert f"{n} grid points; center bz = {center * 1e6:.2f} uT" in capsys.readouterr().out
+        monkeypatch.setattr(_table, "WRITE_ROWS", n)
+        assert main(["field-map", *argv, "--out-dir", str(tmp_path / "one")]) == EXIT_OK
+        assert sha256(tmp_path / "out" / "field_map.csv") == sha256(tmp_path / "one" / "field_map.csv")
 
     def test_optimize_csv(self, tmp_path):
         argv = ["optimize", "--side-mm", "840.4", "--csv", "u.csv", "--out-dir", str(tmp_path)]
@@ -106,6 +123,22 @@ class TestMagneticsGoldens:
         assert sha256(tmp_path / "u.csv") == (
             "07b92766c4ac878abea2fbdecfadb9cda5983dd937844a9434f64087460efcb0"
         )
+
+    @pytest.mark.parametrize("threshold, edge", [(0.1, 92), (1.0, 161)])
+    def test_optimize_csv_edge_is_the_uniform_region(self, tmp_path, threshold, edge):
+        # the CSV and uniform_region walk the same positions through
+        # uniformity: the row before the first |uniformity| > threshold is
+        # the region's extent, bit for bit
+        argv = ["optimize", "--side-mm", "840.4", "--csv", "u.csv", "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        with open(tmp_path / "u.csv", newline="") as fh:
+            rows = [(float(pos), float(h)) for pos, h in list(csv.reader(fh))[1:]]
+        k = next(i for i, (_, h) in enumerate(rows) if abs(h) > threshold)
+        side = 840.4 / 1000.0
+        pair = magnetics.HelmholtzPair(side=side, spacing=side / coilopt.solve_optimal_ratio().n, turns=1,
+                                       current=1.0)
+        region = coilopt.uniform_region(pair, threshold)
+        assert k - 1 == edge and rows[k - 1][0] == region.extent_x_over_d
 
     def test_optimize_csv_is_one_field_call(self, tmp_path, monkeypatch):
         # the scan's positions and the center, together
@@ -173,14 +206,14 @@ class TestMagneticsGoldens:
         assert not out.exists()
 
     def test_wire_point_in_second_block_leaves_no_file(self, tmp_path, capsys):
-        # the 5,000 points of the x = 0 plane fill the first block; row 5,000,
-        # the first point of the x = side/2 plane, lies on the wire and in
-        # the second block
+        # the WRITE_ROWS points of the x = 0 plane fill the first block; the
+        # first point of the x = side/2 plane lies on the wire and opens the
+        # second block
         cfg = tmp_path / "wire.cfg"
         cfg.write_text(
             "[meta]\nschema_version = 1\n"
             "[coil]\nside_mm = 840.4\nspacing_mm = 457.6\nturns = 24\ncurrent_a = 2.94\n"
-            "[grid]\nx_mm = 0,420.2,2\ny_mm = -100,100,5000\nz_mm = 228.8,228.8,1\n"
+            f"[grid]\nx_mm = 0,420.2,2\ny_mm = -100,100,{_table.WRITE_ROWS}\nz_mm = 228.8,228.8,1\n"
         )
         out = tmp_path / "out"
         rc = main(["field-map", "--config", str(cfg), "--out-dir", str(out)])
@@ -776,7 +809,16 @@ EXIT_CODES = {
                                          ("coil-turns-0", "coil", "turns", "0"),
                                          ("coil-current-inf", "coil", "current_a", "inf"),
                                          ("coil-spacing-0", "coil", "spacing_mm", "0"),
-                                         ("grid-axis-count-0", "grid", "z_mm", "-300,300,0"))},
+                                         ("grid-axis-count-0", "grid", "z_mm", "-300,300,0"),
+                                         # a center field below 1e-15 T passed --validate-only,
+                                         # then exited 2
+                                         ("coil-current-0", "coil", "current_a", "0"),
+                                         ("coil-current-subnormal", "coil", "current_a", "5e-324"),
+                                         ("coil-side-1e300", "coil", "side_mm", "1e300"),
+                                         # beyond the float range: an OverflowError traceback
+                                         ("coil-turns-1e400", "coil", "turns", str(10**400)),
+                                         # exited 2 with numpy's "Maximum allowed size exceeded"
+                                         ("grid-axis-count-1e30", "grid", "z_mm", f"-300,300,{10**30}"))},
     "field-map-coil-side-negative-optimal-spacing": (
         ["field-map", "--config", "{cfg}", "--out-dir", "{out}"],
         config_text(META + "[coil]\nside_mm = -5\n[grid]\nx_mm = 0,0,1\ny_mm = 0,0,1\nz_mm = 0,0,1\n"),
@@ -804,6 +846,9 @@ EXIT_CODES = {
     # values the scenario checks reject are config errors naming the section
     "sysid-trials-0": (["sysid", "--config", "{cfg}", "--out-dir", "{out}"],
                        edited_preset("table4-30db", "sysid", "trials", "0"), EXIT_USAGE),
+    # ran without end: the trials' memory is bounded, their time is not
+    "sysid-trials-1e30": (["sysid", "--config", "{cfg}", "--out-dir", "{out}"],
+                          edited_preset("table4-30db", "sysid", "trials", str(10**30)), EXIT_USAGE),
     "sysid-order-0": (["sysid", "--config", "{cfg}", "--out-dir", "{out}"],
                       edited_preset("table4-30db", "sysid", "order", "0"), EXIT_USAGE),
     "sysid-reinjection-negative": (["sysid", "--config", "{cfg}", "--out-dir", "{out}"],
@@ -1092,6 +1137,22 @@ def test_nonfinite_float_key_exits_1_with_one_line(tmp_path, capsys, command, se
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, exit_2", [
+    ("field-map", ["[grid] point on a wire", "[grid] count too large for memory"]),
+    ("sysid", ["[method.*] rate whose filter diverges", "[sysid] true_weights", "n_iters or order"]),
+    ("step", ["[method.*] rate whose filter diverges", "x_scale_nt or ctrl_unit_nt", "duration_s",
+              "[sensor] sample_rate_hz"]),
+    ("check", ["under --strict"]),
+])
+def test_help_names_the_values_that_exit_2(capsys, command, exit_2):
+    assert main([command, "--help"]) == EXIT_OK
+    text = " ".join(capsys.readouterr().out.split())
+    epilog = text[text.index("Exit status: "):]
+    assert epilog.startswith("Exit status: 0 on success; 2 from a run ")
+    assert epilog.endswith("; 1 on any other bad option, config value or path, under --validate-only too.")
+    assert all(words in epilog for words in exit_2), epilog
+
+
 @pytest.mark.parametrize("key", ["beta", "c"])
 def test_check_scale_beyond_the_float_range_exits_1_and_names_it(tmp_path, capsys, key):
     cfg = edited_preset("table4-30db", "method.convex", key, "2")(tmp_path)
@@ -1164,3 +1225,148 @@ def test_parser_built_once_across_commands(tmp_path, monkeypatch):
     parser = cli._parser()
     assert parser.parse_args(["step", "--preset", "table7-up", "--seed", "5"]).seed == 5
     assert parser.parse_args(["step", "--preset", "table7-up"]).seed is None
+
+
+# -- every key of SCHEMA at its edge values ------------------------------------
+
+# the edge values of a key, or of one value of a list, an axis or AC
+# components: NaN, +-inf, 0, -1, the least subnormal, a huge float and a
+# huge integer, beyond the float range
+EDGES = ("nan", "inf", "-inf", "0", "-1", "5e-324", "1e300", str(10**400))
+HUGE = EDGES[-2:]
+# a key's value where the preset sets none, by the name of its parser
+ABSENT = {"float": "1", "int": "1", "str": "x", "_floats": "0.8,0.5", "_axis": "0,0,1",
+          "_ac_components": "500:0.5:0"}
+# the commands that read each section (method for [method.*])
+EDGE_READERS = {**READERS, "meta": ["field-map", "sysid", "step", "check"], "method": ["step", "sysid", "check"]}
+# the presets each command runs, by the section it needs
+PRESETS_OF = {command: [p for p in preset_names() if section in preset_text(p).splitlines()]
+              for command, section in (("field-map", "[grid]"), ("sysid", "[sysid]"), ("step", "[step]"),
+                                       ("check", "[method.convex]"))}
+# the keys that size a run, as does an axis's count: their huge values run
+# in a child whose memory is capped (test_huge_run_size_exits_1_or_out_of_memory)
+SIZE_KEYS = {("sysid", "trials"), ("sysid", "n_iters"), ("sysid", "order"), ("step", "duration_s"),
+             ("step", "switch_time_s"), ("sensor", "sample_rate_hz")}
+OUTPUTS = {"field-map": ["field_map.csv"], "sysid": ["metrics.csv", "mse_curve.csv"],
+           "step": ["metrics.csv", "trace_lms.csv"], "check": []}
+# --diag-csv and --sensor-log names: their own, another output's (a sensor
+# log trace.csv writes trace_lms.csv among others) and "taken", which a case
+# makes a directory
+STEP_NAMES = ("diag.csv", "log.csv", "metrics.csv", "trace.csv", "trace_lms.csv", "taken")
+# the messages of the only exits 2 a config value may give
+EXIT_2_MESSAGES = ("non-finite", "diverged", "out of memory")
+
+
+def edge_case(preset, section, key, sizes):
+    """A parser of the preset's config with the run sizes of its sections
+    set, and the values of its [section] key split from their separators
+    (',' and ':') into every other token.  An edited [sensor] key takes out
+    the sensor's model, which would reject it, and takes a sample rate."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(preset_text(preset))
+    if not parser.has_section(section):
+        parser.add_section(section)
+    if section == "sensor" and key != "model":
+        parser.remove_option("sensor", "model")
+    for (sec, name), size in sizes.items():
+        if parser.has_section(sec) and not parser.has_option(sec, "model"):
+            parser[sec][name] = size
+    raw = parser[section].get(key, ABSENT[getattr(SCHEMA[section][key], "__name__", "")])
+    return parser, re.split(r"([,:])", raw)
+
+
+def assert_finite_outputs(out):
+    """Every number in the CSVs of `out` is finite, but a NaN reach time."""
+    for path in out.glob("*.csv"):
+        with open(path, newline="") as fh:
+            rows = csv.reader(fh)
+            header = next(rows)
+            for row in rows:
+                for name, cell in zip(header, row):
+                    with suppress(ValueError):
+                        value = float(cell)
+                        assert math.isfinite(value) or (name == "reach_target_time_s" and math.isnan(value)), (
+                            path.name, name, cell)
+
+
+@pytest.mark.filterwarnings("ignore::coilsim.experiments.ActuatorSaturationWarning")
+@pytest.mark.parametrize("section, key", [(s, k) for s, keys in SCHEMA.items() for k in keys],
+                         ids=lambda v: v)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_edge_value_fails_only_as_documented(tmp_path_factory, section, key, data):
+    # one value of one key at an edge, in a preset the command runs: no
+    # traceback; exit 2 only with a message of EXIT_2_MESSAGES;
+    # --validate-only exits 1 just when the run does; an exit 0 writes
+    # finite numbers, but a NaN reach time
+    command = data.draw(st.sampled_from(EDGE_READERS[section.partition(".")[0]]), label="command")
+    preset = data.draw(st.sampled_from(PRESETS_OF[command]), label="preset")
+    n_iters = data.draw(st.integers(22, 64), label="n_iters")
+    sizes = {("sysid", "trials"): str(data.draw(st.integers(1, 3), label="trials")),
+             ("sysid", "n_iters"): str(n_iters), ("sysid", "reinjection_at"): str(n_iters // 2),
+             ("step", "duration_s"): repr(data.draw(st.floats(1.6, 3.0), label="duration_s")),
+             ("sensor", "sample_rate_hz"): repr(data.draw(st.floats(10.0, 200.0), label="sample_rate_hz"))}
+    parser, tokens = edge_case(preset, section, key, sizes)
+    i = 2 * data.draw(st.integers(0, len(tokens) // 2), label="value index")
+    sizes_a_run = (section, key) in SIZE_KEYS or (section == "grid" and i == 4)
+    tokens[i] = data.draw(st.sampled_from(EDGES[:-len(HUGE)] if sizes_a_run else EDGES), label="value")
+    parser[section][key] = "".join(tokens)
+    argv = [command]
+    if command == "step":
+        for option in ("--diag-csv", "--sensor-log"):
+            name = data.draw(st.none() | st.sampled_from(STEP_NAMES), label=option)
+            argv += [option, name] if name else []
+    taken = data.draw(st.none() | st.sampled_from(["taken", *OUTPUTS[command]]), label="taken")
+
+    case = tmp_path_factory.mktemp("edge")
+    with open(case / "case.cfg", "w") as fh:
+        parser.write(fh)
+    out = case / "out"
+    if taken:
+        (out / taken).mkdir(parents=True)
+    argv += ["--config", str(case / "case.cfg"), "--out-dir", str(out)]
+    codes = []
+    for flags in (["--validate-only"], []):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            codes.append(main([*argv, *flags]))
+        assert "Traceback" not in err.getvalue()
+    validated, code = codes
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_RUNTIME) and validated in (EXIT_OK, EXIT_USAGE)
+    assert (validated == EXIT_USAGE) == (code == EXIT_USAGE), err.getvalue()
+    if code == EXIT_RUNTIME:
+        assert any(message in err.getvalue() for message in EXIT_2_MESSAGES), err.getvalue()
+    if code == EXIT_OK:
+        assert_finite_outputs(out)
+
+
+# (command, preset, section, key, value) for each key that sizes a run,
+# at its huge value
+HUGE_SIZES = [
+    *(("sysid", "table4-30db", "sysid", key, HUGE[1]) for key in ("trials", "n_iters", "order")),
+    *(("step", "table7-up", "step", key, HUGE[0]) for key in ("duration_s", "switch_time_s")),
+    ("step", "table7-up", "sensor", "sample_rate_hz", HUGE[0]),
+    ("field-map", "table2", "grid", "z_mm", f"-300,300,{HUGE[1]}"),
+]
+
+
+@pytest.mark.parametrize("command, preset, section, key, value", HUGE_SIZES,
+                         ids=[f"{section}-{key}" for _, _, section, key, _ in HUGE_SIZES])
+def test_huge_run_size_exits_1_or_out_of_memory(tmp_path, command, preset, section, key, value):
+    # a run too large to finish exits 1, or 2 once it runs out of memory,
+    # without a traceback; --validate-only exits 1 whenever the run does
+    parser, _ = edge_case(preset, section, key, {})
+    parser[section][key] = value
+    with open(tmp_path / "case.cfg", "w") as fh:
+        parser.write(fh)
+    argv = [command, "--config", str(tmp_path / "case.cfg"), "--out-dir", str(tmp_path / "out")]
+    code = ("import sys; from coilsim.cli import main; argv = sys.argv[1:]; "
+            "print(main([*argv, '--validate-only']), main(argv), flush=True)")
+    done = run_child("-c", code, *argv, env=ONE_THREAD, preexec_fn=address_space_cap(256 << 20), timeout=120)
+    assert b"Traceback" not in done.stderr, done.stderr.decode()
+    validated, run = map(int, done.stdout.split()[-2:])
+    assert run in (EXIT_USAGE, EXIT_RUNTIME)
+    assert (validated == EXIT_USAGE) == (run == EXIT_USAGE)
+    if run == EXIT_RUNTIME:
+        assert b"error: out of memory: " in done.stderr
+    assert not (tmp_path / "out").exists()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from coilsim import coilopt
+from coilsim import coilopt, magnetics
 
 from coilsim.coilopt import (
     NoBracket,
@@ -160,29 +160,31 @@ class TestUniformRegion:
 
     def test_center_reference_taken_once_per_call(self, monkeypatch):
         # the origin is the only all-zero row a scan evaluates: its |bz| is
-        # the reference, taken in the first pair_field call of each scan,
-        # whether the edge lies in the second block, at the first position,
-        # nowhere in range, or the range holds no position at all
+        # the reference, taken by uniformity as the first row of each of its
+        # pair_field calls, whether the edge lies in the second block, at
+        # the first position, nowhere in range, or the range holds no
+        # position at all; no call is made for an empty block after the first
         origin_rows = []
 
         def counted(pair, pts):
             origin_rows[-1].append(int((np.asarray(pts) == 0.0).all(axis=1).sum()))
+            assert not np.asarray(pts)[0].any()
             return pair_field(pair, pts)
 
-        monkeypatch.setattr(coilopt, "pair_field", counted)
+        monkeypatch.setattr(magnetics, "pair_field", counted)
         for threshold, resolution in ((1.0, 1e-3), (1e-9, 1e-3), (1e6, 4e-3), (1.0, 10.0)):
             origin_rows.append([])
             uniform_region(TABLE2, threshold, resolution)
-        assert origin_rows == [[1, 0], [1], [1, 0], [1]]
+        assert origin_rows == [[1, 1], [1], [1, 1], [1]]
 
     def test_zero_center_field_raised_before_any_extent(self):
         dead = HelmholtzPair(TABLE2.side, TABLE2.spacing, TABLE2.turns, 0.0)
         with pytest.raises(ZeroCenterField):
             uniform_region(dead, 1.0)
 
-    @pytest.mark.parametrize("threshold, calls", [(0.1, [257]), (1.0, [257, 512])])
+    @pytest.mark.parametrize("threshold, calls", [(0.1, [257]), (1.0, [257, 513])])
     def test_table2_field_calls(self, monkeypatch, threshold, calls):
-        # each block of both axes is one call, the first with the origin: at
+        # each block of both axes is one call, with the origin: at
         # SCAN_FIRST_BLOCK = 128 the 0.1% edge (92 positions out) lies in the
         # first block and the 1% edge (161 out) in the second
         evaluated = []
@@ -191,7 +193,7 @@ class TestUniformRegion:
             evaluated.append(len(pts))
             return pair_field(pair, pts)
 
-        monkeypatch.setattr(coilopt, "pair_field", counted)
+        monkeypatch.setattr(magnetics, "pair_field", counted)
         uniform_region(TABLE2, threshold)
         assert coilopt.SCAN_FIRST_BLOCK == 128 and evaluated == calls
 
@@ -204,7 +206,7 @@ class TestUniformRegion:
             evaluated.append(len(pts))
             return pair_field(pair, pts)
 
-        monkeypatch.setattr(coilopt, "pair_field", counted)
+        monkeypatch.setattr(magnetics, "pair_field", counted)
         region = uniform_region(TABLE2, 0.1)
         extents = (region.extent_x_over_d, region.extent_y_over_d)
         edge = sum(round(e * TABLE2.spacing / 1e-3) + 1 for e in extents)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coilsim import magnetics
+from coilsim import _table, magnetics
+from coilsim._table import WRITE_ROWS
 from coilsim.magnetics import (
     KERNEL_CHUNK,
-    MAP_BLOCK,
     MU0,
     GridSpec,
     HelmholtzPair,
@@ -516,10 +516,11 @@ class TestFieldMap:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "shape", [(1, 1, 1), (16, 16, MAP_BLOCK // 256), (1, 1, MAP_BLOCK + 1)],
-        ids=["1", "MAP_BLOCK", "MAP_BLOCK+1"],
+        "shape",
+        [(1, 1, 1), (1, 23, 89), (16, 16, WRITE_ROWS // 256), (1, 1, WRITE_ROWS + 1), (1, 17, 241)],
+        ids=["1", "WRITE_ROWS-1", "WRITE_ROWS", "WRITE_ROWS+1", "2*WRITE_ROWS+1"],
     )
-    def test_blocks_join_to_one_kernel_call_bitwise(self, field_map, monkeypatch, shape):
+    def test_blocks_join_to_one_kernel_call_bitwise(self, field_map, tmp_path, monkeypatch, shape):
         lo_hi = ((-0.15, 0.2), (-0.2, 0.15), (-0.3, 0.3))
         grid = GridSpec(*((lo, hi if n > 1 else lo, n) for (lo, hi), n in zip(lo_hi, shape)))
         axes = [GridSpec._axis(*a) for a in (grid.x, grid.y, grid.z)]
@@ -534,12 +535,35 @@ class TestFieldMap:
 
         monkeypatch.setattr(magnetics, "pair_field", counted)
         got = field_map(TABLE2, grid)
-        # the center, then full blocks and the rest
-        n_full, rest = divmod(len(pts), MAP_BLOCK)
-        assert calls == [1] + [MAP_BLOCK] * n_full + [rest] * (rest > 0)
+        # the center, then one block per write of the CSV writer
+        n_full, rest = divmod(len(pts), WRITE_ROWS)
+        assert calls == [1] + [WRITE_ROWS] * n_full + [rest] * (rest > 0)
         for got_column, want in zip(got, (pts, b, h)):
             assert got_column.shape == want.shape
             assert np.array_equal(got_column.view(np.uint64), want.view(np.uint64))
+        # and the bytes of the map in one block
+        monkeypatch.setattr(_table, "WRITE_ROWS", len(pts))
+        write_field_map_csv(tmp_path / "one.csv", TABLE2, grid)
+        assert (tmp_path / "map.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_map_follows_the_writers_rows(self, tmp_path, monkeypatch, rows):
+        # the map's blocks are the writer's writes, whatever their size: the
+        # bytes are those of the map in one block
+        grid = GridSpec(x=(-0.1, 0.1, 3), y=(0.0, 0.05, 2), z=(-0.2, 0.2, 4))
+        write_field_map_csv(tmp_path / "one.csv", TABLE2, grid)
+        calls = []
+
+        def counted(pair, q):
+            calls.append(len(q))
+            return pair_field(pair, q)
+
+        monkeypatch.setattr(magnetics, "pair_field", counted)
+        monkeypatch.setattr(_table, "WRITE_ROWS", rows)
+        write_field_map_csv(tmp_path / "map.csv", TABLE2, grid)
+        n_full, rest = divmod(grid.size, rows)
+        assert calls == [1] + [rows] * n_full + [rest] * (rest > 0)
+        assert (tmp_path / "map.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
     def test_zero_center_field_rejected_before_any_block(self, tmp_path, monkeypatch):
         # raised by the center call, before the map or its .part file is opened

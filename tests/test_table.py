@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from coilsim import _table
 from coilsim._table import KERNEL_CHUNK, KERNEL_MIN, WRITE_ROWS, Levels, write_repr_csv
-from coilsim.magnetics import MAP_BLOCK
 
 
 def _bits(*patterns) -> list[float]:
@@ -27,7 +26,7 @@ SPECIALS = [
     0.1, 1.5, -2.5e17, 1e300,
 ]
 
-ROW_COUNTS = [0, 1, WRITE_ROWS - 1, WRITE_ROWS, WRITE_ROWS + 1, MAP_BLOCK - 1, MAP_BLOCK, MAP_BLOCK + 1]
+ROW_COUNTS = [0, 1, WRITE_ROWS - 1, WRITE_ROWS, WRITE_ROWS + 1, 2 * WRITE_ROWS + 1]
 
 
 def old_writer(path, header, rows) -> None:
@@ -43,16 +42,18 @@ def old_writer(path, header, rows) -> None:
     pool=st.lists(st.floats(allow_subnormal=True) | st.sampled_from(SPECIALS), min_size=1, max_size=30),
     n_floats=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from([WRITE_ROWS, 2 * WRITE_ROWS + 1]),
 )
-def test_column_blocks_match_row_writer_bytes(tmp_path_factory, n, pool, n_floats, seed):
+def test_column_blocks_match_row_writer_bytes(tmp_path_factory, n, pool, n_floats, seed, block):
     # float columns draw from a small pool, so cells repeat as grid
     # coordinates do; they are strided views of one table, as a field map's
-    # columns are of its (n, 3) arrays
+    # columns are of its (n, 3) arrays.  The blocks are one write each, as a
+    # field map's are, or span several, as a row-built table does
     rng = np.random.default_rng(seed)
     table = np.array(pool + SPECIALS)[rng.integers(0, len(pool) + len(SPECIALS), (n, n_floats))]
     header = ["iter"] + [f"f{k}" for k in range(n_floats)]
     columns = [range(n), *table.T]
-    blocks = [[c[i:i + MAP_BLOCK] for c in columns] for i in range(0, max(n, 1), MAP_BLOCK)]
+    blocks = [[c[i:i + block] for c in columns] for i in range(0, max(n, 1), block)]
     out = tmp_path_factory.mktemp("csv")
     write_repr_csv(out / "new.csv", header, blocks)
     old_writer(out / "old.csv", header, zip(range(n), *table.T.tolist()))
