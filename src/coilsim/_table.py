@@ -13,32 +13,33 @@ own `repr`.
 
 Float cells are formatted as arrays.  The float columns of the rows being
 written (a sequence of floats is first converted to float64, exactly) are
-pooled and deduplicated by magnitude: every repr but a NaN's is "-" and the
-repr of the magnitude when the sign bit is set, so x and -x are formatted
-once and each cell writes its own "-".  A column given as Levels, a few
-distinct values and a per-row index into them (a grid axis), skips the
-pool: each level is formatted once and its text gathered down the rows.
-Each distinct normal magnitude gets its shortest round-trip decimal digits
-from Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020;
-the algorithm behind JDK 19's `Double.toString`), computed in uint64
-arithmetic with 128-bit products built from 32-bit limbs.  These are the
-digits `repr` picks: the fewest that read back as the same double, the
-closest of those to it, ties to even.  They are laid out by `repr`'s
-rules: exponent form when the decimal point position decpt is <= -4 or
-> 16, ".0" on an integral value, at least two exponent digits and a
-leading "-".  Each value's text fills a fixed row of a uint8 matrix, with a
-NUL wherever it has no character; the rows' cells, commas and line ends
-form one matrix whose NULs are dropped when it is written.
+pooled and deduplicated by magnitude, and the writer alone prints signs:
+every repr but a NaN's is "-" and the repr of the magnitude when the sign
+bit is set.  A column given as Levels, a few distinct values and a per-row
+index into them (a grid axis), skips the pool: each level is formatted once
+and its text gathered down the rows.  Each distinct normal magnitude, one
+slice of the sorted ones np.unique gives, gets its shortest round-trip
+decimal digits from Schubfach (R. Giulietti, "The Schubfach way to render
+doubles", 2020; the algorithm behind JDK 19's `Double.toString`), computed
+in uint64 arithmetic with 128-bit products built from 32-bit limbs.  These
+are the digits `repr` picks: the fewest that read back as the same double,
+the closest of those to it, ties to even.  One call per write lays them out
+by `repr`'s rules: exponent form when the decimal point position decpt is
+<= -4 or > 16, ".0" on an integral value and at least two exponent digits.
+Each value's text fills a fixed row of a uint8 matrix, with a NUL wherever
+it has no character, the sign's column included; the rows' cells, commas
+and line ends form one matrix whose NULs are dropped when it is written.
 
 `repr` itself still formats zero, subnormal, infinite and NaN magnitudes,
 the levels of a Levels column, and every cell of rows with fewer than
 KERNEL_MIN float cells (a Levels column's count): the kernel costs some
 hundred array operations per call, which such rows do not repay.
 
-WRITE_ROWS and KERNEL_CHUNK bound the writer's own memory whatever the
-size of the table: about 0.1 kB per cell of the rows being written and
-0.5 kB per value of a kernel chunk, which came to traced peaks of 1.1 to
-1.9 MB on a field map, a closed-loop trace and a set of MSE curves.
+WRITE_ROWS alone bounds the writer's memory whatever the size of the
+table: about 0.1 kB per cell and 0.3 kB per distinct magnitude of the rows
+being written.  Traced peaks: 1.9 MB on a field map (17^3 or 33^3 points),
+1.3 MB on a closed-loop trace, 3.0 MB on MSE curves and 5.1 MB on convex
+diagnostics, whose nine float columns make the largest writes.
 """
 
 from __future__ import annotations
@@ -50,10 +51,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Rows formatted and written at a time.
+# Rows formatted and written at a time; bounds the writer's memory.
 WRITE_ROWS = 2048
-# Distinct values the kernel formats at a time; bounds its temporaries.
-KERNEL_CHUNK = 2048
 # Fewest float cells in a write for which the kernel beats `repr`.
 KERNEL_MIN = 2048
 
@@ -61,14 +60,14 @@ _M32 = 0xFFFFFFFF
 _FRACTION = (1 << 52) - 1
 _HIDDEN = 1 << 52
 _SIGN = np.uint64(1 << 63)
-_NEG_MAX = np.uint64(0x7FF << 52)  # the bits of inf: -inf is SIGN + _NEG_MAX
+_INF = np.uint64(0x7FF << 52)  # the bits of inf: -inf is _SIGN + _INF
 _MINUS = np.uint8(ord("-"))
 _POW10 = np.array([10**i for i in range(20)], np.uint64)
 # The three interval points 4c - 2, 4c and 4c + 2, as wrapping uint64 offsets.
 _OFFSETS = np.array([[2**64 - 2], [0], [2]], np.uint64)
-# The kernel's output rows: a sign, then either "0." and up to three zeros
-# and 17 digits (fixed notation), or 17 digits and a point and "e", the
-# exponent's sign and three digits (exponent notation).
+# The kernel's output rows: the sign's, NUL, then either "0." and up to three
+# zeros and 17 digits (fixed notation), or 17 digits and a point and "e",
+# the exponent's sign and three digits (exponent notation).
 _WIDTH = 24
 _DIGIT_ROWS = np.arange(18, dtype=np.uint8)[:, None]
 _POSITIONS = _DIGIT_ROWS + np.uint8(1)  # 1-based digit positions
@@ -169,10 +168,11 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _layout(bits: np.ndarray, out: np.ndarray) -> None:
-    """Write the repr of each normal double in `bits` into the (_WIDTH, n)
-    uint8 matrix `out`, one character or NUL per row."""
+    """Write the repr of each positive normal double in `bits` into the
+    (_WIDTH, n) uint8 matrix `out`, one character or NUL per row; row 0,
+    where the writer puts a negative value's "-", is NUL."""
     n = len(bits)
-    d, e10 = _shortest(bits & ~_SIGN)
+    d, e10 = _shortest(bits)
     n_digits = np.searchsorted(_POW10, d, side="right")
     x = d * _POW10[18 - n_digits]  # the digits, zero-filled to 18
     groups = np.empty((5, n), np.uint64)
@@ -190,7 +190,7 @@ def _layout(bits: np.ndarray, out: np.ndarray) -> None:
     # and the position of the point among them (past the end if none)
     keep = np.maximum(significant, (decpt + 1) * fixed).astype(np.uint8)
     point = np.where(fixed & ~below_one, decpt, np.where(sci & (significant > 1), 1, 99)).astype(np.uint8)
-    out[0] = (bits >> 63) * ord("-")
+    out[0] = 0
     out[1] = below_one * ord("0")
     out[2] = below_one * ord(".")
     np.multiply(_THREE < (below_one * -decpt).astype(np.uint8), np.uint8(ord("0")), out=out[3:6])
@@ -229,19 +229,18 @@ def _cell(value) -> str:
 
 
 def _format(bits: np.ndarray) -> np.ndarray:
-    """The repr of each double in `bits`, one NUL-padded row each whose
-    column 0 holds the "-" of a negative value and is NUL otherwise."""
-    normal = ((bits >> 52) & 0x7FF) - 1 < 0x7FE  # biased exponent in 1..2046
-    normals = bits[normal]
-    text = np.empty((_WIDTH, len(normals)), np.uint8)
-    for i in range(0, len(normals), KERNEL_CHUNK):
-        _layout(normals[i:i + KERNEL_CHUNK], text[:, i:i + KERNEL_CHUNK])
+    """The repr of each of `bits`, a write's ascending distinct magnitudes,
+    one NUL-padded row each whose column 0 is NUL, for the writer's "-"."""
+    # zeros and subnormals lie below the least normal, inf and NaNs from inf on
+    lo, hi = np.searchsorted(bits, np.array([_HIDDEN, _INF], np.uint64))
+    text = np.empty((_WIDTH, hi - lo), np.uint8)
+    _layout(bits[lo:hi], text)
     table = np.zeros((len(bits), _WIDTH), np.uint8)
-    table[normal] = text.T
-    if len(normals) < len(bits):
-        reprs = map(repr, bits[~normal].view(np.float64).tolist())
-        specials = _text_matrix([r if r[0] == "-" else "\0" + r for r in reprs])
-        table[~normal, :specials.shape[1]] = specials
+    table[lo:hi] = text.T
+    for rows in (slice(0, lo), slice(hi, None)):
+        if reprs := list(map(repr, bits[rows].view(np.float64).tolist())):
+            specials = _text_matrix(reprs)
+            table[rows, 1:1 + specials.shape[1]] = specials
     return table
 
 
@@ -295,7 +294,7 @@ def _rows(columns: list) -> bytes:
     if plain:
         bits = np.concatenate(plain)
         # -x prints as "-" + repr(x) for every x but NaN, whose repr has no sign
-        minus = iter((bits - _SIGN <= _NEG_MAX).reshape(-1, n))
+        minus = iter((bits - _SIGN <= _INF).reshape(-1, n))
         distinct, inverse = np.unique(bits & ~_SIGN, return_inverse=True)
         table = _format(distinct)
         inverse = iter(inverse.reshape(-1, n))

@@ -14,9 +14,10 @@ CSV bodies.  A command writes all its files before it prints anything, and
 a reader that closes stdout early ends it quietly with exit 0.
 A failed command leaves every output with its previous bytes and removes
 the directories it made: its files are put in place only once all are
-written.  Two outputs on one path, however spelled, one that names a
-directory, or an --out-dir that names a file or lies under one, exit 1
-before any run, under --validate-only too.
+written.  A command ended by SIGTERM fails so too, and exits 143.  Two
+outputs on one path, however spelled, one that names a directory, or an
+--out-dir that names a file or lies under one, exit 1 before any run,
+under --validate-only too.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ import errno
 import functools
 import math
 import os
+import signal
 import sys
+import threading
 from contextlib import contextmanager, suppress
 from dataclasses import replace
 from pathlib import Path
@@ -172,11 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", type=Path, default=OUT_DIR)
 
     p = sub.add_parser("field-map", help="evaluate the field over the configured grid")
-    _add_config_args(p, "on a [grid] point on a wire or a [grid] count too large for memory")
+    _add_config_args(p, "on a [grid] point on a wire")
 
     p = sub.add_parser("sysid", help="run the identification study for all methods")
-    _add_config_args(p, "on a [method.*] rate whose filter diverges, [sysid] true_weights whose error "
-                        "overflows, or an n_iters or order too large for memory")
+    _add_config_args(p, "on a [method.*] rate whose filter diverges or an n_iters or order too large for "
+                        "memory")
     p.add_argument("--snr-db", type=float, help="override the configured SNR")
     p.add_argument("--methods", default="all", help="comma list of distinct methods, or 'all'")
 
@@ -216,7 +219,8 @@ def cmd_optimize(args) -> int:
         last = 0.8 * spacing_m
         # SIDE_MM keeps this under 44,000 positions, where the additions'
         # rounding drifts by far less than a step: one slot to spare holds them
-        positions = coilopt.scan_positions(0.0, 1e-3, last, int(last / 1e-3) + 2)
+        step = coilopt.SCAN_STEP_M
+        positions = coilopt.scan_positions(0.0, step, last, int(last / step) + 2)
         pts = np.zeros((len(positions), 3))
         pts[:, 0] = positions
         h = magnetics.uniformity(pair, pts)
@@ -367,13 +371,32 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _terminated(signum, _frame):
+    raise SystemExit(128 + signum)
+
+
+@contextmanager
+def _sigterm_exits():
+    """While the block runs in the main thread, SIGTERM raises
+    SystemExit(143), so the outputs' cleanup runs as on any failure."""
+    if threading.current_thread() is not threading.main_thread():
+        yield  # only the main thread may set a handler
+        return
+    previous = signal.signal(signal.SIGTERM, _terminated)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else EXIT_USAGE
     try:
-        code = _COMMANDS[args.command](args)
+        with _sigterm_exits():
+            code = _COMMANDS[args.command](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -30,10 +30,8 @@ from .magnetics import MU0, HelmholtzPair, uniformity
 # than at 64 or 256.
 SCAN_FIRST_BLOCK = 128
 SCAN_BLOCK = 4096
-
-
-class NoBracket(ValueError):
-    """Raised when the bisection bracket does not straddle a sign change."""
+# The step of uniform_region's scan and of `optimize --csv`'s, meters.
+SCAN_STEP_M = 1e-3
 
 
 @dataclass(frozen=True)
@@ -65,24 +63,11 @@ def optimality_polynomial(n: float) -> float:
     return _sextic(n * n)
 
 
-def solve_optimal_ratio(lo: float = 1.0, hi: float = 3.0) -> OptimalityResult:
-    """Unique positive root of the optimality polynomial by bisection.
-
-    The default bracket [1, 3] contains the root; the result is insensitive
-    to widening it.  Raises NoBracket if the endpoints do not straddle a
-    sign change.
-    """
-    f_lo = optimality_polynomial(lo)
-    f_hi = optimality_polynomial(hi)
-    if f_lo == 0.0:
-        return OptimalityResult(lo, 0.0, 0)
-    if f_hi == 0.0:
-        return OptimalityResult(hi, 0.0, 0)
-    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
-        raise NoBracket(f"no sign change on [{lo}, {hi}]")
-
+def solve_optimal_ratio() -> OptimalityResult:
+    """Unique positive root of the optimality polynomial by bisection of
+    [1, 3], where it changes sign: f(1) = 30 > 0 > f(3) = -2586."""
     iterations = 0
-    a, fa, b = lo, f_lo, hi
+    a, b = 1.0, 3.0
     while True:
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
@@ -92,8 +77,8 @@ def solve_optimal_ratio(lo: float = 1.0, hi: float = 3.0) -> OptimalityResult:
         if f_mid == 0.0:
             a = mid
             break
-        if math.copysign(1.0, f_mid) == math.copysign(1.0, fa):
-            a, fa = mid, f_mid
+        if f_mid > 0.0:
+            a = mid
         else:
             b = mid
     # report whichever endpoint evaluates closer to zero
@@ -133,7 +118,7 @@ def optimal_spacing(side: float) -> float:
 
 
 def uniform_region(
-    pair: HelmholtzPair, threshold: float, resolution: float = 1e-3
+    pair: HelmholtzPair, threshold: float, resolution: float = SCAN_STEP_M
 ) -> UniformRegion:
     """Scan outward from the origin along +x and +y on the z = 0 plane and
     return the largest extent (normalized by the spacing) within which every

@@ -55,6 +55,13 @@ METHODS = tuple(LAWS)
 
 # the most steps of a run: 14 h at 200 Hz, and ~1.5 GB for a convex step record
 STEP_MAX = 10**7
+# The largest |true weight| of a sysid run.  Each filter starts from zero
+# weights, so its first errors are the targets, the weights applied to
+# unit-variance inputs, which stay within 10: with `order` weights of at
+# most 1e100, an e^2 stays below order^2 * 1e202 and its sum over STEP_MAX
+# trials below order^2 * 1e209, far inside the float range for any order
+# a run can hold.  At 1e300 the sums overflowed.
+WEIGHT_MAX = 1e100
 
 
 class ActuatorSaturationWarning(UserWarning):
@@ -177,8 +184,8 @@ class SysIdScenario:
             raise ValueError(f"n_iters must exceed reinjection_at and be <= STEP_MAX = {STEP_MAX}")
         if len(self.true_weights) != self.order:
             raise ValueError("true_weights length must equal order")
-        if not all(map(math.isfinite, self.true_weights)):
-            raise ValueError("true_weights must be finite")
+        if not all(abs(w) <= WEIGHT_MAX for w in self.true_weights):  # NaN fails too
+            raise ValueError(f"true_weights must be finite and within +/-{WEIGHT_MAX:g}")
         if not 1 <= self.trials <= STEP_MAX:  # a trial is at least one step
             raise ValueError(f"trials must be >= 1 and <= STEP_MAX = {STEP_MAX}")
         if self.seed < 0:

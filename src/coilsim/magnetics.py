@@ -67,6 +67,10 @@ WIRE_GUARD_M = 1e-12
 # hold 3 * 8 * 512 = 12,288 values, and each per-side term 8 * 512.
 KERNEL_CHUNK = 512
 
+# The most points of a grid: 100 times a dense 10^6-point map, and a field
+# map of some 13 GB of CSV.
+GRID_MAX_POINTS = 10**8
+
 
 class PointOnWire(ValueError):
     """Raised when a field is requested on (or within the guard distance of)
@@ -292,8 +296,9 @@ class GridSpec:
                 raise ValueError(f"{name} axis count must be >= 1")
             if n == 1 and lo != hi:
                 raise ValueError(f"{name} axis with n=1 requires lo == hi")
-        if self.size > np.iinfo(np.intp).max // 8:  # no array holds 8-byte indices of its points
-            raise ValueError("grid has more points than an array can hold")
+        if self.size > GRID_MAX_POINTS:
+            raise ValueError(f"grid has {' x '.join(map(str, self.shape))} points; "
+                             f"a field map takes at most GRID_MAX_POINTS = {GRID_MAX_POINTS:,}")
 
     @staticmethod
     def _axis(lo: float, hi: float, n: int) -> np.ndarray:

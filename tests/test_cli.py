@@ -8,8 +8,10 @@ import math
 import os
 import re
 import resource
+import signal
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout, suppress
 from importlib import resources
 from pathlib import Path
@@ -29,13 +31,18 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def child_env(env=()):
+    """The environment of a child that imports this checkout's coilsim,
+    with env added."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, **dict(env),
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_child(*args, env=(), **kwargs):
     """`python *args` in a child that imports this checkout's coilsim, with
     env added to its environment and its output captured."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, **dict(env),
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, **kwargs)
+    return subprocess.run([sys.executable, *args], env=child_env(env), capture_output=True, **kwargs)
 
 
 def address_space_cap(nbytes):
@@ -531,6 +538,29 @@ def test_optimize_failed_csv_removes_the_directories_it_made(tmp_path, capsys):
     assert list(target.iterdir()) == []
 
 
+def test_sigterm_removes_the_parts_and_the_directories_made(tmp_path):
+    # a field map ended by SIGTERM left field_map.csv.part.part and the new
+    # --out-dir behind, and the command exited -15
+    cfg = tmp_path / "grid121.cfg"
+    cfg.write_text(GRID21.replace(",21\n", ",121\n"))  # 1.77 million points: seconds of writing
+    out = tmp_path / "new" / "deeper"
+    child = subprocess.Popen([sys.executable, "-m", "coilsim.cli", "field-map", "--config", str(cfg),
+                              "--out-dir", str(out)], env=child_env(ONE_THREAD),
+                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(out.glob("*.part")):
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        child.send_signal(signal.SIGTERM)
+        assert child.wait(timeout=60) == 128 + signal.SIGTERM
+    finally:
+        child.kill()
+        _, err = child.communicate()
+    assert b"Traceback" not in err, err.decode()
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_failed_step_rerun_keeps_the_previous_run(tmp_path, capsys):
     # svs writes its trace before lms diverges: the rerun left the previous
     # metrics.csv and trace_lms.csv, and removed trace_svs.csv
@@ -817,7 +847,8 @@ EXIT_CODES = {
                                          ("coil-side-1e300", "coil", "side_mm", "1e300"),
                                          # beyond the float range: an OverflowError traceback
                                          ("coil-turns-1e400", "coil", "turns", str(10**400)),
-                                         # exited 2 with numpy's "Maximum allowed size exceeded"
+                                         # exited 2 with numpy's "Maximum allowed size exceeded";
+                                         # beyond GRID_MAX_POINTS
                                          ("grid-axis-count-1e30", "grid", "z_mm", f"-300,300,{10**30}"))},
     "field-map-coil-side-negative-optimal-spacing": (
         ["field-map", "--config", "{cfg}", "--out-dir", "{out}"],
@@ -945,10 +976,11 @@ EXIT_CODES = {
        for name, line in (("dc-offset-nan", "dc_offset_nt = nan"), ("ac-phase-nan", "ac_components = 500:0.5:nan"),
                           ("ac-amplitude-inf", "ac_components = inf:0.5:0"),
                           ("ac-frequency-inf", "ac_components = 500:inf:0"))},
-    # sysid wrote final_mse = nan and exited 0
+    # sysid wrote final_mse = nan and exited 0; at 1e300 it exited 2, naming
+    # a filter that had not diverged
     **{f"sysid-true-weights-{name}": (["sysid", "--config", "{cfg}", "--out-dir", "{out}"],
                                       edited_preset("table4-30db", "sysid", "true_weights", value), EXIT_USAGE)
-       for name, value in (("nan", "nan,0.5"), ("inf", "inf,0.5"))},
+       for name, value in (("nan", "nan,0.5"), ("inf", "inf,0.5"), ("1e300", "1e300,0.5"))},
     **{f"sysid-{name}": (["sysid", "--config", "{cfg}", "--methods", method, "--out-dir", "{out}"],
                          edited_preset("table4-30db", f"method.{method}", key, "nan"), EXIT_USAGE)
        for name, method, key in (("lms-mu-nan", "lms", "mu"), ("svs-beta-nan", "svs", "beta"),
@@ -1088,11 +1120,13 @@ def test_missing_method_key_exits_1_and_names_it(tmp_path, capsys, argv, preset,
          "which must be <= STEP_MAX = 10000000"),
         (["sysid"], "table4-30db", "sysid", "n_iters", "1000000000",
          "n_iters must exceed reinjection_at and be <= STEP_MAX = 10000000"),
+        (["sysid"], "table4-30db", "sysid", "true_weights", "0.8,-1e300",
+         "true_weights must be finite and within +/-1e+100"),
     ],
     ids=["sysid-trials", "sysid-reinjection", "step-duration", "sysid-seed", "step-seed", "step-duration-inf",
          "sysid-snr-minus-inf", "disturbance-gaussian-sigma-nan", "plant-v-max-nan", "convex-init-weights",
          "lms-mu-nan", "coil-turns-0", "grid-axis-count-0", "lms-mu-negative", "step-duration-1e9",
-         "sysid-n-iters-1e9"],
+         "sysid-n-iters-1e9", "sysid-true-weights-1e300"],
 )
 def test_scenario_value_error_exits_1_and_names_the_section(tmp_path, capsys, argv, preset, section, key,
                                                               value, message):
@@ -1138,8 +1172,8 @@ def test_nonfinite_float_key_exits_1_with_one_line(tmp_path, capsys, command, se
 
 
 @pytest.mark.parametrize("command, exit_2", [
-    ("field-map", ["[grid] point on a wire", "[grid] count too large for memory"]),
-    ("sysid", ["[method.*] rate whose filter diverges", "[sysid] true_weights", "n_iters or order"]),
+    ("field-map", ["[grid] point on a wire"]),
+    ("sysid", ["[method.*] rate whose filter diverges", "n_iters or order"]),
     ("step", ["[method.*] rate whose filter diverges", "x_scale_nt or ctrl_unit_nt", "duration_s",
               "[sensor] sample_rate_hz"]),
     ("check", ["under --strict"]),
@@ -1369,4 +1403,19 @@ def test_huge_run_size_exits_1_or_out_of_memory(tmp_path, command, preset, secti
     assert (validated == EXIT_USAGE) == (run == EXIT_USAGE)
     if run == EXIT_RUNTIME:
         assert b"error: out of memory: " in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_beyond_the_point_bound_exits_1_at_once(tmp_path):
+    # 10^18 points passed both checks, and the run then streamed without end
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(GRID21.split("[grid]")[0] + "[grid]\n" + "".join(f"{a}_mm = -100,100,1000000\n" for a in "xyz"))
+    argv = ["field-map", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+    code = ("import sys; from coilsim.cli import main; argv = sys.argv[1:]; "
+            "print(main([*argv, '--validate-only']), main(argv), flush=True)")
+    done = run_child("-c", code, *argv, env=ONE_THREAD, timeout=30)
+    assert done.stdout.split() == [b"1", b"1"]
+    message = (f"config error: {cfg}: [grid] grid has 1000000 x 1000000 x 1000000 points; "
+               "a field map takes at most GRID_MAX_POINTS = 100,000,000")
+    assert done.stderr.decode().splitlines() == [message, message]
     assert not (tmp_path / "out").exists()

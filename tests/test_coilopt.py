@@ -10,7 +10,6 @@ from hypothesis import strategies as hst
 from coilsim import coilopt, magnetics
 
 from coilsim.coilopt import (
-    NoBracket,
     OptimalityResult,
     UniformRegion,
     optimal_spacing,
@@ -34,6 +33,8 @@ class TestPolynomial:
         assert abs(optimality_polynomial(1.8365)) < 0.05
 
     def test_root_bracketed(self):
+        # solve_optimal_ratio bisects [1, 3]
+        assert optimality_polynomial(1.0) == 30.0 and optimality_polynomial(3.0) == -2586.0
         assert optimality_polynomial(1.8) > 0.0
         assert optimality_polynomial(1.9) < 0.0
 
@@ -49,15 +50,11 @@ class TestSolveOptimalRatio:
         m = n * n
         assert abs(-5.0 * m**3 + 11.0 * m**2 + 18.0 * m + 6.0) < 1e-10
 
-    def test_bracket_invariance(self):
-        a = solve_optimal_ratio(1.0, 3.0).n
-        b = solve_optimal_ratio(0.5, 5.0).n
-        assert a == pytest.approx(b, abs=1e-10)
-
-    def test_no_bracket_detected(self):
-        with pytest.raises(NoBracket):
-            solve_optimal_ratio(0.1, 0.5)
-
+    def test_bits_of_the_root(self):
+        # the bits 53 halvings of [1, 3] end on; every spacing the package
+        # derives from a side divides by them
+        r = solve_optimal_ratio()
+        assert (float.hex(r.n), r.iterations) == ("0x1.d626b745eb286p+0", 53)
     def test_curvature_much_smaller_at_root(self):
         n_star = solve_optimal_ratio().n
         d = 0.5
